@@ -24,8 +24,8 @@ from repro.analysis.engine import (
     LEGACY,
     PERSAMPLE,
     STACKED,
+    analysis_engine,
     ensemble_engine,
-    use_engine,
 )
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.perf import (
@@ -64,7 +64,7 @@ def feedback_dc(feedback_circuit):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_benchmark_dc_solve(benchmark, feedback_circuit, engine):
     """One nonlinear DC operating-point solve of the feedback OTA."""
-    with use_engine(engine):
+    with analysis_engine.use(engine):
         solution = benchmark.pedantic(
             solve_dc, args=(feedback_circuit,),
             rounds=3, iterations=1, warmup_rounds=1,
@@ -79,7 +79,7 @@ def test_benchmark_ac_sweep_200(
     """A 200-point logarithmic AC sweep at the shared operating point."""
     frequencies = np.logspace(0.0, 9.0, 200)
     drive = {bench_tb.source_pos: 0.5, "_fb": 0.0}
-    with use_engine(engine):
+    with analysis_engine.use(engine):
         solution = benchmark.pedantic(
             ac_sweep, args=(feedback_circuit, feedback_dc, frequencies, drive),
             rounds=3, iterations=1, warmup_rounds=1,
@@ -90,7 +90,7 @@ def test_benchmark_ac_sweep_200(
 @pytest.mark.parametrize("engine", ENGINES)
 def test_benchmark_monte_carlo_50(benchmark, bench_tb, engine):
     """50 Pelgrom-mismatch offset samples (one DC solve per sample)."""
-    with use_engine(engine):
+    with analysis_engine.use(engine):
         result = benchmark.pedantic(
             run_monte_carlo, args=(bench_tb,),
             kwargs={"runs": 50, "seed": 1234},

@@ -281,13 +281,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     from repro.core.synthesis import LayoutOrientedSynthesizer
     from repro.layout.gds import write_gds
     from repro.layout.svg import write_svg
     from repro.resilience.budget import Budget
-    from repro.runtime import speculate
 
     technology = _TECHNOLOGIES[args.technology]()
     specs = _specs_from_args(args)
@@ -305,24 +302,19 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     except JournalError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    speculation = (
-        speculate.session(args.speculate) if args.speculate
-        else nullcontext()
-    )
     try:
-        with speculation:
-            if journal is not None:
-                with journal, journal.shutdown_guard():
-                    outcome = synthesizer.run(
-                        specs, mode=ParasiticMode.FULL, generate=True,
-                        budget=budget, journal=journal,
-                    )
-                    journal.complete()
-            else:
+        if journal is not None:
+            with journal, journal.shutdown_guard():
                 outcome = synthesizer.run(
                     specs, mode=ParasiticMode.FULL, generate=True,
-                    budget=budget,
+                    budget=budget, journal=journal,
                 )
+                journal.complete()
+        else:
+            outcome = synthesizer.run(
+                specs, mode=ParasiticMode.FULL, generate=True,
+                budget=budget,
+            )
     except RunInterrupted as error:
         return _report_interrupt(error)
     except ReproError as error:
@@ -688,12 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fingerprint", action="store_true",
         help="print the outcome's content fingerprint (a short digest of "
              "sizes, feedback and layout; identical runs print identical "
-             "fingerprints regardless of caches or speculation)")
-    synthesize.add_argument(
-        "--speculate", type=int, default=0, metavar="N",
-        help="evaluate next-round layout estimates speculatively on N "
-             "pool workers while the current round sizes (results are "
-             "bit-identical; mis-speculations are kept as artifacts)")
+             "fingerprints regardless of caches)")
     _add_trace_argument(synthesize)
     _add_monitor_argument(synthesize)
     _add_metrics_argument(synthesize)

@@ -21,14 +21,11 @@ Two interchangeable engines back every analysis (see
 :mod:`repro.analysis.engine`): the default vectorized compiled-stamp
 engine (:mod:`repro.analysis.stamps`) and the legacy per-element
 reference implementation, selectable per call via ``engine=`` or
-process-wide via :func:`use_engine` / :func:`set_default_engine`.
+process-wide via :data:`~repro.analysis.engine.analysis_engine`
+(``analysis_engine.use(...)`` / ``analysis_engine.set_default(...)``).
 """
 
-from repro.analysis.engine import (
-    default_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.analysis.engine import analysis_engine
 from repro.analysis.stamps import LinearSystem, StampProgram
 from repro.analysis.dcop import DcSolution, solve_dc
 from repro.analysis.ac import AcSolution, ac_sweep, transfer_function
@@ -55,14 +52,12 @@ __all__ = [
     "TransferFunction",
     "TransientResult",
     "ac_sweep",
-    "default_engine",
+    "analysis_engine",
     "measure_ota",
     "measure_slew_rate",
     "run_monte_carlo",
     "run_transient",
-    "set_default_engine",
     "solve_dc",
     "step_waveform",
     "transfer_function",
-    "use_engine",
 ]

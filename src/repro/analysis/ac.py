@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.analysis.dcop import DcSolution
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.mna import (
     NodeIndex,
     solve_linear,
@@ -171,7 +171,7 @@ def ac_sweep(
         raise AnalysisError("ac_sweep needs at least one frequency")
     if np.any(freq_array <= 0.0):
         raise AnalysisError("AC frequencies must be positive")
-    if resolve_engine(engine) == COMPILED:
+    if analysis_engine.resolve(engine) == COMPILED:
         from repro.analysis.stamps import LinearSystem
 
         system = LinearSystem(circuit, dc)

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.mna import NodeIndex, solve_linear
 from repro.circuit.elements import (
     Capacitor,
@@ -395,7 +395,7 @@ def solve_dc(
     solve falls back to the legacy engine and records the hand-over in the
     report.
     """
-    if resolve_engine(engine) == COMPILED:
+    if analysis_engine.resolve(engine) == COMPILED:
         from repro.analysis.stamps import StampProgram
 
         try:

@@ -1,8 +1,9 @@
-"""Analysis engine selection.
+"""Engine selection switches.
 
 Every analysis entry point (:func:`~repro.analysis.dcop.solve_dc`,
 :func:`~repro.analysis.ac.ac_sweep`, :class:`~repro.analysis.noise.NoiseAnalysis`,
-:func:`~repro.analysis.metrics.measure_ota`) accepts an ``engine`` argument:
+:func:`~repro.analysis.metrics.measure_ota`) accepts an ``engine`` argument,
+resolved through :data:`analysis_engine`:
 
 * ``"compiled"`` — the vectorized compiled-stamp engine
   (:mod:`repro.analysis.stamps`): one walk over the circuit produces a
@@ -13,18 +14,22 @@ Every analysis entry point (:func:`~repro.analysis.dcop.solve_dc`,
   implementation, kept as the golden oracle for equivalence tests and as
   the "before" side of the benchmark harness.
 
-``None`` (the default everywhere) resolves to the process-wide default set
-here, so a single :func:`use_engine` context flips a whole flow — this is
-how ``python -m repro bench`` measures before/after on identical code paths.
+``None`` (the default everywhere) resolves to the process-wide default,
+so a single ``analysis_engine.use(...)`` context flips a whole flow —
+this is how ``python -m repro bench`` measures before/after on identical
+code paths.
 
-A second, independent knob selects how *ensembles* of parameter vectors
-(Monte-Carlo mismatch samples, process corners) are evaluated on top of
-the compiled engine:
+A second, independent knob (:data:`ensemble_engine`) selects how
+*ensembles* of parameter vectors (Monte-Carlo mismatch samples, process
+corners) are evaluated on top of the compiled engine:
 
 * ``"stacked"`` — :mod:`repro.analysis.ensemble` solves all K members as
   one batched ``(K, n, n)`` Newton with per-member convergence masking;
 * ``"per-sample"`` — the original one-solve-per-member loop, kept as the
   golden reference (equivalence pinned sample-for-sample at rtol 1e-9).
+
+:class:`EngineSwitch` is also the type of the layout-side switches in
+:mod:`repro.layout.engine`.
 """
 
 from __future__ import annotations
@@ -34,21 +39,13 @@ from typing import Iterator, Optional, Tuple
 
 COMPILED = "compiled"
 LEGACY = "legacy"
-_ENGINES = (COMPILED, LEGACY)
 
 STACKED = "stacked"
 PERSAMPLE = "per-sample"
 
-_default_engine = COMPILED
-
 
 class EngineSwitch:
-    """One process-wide engine knob with scoped override support.
-
-    Mirror of :class:`repro.layout.engine.EngineSwitch` for the analysis
-    side, so the ensemble knob composes with (not replaces) the
-    compiled/legacy selection above.
-    """
+    """One process-wide engine knob with scoped override support."""
 
     __slots__ = ("label", "options", "_current")
 
@@ -89,56 +86,8 @@ class EngineSwitch:
             self._current = previous
 
 
+#: Which implementation backs every analysis entry point.
+analysis_engine = EngineSwitch("analysis", COMPILED, (COMPILED, LEGACY))
+
 #: How K-member parameter ensembles are solved on the compiled engine.
 ensemble_engine = EngineSwitch("ensemble", STACKED, (STACKED, PERSAMPLE))
-
-FULL = "full"
-CHORD = "chord"
-
-#: How Newton linear systems are solved on the compiled engine:
-#: ``"full"`` factors the Jacobian every iteration (the reference
-#: behaviour, bit-stable across releases); ``"chord"`` reuses one LU
-#: factorization for trailing iterations and refactors on residual
-#: stall (:meth:`~repro.analysis.stamps.StampProgram.newton_chord`).
-#: Chord iterates converge to the same fixed point but along a
-#: different path, so the switch defaults to ``"full"`` and chord is
-#: opt-in per run.
-newton_engine = EngineSwitch("newton", FULL, (FULL, CHORD))
-
-
-def default_engine() -> str:
-    """The process-wide engine used when callers pass ``engine=None``."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default analysis engine."""
-    global _default_engine
-    _default_engine = _validated(name)
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an ``engine`` argument to a concrete engine name."""
-    if engine is None:
-        return _default_engine
-    return _validated(engine)
-
-
-@contextmanager
-def use_engine(name: str) -> Iterator[str]:
-    """Temporarily switch the default engine (benchmarks, golden tests)."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = _validated(name)
-    try:
-        yield _default_engine
-    finally:
-        _default_engine = previous
-
-
-def _validated(name: str) -> str:
-    if name not in _ENGINES:
-        raise ValueError(
-            f"unknown analysis engine {name!r}; expected one of {_ENGINES}"
-        )
-    return name

@@ -46,14 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.analysis import lu
-from repro.analysis.engine import (
-    CHORD,
-    PERSAMPLE,
-    STACKED,
-    ensemble_engine,
-    newton_engine,
-)
+from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
 from repro.analysis.mna import NodeIndex
 from repro.circuit.elements import (
     Capacitor,
@@ -452,28 +445,12 @@ class EnsembleProgram:
         treatment of linear-solve failure); converged members freeze.
         Returns ``(converged, iterations, residual_norms)`` arrays (full
         K length; entries meaningful for members that started running).
-
-        Under the opt-in chord ``newton`` engine each member carries its
-        own LU factorization, reused across iterations and refreshed
-        per-member on residual stall or reuse expiry — the batched
-        mirror of :meth:`StampProgram.newton_chord`.  A member whose
-        refactorization hits a singular Jacobian produces a non-finite
-        step and demotes to the scalar fallback ladder, exactly like a
-        singular member in the full-Newton batch.
         """
         K = self.members
         converged = np.zeros(K, dtype=bool)
         iterations = np.zeros(K, dtype=np.intp)
         norms = np.full(K, np.inf)
         alive = running.copy()
-        chord = newton_engine.default() == CHORD
-        lu_all = piv_all = None
-        factored = np.zeros(K, dtype=bool)
-        age = np.zeros(K, dtype=np.intp)
-        prev_norms = np.full(K, np.inf)
-        # A damped member refactors next iteration: inside the damping
-        # region a stale Jacobian oscillates (see newton_chord).
-        was_damped = np.ones(K, dtype=bool)
         for iteration in range(1, max_iterations + 1):
             idx = np.nonzero(alive)[0]
             if idx.size == 0:
@@ -498,40 +475,10 @@ class EnsembleProgram:
             try:
                 if faults.active():
                     faults.maybe_raise("solve.linear")
-                if chord:
-                    if lu_all is None:
-                        n = jacobian.shape[1]
-                        lu_all = np.zeros((K, n, n))
-                        piv_all = np.zeros((K, n), dtype=np.intp)
-                    cur = np.max(np.abs(r), axis=1)
-                    need = (
-                        ~factored[idx]
-                        | (age[idx] >= lu.DEFAULT_MAX_REUSE)
-                        | was_damped[idx]
-                        | (cur > lu.DEFAULT_STALL_RATIO * prev_norms[idx])
-                    )
-                    refresh = idx[need]
-                    if refresh.size:
-                        refactors = int(np.count_nonzero(factored[refresh]))
-                        if refactors:
-                            telemetry.count("newton.refactor", refactors)
-                        lu_f, piv_f = lu.lu_factor_batched(jacobian[refresh])
-                        lu_all[refresh] = lu_f
-                        piv_all[refresh] = piv_f
-                        factored[refresh] = True
-                        age[refresh] = 0
-                    delta = lu.lu_solve_batched(
-                        lu_all[idx], piv_all[idx], -r
-                    )
-                    age[idx] += 1
-                    prev_norms[idx] = cur
-                else:
-                    # The explicit trailing RHS axis keeps NumPy >= 2
-                    # treating r as a stack of vectors (never a
-                    # broadcast matrix).
-                    delta = np.linalg.solve(
-                        jacobian[idx], -r[..., None]
-                    )[..., 0]
+                # The explicit trailing RHS axis keeps NumPy >= 2
+                # treating r as a stack of vectors (never a broadcast
+                # matrix).
+                delta = np.linalg.solve(jacobian[idx], -r[..., None])[..., 0]
             except Exception:
                 # Stacked solve failed — LAPACK raises one LinAlgError
                 # for the whole (K, n, n) batch even when a single
@@ -566,8 +513,6 @@ class EnsembleProgram:
             over = max_step > step_limit
             if over.any():
                 delta[over] *= (step_limit / max_step[over])[:, None]
-            if chord:
-                was_damped[idx] = over
             voltages[idx] += delta
             done = (
                 (batch_norms < abs_tolerance) & (max_step < 1e-9)

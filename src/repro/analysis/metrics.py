@@ -24,7 +24,7 @@ from repro.analysis.ac import (
 )
 from repro import telemetry
 from repro.analysis.dcop import DcSolution, solve_dc
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.noise import NoiseAnalysis
 from repro.analysis.transfer import TransferFunction
 from repro.circuit.net import canonical
@@ -128,7 +128,7 @@ def measure_ota(
     right-hand-side columns of a single batched solve, and the noise
     analysis reuses the same system.
     """
-    engine_name = resolve_engine(engine)
+    engine_name = analysis_engine.resolve(engine)
     with telemetry.span(
         "analysis.measure", circuit=tb.circuit.name, engine=engine_name
     ):

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.metrics import OtaTestbench, feedback_dc_solution
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -773,7 +773,7 @@ def run_monte_carlo(
     """
     if workers < 1:
         raise AnalysisError("workers must be >= 1")
-    engine_name = resolve_engine(engine)
+    engine_name = analysis_engine.resolve(engine)
     from repro.analysis.engine import ensemble_engine
 
     ensemble_name = ensemble_engine.resolve(ensemble)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.ac import build_ac_matrices, build_ac_rhs
 from repro.analysis.dcop import DcSolution, model_for
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.circuit.elements import Mos, Resistor
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -101,7 +101,7 @@ class NoiseAnalysis:
         self.dc = dc
         self.output_net = output_net
         self.temperature = temperature
-        self.engine = resolve_engine(engine)
+        self.engine = analysis_engine.resolve(engine)
         if self.engine == COMPILED:
             if system is None:
                 from repro.analysis.stamps import LinearSystem

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis.ac import build_ac_matrices
 from repro.analysis.dcop import DcSolution
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 
@@ -67,7 +67,7 @@ def compute_poles(
     problem on the capacitive subspace.  Poles slower than ``drop_below``
     rad/s (numerical zeros from the rank-deficient C) are discarded.
     """
-    if resolve_engine(engine) == COMPILED:
+    if analysis_engine.resolve(engine) == COMPILED:
         from repro.analysis.stamps import LinearSystem
 
         system = LinearSystem(circuit, dc)

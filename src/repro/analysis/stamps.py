@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.analysis import lu
 from repro.analysis.mna import NodeIndex
 from repro.circuit.elements import (
     Capacitor,
@@ -437,81 +436,6 @@ class StampProgram:
                 return voltages, True, iteration, residual_norm
         return voltages, False, max_iterations, residual_norm
 
-    def newton_chord(
-        self,
-        start: np.ndarray,
-        gmin: float,
-        source_scale: float = 1.0,
-        max_iterations: int = 200,
-        abs_tolerance: float = 1e-10,
-        step_limit: float = 0.6,
-        companion: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = None,
-        max_reuse: int = lu.DEFAULT_MAX_REUSE,
-        stall_ratio: float = lu.DEFAULT_STALL_RATIO,
-    ) -> Tuple[np.ndarray, bool, int, float]:
-        """Damped Newton with LU factorization reuse (chord iterations).
-
-        The Jacobian is factored once and the factorization is reused
-        for up to ``max_reuse`` trailing iterations; a refactorization
-        (counted as ``newton.refactor``) is forced by a residual stall
-        (shrinking by less than ``stall_ratio`` per iteration), by reuse
-        expiry, or by a damped previous step — inside the damping region
-        the system is strongly nonlinear and a stale Jacobian just
-        oscillates, so chord reuse only engages in the locally
-        convergent regime where it is safe and effective.  Same damping
-        and convergence tests as :meth:`newton`, and the converged fixed
-        point is the same — but chord steps walk a different iterate
-        path, so this runs only under the opt-in ``newton`` engine
-        switch (:data:`repro.analysis.engine.newton_engine`).
-
-        ``max_reuse=0`` delegates to :meth:`newton` outright and is
-        therefore bitwise-identical to it (the parity escape hatch the
-        equivalence tests pin).
-        """
-        if max_reuse <= 0:
-            return self.newton(
-                start, gmin, source_scale, max_iterations,
-                abs_tolerance, step_limit, companion,
-            )
-        voltages = start.copy()
-        residual_norm = float("inf")
-        previous_norm = float("inf")
-        factor = None
-        age = 0
-        damped = True
-        for iteration in range(1, max_iterations + 1):
-            residual, jacobian = self.residual_and_jacobian(
-                voltages, gmin, source_scale, companion
-            )
-            residual_norm = float(np.max(np.abs(residual)))
-            stalled = residual_norm > stall_ratio * previous_norm
-            try:
-                if faults.active():
-                    faults.maybe_raise("solve.linear")
-                if factor is None or age >= max_reuse or stalled or damped:
-                    if factor is not None:
-                        telemetry.count("newton.refactor")
-                    factor = lu.lu_factor(jacobian)
-                    age = 0
-                delta = lu.lu_solve(factor[0], factor[1], -residual)
-            except Exception:
-                return voltages, False, iteration, residual_norm
-            age += 1
-            previous_norm = residual_norm
-            max_step = float(np.max(np.abs(delta))) if delta.size else 0.0
-            damped = max_step > step_limit
-            if damped:
-                delta *= step_limit / max_step
-            voltages += delta
-            if residual_norm < abs_tolerance and max_step < 1e-9:
-                return voltages, True, iteration, residual_norm
-            if max_step < 1e-12 and residual_norm < 1e-6:
-                # Stalled but electrically negligible residual.
-                return voltages, True, iteration, residual_norm
-        return voltages, False, max_iterations, residual_norm
-
     def solve_voltages(
         self,
         gmin_sequence: Optional[Tuple[float, ...]] = None,
@@ -529,19 +453,11 @@ class StampProgram:
         """
         from repro.analysis import warmstart
         from repro.analysis.dcop import GMIN_SEQUENCE
-        from repro.analysis.engine import CHORD, newton_engine
 
         default_ladder = gmin_sequence is None or gmin_sequence is GMIN_SEQUENCE
         warm_key = None
-        chord = newton_engine.default() == CHORD
         if default_ladder:
             policy = COMPILED_POLICY
-            if chord:
-                # Opt-in factorization-reuse fast path; a failed chord
-                # rung escalates into the full standard ladder.
-                from repro.resilience.policy import chord_policy
-
-                policy = chord_policy()
             if warmstart.active():
                 # An open warm-start session (the synthesis loop) may hold
                 # the previous round's converged voltages for this exact
@@ -554,15 +470,9 @@ class StampProgram:
                 )
                 seed = warmstart.lookup(warm_key)
                 if seed is not None and seed.shape == (self.size,):
-                    from repro.resilience.policy import (
-                        warm_chord_policy,
-                        warm_policy,
-                    )
+                    from repro.resilience.policy import warm_policy
 
-                    policy = (
-                        warm_chord_policy(seed) if chord
-                        else warm_policy(seed)
-                    )
+                    policy = warm_policy(seed)
                     telemetry.count("dc.warm_start")
         else:
             policy = ramp_policy(tuple(gmin_sequence))

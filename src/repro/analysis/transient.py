@@ -27,7 +27,7 @@ from repro.analysis.dcop import (
     model_for,
     solve_dc,
 )
-from repro.analysis.engine import COMPILED, resolve_engine
+from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.mna import NodeIndex, solve_linear
 from repro.circuit.elements import VoltageSource
 from repro.circuit.netlist import Circuit
@@ -159,7 +159,7 @@ def run_transient(
     """
     if dt <= 0.0 or t_stop <= dt:
         raise AnalysisError("need 0 < dt < t_stop")
-    engine_name = resolve_engine(engine)
+    engine_name = analysis_engine.resolve(engine)
     waveforms = dict(waveforms or {})
     for name in waveforms:
         element = circuit.element(name)

@@ -259,14 +259,14 @@ def _case_artifact_key(task: BatchTask) -> Optional[str]:
     """
     if task.kind != "case":
         return None
-    from repro.analysis.engine import ensemble_engine, resolve_engine
+    from repro.analysis.engine import analysis_engine, ensemble_engine
     from repro.layout.engine import drc_engine, extraction_engine
 
     return artifacts.content_key(
         "case-result",
         task,
         _build_technology(task).fingerprint(),
-        resolve_engine(None),
+        analysis_engine.resolve(None),
         ensemble_engine.resolve(None),
         extraction_engine.resolve(None),
         drc_engine.resolve(None),

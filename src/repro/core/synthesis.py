@@ -37,7 +37,7 @@ from repro.layout.parasitics import ParasiticReport
 from repro.resilience import faults
 from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
-from repro.runtime import artifacts, speculate
+from repro.runtime import artifacts
 from repro.telemetry import metrics, monitor
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode, SizingResult
@@ -84,9 +84,8 @@ class SynthesisOutcome:
         deliberately excludes wall-clock ``elapsed``, the geometry cell
         object, diagnostics text and the trace — so a run hashes
         identically whether its rounds were computed, replayed from a
-        journal, served from the incremental caches or collected from a
-        speculative worker.  The CI incremental-on/off determinism
-        check compares these.
+        journal or served from the incremental caches.  The CI
+        incremental-on/off determinism check compares these.
         """
         payload = (
             self.converged,
@@ -118,8 +117,7 @@ def _estimate_content(
     synthesizer's geometry knobs.  Sizings that do not carry a real
     ``sizes`` mapping (scripted stand-ins in tests, degraded stubs)
     return None: their layout tools may be stateful, so every call must
-    reach the tool.  Module-level so the speculative worker derives the
-    same key as the main loop.
+    reach the tool.
     """
     sizes = getattr(sizing, "sizes", None)
     if not isinstance(sizes, dict):
@@ -155,37 +153,6 @@ def _warm_digest() -> str:
         digest.update(repr(key).encode())
         digest.update(seed.tobytes())
     return digest.hexdigest()
-
-
-def _speculative_estimate(payload):
-    """Worker body of one speculative next-round evaluation.
-
-    Replays the sizing the main loop is about to run — same plan, specs,
-    feedback and warm-start seeds — then computes its layout estimate
-    and returns it under the same content key
-    :meth:`LayoutOrientedSynthesizer._estimate` will derive, so an
-    accurate prediction is consumed as an exact hit and a stale one
-    simply never matches.  Runs on a pool worker; module-level for
-    picklability.
-    """
-    plan, specs, mode, feedback, warm, aspect, prefer_even_folds = payload
-    from repro.analysis import warmstart
-
-    with warmstart.session():
-        warmstart.restore(warm)
-        sizing = plan.size(specs, mode, feedback)
-    request = OtaLayoutRequest(
-        technology=plan.technology,
-        sizes=sizing.sizes,
-        currents=sizing.currents,
-        aspect=aspect,
-        prefer_even_folds=prefer_even_folds,
-    )
-    estimate = generate_ota_layout(request, mode="estimate")
-    content = _estimate_content(
-        sizing, plan.technology, aspect, prefer_even_folds
-    )
-    return artifacts.content_key("layout-estimate", content), estimate
 
 
 class LayoutOrientedSynthesizer:
@@ -266,10 +233,9 @@ class LayoutOrientedSynthesizer:
     def _estimate(self, sizing):
         """The layout tool in estimate mode, memoized where safe.
 
-        Lookup order: in-memory memo, cross-run artifact store, landed
-        speculative results (:mod:`repro.runtime.speculate`) — all keyed
-        on the same canonical content, so every source returns the bits
-        a local rebuild would produce.
+        Lookup order: in-memory memo, cross-run artifact store, then a
+        rebuild — both stores keyed on the same canonical content, so a
+        served result carries the bits a local rebuild would produce.
         """
         key = self._estimate_key(sizing)
         if key is None:
@@ -278,22 +244,12 @@ class LayoutOrientedSynthesizer:
         if cached is not None:
             return self._cached_estimate(key, cached)
         store = artifacts.active() if self._default_tool else None
-        scope = speculate.active() if self._default_tool else None
-        content_key = (
-            artifacts.content_key("layout-estimate", key)
-            if store is not None or scope is not None
-            else None
-        )
+        content_key = None
         if store is not None:
+            content_key = artifacts.content_key("layout-estimate", key)
             persisted = store.get("layout-estimate", content_key)
             if persisted is not None:
                 return self._cached_estimate(key, persisted)
-        if scope is not None:
-            landed = scope.collect(content_key, wait_s=scope.wait_s)
-            if landed is not None:
-                if store is not None:
-                    store.put("layout-estimate", content_key, landed)
-                return self._cached_estimate(key, landed)
         telemetry.count("layout.cache.miss")
         result = self.layout_tool(sizing, "estimate")
         self._estimate_cache[key] = result
@@ -308,11 +264,11 @@ class LayoutOrientedSynthesizer:
         config key (:meth:`~repro.sizing.plans.base.DesignPlan.config_key`),
         no budget may be active (a budget can cap iterations
         differently per call), and the incremental engine must be on.
-        The key covers the active analysis/newton engine switches and
-        an exact digest of the warm-start state, because both steer the
-        DC iterate path the plan's verification solves take.
+        The key covers the active analysis engine switch and an exact
+        digest of the warm-start state, because both steer the DC
+        iterate path the plan's verification solves take.
         """
-        from repro.analysis import engine as analysis_engine
+        from repro.analysis.engine import analysis_engine
         from repro.layout import incremental
 
         if budget is not None or not incremental.enabled():
@@ -328,8 +284,7 @@ class LayoutOrientedSynthesizer:
             specs,
             mode.name,
             feedback,
-            analysis_engine.default_engine(),
-            analysis_engine.newton_engine.default(),
+            analysis_engine.default(),
             _warm_digest(),
         )
 
@@ -359,46 +314,6 @@ class LayoutOrientedSynthesizer:
             key, (copy.deepcopy(sizing), warmstart.snapshot())
         )
         return sizing
-
-    def _land_speculation(self, key, value) -> None:
-        """Write one landed speculative estimate through to the artifact
-        store so mis-speculation still warms future runs."""
-        store = artifacts.active()
-        if store is not None:
-            store.put("layout-estimate", key, value)
-
-    def _maybe_speculate(self, specs, mode, feedback, budget) -> None:
-        """Dispatch the likely next round ahead of need (never blocking).
-
-        Only for the built-in layout tool driven by a pure
-        (config-keyed) plan, with no budget (a budget may cap the
-        worker's iterations differently) and no armed fault plan.  The
-        worker replays sizing from this exact warm-start snapshot, so
-        an accurate prediction lands its estimate under the very
-        content key the next round derives.
-        """
-        scope = speculate.active()
-        if scope is None or not self._default_tool:
-            return
-        if budget is not None or faults.active():
-            return
-        if getattr(self.plan, "config_key", lambda: None)() is None:
-            return
-        from repro.analysis import warmstart
-
-        scope.set_lander(self._land_speculation)
-        scope.submit(
-            _speculative_estimate,
-            (
-                self.plan,
-                specs,
-                mode,
-                feedback,
-                warmstart.snapshot(),
-                self.aspect,
-                self.prefer_even_folds,
-            ),
-        )
 
     def run(
         self,
@@ -614,8 +529,6 @@ class LayoutOrientedSynthesizer:
                     ):
                         converged = True
                         break
-                    if round_index < self.max_layout_calls:
-                        self._maybe_speculate(specs, mode, feedback, budget)
         except BudgetExceededError as error:
             # Hand the partial progress to the caller for diagnosis.
             if error.partial is None:

@@ -1,7 +1,8 @@
 """Layout fast-path engine selection.
 
-Mirror of :mod:`repro.analysis.engine` for the geometric side of the
-flow.  The layout path has two independently selectable accelerators:
+The geometric side of the flow, switched by the same
+:class:`~repro.analysis.engine.EngineSwitch` as the analysis engines.
+The layout path has three independently selectable switches:
 
 * **extraction** — ``"vector"`` runs the array-based extractor
   (flat numpy coordinate arrays per layer, net ids as int codes);
@@ -25,8 +26,7 @@ so a single ``use(...)`` context flips a whole flow — this is how
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from repro.analysis.engine import EngineSwitch
 
 VECTOR = "vector"
 SCALAR = "scalar"
@@ -34,49 +34,6 @@ GRID = "grid"
 ALLPAIRS = "allpairs"
 INCREMENTAL = "on"
 FROM_SCRATCH = "off"
-
-
-class EngineSwitch:
-    """One process-wide engine knob with scoped override support."""
-
-    __slots__ = ("label", "options", "_current")
-
-    def __init__(self, label: str, default: str, options: Tuple[str, ...]):
-        self.label = label
-        self.options = options
-        self._current = self._validated(default)
-
-    def _validated(self, name: str) -> str:
-        if name not in self.options:
-            raise ValueError(
-                f"unknown {self.label} engine {name!r}; "
-                f"expected one of {self.options}"
-            )
-        return name
-
-    def default(self) -> str:
-        """The engine used when callers pass ``engine=None``."""
-        return self._current
-
-    def set_default(self, name: str) -> None:
-        self._current = self._validated(name)
-
-    def resolve(self, engine: Optional[str]) -> str:
-        """Resolve an ``engine`` argument to a concrete engine name."""
-        if engine is None:
-            return self._current
-        return self._validated(engine)
-
-    @contextmanager
-    def use(self, name: str) -> Iterator[str]:
-        """Temporarily switch the default (benchmarks, golden tests)."""
-        previous = self._current
-        self._current = self._validated(name)
-        try:
-            yield self._current
-        finally:
-            self._current = previous
-
 
 extraction_engine = EngineSwitch("extraction", VECTOR, (VECTOR, SCALAR))
 drc_engine = EngineSwitch("drc", GRID, (GRID, ALLPAIRS))

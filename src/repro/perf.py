@@ -19,8 +19,9 @@ The machine-readable output is ``BENCH_analysis.json`` at the repo root:
     }
 
 Every entry times the *same* call with the legacy and compiled engines
-(flipped via :func:`repro.analysis.engine.use_engine`), so a speedup of
-1.0 means "no change" and regressions show up as values < previous runs.
+(flipped via :data:`repro.analysis.engine.analysis_engine`), so a
+speedup of 1.0 means "no change" and regressions show up as values <
+previous runs.
 The v2 schema adds p50/p95 percentiles next to best-of; :func:`load_bench`
 still reads v1 records (which simply lack the percentile keys).
 """
@@ -111,11 +112,11 @@ def compare_engines(
     fn: Callable[[], Any], repeat: int = 3, warmup: int = 1
 ) -> Dict[str, float]:
     """Time ``fn()`` under both analysis engines and report the speedup."""
-    from repro.analysis.engine import COMPILED, LEGACY, use_engine
+    from repro.analysis.engine import COMPILED, LEGACY, analysis_engine
 
-    with use_engine(LEGACY):
+    with analysis_engine.use(LEGACY):
         legacy = time_call(fn, repeat=repeat, warmup=warmup)
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         compiled = time_call(fn, repeat=repeat, warmup=warmup)
     return _engine_entry(legacy, compiled)
 

@@ -188,51 +188,6 @@ class WarmStart:
         return voltages, self.gmins[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class ChordNewton:
-    """Direct Newton with LU factorization reuse between iterations.
-
-    Drives :meth:`~repro.analysis.stamps.StampProgram.newton_chord`:
-    the Jacobian is factored once per stretch and only refactored on
-    residual stall or reuse expiry, trading the per-iteration dense
-    solve for a cheap back-substitution.  Sits in front of the standard
-    ladder under the opt-in ``newton`` engine switch — chord iterates
-    reach the same fixed point along a different path, so a failure
-    here escalates to :class:`DirectNewton` and nothing is lost.  With
-    ``seed`` set this doubles as the warm-start variant (same contract
-    as :class:`WarmStart`).  A backend without ``newton_chord`` (the
-    legacy adapter) skips the rung entirely.
-    """
-
-    seed: Optional[np.ndarray] = None
-    name: str = "chord-newton"
-    gmins: Tuple[float, ...] = (1e-12, 0.0)
-    iteration_cap: int = 50
-    max_reuse: int = 8
-
-    def attempt(
-        self, backend: Any, max_iterations: int, report: ConvergenceReport
-    ) -> Optional[Tuple[np.ndarray, float]]:
-        solver = getattr(backend, "newton_chord", None)
-        if solver is None:
-            return None
-        if self.seed is not None:
-            voltages = np.array(self.seed, dtype=float, copy=True)
-        else:
-            voltages = backend.initial_guess()
-        for gmin in self.gmins:
-            voltages, ok, iterations, norm = solver(
-                voltages, gmin,
-                max_iterations=min(max_iterations, self.iteration_cap),
-                max_reuse=self.max_reuse,
-            )
-            report.add(self.name, f"gmin={gmin:g}", ok, iterations, norm)
-            if not ok:
-                report.final_voltages = voltages
-                return None
-        return voltages, self.gmins[-1]
-
-
 @dataclass(frozen=True)
 class GminRamp:
     """Gmin continuation: relax a node-to-ground shunt geometrically.
@@ -385,19 +340,3 @@ def warm_policy(seed: np.ndarray) -> SolverPolicy:
     start."""
     return SolverPolicy(rungs=(WarmStart(seed),) + COMPILED_POLICY.rungs)
 
-
-def chord_policy() -> SolverPolicy:
-    """The compiled ladder with a factorization-reuse rung in front.
-
-    Selected by the opt-in ``newton`` engine switch
-    (:data:`repro.analysis.engine.newton_engine`); the full standard
-    ladder still backs the chord attempt, so convergence is never worse
-    than :data:`COMPILED_POLICY`."""
-    return SolverPolicy(rungs=(ChordNewton(),) + COMPILED_POLICY.rungs)
-
-
-def warm_chord_policy(seed: np.ndarray) -> SolverPolicy:
-    """Warm-start seeded chord rung in front of the compiled ladder."""
-    return SolverPolicy(
-        rungs=(ChordNewton(seed=seed),) + COMPILED_POLICY.rungs
-    )

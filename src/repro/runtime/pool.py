@@ -362,6 +362,7 @@ def run_dispatch(
     """
     from concurrent.futures import BrokenExecutor
     from concurrent.futures import TimeoutError as FuturesTimeoutError
+    from concurrent.futures import wait
 
     tracer = telemetry.current()
     t_start = time.perf_counter()
@@ -375,7 +376,8 @@ def run_dispatch(
                 budget.check(sites.budget_round, pending=len(pending))
             retry: List[int] = []
             next_resend: Set[int] = set()
-            lease = acquire(min(jobs, len(pending)))
+            workers = min(jobs, len(pending))
+            lease = acquire(workers)
             pool = lease.executor
             had_timeout = False
             had_death = False
@@ -414,9 +416,16 @@ def run_dispatch(
                         retry.append(i)
                 for i, future in futures.items():
                     if journal is not None and journal.interrupted:
-                        # Shutdown signal: drain in-flight workers,
+                        # Shutdown signal: let the units already handed
+                        # to the workers finish, cancel the queued rest,
                         # journal every result that made it home, then
-                        # stop cleanly.
+                        # stop cleanly.  Cancelling straight away would
+                        # also cancel a submitted unit the executor had
+                        # not yet moved to an idle worker.
+                        unfinished = [
+                            f for f in futures.values() if not f.done()
+                        ]
+                        wait(unfinished[:workers], timeout=unit_timeout)
                         pool.shutdown(wait=True, cancel_futures=True)
                         for j, done in futures.items():
                             if (

@@ -1,10 +1,8 @@
 """Incremental synthesis hot path.
 
-Pins the tentpole contract: the differential/incremental caches, the
-speculative evaluator and the chord-Newton rung change wall-clock, never
-output bits — synthesis fingerprints are identical across incremental
-on/off, any cache temperature and any speculation worker count, and the
-chord solver's fixed point matches full Newton.
+Pins the contract: the differential/incremental caches change
+wall-clock, never output bits — synthesis fingerprints are identical
+across incremental on/off and any cache temperature.
 """
 
 from __future__ import annotations
@@ -12,10 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.analysis import warmstart
-from repro.analysis.engine import newton_engine
-from repro.analysis.stamps import StampProgram
 from repro.core.synthesis import LayoutOrientedSynthesizer
 from repro.layout import incremental
 from repro.layout.engine import incremental_engine
@@ -25,7 +20,6 @@ from repro.layout.two_stage_ota import (
     TwoStageLayoutRequest,
     generate_two_stage_layout,
 )
-from repro.runtime import speculate
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
@@ -196,52 +190,9 @@ class TestDirtyInvalidation:
         assert incremental.stats()["layout"]["hits"] == 0
 
 
-class TestChordNewton:
-    def test_max_reuse_zero_is_bitwise_full_newton(self, hand_testbench):
-        program = StampProgram(hand_testbench.circuit)
-        start = program.initial_guess()
-        full = program.newton(start, 1e-12)
-        chord = program.newton_chord(start, 1e-12, max_reuse=0)
-        assert (full[0] == chord[0]).all()
-        assert full[1:] == chord[1:]
-
-    def test_chord_solution_matches_full(self, hand_testbench):
-        full = StampProgram(hand_testbench.circuit)
-        v_full, _, gmin_full = full.solve_voltages()
-        chord = StampProgram(hand_testbench.circuit)
-        with newton_engine.use("chord"):
-            v_chord, _, gmin_chord = chord.solve_voltages()
-        assert chord.last_convergence.strategy == "chord-newton"
-        assert gmin_full == gmin_chord
-        np.testing.assert_allclose(v_chord, v_full, rtol=1e-9, atol=1e-12)
-
-    def test_refactor_counter_counts_refreshes(self, hand_testbench):
-        with trace_run("chord") as tracer:
-            program = StampProgram(hand_testbench.circuit)
-            with newton_engine.use("chord"):
-                program.solve_voltages()
-        assert tracer.counters.get("newton.refactor", 0) >= 1
-
-    def test_full_engine_never_refactors(self, hand_testbench):
-        with trace_run("full") as tracer:
-            StampProgram(hand_testbench.circuit).solve_voltages()
-        assert "newton.refactor" not in tracer.counters
-
-    def test_ensemble_chord_matches_full(self, hand_testbench):
-        from repro.analysis.montecarlo import run_monte_carlo
-
-        full = run_monte_carlo(hand_testbench, runs=8, seed=11)
-        with newton_engine.use("chord"):
-            chord = run_monte_carlo(hand_testbench, runs=8, seed=11)
-        for key, values in full.samples.items():
-            np.testing.assert_allclose(
-                chord.samples[key], values, rtol=1e-6, err_msg=key
-            )
-
-
 class TestSynthesisDeterminism:
     """The acceptance contract: fingerprints are independent of the
-    incremental engine, cache temperature and speculation workers."""
+    incremental engine and cache temperature."""
 
     @pytest.fixture(scope="class")
     def reference(self, tech, specs):
@@ -271,18 +222,6 @@ class TestSynthesisDeterminism:
             "a warm repeat must serve sizing rounds from the memo"
         )
         assert stats["layout"]["hits"] > 0
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_speculative_hits_are_deterministic(
-        self, tech, specs, reference, workers
-    ):
-        incremental.clear()
-        with speculate.session(workers) as scope:
-            outcome = self._run(tech, specs)
-        assert outcome.fingerprint() == reference
-        assert scope.hits >= 1, (
-            "the loop must consume at least one speculative estimate"
-        )
 
 
 class TestWarmStartLru:

@@ -481,6 +481,30 @@ class TestMonteCarloKillResume:
         resumed_journal.close()
         assert resumed.samples == clean_mc_samples
 
+    def test_pooled_interrupt_drains_in_flight_shards(
+        self, mc_testbench, clean_mc_samples, tmp_path
+    ):
+        journal = RunJournal.create(str(tmp_path), "mc")
+        # Same contract as the batch drain: the signal "arrives" before
+        # collection starts, with both shards already on the two
+        # workers, so the drain must journal both and only then stop.
+        journal._interrupt_signal = "SIGTERM"
+        with pytest.raises(RunInterrupted) as excinfo:
+            run_monte_carlo(
+                mc_testbench, runs=12, seed=77, workers=2, journal=journal
+            )
+        journal.close()
+        assert excinfo.value.site == "mc.drain"
+        resumed_journal = RunJournal.resume(str(tmp_path), kind="mc")
+        assert resumed_journal.resumed_unit_count == 2
+        resumed = run_monte_carlo(
+            mc_testbench, runs=12, seed=77, workers=2,
+            journal=resumed_journal,
+        )
+        resumed_journal.close()
+        assert [s.status for s in resumed.shards] == ["journaled"] * 2
+        assert resumed.samples == clean_mc_samples
+
     def test_serial_run_journals_one_shard(
         self, mc_testbench, clean_mc_samples, tmp_path
     ):

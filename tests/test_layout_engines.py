@@ -12,15 +12,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.engine import (
+    COMPILED,
+    LEGACY,
+    PERSAMPLE,
+    STACKED,
+    analysis_engine,
+    ensemble_engine,
+)
 from repro.layout.cell import Cell
 from repro.layout.drc import DrcChecker
 from repro.layout.engine import (
     ALLPAIRS,
+    FROM_SCRATCH,
     GRID,
+    INCREMENTAL,
     SCALAR,
     VECTOR,
     drc_engine,
     extraction_engine,
+    incremental_engine,
 )
 from repro.layout.extraction import extract_cell
 from repro.layout.geometry import GridIndex, Rect, interval_pairs
@@ -87,29 +98,50 @@ def dirty_cell(tech):
 
 
 class TestEngineSwitch:
+    """The contract every engine switch keeps; one subclass per switch."""
+
+    switch, default, alternative = extraction_engine, VECTOR, SCALAR
+
     def test_defaults(self):
-        assert extraction_engine.resolve(None) == VECTOR
-        assert drc_engine.resolve(None) == GRID
+        assert self.switch.resolve(None) == self.default
+        assert self.switch.default() == self.default
 
     def test_explicit_resolve(self):
-        assert extraction_engine.resolve(SCALAR) == SCALAR
-        assert drc_engine.resolve(ALLPAIRS) == ALLPAIRS
+        assert self.switch.resolve(self.alternative) == self.alternative
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            extraction_engine.resolve("fpga")
+        with pytest.raises(
+            ValueError, match=f"unknown {self.switch.label} engine 'fpga'"
+        ):
+            self.switch.resolve("fpga")
 
     def test_use_scopes_and_restores(self):
-        before = extraction_engine.resolve(None)
-        with extraction_engine.use(SCALAR):
-            assert extraction_engine.resolve(None) == SCALAR
-        assert extraction_engine.resolve(None) == before
+        with self.switch.use(self.alternative):
+            assert self.switch.resolve(None) == self.alternative
+        assert self.switch.resolve(None) == self.default
 
     def test_use_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with drc_engine.use(ALLPAIRS):
+            with self.switch.use(self.alternative):
                 raise RuntimeError("boom")
-        assert drc_engine.resolve(None) == GRID
+        assert self.switch.resolve(None) == self.default
+
+
+class TestDrcEngineSwitch(TestEngineSwitch):
+    switch, default, alternative = drc_engine, GRID, ALLPAIRS
+
+
+class TestIncrementalEngineSwitch(TestEngineSwitch):
+    switch, default = incremental_engine, INCREMENTAL
+    alternative = FROM_SCRATCH
+
+
+class TestAnalysisEngineSwitch(TestEngineSwitch):
+    switch, default, alternative = analysis_engine, COMPILED, LEGACY
+
+
+class TestEnsembleEngineSwitch(TestEngineSwitch):
+    switch, default, alternative = ensemble_engine, STACKED, PERSAMPLE
 
 
 def _assert_extractions_match(cell, tech):

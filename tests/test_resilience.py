@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.dcop import solve_dc
-from repro.analysis.engine import use_engine
+from repro.analysis.engine import analysis_engine
 from repro.analysis.metrics import feedback_dc_solution
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.circuit import Circuit
@@ -211,7 +211,7 @@ class TestEscalationPolicy:
         assert report.engine_fallback is None
 
     def test_legacy_happy_path_report(self):
-        with use_engine("legacy"):
+        with analysis_engine.use("legacy"):
             solution = solve_dc(_divider())
         report = solution.convergence
         assert report is not None and report.converged
@@ -270,7 +270,7 @@ class TestEscalationPolicy:
 
     def test_compiled_failure_falls_back_to_legacy(self, tech):
         circuit = _mos_diode(tech)
-        with use_engine("legacy"):
+        with analysis_engine.use("legacy"):
             reference = solve_dc(circuit)
         with faults.inject(
             "engine.compiled", error=AnalysisError("injected compile failure")

@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.ac import ac_sweep
 from repro.analysis.dcop import solve_dc
-from repro.analysis.engine import COMPILED, LEGACY, use_engine
+from repro.analysis.engine import COMPILED, LEGACY, analysis_engine
 from repro.analysis.metrics import measure_ota
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.analysis.noise import NoiseAnalysis
@@ -48,9 +48,9 @@ def feedback(tb):
 
 @pytest.fixture(scope="module")
 def dc_pair(feedback):
-    with use_engine(LEGACY):
+    with analysis_engine.use(LEGACY):
         legacy = solve_dc(feedback)
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         compiled = solve_dc(feedback)
     return legacy, compiled
 
@@ -101,9 +101,9 @@ def test_ac_sweep_matches(tb, feedback, dc_pair):
     legacy_dc, _ = dc_pair
     frequencies = np.logspace(0.0, 9.0, 120)
     drive = {tb.source_pos: 0.5, "_fb": 0.0}
-    with use_engine(LEGACY):
+    with analysis_engine.use(LEGACY):
         legacy = ac_sweep(feedback, legacy_dc, frequencies, drive)
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         compiled = ac_sweep(feedback, legacy_dc, frequencies, drive)
     np.testing.assert_allclose(
         compiled.solutions, legacy.solutions, rtol=RTOL, atol=ATOL
@@ -114,11 +114,11 @@ def test_noise_matches(tb, feedback, dc_pair):
     legacy_dc, _ = dc_pair
     frequencies = np.logspace(0.0, 9.0, 60)
     drive = {tb.source_pos: 1.0, "_fb": 0.0}
-    with use_engine(LEGACY):
+    with analysis_engine.use(LEGACY):
         legacy = NoiseAnalysis(
             feedback, legacy_dc, tb.output_net, input_overrides=drive
         ).run(frequencies)
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         compiled = NoiseAnalysis(
             feedback, legacy_dc, tb.output_net, input_overrides=drive
         ).run(frequencies)
@@ -137,9 +137,9 @@ def test_noise_matches(tb, feedback, dc_pair):
 
 def test_full_metrics_match(tb):
     """End to end: the entire Table-1 measurement suite agrees."""
-    with use_engine(LEGACY):
+    with analysis_engine.use(LEGACY):
         legacy = measure_ota(tb)
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         compiled = measure_ota(tb)
     for field in dataclasses.fields(legacy):
         ref = getattr(legacy, field.name)
@@ -153,7 +153,7 @@ def test_full_metrics_match(tb):
 def test_monte_carlo_workers_deterministic():
     """The process pool must not change any sampled statistic."""
     tb = default_testbench()
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
         pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
     assert set(serial.samples) == set(pooled.samples)
@@ -163,7 +163,7 @@ def test_monte_carlo_workers_deterministic():
 
 def test_monte_carlo_seed_reproducible():
     tb = default_testbench()
-    with use_engine(COMPILED):
+    with analysis_engine.use(COMPILED):
         first = run_monte_carlo(tb, runs=8, seed=5)
         second = run_monte_carlo(tb, runs=8, seed=5)
     assert first.samples == second.samples
