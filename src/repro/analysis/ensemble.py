@@ -19,8 +19,13 @@ Design rules (pinned by ``tests/test_ensemble.py``):
   :class:`~repro.resilience.policy.DirectNewton` rung stage for stage,
   keeping the stacked path sample-for-sample equal to the per-sample
   golden path at rtol 1e-9 — and shard partitioning bit-identical.
-* **Masking** — a member that converges freezes (its row stops being
-  updated); stragglers keep iterating.  A member that exhausts the fast
+* **Masking** — a member that converges, or is demoted for a
+  non-finite residual norm or a singular matrix, leaves the iteration:
+  later iterations evaluate the device model, assemble and solve only
+  the live rows (:meth:`EnsembleProgram.residual_and_jacobian` takes
+  them as ``idx``), so a solve costs the summed member iterations
+  (``ensemble.newton_iterations``), not K times the slowest member's.
+  Stragglers keep iterating.  A member that exhausts the fast
   batched rung falls back *individually* to the full scalar escalation
   ladder (:data:`~repro.resilience.policy.COMPILED_POLICY`), so one
   divergent sample cannot poison its batch and failures carry the same
@@ -74,6 +79,9 @@ __all__ = [
 ]
 
 
+_STACKED_FIELDS = ("vto", "gamma", "phi", "kp", "lambda_l")
+
+
 class _StackedParams:
     """Duck-typed ``MosParams`` whose fields carry a leading ensemble axis.
 
@@ -104,17 +112,22 @@ class _StackedParams:
                 ]
             )
 
-        self.vto = stack("vto")
-        self.gamma = stack("gamma")
-        self.phi = stack("phi")
-        self.kp = stack("kp")
-        self.lambda_l = stack("lambda_l")
+        for attr in _STACKED_FIELDS:
+            setattr(self, attr, stack(attr))
+
+    def rows(self, idx: np.ndarray) -> "_StackedParams":
+        """The same parameters restricted to member rows ``idx``."""
+        view = object.__new__(_StackedParams)
+        view.name, view.sign = self.name, self.sign
+        for attr in _STACKED_FIELDS:
+            setattr(view, attr, getattr(self, attr)[idx])
+        return view
 
 
-def _stacked_level1(proto, member_devices: Sequence[Sequence[Mos]]):
-    """A level-1 model evaluating all members' devices in one batch."""
+def _stacked_level1(proto, params: _StackedParams):
+    """A level-1 model evaluating stacked members' devices in one batch."""
     merged = object.__new__(type(proto))
-    merged.params = _StackedParams(member_devices)
+    merged.params = params
     merged.temperature = proto.temperature
     merged.vt = proto.vt
     return merged
@@ -218,7 +231,6 @@ class EnsembleProgram:
         )
         self._groups = program._groups if groups is None else groups
         self._circuits = member_circuits
-        self._kidx = np.arange(self.members)[:, None]
         self._swap_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._warm: Optional[np.ndarray] = None
 
@@ -299,7 +311,7 @@ class EnsembleProgram:
             )
         proto = next(iter(models.values()))
         n = len(base.mos_names)
-        stacked_model = _stacked_level1(proto, member_devices)
+        stacked_model = _stacked_level1(proto, _StackedParams(member_devices))
         return cls(
             base,
             vth=np.array(
@@ -325,24 +337,28 @@ class EnsembleProgram:
     def residual_and_jacobian(
         self,
         voltages: np.ndarray,
+        idx: np.ndarray,
         gmin: float,
         source_scale: float = 1.0,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked residuals ``(K, size)`` and Jacobians ``(K, size, size)``.
+        """Residuals ``(m, size)`` and Jacobians ``(m, size, size)`` of
+        the ``m`` member rows ``idx`` of the ``(K, size)`` ``voltages``.
 
         Mirrors :meth:`StampProgram.residual_and_jacobian` row for row;
         every operation is elementwise per member (the linear part uses a
-        fixed-order einsum), so a row's values do not depend on the batch
-        size — the property that keeps shard partitioning bit-identical.
+        fixed-order einsum), so a row's values do not depend on which or
+        how many rows are assembled with it — the property that keeps
+        shard partitioning bit-identical and lets converged members drop
+        out of the assembly.
         """
         program = self.program
         size = program.size
         pad = size + 1
-        K = self.members
-        v_pad = np.zeros((K, pad))
-        v_pad[:, :size] = voltages
+        m = idx.size
+        v_pad = np.zeros((m, pad))
+        v_pad[:, :size] = voltages[idx]
 
-        jacobian = np.empty((K, pad, pad))
+        jacobian = np.empty((m, pad, pad))
         jacobian[:] = program._a_pad
         # einsum (optimize=False) accumulates j in fixed order per (k, i):
         # deliberately *not* a GEMM, whose blocking may depend on K.
@@ -358,18 +374,22 @@ class EnsembleProgram:
             swapped = sign * (vd - vs) < 0.0
             vd_f = np.where(swapped, vs, vd)
             vs_f = np.where(swapped, vd, vs)
-            vgs = sign * (vg - vs_f) - self._vth
+            vgs = sign * (vg - vs_f) - self._vth[idx]
             vds = sign * (vd_f - vs_f)
             vsb = sign * (vs_f - vb)
 
-            current = np.empty((K, program._n_mos))
-            gm = np.empty((K, program._n_mos))
-            gds = np.empty((K, program._n_mos))
-            gmb = np.empty((K, program._n_mos))
+            current = np.empty((m, program._n_mos))
+            gm = np.empty((m, program._n_mos))
+            gds = np.empty((m, program._n_mos))
+            gmb = np.empty((m, program._n_mos))
+            w = self._w[idx] if self._w.ndim == 2 else self._w
+            length = self._l[idx] if self._l.ndim == 2 else self._l
             for model, members in self._groups:
+                if isinstance(model.params, _StackedParams):
+                    model = _stacked_level1(model, model.params.rows(idx))
                 ids, gms, gdss, gmbs, _regions = model.evaluate_batch(
-                    self._w[..., members],
-                    self._l[..., members],
+                    w[..., members],
+                    length[..., members],
                     vgs[:, members],
                     vds[:, members],
                     vsb[:, members],
@@ -385,7 +405,7 @@ class EnsembleProgram:
                         current.fill(np.nan)
                     else:
                         raise fault.exception()
-            beta_scale = 1.0 + self._beta
+            beta_scale = 1.0 + self._beta[idx]
             current *= beta_scale
             gm *= beta_scale
             gds *= beta_scale
@@ -406,18 +426,19 @@ class EnsembleProgram:
                 cols = np.concatenate(
                     (drain, gate, source, bulk) * 2, axis=1
                 )
-                cache = (swapped.copy(), drain, source, rows, cols)
+                kidx = np.arange(m)[:, None]
+                cache = (swapped.copy(), kidx, drain, source, rows, cols)
                 self._swap_cache = cache
-            _swapped, drain, source, rows, cols = cache
-            np.add.at(residual, (self._kidx, drain), i_ds)
-            np.add.at(residual, (self._kidx, source), -i_ds)
+            _swapped, kidx, drain, source, rows, cols = cache
+            np.add.at(residual, (kidx, drain), i_ds)
+            np.add.at(residual, (kidx, source), -i_ds)
 
             minus_sum = -(gm + gds + gmb)
             vals = np.concatenate(
                 (gds, gm, minus_sum, gmb, -gds, -gm, -minus_sum, -gmb),
                 axis=1,
             )
-            np.add.at(jacobian, (self._kidx, rows, cols), vals)
+            np.add.at(jacobian, (kidx, rows, cols), vals)
 
         nodes = program.node_count
         residual[:, :nodes] += gmin * v_pad[:, :nodes]
@@ -442,7 +463,8 @@ class EnsembleProgram:
 
         Per-member control flow mirrors :meth:`StampProgram.newton`
         exactly (same damping, same two-part convergence test, same
-        treatment of linear-solve failure); converged members freeze.
+        treatment of linear-solve failure); each iteration assembles and
+        solves only the members still alive.
         Returns ``(converged, iterations, residual_norms)`` arrays (full
         K length; entries meaningful for members that started running).
         """
@@ -455,10 +477,9 @@ class EnsembleProgram:
             idx = np.nonzero(alive)[0]
             if idx.size == 0:
                 break
-            residual, jacobian = self.residual_and_jacobian(
-                voltages, gmin, source_scale
+            r, jacobian = self.residual_and_jacobian(
+                voltages, idx, gmin, source_scale
             )
-            r = residual[idx]
             batch_norms = np.max(np.abs(r), axis=1)
             norms[idx] = batch_norms
             iterations[idx] = iteration
@@ -470,6 +491,7 @@ class EnsembleProgram:
                 alive[idx[~finite]] = False
                 idx = idx[finite]
                 r = r[finite]
+                jacobian = jacobian[finite]
                 if idx.size == 0:
                     continue
             try:
@@ -478,7 +500,7 @@ class EnsembleProgram:
                 # The explicit trailing RHS axis keeps NumPy >= 2
                 # treating r as a stack of vectors (never a broadcast
                 # matrix).
-                delta = np.linalg.solve(jacobian[idx], -r[..., None])[..., 0]
+                delta = np.linalg.solve(jacobian, -r[..., None])[..., 0]
             except Exception:
                 # Stacked solve failed — LAPACK raises one LinAlgError
                 # for the whole (K, n, n) batch even when a single
@@ -488,11 +510,9 @@ class EnsembleProgram:
                 # singular ones demote to the scalar fallback ladder.
                 telemetry.count("ensemble.singular_batches")
                 delta = np.empty_like(r)
-                for row, k in enumerate(idx):
+                for row in range(idx.size):
                     try:
-                        delta[row] = np.linalg.solve(
-                            jacobian[k], -residual[k]
-                        )
+                        delta[row] = np.linalg.solve(jacobian[row], -r[row])
                     except np.linalg.LinAlgError:
                         telemetry.count("ensemble.singular_members")
                         delta[row] = np.nan

@@ -42,6 +42,77 @@ def feedback(tb):
     return circuit
 
 
+def _spread_mismatch(n_mos, members):
+    """Mismatch rows whose scale spans 1e-4..5e-2, so the members need
+    different Newton iteration counts."""
+    rng = np.random.default_rng(3)
+    scale = np.geomspace(1e-4, 5e-2, members)[:, None]
+    return (
+        rng.normal(size=(members, n_mos)) * scale,
+        rng.normal(size=(members, n_mos)) * scale,
+    )
+
+
+def _corner_feedbacks():
+    """Unity-feedback circuits of one sized design at its five corners."""
+    from repro.sizing.plans.folded_cascode import FoldedCascodePlan
+
+    technology = generic_035()
+    specs = OtaSpecs()
+    plan = FoldedCascodePlan(technology, 1)
+    sizing = plan.size(specs)
+    feedbacks = []
+    for tech in corner_set(technology).values():
+        bench = FoldedCascodePlan(tech, 1).build_testbench(sizing, specs)
+        circuit = bench.circuit.clone("corner_fb")
+        circuit.remove(bench.source_neg)
+        circuit.add_vsource(
+            "_fb", bench.input_neg_net, bench.output_net, dc=0.0
+        )
+        feedbacks.append(circuit)
+    return feedbacks
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_subset_rows_match_full(ensemble):
+    """Assembling a subset of member rows reproduces exactly those rows
+    of the full assembly."""
+    rng = np.random.default_rng(17)
+    # Random biases put devices on both sides of the drain/source swap,
+    # so a subset's swap mask differs from the full one.
+    voltages = rng.uniform(
+        -1.0, 3.5, size=(ensemble.members, ensemble.program.size)
+    )
+    full_r, full_j = ensemble.residual_and_jacobian(
+        voltages, np.arange(ensemble.members), 1e-12
+    )
+    for idx in ([1, 3], [0, 2], [0, 2, 4], [4], [3]):
+        idx = np.array(idx)
+        r, j = ensemble.residual_and_jacobian(voltages, idx, 1e-12)
+        assert _bitwise_equal(r, full_r[idx])
+        assert _bitwise_equal(j, full_j[idx])
+
+
+def _assert_members_match_solo(ensemble, solo_ensemble):
+    """Every member of ``ensemble.solve()`` bitwise equals the K = 1
+    solve ``solo_ensemble(k)`` builds for it."""
+    batch = ensemble.solve()
+    assert batch.converged.all()
+    assert len(set(batch.iterations.tolist())) > 1
+    for k in range(batch.members):
+        solo = solo_ensemble(k).solve()
+        assert _bitwise_equal(batch.voltages[k], solo.voltages[0])
+        assert batch.converged[k] == solo.converged[0]
+        assert batch.iterations[k] == solo.iterations[0]
+        assert _bitwise_equal(
+            batch.residual_norms[k], solo.residual_norms[0]
+        )
+
+
 class TestMonteCarloParity:
     def test_stacked_matches_per_sample(self, tb):
         with ensemble_engine.use(PERSAMPLE):
@@ -58,6 +129,18 @@ class TestMonteCarloParity:
         with ensemble_engine.use(STACKED):
             serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
             pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
+        assert serial.samples == pooled.samples
+        assert pooled.n_failed == 0
+
+    def test_workload_size_statistics_identical_for_any_worker_count(
+        self, tb
+    ):
+        """At 1000 runs each shard's live set shrinks to a handful of
+        stragglers, so each member's rows are assembled alongside very
+        different companions depending on the shard partition."""
+        with ensemble_engine.use(STACKED):
+            serial = run_monte_carlo(tb, runs=1000, seed=77, workers=1)
+            pooled = run_monte_carlo(tb, runs=1000, seed=77, workers=2)
         assert serial.samples == pooled.samples
         assert pooled.n_failed == 0
 
@@ -92,6 +175,73 @@ class TestMemberMasking:
         assert np.array_equal(big.voltages[:3], small.voltages)
         np.testing.assert_array_equal(big.converged[:3], small.converged)
         np.testing.assert_array_equal(big.iterations[:3], small.iterations)
+
+    def test_members_bitwise_equal_to_solo_solves(self, feedback):
+        """Members converge at different iterations, so the live set
+        shrinks mid-solve; every member must still come out exactly as
+        it does when solved alone."""
+        program = StampProgram(feedback)
+        vth, beta = _spread_mismatch(program._n_mos, members=8)
+        ensemble = EnsembleProgram.from_mismatch(program, vth, beta)
+        _assert_members_match_solo(
+            ensemble,
+            lambda k: EnsembleProgram.from_mismatch(
+                program, vth[k:k + 1], beta[k:k + 1]
+            ),
+        )
+
+    def test_corner_members_bitwise_equal_to_solo_solves(self):
+        feedbacks = _corner_feedbacks()
+        ensemble = EnsembleProgram.from_variants(feedbacks)
+        _assert_members_match_solo(
+            ensemble,
+            lambda k: EnsembleProgram.from_variants([feedbacks[k]]),
+        )
+
+    def test_row_subset_assembly_matches_full_assembly(self, feedback):
+        program = StampProgram(feedback)
+        vth, beta = _spread_mismatch(program._n_mos, members=6)
+        _assert_subset_rows_match_full(
+            EnsembleProgram.from_mismatch(program, vth, beta)
+        )
+
+    def test_corner_row_subset_assembly_matches_full_assembly(self):
+        _assert_subset_rows_match_full(
+            EnsembleProgram.from_variants(_corner_feedbacks())
+        )
+
+    def test_rows_assembled_equal_newton_iterations(
+        self, feedback, monkeypatch
+    ):
+        """Only live members are assembled: once every member converges
+        on the direct rung, the assembled rows add up to the member
+        iterations the ``ensemble.newton_iterations`` counter reports."""
+        from repro import telemetry
+
+        program = StampProgram(feedback)
+        vth, beta = _spread_mismatch(program._n_mos, members=8)
+        assembled = []
+        real = EnsembleProgram.residual_and_jacobian
+
+        def spy(self, voltages, idx, *args):
+            assembled.append(idx.size)
+            return real(self, voltages, idx, *args)
+
+        monkeypatch.setattr(EnsembleProgram, "residual_and_jacobian", spy)
+        tracer = telemetry.Tracer()
+        with tracer.activate():
+            solution = EnsembleProgram.from_mismatch(
+                program, vth, beta
+            ).solve()
+        assert all(
+            report.strategy == "direct-newton"
+            for report in solution.reports.values()
+        )
+        assert len(set(assembled)) > 1
+        assert sum(assembled) == tracer.counters[
+            "ensemble.newton_iterations"
+        ]
+        assert sum(assembled) < len(assembled) * solution.members
 
     def test_diverging_member_reported_not_poisoning(self, feedback):
         """A member that genuinely fails DC is isolated: the others

@@ -643,6 +643,50 @@ class TestBenchHistory:
             )
 
 
+class TestBenchRecord:
+    @staticmethod
+    def _timing(seconds, repeat):
+        return {"best_s": seconds, "mean_s": seconds, "p50_s": seconds,
+                "p95_s": seconds, "repeat": float(repeat)}
+
+    def test_monte_carlo_entries_time_every_repeat(self, monkeypatch):
+        """No entry may collapse to one timed sample (p50 == p95) when
+        the caller asked for several."""
+        import repro.perf as perf
+
+        monkeypatch.setattr(
+            perf, "time_call",
+            lambda fn, repeat=3, warmup=1: self._timing(0.01, repeat),
+        )
+        results = perf.run_benchmarks(repeat=3, include_synthesis=False)
+        assert {name: entry["repeat"] for name, entry in results.items()} \
+            == dict.fromkeys(results, 3.0)
+        assert "monte_carlo_50" in results
+        assert "monte_carlo_200_ensemble" in results
+
+    def test_entries_without_repeat_still_read(self, tmp_path):
+        from repro.perf import (
+            _engine_entry,
+            check_regressions,
+            format_bench_table,
+            load_bench,
+            write_bench,
+        )
+
+        fresh = {"a": _engine_entry(self._timing(0.2, 3),
+                                    self._timing(0.1, 3))}
+        assert fresh["a"]["repeat"] == 3.0
+        old = {key: value for key, value in fresh["a"].items()
+               if key != "repeat"}
+        path = str(tmp_path / "bench.json")
+        write_bench({"a": old}, path)
+        baseline = load_bench(path)
+        assert check_regressions(fresh, baseline) == {}
+        assert check_regressions(baseline, fresh) == {}
+        table = format_bench_table({"a": old, "b": fresh["a"]})
+        assert "2.00x" in table
+
+
 # -- Disabled-path overhead -------------------------------------------------
 
 
