@@ -19,6 +19,12 @@ Design rules (pinned by ``tests/test_ensemble.py``):
   :class:`~repro.resilience.policy.DirectNewton` rung stage for stage,
   keeping the stacked path sample-for-sample equal to the per-sample
   golden path at rtol 1e-9 — and shard partitioning bit-identical.
+  ``solve(seed=...)`` mirrors the
+  :class:`~repro.resilience.policy.WarmStart` rung instead: the same two
+  stages from the seed, then the scalar ladder of
+  :func:`~repro.resilience.policy.warm_policy` for a member they cannot
+  converge.  Monte-Carlo passes every member one seed (the design's
+  nominal operating point), so parity holds there too.
 * **Masking** — a member that converges, or is demoted for a
   non-finite residual norm or a singular matrix, leaves the iteration:
   later iterations evaluate the device model, assemble and solve only
@@ -31,13 +37,6 @@ Design rules (pinned by ``tests/test_ensemble.py``):
   divergent sample cannot poison its batch and failures carry the same
   structured :class:`~repro.resilience.policy.ConvergenceReport` (and
   raise the same :class:`~repro.errors.ConvergenceError`) as before.
-* **Warm-start chaining** — ``solve(chain=True)`` seeds the batch from
-  its predecessor: member 0 starts from the previous ``solve()`` call's
-  converged solution (round r+1 seeds from round r) and members 1..K-1
-  start from member 0's fresh solution (the batched collapse of
-  "member k seeds from member k-1" — true serial chaining would undo the
-  stacking).  Chaining trades bitwise parity for fewer iterations, so
-  the Monte-Carlo consumer keeps the default parity mode.
 
 The per-sample path remains the golden reference behind
 :data:`repro.analysis.engine.ensemble_engine` (``"per-sample"``).
@@ -66,6 +65,8 @@ from repro.resilience import faults
 from repro.resilience.policy import (
     COMPILED_POLICY,
     ConvergenceReport,
+    SolverPolicy,
+    warm_policy,
 )
 
 __all__ = [
@@ -181,13 +182,6 @@ class EnsembleSolution:
         if self.errors:
             raise self.errors[min(self.errors)]
 
-    def warm_seed(self) -> Optional[np.ndarray]:
-        """A converged member's voltages, for seeding a later ensemble."""
-        hits = np.nonzero(self.converged)[0]
-        if hits.size == 0:
-            return None
-        return self.voltages[hits[0]].copy()
-
 
 class EnsembleProgram:
     """K parameter vectors solved simultaneously over one stamp program.
@@ -232,7 +226,6 @@ class EnsembleProgram:
         self._groups = program._groups if groups is None else groups
         self._circuits = member_circuits
         self._swap_cache: Optional[Tuple[np.ndarray, ...]] = None
-        self._warm: Optional[np.ndarray] = None
 
     def fingerprint(self) -> str:
         """16-hex content hash of the ensemble's inputs.
@@ -545,13 +538,13 @@ class EnsembleProgram:
     # -- Scalar fallback -------------------------------------------------------
 
     def _scalar_solve(
-        self, k: int, max_iterations: int
+        self, k: int, policy: SolverPolicy, max_iterations: int
     ) -> Tuple[
         Optional[np.ndarray],
         ConvergenceReport,
         Optional[ConvergenceError],
     ]:
-        """Run the full scalar escalation ladder for member ``k``.
+        """Run the scalar escalation ladder ``policy`` for member ``k``.
 
         This reproduces exactly what the per-sample path does for the
         member's parameter vector — including the same
@@ -567,7 +560,7 @@ class EnsembleProgram:
             saved = (backend._mos_mvth, backend._mos_mbeta)
             backend.set_mismatch(self._vth[k], self._beta[k])
         try:
-            voltages, report = COMPILED_POLICY.run(
+            voltages, report = policy.run(
                 backend, max_iterations=max_iterations
             )
             return voltages, report, None
@@ -583,7 +576,6 @@ class EnsembleProgram:
     def solve(
         self,
         seed: Optional[np.ndarray] = None,
-        chain: bool = False,
         max_iterations: int = 200,
     ) -> EnsembleSolution:
         """Solve every member; returns an :class:`EnsembleSolution`.
@@ -592,11 +584,14 @@ class EnsembleProgram:
         :class:`~repro.resilience.policy.DirectNewton` rung (two stages,
         gmin 1e-12 then 0, 50-iteration caps) batched over all members;
         members it cannot converge fall back individually to the full
-        scalar ladder.  ``seed`` overrides the standard initial guess
-        (``(size,)`` shared or ``(K, size)`` per member); with
-        ``chain=True`` member 0 additionally seeds from the previous
-        ``solve()`` call on this program, and members 1..K-1 from member
-        0's converged solution.
+        scalar ladder (:data:`~repro.resilience.policy.COMPILED_POLICY`).
+        ``seed`` (``(size,)`` shared or ``(K, size)`` per member) replaces
+        the standard initial guess; the fast path then mirrors the
+        :class:`~repro.resilience.policy.WarmStart` rung (same stages,
+        reported as ``warm-start``) and the fallback runs
+        :func:`~repro.resilience.policy.warm_policy` — the warm rung,
+        then the cold ladder — exactly as a per-sample solve under that
+        policy would.
         """
         program = self.program
         size = program.size
@@ -606,9 +601,13 @@ class EnsembleProgram:
 
         voltages = np.empty((K, size))
         if seed is None:
+            seeds = None
+            strategy = "direct-newton"
             voltages[:] = program.initial_guess()
         else:
-            voltages[:] = np.asarray(seed, dtype=float)
+            seeds = np.broadcast_to(np.asarray(seed, dtype=float), (K, size))
+            strategy = "warm-start"
+            voltages[:] = seeds
         converged = np.zeros(K, dtype=bool)
         iterations = np.zeros(K, dtype=np.intp)
         norms = np.full(K, np.inf)
@@ -616,77 +615,52 @@ class EnsembleProgram:
         reports: Dict[int, ConvergenceReport] = {}
         errors: Dict[int, ConvergenceError] = {}
 
-        def run_ladder(subset: np.ndarray) -> None:
-            if subset.size == 0:
-                return
-            running = np.zeros(K, dtype=bool)
-            running[subset] = True
-            stages: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
-            alive = running.copy()
-            for stage_gmin in (1e-12, 0.0):
-                conv_s, iter_s, norm_s = self._newton_masked(
-                    voltages, alive, stage_gmin,
-                    max_iterations=min(max_iterations, 50),
+        stages: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
+        alive = np.ones(K, dtype=bool)
+        for stage_gmin in (1e-12, 0.0):
+            conv_s, iter_s, norm_s = self._newton_masked(
+                voltages, alive, stage_gmin,
+                max_iterations=min(max_iterations, 50),
+            )
+            stages.append((f"gmin={stage_gmin:g}", conv_s, iter_s, norm_s))
+            alive = alive & conv_s
+        direct = np.nonzero(alive)[0]
+        converged[direct] = True
+        for k in direct:
+            report = ConvergenceReport(circuit=program.circuit_name)
+            for stage, conv_s, iter_s, norm_s in stages:
+                report.add(
+                    strategy, stage, bool(conv_s[k]),
+                    int(iter_s[k]), float(norm_s[k]),
                 )
-                stages.append(
-                    (f"gmin={stage_gmin:g}", conv_s, iter_s, norm_s)
-                )
-                alive = alive & conv_s
-            direct = np.nonzero(alive)[0]
-            converged[direct] = True
-            gmins[direct] = 0.0
-            for k in direct:
-                report = ConvergenceReport(circuit=program.circuit_name)
-                total = 0
-                for stage, conv_s, iter_s, norm_s in stages:
-                    report.add(
-                        "direct-newton", stage, bool(conv_s[k]),
-                        int(iter_s[k]), float(norm_s[k]),
-                    )
-                    total += int(iter_s[k])
-                report.converged = True
-                report.strategy = "direct-newton"
-                report.achieved_gmin = 0.0
-                reports[int(k)] = report
-                iterations[k] = total
-                norms[k] = stages[-1][3][k]
-            fallback = subset[~converged[subset]]
-            for k in fallback:
-                v, report, error = self._scalar_solve(
-                    int(k), max_iterations
-                )
-                reports[int(k)] = report
-                iterations[k] = report.iterations
-                if report.rungs:
-                    norms[k] = report.rungs[-1].residual_norm
-                if error is None:
+            report.converged = True
+            report.strategy = strategy
+            report.achieved_gmin = 0.0
+            reports[int(k)] = report
+            iterations[k] = report.iterations
+            norms[k] = stages[-1][3][k]
+        for k in np.nonzero(~converged)[0]:
+            policy = (
+                COMPILED_POLICY if seeds is None else warm_policy(seeds[k])
+            )
+            v, report, error = self._scalar_solve(
+                int(k), policy, max_iterations
+            )
+            reports[int(k)] = report
+            iterations[k] = report.iterations
+            if report.rungs:
+                norms[k] = report.rungs[-1].residual_norm
+            if error is None:
+                voltages[k] = v
+                converged[k] = True
+                gmins[k] = report.achieved_gmin
+            else:
+                errors[int(k)] = error
+                if v is not None:
                     voltages[k] = v
-                    converged[k] = True
-                    gmins[k] = report.achieved_gmin
-                else:
-                    errors[int(k)] = error
-                    if v is not None:
-                        voltages[k] = v
-
-        if chain and K > 1:
-            if self._warm is not None and self._warm.shape == (size,):
-                voltages[0] = self._warm
-                telemetry.count("ensemble.chained")
-            run_ladder(np.array([0]))
-            if converged[0]:
-                voltages[1:] = voltages[0]
-                telemetry.count("ensemble.chained", K - 1)
-            run_ladder(np.arange(1, K))
-        else:
-            if chain and self._warm is not None and self._warm.shape == (
-                size,
-            ):
-                voltages[:] = self._warm
-                telemetry.count("ensemble.chained", K)
-            run_ladder(np.arange(K))
 
         telemetry.count("ensemble.newton_iterations", int(iterations.sum()))
-        solution = EnsembleSolution(
+        return EnsembleSolution(
             voltages=voltages,
             converged=converged,
             iterations=iterations,
@@ -696,11 +670,6 @@ class EnsembleProgram:
             reports=reports,
             errors=errors,
         )
-        if chain:
-            warm = solution.warm_seed()
-            if warm is not None:
-                self._warm = warm
-        return solution
 
 
 # -- Ensemble measurement (process corners) ---------------------------------------

@@ -11,12 +11,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import montecarlo
 from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
 from repro.analysis.ensemble import EnsembleProgram, measure_ota_ensemble
-from repro.analysis.montecarlo import run_monte_carlo
+from repro.analysis.montecarlo import (
+    _CompiledOffset,
+    draw_mismatch_samples,
+    run_monte_carlo,
+)
 from repro.analysis.stamps import StampProgram
 from repro.errors import ConvergenceError
 from repro.perf import default_testbench, two_stage_testbench
+from repro.resilience.policy import COMPILED_POLICY, SolverPolicy, warm_policy
 from repro.sizing.specs import OtaSpecs
 from repro.technology import generic_035
 from repro.technology.corners import corner_set
@@ -113,6 +119,52 @@ def _assert_members_match_solo(ensemble, solo_ensemble):
         )
 
 
+def _offset_rows(tb, runs, seed, scale=None):
+    """A testbench's compiled offset measurement plus ``runs`` mismatch
+    rows in circuit device order (Pelgrom draws, or normal threshold
+    shifts of ``scale`` volts when given)."""
+    names, vth, beta = draw_mismatch_samples(tb.circuit, runs, seed)
+    if scale is not None:
+        rng = np.random.default_rng(0)
+        vth = rng.normal(size=vth.shape) * scale
+        beta = rng.normal(size=beta.shape) * 0.01
+    return _CompiledOffset(tb, names), vth, beta
+
+
+def _per_sample_outcomes(compiled, vth, beta, policy):
+    """``(voltages, report, error)`` per row from the scalar ladder."""
+    program = compiled.program
+    outcomes = []
+    for vth_row, beta_row in zip(vth, beta):
+        program.set_mismatch(
+            vth_row[compiled.permutation], beta_row[compiled.permutation]
+        )
+        try:
+            voltages, report = policy.run(program)
+            outcomes.append((voltages, report, None))
+        except ConvergenceError as error:
+            outcomes.append((None, error.report, error))
+    return outcomes
+
+
+def _assert_matches_per_sample(solution, outcomes):
+    """Stacked members equal the per-sample ladder: bitwise voltages,
+    equal reports (rung names included) and equal errors."""
+    for k, (voltages, report, error) in enumerate(outcomes):
+        # Residual norms may be NaN, so compare them NaN-aware.
+        assert solution.reports[k].summary() == report.summary()
+        np.testing.assert_array_equal(
+            solution.reports[k].residual_history(),
+            report.residual_history(),
+        )
+        if error is None:
+            assert solution.converged[k]
+            assert _bitwise_equal(solution.voltages[k], voltages)
+        else:
+            assert not solution.converged[k]
+            assert str(solution.errors[k]) == str(error)
+
+
 class TestMonteCarloParity:
     def test_stacked_matches_per_sample(self, tb):
         with ensemble_engine.use(PERSAMPLE):
@@ -154,6 +206,111 @@ class TestMonteCarloParity:
             np.testing.assert_allclose(
                 stacked.samples[key], values, rtol=RTOL, atol=1e-12
             )
+
+    def test_seeded_solve_agrees_with_cold_solve(self, tb):
+        """Seeding every member from the nominal operating point moves
+        only the Newton start: each member lands on the cold solve's
+        solution, in well under half the iterations."""
+        from repro import telemetry
+
+        compiled, vth, beta = _offset_rows(tb, runs=200, seed=99)
+        assert compiled.nominal is not None
+        rows = (vth[:, compiled.permutation], beta[:, compiled.permutation])
+        solutions, iterations = [], []
+        for seed in (None, compiled.nominal):
+            tracer = telemetry.Tracer()
+            with tracer.activate():
+                solutions.append(
+                    EnsembleProgram.from_mismatch(
+                        compiled.program, *rows
+                    ).solve(seed=seed)
+                )
+            iterations.append(
+                tracer.counters["ensemble.newton_iterations"]
+            )
+        cold, seeded = solutions
+        assert cold.converged.all() and seeded.converged.all()
+        np.testing.assert_allclose(
+            seeded.voltages, cold.voltages, rtol=RTOL, atol=1e-12
+        )
+        assert iterations[0] >= 2 * iterations[1]
+        assert {r.strategy for r in seeded.reports.values()} == {
+            "warm-start"
+        }
+
+    def test_seeded_stacked_equals_per_sample(self, tb):
+        """Under the nominal seed the stacked and per-sample paths give
+        bitwise-equal offsets, reports and iteration counts."""
+        compiled, vth, beta = _offset_rows(tb, runs=60, seed=99)
+        stacked = compiled.measure(vth, beta, STACKED)
+        per_sample = compiled.measure(vth, beta, PERSAMPLE)
+        assert stacked == per_sample
+        solution = EnsembleProgram.from_mismatch(
+            compiled.program,
+            vth[:, compiled.permutation],
+            beta[:, compiled.permutation],
+        ).solve(seed=compiled.nominal)
+        _assert_matches_per_sample(
+            solution,
+            _per_sample_outcomes(
+                compiled, vth, beta, warm_policy(compiled.nominal)
+            ),
+        )
+
+    def test_seeded_stage_failure_falls_back_like_per_sample(self, tb):
+        """Extreme threshold shifts (0.5 V) defeat the nominal seed for
+        some members: they converge through the cold ladder behind the
+        warm rung, and every member — fallback, failure or not — equals
+        the per-sample ``warm_policy`` result."""
+        compiled, vth, beta = _offset_rows(tb, runs=40, seed=5, scale=0.5)
+        vth[7] = np.nan  # unsolvable on every rung, seeded or cold
+        solution = EnsembleProgram.from_mismatch(
+            compiled.program,
+            vth[:, compiled.permutation],
+            beta[:, compiled.permutation],
+        ).solve(seed=compiled.nominal)
+        strategies = [solution.reports[k].strategy for k in range(40)]
+        assert any(
+            solution.converged[k] and strategy != "warm-start"
+            for k, strategy in enumerate(strategies)
+        )
+        assert strategies[7] is None and 7 in solution.errors
+        assert solution.reports[7].rungs[0].strategy == "warm-start"
+        _assert_matches_per_sample(
+            solution,
+            _per_sample_outcomes(
+                compiled, vth, beta, warm_policy(compiled.nominal)
+            ),
+        )
+
+    def test_failed_nominal_solve_runs_cold(self, tb, monkeypatch):
+        """A testbench whose nominal solve fails keeps the cold start on
+        both paths."""
+        names, vth, beta = draw_mismatch_samples(tb.circuit, 30, 99)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                montecarlo, "COMPILED_POLICY", SolverPolicy(rungs=())
+            )
+            compiled = _CompiledOffset(tb, names)
+        assert compiled.nominal is None
+        stacked = compiled.measure(vth, beta, STACKED)
+        assert stacked == compiled.measure(vth, beta, PERSAMPLE)
+        solution = EnsembleProgram.from_mismatch(
+            compiled.program,
+            vth[:, compiled.permutation],
+            beta[:, compiled.permutation],
+        ).solve()
+        _assert_matches_per_sample(
+            solution,
+            _per_sample_outcomes(compiled, vth, beta, COMPILED_POLICY),
+        )
+        assert {r.strategy for r in solution.reports.values()} == {
+            "direct-newton"
+        }
+        assert stacked == [
+            {"offset_voltage": float(v[compiled.out_node]) - compiled.vcm}
+            for v in solution.voltages
+        ]
 
 
 class TestMemberMasking:
