@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.cases import run_case
 from repro.core.synthesis import LayoutOrientedSynthesizer
+from repro.layout import incremental
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.technology import generic_060
@@ -49,11 +50,18 @@ def specs():
 
 @pytest.fixture(scope="session")
 def all_cases(tech, specs):
-    """All four Table-1 cases, keyed by ParasiticMode."""
-    return {
-        mode: run_case(tech, specs, mode)
-        for mode in ParasiticMode
-    }
+    """All four Table-1 cases, keyed by ParasiticMode.
+
+    Each case starts from an empty process memo, as in a fresh
+    ``python -m repro table1``: other fixtures may already have sized
+    the same design, and a memo-served round would report a sizing
+    time of ~0 s in Table 1.
+    """
+    cases = {}
+    for mode in ParasiticMode:
+        incremental.clear()
+        cases[mode] = run_case(tech, specs, mode)
+    return cases
 
 
 @pytest.fixture(scope="session")

@@ -106,39 +106,6 @@ def _round_key(round_index: int) -> str:
     return f"round.{round_index}"
 
 
-def _estimate_content(
-    sizing, technology: Technology, aspect, prefer_even_folds
-) -> Optional[tuple]:
-    """Canonical content of one estimate-mode layout call, or None.
-
-    Everything the built-in layout tool may read from the sizing —
-    device W/L tuples, branch currents and bias voltages, all
-    order-independent — plus the technology content hash and the
-    synthesizer's geometry knobs.  Sizings that do not carry a real
-    ``sizes`` mapping (scripted stand-ins in tests, degraded stubs)
-    return None: their layout tools may be stateful, so every call must
-    reach the tool.
-    """
-    sizes = getattr(sizing, "sizes", None)
-    if not isinstance(sizes, dict):
-        return None
-
-    def canon(name: str):
-        mapping = getattr(sizing, name, None)
-        if not isinstance(mapping, dict):
-            return None
-        return tuple(sorted(mapping.items()))
-
-    return (
-        canon("sizes"),
-        canon("currents"),
-        canon("biases"),
-        technology.fingerprint(),
-        aspect,
-        prefer_even_folds,
-    )
-
-
 def _warm_digest() -> str:
     """Exact digest of the innermost warm-start session's seeds.
 
@@ -191,14 +158,6 @@ class LayoutOrientedSynthesizer:
         self.prefer_even_folds = prefer_even_folds
         self.plan = plan or FoldedCascodePlan(technology, model_level)
         self.layout_tool = layout_tool or self._default_layout_tool
-        #: Only the built-in layout tool is pure in its inputs; custom
-        #: tools (scripted stand-ins, stateful mocks) must never be
-        #: served from the cross-run artifact cache.
-        self._default_tool = layout_tool is None
-        #: Parasitic-estimate results keyed on canonicalized sizing content
-        #: plus the technology fingerprint — a converged round that
-        #: re-requests identical geometry skips the layout rebuild.
-        self._estimate_cache: Dict[tuple, object] = {}
 
     def _layout_request(self, sizing: SizingResult) -> OtaLayoutRequest:
         return OtaLayoutRequest(
@@ -212,66 +171,20 @@ class LayoutOrientedSynthesizer:
     def _default_layout_tool(self, sizing: SizingResult, mode: str):
         return generate_ota_layout(self._layout_request(sizing), mode=mode)
 
-    def _estimate_key(self, sizing) -> Optional[tuple]:
-        """Memoization key for a parasitic-estimate call, or None."""
-        return _estimate_content(
-            sizing, self.technology, self.aspect, self.prefer_even_folds
-        )
-
-    def _cached_estimate(self, key, result):
-        """Account one estimate served without a rebuild and return it.
-
-        Still a logical layout call — only the rebuild is skipped — so
-        traces keep one layout.call span per synthesis round.
-        """
-        with telemetry.span("layout.call", mode="estimate", cached=True):
-            telemetry.count("layout.calls.estimate")
-            telemetry.count("layout.cache.hit")
-        self._estimate_cache[key] = result
-        return result
-
-    def _estimate(self, sizing):
-        """The layout tool in estimate mode, memoized where safe.
-
-        Lookup order: in-memory memo, cross-run artifact store, then a
-        rebuild — both stores keyed on the same canonical content, so a
-        served result carries the bits a local rebuild would produce.
-        """
-        key = self._estimate_key(sizing)
-        if key is None:
-            return self.layout_tool(sizing, "estimate")
-        cached = self._estimate_cache.get(key)
-        if cached is not None:
-            return self._cached_estimate(key, cached)
-        store = artifacts.active() if self._default_tool else None
-        content_key = None
-        if store is not None:
-            content_key = artifacts.content_key("layout-estimate", key)
-            persisted = store.get("layout-estimate", content_key)
-            if persisted is not None:
-                return self._cached_estimate(key, persisted)
-        telemetry.count("layout.cache.miss")
-        result = self.layout_tool(sizing, "estimate")
-        self._estimate_cache[key] = result
-        if store is not None:
-            store.put("layout-estimate", content_key, result)
-        return result
-
     def _sizing_key(self, specs, mode, feedback, budget) -> Optional[str]:
-        """Memoization key for one whole sizing round, or None.
+        """Memo key for one whole sizing round, or None.
 
         Only pure rounds are memoizable: the plan must publish a
-        config key (:meth:`~repro.sizing.plans.base.DesignPlan.config_key`),
-        no budget may be active (a budget can cap iterations
-        differently per call), and the incremental engine must be on.
-        The key covers the active analysis engine switch and an exact
-        digest of the warm-start state, because both steer the DC
-        iterate path the plan's verification solves take.
+        config key (:meth:`~repro.sizing.plans.base.DesignPlan.config_key`)
+        and no budget may be active (a budget can cap iterations
+        differently per call).  The key covers the active analysis
+        engine switch and an exact digest of the warm-start state,
+        because both steer the DC iterate path the plan's verification
+        solves take.
         """
         from repro.analysis.engine import analysis_engine
-        from repro.layout import incremental
 
-        if budget is not None or not incremental.enabled():
+        if budget is not None:
             return None
         # Duck-typed: stub plans in tests may not subclass DesignPlan at
         # all — no config key means no memoization, same as None.
@@ -289,31 +202,32 @@ class LayoutOrientedSynthesizer:
         )
 
     def _size_round(self, specs, mode, feedback, budget):
-        """One sizing round, memoized on full content where safe.
+        """One sizing round through the ``sizing`` memo.
 
-        The cached value carries the warm-start snapshot taken *after*
-        the original call; a hit restores it, so every downstream DC
-        solve — the next round's, the Monte-Carlo stage's — sees the
-        exact seed state a recomputation would have produced and the
-        run's bits are independent of cache temperature.
+        The memo value carries the warm-start snapshot taken *after* the
+        original call; a hit restores it, so every downstream DC solve —
+        the next round's, the Monte-Carlo stage's — sees the exact seed
+        state a recomputation would have produced and the run's bits are
+        independent of cache temperature.  The caller gets a private
+        copy, never the memo's own object.
         """
         from repro.analysis import warmstart
         from repro.layout import incremental
 
-        key = self._sizing_key(specs, mode, feedback, budget)
-        cached = incremental.lookup_sizing(key)
-        if cached is not None:
-            sizing, warm_after = cached
-            warmstart.restore(warm_after)
-            with telemetry.span("synthesis.sizing", cached=True):
-                pass
-            return copy.deepcopy(sizing)
-        with telemetry.span("synthesis.sizing"):
+        def compute():
             sizing = self.plan.size(specs, mode, feedback, budget=budget)
-        incremental.store_sizing(
-            key, (copy.deepcopy(sizing), warmstart.snapshot())
-        )
-        return sizing
+            return sizing, warmstart.snapshot()
+
+        with telemetry.span("synthesis.sizing") as span:
+            (sizing, warm_after), source = incremental.memo(
+                "sizing",
+                lambda: self._sizing_key(specs, mode, feedback, budget),
+                compute,
+            )
+            span.annotate(source=source)
+        if source != "computed":
+            warmstart.restore(warm_after)
+        return copy.deepcopy(sizing)
 
     def run(
         self,
@@ -449,7 +363,7 @@ class LayoutOrientedSynthesizer:
                             faults.maybe_raise(
                                 "synthesis.layout", index=round_index
                             )
-                        estimate = self._estimate(sizing)
+                        estimate = self.layout_tool(sizing, "estimate")
                     except BudgetExceededError:
                         raise
                     except ReproError as error:

@@ -12,12 +12,14 @@ The layout path has three independently selectable switches:
   :class:`~repro.layout.geometry.GridIndex`; ``"allpairs"`` keeps the
   original sorted-sweep scan as the reference.
 * **incremental** — ``"on"`` serves layout work (per-module extraction
-  contributions, whole layout calls, sizing rounds) from process-wide
-  content-keyed caches (:mod:`repro.layout.incremental`); ``"off"``
-  recomputes everything from scratch.  Unlike the other switches this
-  one is bit-exact by construction — a cache hit returns the stored
-  result of an identical earlier computation — so flipping it changes
-  wall-clock only, never a single output bit.
+  contributions, whole layout calls, sizing rounds) from the one
+  process-wide content-keyed memo, :func:`repro.layout.incremental.memo`
+  (kinds ``extraction``, ``layout``, ``sizing``); ``"off"`` recomputes
+  everything from scratch and never touches the memo's disk tier.
+  Unlike the other switches this one is bit-exact by construction — a
+  memo hit returns the stored result of an identical earlier
+  computation — so flipping it changes wall-clock only, never a single
+  output bit.
 
 ``None`` (the default everywhere) resolves to the process-wide default,
 so a single ``use(...)`` context flips a whole flow — this is how

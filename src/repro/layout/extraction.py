@@ -565,17 +565,23 @@ def extract_cell(
     from repro.layout import incremental
 
     engine = extraction_engine.resolve(engine)
-    reuse_key = incremental.extraction_key(cell, tech, engine)
-    cached = incremental.lookup_extraction(reuse_key)
-    if cached is not None:
-        # The differential fast path: this cell's content (motif, folds,
-        # technology) already went through these exact passes.  Still a
-        # logical extraction, so traces keep one span per call.
-        with telemetry.span(
-            "layout.extract", cell=cell.name, engine=engine, cached=True
-        ):
-            telemetry.count("layout.extract")
-        return cached
+    with telemetry.span(
+        "layout.extract", cell=cell.name, engine=engine
+    ) as span:
+        telemetry.count("layout.extract")
+        # The differential fast path: a module cell whose content
+        # (motif, folds, technology) already went through these exact
+        # passes is served from the memo.
+        result, source = incremental.memo(
+            "extraction",
+            lambda: (cell.content_key(), tech.fingerprint(), engine),
+            lambda: _extract(cell, tech, engine),
+        )
+        span.annotate(source=source)
+    return result
+
+
+def _extract(cell: Cell, tech: Technology, engine: str) -> ExtractedParasitics:
     shapes = list(cell.flattened())
     actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
     interconnect = [
@@ -583,27 +589,21 @@ def extract_cell(
         for s in shapes
         if s.layer in (Layer.POLY, Layer.METAL1, Layer.METAL2) and s.net
     ]
-    with telemetry.span(
-        "layout.extract", cell=cell.name, engine=engine, shapes=len(shapes)
-    ):
-        telemetry.count("layout.extract")
-        if engine == SCALAR:
-            wire = _wire_capacitance(tech, interconnect, actives)
-            coupling = _coupling(tech, interconnect)
-            diffusion = _diffusion_strips(tech, shapes)
-        else:
-            ws = _workspace_for(cell, shapes, interconnect)
-            wire = _wire_capacitance_vec(tech, interconnect, actives, ws)
-            coupling = _coupling_vec(tech, interconnect, ws=ws)
-            diffusion = _diffusion_strips_vec(tech, shapes, ws)
-        result = ExtractedParasitics(
-            net_wire_cap=dict(sorted(wire.items())),
-            coupling=dict(sorted(coupling.items())),
-            diffusion=dict(sorted(diffusion.items())),
-            well=dict(sorted(_wells(shapes).items())),
-        )
-        incremental.store_extraction(reuse_key, result)
-        return result
+    if engine == SCALAR:
+        wire = _wire_capacitance(tech, interconnect, actives)
+        coupling = _coupling(tech, interconnect)
+        diffusion = _diffusion_strips(tech, shapes)
+    else:
+        ws = _workspace_for(cell, shapes, interconnect)
+        wire = _wire_capacitance_vec(tech, interconnect, actives, ws)
+        coupling = _coupling_vec(tech, interconnect, ws=ws)
+        diffusion = _diffusion_strips_vec(tech, shapes, ws)
+    return ExtractedParasitics(
+        net_wire_cap=dict(sorted(wire.items())),
+        coupling=dict(sorted(coupling.items())),
+        diffusion=dict(sorted(diffusion.items())),
+        well=dict(sorted(_wells(shapes).items())),
+    )
 
 
 def annotate_circuit(

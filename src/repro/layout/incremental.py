@@ -1,41 +1,41 @@
-"""Differential reuse caches for the incremental synthesis path.
+"""The process-wide memo for the incremental synthesis path.
 
 The synthesis loop (paper Figure 1b) re-runs three pure computations
-with largely repeated inputs:
+with largely repeated inputs, one memo *kind* each:
 
-* **per-module extraction** — every layout call extracts each placed
-  module cell; across rounds (and across the final ``generate`` pass,
-  which rebuilds the converged round's geometry) most module cells are
-  content-identical;
-* **whole layout calls** — a converged round's ``generate`` pass and
-  every warm re-run of the same case rebuild a layout for a sizing that
-  was already built;
-* **sizing rounds** — a re-run (benchmark repeat, journal resume, warm
-  artifact cache) re-derives the same sizing from the same specs,
-  feedback and warm-start state.
+* ``extraction`` — per-module extraction: every layout call extracts
+  each placed module cell, and across rounds (and the final
+  ``generate`` pass) most module cells are content-identical;
+* ``layout`` — whole layout calls: a converged round's ``generate``
+  pass, an undo to an earlier sizing and every warm re-run rebuild a
+  layout for a sizing that was already built;
+* ``sizing`` — sizing rounds: a re-run (benchmark repeat, journal
+  resume, warm artifact cache) re-derives the same sizing from the same
+  specs, feedback and warm-start state.
 
-All three are memoized here in process-wide LRU stores keyed on full
-content (geometry digests, technology fingerprints, canonicalized
-request fields, engine-switch settings).  A hit returns the stored
-result of a computation with bit-identical inputs, so the incremental
-path is *exact*: flipping :data:`repro.layout.engine.incremental_engine`
-changes wall-clock, never output bits.  Fault-injection runs
-(:mod:`repro.resilience.faults`) bypass every store — injected failures
-must reach the real computation.
+Every site goes through :func:`memo`, so capacity, bypass, counters and
+the disk tier are decided here.  Keys cover full content (geometry
+digests, technology fingerprints, canonicalized request fields,
+engine-switch settings), so a hit returns the result of a computation
+with bit-identical inputs and the incremental path is *exact*: flipping
+:data:`repro.layout.engine.incremental_engine` changes wall-clock, never
+output bits.  Fault-injection runs (:mod:`repro.resilience.faults`)
+bypass the memo — injected failures must reach the real computation.
 
-Counters (:mod:`repro.telemetry`):
+The ``layout`` kind is also kept on disk when the cross-run artifact
+store (:mod:`repro.runtime.artifacts`) is active, so a fresh process
+with ``--cache-dir`` is served the full built layout (report, fold
+config and drawn cell) without a rebuild.
 
-* ``layout.incremental.reuse`` / ``layout.incremental.dirty`` — one per
-  module-cell extraction served from / inserted into the store;
-* ``layout.incremental.call_reuse`` / ``layout.incremental.call_build``
-  — same, at whole-layout-call granularity;
-* ``sizing.cache.hit`` / ``sizing.cache.miss`` — sizing-round memo.
+Counters (:mod:`repro.telemetry`): ``memo.<kind>.hit``,
+``memo.<kind>.miss`` and ``memo.<kind>.evict``; the disk store keeps its
+own ``runtime.artifact.{hit,miss}``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro import telemetry
 from repro.layout.engine import FROM_SCRATCH, incremental_engine
@@ -73,12 +73,16 @@ class LruStore:
         self.hits += 1
         return value
 
-    def put(self, key: Any, value: Any) -> None:
+    def put(self, key: Any, value: Any) -> int:
+        """Insert ``value``; returns how many old entries were evicted."""
         self._entries[key] = value
         self._entries.move_to_end(key)
+        evicted = 0
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def clear(self) -> None:
         """Drop entries and reset counters (a fresh-store baseline)."""
@@ -88,21 +92,18 @@ class LruStore:
         self.evictions = 0
 
 
-#: Per-module extraction contributions:
-#: (cell content key, technology fingerprint, extraction engine)
-#: -> ExtractedParasitics.  Module cells are a few hundred shapes, so
-#: the value footprint is tiny; the capacity covers every module of
-#: several concurrent topologies across many rounds.
-_extraction_store = LruStore(capacity=512)
+#: Memo kind -> LRU capacity.  Module extractions are a few hundred
+#: shapes each, so 512 covers every module of several topologies across
+#: many rounds; layout results hold full cell geometry, so that store
+#: stays small; a sizing round is (SizingResult, warm-start snapshot).
+CAPACITY: Dict[str, int] = {"extraction": 512, "layout": 32, "sizing": 128}
 
-#: Whole layout calls: request digest -> result object (report, fold
-#: config, placements and the drawn top cell).  Entries hold full cell
-#: geometry, so the capacity stays small.
-_layout_store = LruStore(capacity=32)
+#: The kind whose values also live in the on-disk artifact store.
+DISK_KIND = "layout"
 
-#: Sizing rounds: (plan config, specs, mode, feedback, warm-state
-#: digest, engine settings) -> (SizingResult, warm snapshot after).
-_sizing_store = LruStore(capacity=128)
+_stores: Dict[str, LruStore] = {
+    kind: LruStore(capacity) for kind, capacity in CAPACITY.items()
+}
 
 
 def enabled() -> bool:
@@ -117,108 +118,60 @@ def enabled() -> bool:
     return not faults.active()
 
 
+def memo(
+    kind: str,
+    key: Callable[[], Optional[Hashable]],
+    compute: Callable[[], Any],
+) -> Tuple[Any, str]:
+    """``compute()``, served from the ``kind`` memo where possible.
+
+    ``key`` is a zero-argument callable returning the full content key
+    of the computation, or ``None`` when this call must not be memoized
+    (a stateful stand-in, a budgeted round); it runs only when
+    :func:`enabled`, so a bypassed call pays nothing for hashing.
+    Returns ``(value, source)`` with ``source`` one of ``"computed"``,
+    ``"memo"`` or ``"disk"``.  ``compute`` must not return ``None``.
+    """
+    content = key() if enabled() else None
+    if content is None:
+        return compute(), "computed"
+    store = _stores[kind]
+    value = store.get(content)
+    if value is not None:
+        telemetry.count(f"memo.{kind}.hit")
+        return value, "memo"
+    telemetry.count(f"memo.{kind}.miss")
+    disk = None
+    if kind == DISK_KIND:
+        from repro.runtime import artifacts
+
+        disk = artifacts.active()
+    value = None if disk is None else disk.get(kind, content)
+    source = "disk"
+    if value is None:
+        value, source = compute(), "computed"
+        if disk is not None:
+            disk.put(kind, content, value)
+    evicted = store.put(content, value)
+    if evicted:
+        telemetry.count(f"memo.{kind}.evict", evicted)
+    return value, source
+
+
 def clear() -> None:
     """Drop every process-wide store (tests, benchmarks)."""
-    _extraction_store.clear()
-    _layout_store.clear()
-    _sizing_store.clear()
+    for store in _stores.values():
+        store.clear()
 
 
 def stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/eviction counters per store (observability, tests)."""
-    out = {}
-    for name, store in (
-        ("extraction", _extraction_store),
-        ("layout", _layout_store),
-        ("sizing", _sizing_store),
-    ):
-        out[name] = {
+    """Hit/miss/eviction counters per kind (observability, tests)."""
+    return {
+        kind: {
             "entries": len(store),
             "hits": store.hits,
             "misses": store.misses,
             "evictions": store.evictions,
         }
-    return out
-
-
-# -- Per-module extraction ---------------------------------------------------
-
-
-def extraction_key(cell, tech, engine: str) -> Optional[Tuple]:
-    """Store key for one module cell's extraction, or None to bypass."""
-    if not enabled():
-        return None
-    return (cell.content_key(), tech.fingerprint(), engine)
-
-
-def lookup_extraction(key: Optional[Tuple]) -> Optional[Any]:
-    if key is None:
-        return None
-    found = _extraction_store.get(key)
-    if found is not None:
-        telemetry.count("layout.incremental.reuse")
-    return found
-
-
-def store_extraction(key: Optional[Tuple], extracted: Any) -> None:
-    if key is None:
-        return
-    telemetry.count("layout.incremental.dirty")
-    _extraction_store.put(key, extracted)
-
-
-# -- Whole layout calls ------------------------------------------------------
-
-
-def layout_key(*parts: Any) -> Optional[str]:
-    """Content digest over a layout request's canonicalized fields.
-
-    Callers pass every field the generator reads (sorted size/current
-    items, technology fingerprint, shape knobs) plus the active
-    extraction engine — extraction results ride inside the report, so a
-    different engine must key differently.  Returns None when reuse is
-    off.
-    """
-    if not enabled():
-        return None
-    from repro.layout.engine import extraction_engine
-    from repro.runtime.artifacts import content_key
-
-    return content_key(
-        "layout-call", extraction_engine.default(), *parts
-    )
-
-
-def lookup_layout(key: Optional[str]) -> Optional[Any]:
-    if key is None:
-        return None
-    found = _layout_store.get(key)
-    if found is not None:
-        telemetry.count("layout.incremental.call_reuse")
-    return found
-
-
-def store_layout(key: Optional[str], result: Any) -> None:
-    if key is None:
-        return
-    telemetry.count("layout.incremental.call_build")
-    _layout_store.put(key, result)
-
-
-# -- Sizing rounds -----------------------------------------------------------
-
-
-def lookup_sizing(key: Optional[str]) -> Optional[Any]:
-    if key is None:
-        return None
-    found = _sizing_store.get(key)
-    if found is not None:
-        telemetry.count("sizing.cache.hit")
-    else:
-        telemetry.count("sizing.cache.miss")
-    return found
-
-
-def store_sizing(key: Optional[str], value: Any) -> None:
-    if key is not None:
-        _sizing_store.put(key, value)
+        for kind, store in _stores.items()
+    }

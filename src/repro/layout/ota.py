@@ -303,11 +303,18 @@ def _build_variants(
     return variants
 
 
-def _request_key(request: OtaLayoutRequest) -> Optional[str]:
-    """Content digest of every field the generator reads, or None."""
-    from repro.layout.incremental import layout_key
+def _request_key(request: OtaLayoutRequest) -> str:
+    """Content digest of every field the generator reads.
 
-    return layout_key(
+    The active extraction engine is part of it: extraction results ride
+    inside the report, so a different engine must key differently.
+    """
+    from repro.layout.engine import extraction_engine
+    from repro.runtime.artifacts import content_key
+
+    return content_key(
+        "layout-call",
+        extraction_engine.default(),
         "ota",
         request.technology.fingerprint(),
         tuple(sorted(dict(request.sizes).items())),
@@ -338,32 +345,28 @@ def generate_ota_layout(
     result); ``mode='generate'`` also returns the drawn layout.
 
     Both modes run the same build internally (the parasitic pass needs
-    the placed-and-routed geometry anyway), so with the incremental
-    engine on the full result is stored once in the process-wide layout
-    store keyed on request content — a converged synthesis round's
-    ``generate`` pass, and any later call with identical inputs, is
-    served without a rebuild.
+    the placed-and-routed geometry anyway), so the full result is one
+    ``layout`` memo entry (:mod:`repro.layout.incremental`) keyed on
+    request content — a converged synthesis round's ``generate`` pass,
+    and any later call with identical inputs, is served without a
+    rebuild.
     """
     from repro.layout import incremental
 
     if mode not in ("estimate", "generate"):
         raise LayoutError(f"mode must be 'estimate' or 'generate', got {mode!r}")
-    key = _request_key(request)
-    cached = incremental.lookup_layout(key)
-    if cached is not None:
-        # Still a logical layout call — only the rebuild is skipped.
-        with telemetry.span(
-            "layout.call", mode=mode, aspect=request.aspect, cached=True
-        ):
-            telemetry.count(f"layout.calls.{mode}")
-        return _project(cached, mode)
-    metrics_on = metrics.enabled()
-    t0 = time.perf_counter() if metrics_on else 0.0
-    with telemetry.span("layout.call", mode=mode, aspect=request.aspect):
+    t0 = time.perf_counter()
+    with telemetry.span(
+        "layout.call", mode=mode, aspect=request.aspect
+    ) as span:
         telemetry.count(f"layout.calls.{mode}")
-        result = _generate(request, "generate")
-        incremental.store_layout(key, result)
-    if metrics_on:
+        result, source = incremental.memo(
+            "layout",
+            lambda: _request_key(request),
+            lambda: _generate(request, "generate"),
+        )
+        span.annotate(source=source)
+    if source == "computed" and metrics.enabled():
         metrics.observe("layout.call.seconds", time.perf_counter() - t0)
     return _project(result, mode)
 

@@ -85,13 +85,12 @@ class SliceNode:
         self.align = align
 
     def shape_function(self) -> ShapeFunction:
-        """Stockmeyer composition via the memoized frontier.
+        """Stockmeyer composition of the children's frontiers.
 
         :func:`compose_frontier` resolves which child-point index combos
-        survive pruning (cached across rebuilds of identical subtrees);
-        the ShapePoints and their realization tags are reconstructed
-        here from this tree's live child points, so a cache hit carries
-        the exact floats and variant handles of a direct enumeration.
+        survive pruning; the ShapePoints and their realization tags are
+        built here from this tree's child points, with the exact floats
+        and variant handles of a direct enumeration.
         """
         child_functions = [child.shape_function() for child in self.children]
         total_spacing = sum(self.spacings)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
-from repro import telemetry
 from repro.errors import LayoutError
 
 
@@ -133,27 +132,6 @@ class ShapeFunction:
         return min(self.points, key=lambda p: p.area)
 
 
-# -- Composition memoization ---------------------------------------------------
-#
-# The synthesis loop rebuilds the slicing tree every layout call, and the
-# module variants (hence the children's frontiers) repeat across rounds
-# and parasitic modes.  The expensive part of an n-ary composition is the
-# cross product over child frontier points; which combinations survive
-# pruning depends only on the children's (width, height) frontiers, the
-# slice kind and the summed spacing — not on tags or node identity.  So
-# the *index combos* of the surviving frontier are cached content-keyed,
-# and a hit rebuilds exact ShapePoints from the live child points (same
-# arithmetic, same floats) without enumerating the product.
-
-_COMPOSE_CACHE: Dict[tuple, Tuple[Tuple[int, ...], ...]] = {}
-_COMPOSE_CACHE_MAX = 4096
-
-
-def clear_compose_cache() -> None:
-    """Drop all memoized compositions (tests, memory pressure)."""
-    _COMPOSE_CACHE.clear()
-
-
 def compose_frontier(
     kind: str,
     child_points: Sequence[Sequence[ShapePoint]],
@@ -166,19 +144,6 @@ def compose_frontier(
     product, so rebuilding points from the returned combos yields the
     identical frontier the direct enumeration produces.
     """
-    key = (
-        kind,
-        total_spacing,
-        tuple(
-            tuple((p.width, p.height) for p in points)
-            for points in child_points
-        ),
-    )
-    cached = _COMPOSE_CACHE.get(key)
-    if cached is not None:
-        telemetry.count("layout.shape_cache.hit")
-        return cached
-    telemetry.count("layout.shape_cache.miss")
     candidates: List[Tuple[float, float, Tuple[int, ...]]] = []
     for indices in itertools.product(
         *(range(len(points)) for points in child_points)
@@ -198,8 +163,4 @@ def compose_frontier(
         if height < best_height - 1e-15:
             frontier.append(indices)
             best_height = height
-    result = tuple(frontier)
-    if len(_COMPOSE_CACHE) >= _COMPOSE_CACHE_MAX:
-        _COMPOSE_CACHE.clear()
-    _COMPOSE_CACHE[key] = result
-    return result
+    return tuple(frontier)

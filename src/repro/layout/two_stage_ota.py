@@ -141,11 +141,15 @@ def _finalise(
     return TwoStageLayoutResult(report=report, fold_config=fold_config)
 
 
-def _request_key(request: TwoStageLayoutRequest) -> Optional[str]:
-    """Content digest of every field the generator reads, or None."""
-    from repro.layout.incremental import layout_key
+def _request_key(request: TwoStageLayoutRequest) -> str:
+    """Content digest of every field the generator reads, under the
+    active extraction engine (see :func:`repro.layout.ota._request_key`)."""
+    from repro.layout.engine import extraction_engine
+    from repro.runtime.artifacts import content_key
 
-    return layout_key(
+    return content_key(
+        "layout-call",
+        extraction_engine.default(),
         "two_stage",
         request.technology.fingerprint(),
         tuple(sorted(dict(request.sizes).items())),
@@ -162,26 +166,29 @@ def generate_two_stage_layout(
     """Run the two-stage generator in either of the paper's modes.
 
     Like the folded-cascode generator, both modes assemble the same
-    geometry internally, so with the incremental engine on the fully
-    drawn result is stored once per request content and later calls
-    (the converged round's ``generate`` pass, warm re-runs) are served
-    without a rebuild.
+    geometry internally, so the fully drawn result is one ``layout``
+    memo entry per request content and later calls (the converged
+    round's ``generate`` pass, warm re-runs) are served without a
+    rebuild.
     """
     from repro.layout import incremental
 
     if mode not in ("estimate", "generate"):
         raise LayoutError(f"mode must be 'estimate' or 'generate', got {mode!r}")
-    key = _request_key(request)
-    cached = incremental.lookup_layout(key)
-    if cached is None:
+
+    def build() -> TwoStageLayoutResult:
         program, fold_config = _program(request)
         cell, report = program.generate()
-        cached = _finalise(request, report, fold_config)
-        cached.cell = cell
-        cached.mode = "generate"
-        incremental.store_layout(key, cached)
+        built = _finalise(request, report, fold_config)
+        built.cell = cell
+        built.mode = "generate"
+        return built
+
+    result, _ = incremental.memo(
+        "layout", lambda: _request_key(request), build
+    )
     return replace(
-        cached,
-        cell=cached.cell if mode == "generate" else None,
+        result,
+        cell=result.cell if mode == "generate" else None,
         mode=mode,
     )

@@ -12,7 +12,7 @@ across processes on one machine:
   Monte-Carlo sample matrices with guaranteed unlink on success,
   failure, and signal-driven shutdown.
 - :mod:`repro.runtime.artifacts` — a content-addressed on-disk cache
-  for layout parasitic estimates and case results, so a repeated
+  for whole layout calls and case results, so a repeated
   ``table1`` run is served warm.
 
 Every layer degrades cleanly to the previous per-run behavior when

@@ -1,12 +1,13 @@
 """Content-addressed cross-run artifact cache.
 
 The synthesis loop's dominant repeated cost is layout work whose inputs
-recur exactly: a converged sizing re-estimated in a later run, a Table-1
-case re-run with identical specs/technology/engines.  The in-memory
-``_estimate_cache`` in :class:`~repro.core.synthesis
-.LayoutOrientedSynthesizer` dies with the instance; this module persists
-those artifacts on disk, content-addressed, so a second ``table1``
-invocation in a fresh process is served warm.
+recur exactly: a converged sizing re-laid-out in a later run, a Table-1
+case re-run with identical specs/technology/engines.  The in-process
+memo (:func:`repro.layout.incremental.memo`) dies with the process;
+this module persists whole layout calls (the memo's ``layout`` kind,
+its one disk tier) and Table-1 case results on disk, content-addressed,
+so a second ``table1`` or ``synthesize`` invocation in a fresh process
+is served warm.
 
 Keys are sha256 digests over the same canonical token stream
 :meth:`~repro.core.cases.CaseResult.fingerprint` uses (enums by name,

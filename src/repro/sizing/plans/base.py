@@ -33,10 +33,10 @@ class DesignPlan(ABC):
 
         A plan whose sizing is a pure function of (this key, specs,
         mode, feedback, warm-start state) may return a tuple here, which
-        lets the synthesis loop memoize whole sizing rounds on content
-        (see :mod:`repro.layout.incremental`).  The default ``None``
-        opts out — scripted or stateful plans must never be served from
-        a cache.
+        lets the synthesis loop serve whole sizing rounds from the
+        ``sizing`` kind of :func:`repro.layout.incremental.memo`.  The
+        default ``None`` is a ``None`` memo key — scripted or stateful
+        plans are computed every round, never served from the memo.
         """
         return None
 

@@ -64,6 +64,9 @@ class _NullSpan:
     def __exit__(self, *exc: object) -> bool:
         return False
 
+    def annotate(self, **attrs: Any) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -88,6 +91,10 @@ class _Span:
         tracer._stack.append(self._id)
         self._t0 = tracer._now()
         return self
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes known only once the span's work has run."""
+        self._attrs.update(attrs)
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
         tracer = self._tracer

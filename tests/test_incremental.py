@@ -20,6 +20,8 @@ from repro.layout.two_stage_ota import (
     TwoStageLayoutRequest,
     generate_two_stage_layout,
 )
+from repro.resilience import faults
+from repro.runtime import artifacts
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
@@ -72,6 +74,127 @@ class TestLruStore:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             LruStore(capacity=0)
+
+
+def _bypassed(how: str):
+    """A context in which :func:`incremental.enabled` is False."""
+    if how == "off":
+        return incremental_engine.use("off")
+    return faults.inject("test.unreached")
+
+
+def _sources(tracer, span_name: str):
+    """The ``source`` attribute of every ``span_name`` span, in order."""
+    return [
+        record["attrs"]["source"]
+        for record in tracer.records
+        if record.get("type") == "span" and record["name"] == span_name
+    ]
+
+
+class TestMemo:
+    """The one memo entry point: provenance, counters, bypass."""
+
+    def test_provenance_and_counters(self):
+        calls = []
+
+        def compute():
+            calls.append(None)
+            return "value"
+
+        with trace_run("memo") as tracer:
+            first = incremental.memo("sizing", lambda: "k", compute)
+            second = incremental.memo("sizing", lambda: "k", compute)
+        assert first == ("value", "computed")
+        assert second == ("value", "memo")
+        assert len(calls) == 1
+        assert tracer.counters["memo.sizing.miss"] == 1
+        assert tracer.counters["memo.sizing.hit"] == 1
+        assert incremental.stats()["sizing"] == {
+            "entries": 1, "hits": 1, "misses": 1, "evictions": 0,
+        }
+
+    def test_eviction_counter(self):
+        capacity = incremental.CAPACITY["layout"]
+        with artifacts.using(None), trace_run("memo") as tracer:
+            for i in range(capacity + 2):
+                incremental.memo("layout", lambda i=i: f"k{i}", lambda: 1)
+        assert tracer.counters["memo.layout.evict"] == 2
+        assert incremental.stats()["layout"]["evictions"] == 2
+        assert incremental.stats()["layout"]["entries"] == capacity
+
+    def test_none_key_computes_every_time(self):
+        calls = []
+
+        def compute():
+            calls.append(None)
+            return "value"
+
+        for _ in range(2):
+            assert incremental.memo("sizing", lambda: None, compute) == (
+                "value", "computed",
+            )
+        assert len(calls) == 2
+        assert incremental.stats()["sizing"]["misses"] == 0
+
+    @pytest.mark.parametrize("how", ["off", "faults"])
+    def test_bypass_skips_key_and_store(self, how):
+        incremental.memo("sizing", lambda: "k", lambda: "stored")
+        keyed = []
+
+        def key():
+            keyed.append(None)
+            return "k"
+
+        with _bypassed(how):
+            assert not incremental.enabled()
+            assert incremental.memo("sizing", key, lambda: "fresh") == (
+                "fresh", "computed",
+            )
+        assert keyed == []
+        assert incremental.stats()["sizing"]["hits"] == 0
+
+
+class TestLayoutDiskTier:
+    """The ``layout`` kind persists whole built results on disk."""
+
+    def _request(self, tech, hand_sized):
+        sizes, currents = hand_sized
+        return OtaLayoutRequest(
+            technology=tech, sizes=sizes, currents=currents, aspect=1.0
+        )
+
+    def test_fresh_process_is_served_from_disk(
+        self, tech, hand_sized, tmp_path
+    ):
+        request = self._request(tech, hand_sized)
+        with artifacts.using(tmp_path):
+            cold = generate_ota_layout(request, mode="generate")
+            incremental.clear()  # a new process: empty in-memory stores
+            with trace_run("warm") as tracer:
+                warm = generate_ota_layout(request, mode="generate")
+                estimate = generate_ota_layout(request, mode="estimate")
+        assert _sources(tracer, "layout.call") == ["disk", "memo"]
+        assert tracer.counters["runtime.artifact.hit"] == 1
+        assert "runtime.artifact.miss" not in tracer.counters
+        assert list(artifacts.canonical_tokens(warm.report)) == list(
+            artifacts.canonical_tokens(cold.report)
+        )
+        assert warm.fold_config == cold.fold_config
+        assert warm.cell.content_key() == cold.cell.content_key()
+        assert estimate.cell is None
+        assert estimate.report is warm.report
+
+    @pytest.mark.parametrize("how", ["off", "faults"])
+    def test_bypass_never_touches_disk(
+        self, tech, hand_sized, tmp_path, how
+    ):
+        request = self._request(tech, hand_sized)
+        with artifacts.using(tmp_path) as store, _bypassed(how):
+            generate_ota_layout(request, mode="estimate")
+            generate_ota_layout(request, mode="estimate")
+        assert store.hits == 0 and store.misses == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExtractionParity:
@@ -170,7 +293,7 @@ class TestDirtyInvalidation:
         # Bypass the whole-call store with a fresh but content-identical
         # request after clearing only the layout store: every module
         # extraction must hit.
-        incremental._layout_store.clear()
+        incremental._stores["layout"].clear()
         generate_ota_layout(request, mode="estimate")
         after = incremental.stats()["extraction"]
         assert after["misses"] == before["misses"]
@@ -213,10 +336,16 @@ class TestSynthesisDeterminism:
         return synthesizer.run(specs, ParasiticMode.FULL, generate=True)
 
     def test_cold_and_warm_match_from_scratch(self, tech, specs, reference):
-        cold = self._run(tech, specs)
+        with trace_run("cold") as cold_tracer:
+            cold = self._run(tech, specs)
         assert cold.fingerprint() == reference
-        warm = self._run(tech, specs)
+        with trace_run("warm") as warm_tracer:
+            warm = self._run(tech, specs)
         assert warm.fingerprint() == reference
+        assert set(_sources(cold_tracer, "synthesis.sizing")) == {"computed"}
+        assert set(_sources(warm_tracer, "synthesis.sizing")) == {"memo"}
+        assert set(_sources(warm_tracer, "layout.call")) == {"memo"}
+        assert "memo" in _sources(cold_tracer, "layout.extract")
         stats = incremental.stats()
         assert stats["sizing"]["hits"] > 0, (
             "a warm repeat must serve sizing rounds from the memo"

@@ -1,11 +1,10 @@
-"""Layout-path engines: golden equivalence, spatial index, memo caches.
+"""Layout-path engines: golden equivalence, spatial index, composition.
 
 The vectorized extraction and grid-indexed DRC are exact replacements for
 the scalar references — same keys, same floats (within 1e-12), same
 violation order — verified here on both OTA topologies plus synthetic
-cells that hit every violation kind.  The composition and estimate memo
-caches must be invisible: a warm hit returns the identical content a cold
-run computes.
+cells that hit every violation kind.  Index-combo Stockmeyer composition
+rebuilds exactly the frontier the direct enumeration produces.
 """
 
 from __future__ import annotations
@@ -36,12 +35,7 @@ from repro.layout.engine import (
 from repro.layout.extraction import extract_cell
 from repro.layout.geometry import GridIndex, Rect, interval_pairs
 from repro.layout.layers import Layer
-from repro.layout.shape import (
-    ShapeFunction,
-    ShapePoint,
-    clear_compose_cache,
-    compose_frontier,
-)
+from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
 from repro.units import UM
 
 
@@ -272,19 +266,8 @@ class TestIntervalPairs:
         assert ii.size == 0 and jj.size == 0
 
 
-class TestComposeCache:
-    def test_hit_matches_cold_run(self):
-        clear_compose_cache()
-        children = [
-            [ShapePoint(1.0, 4.0), ShapePoint(2.0, 2.5), ShapePoint(4.0, 1.0)],
-            [ShapePoint(1.5, 3.0), ShapePoint(3.0, 1.5)],
-        ]
-        cold = compose_frontier("h", children, 0.25)
-        warm = compose_frontier("h", children, 0.25)
-        assert cold == warm
-
+class TestComposeFrontier:
     def test_matches_direct_stockmeyer(self):
-        clear_compose_cache()
         left = ShapeFunction(
             [ShapePoint(1.0, 4.0), ShapePoint(2.0, 2.5), ShapePoint(4.0, 1.0)]
         )
@@ -303,7 +286,6 @@ class TestComposeCache:
         assert rebuilt == [(p.width, p.height) for p in direct.points]
 
     def test_vertical_composition(self):
-        clear_compose_cache()
         bottom = ShapeFunction([ShapePoint(1.0, 2.0), ShapePoint(3.0, 1.0)])
         top = ShapeFunction([ShapePoint(2.0, 2.0), ShapePoint(4.0, 0.5)])
         direct = ShapeFunction.vertical(bottom, top, spacing=0.1)
@@ -318,86 +300,3 @@ class TestComposeCache:
             for i, j in combos
         ]
         assert rebuilt == [(p.width, p.height) for p in direct.points]
-
-
-class TestEstimateMemo:
-    def _sizing(self, tech):
-        from repro.sizing.specs import SizingResult
-
-        return SizingResult(
-            sizes={"m1": (10 * UM, 1 * UM)},
-            currents={"m1": 1e-4},
-            biases={"vb": 1.0},
-        )
-
-    def test_identical_sizing_hits_cache(self, tech):
-        from repro.core.synthesis import LayoutOrientedSynthesizer
-        from repro.layout.parasitics import ParasiticReport
-
-        calls = []
-
-        def layout_tool(sizing, mode):
-            calls.append(mode)
-
-            class _Result:
-                report = ParasiticReport()
-
-            return _Result()
-
-        synthesizer = LayoutOrientedSynthesizer(
-            tech, layout_tool=layout_tool
-        )
-        sizing = self._sizing(tech)
-        first = synthesizer._estimate(sizing)
-        second = synthesizer._estimate(sizing)
-        assert second is first
-        assert calls == ["estimate"]
-
-    def test_different_sizing_misses(self, tech):
-        from repro.core.synthesis import LayoutOrientedSynthesizer
-        from repro.layout.parasitics import ParasiticReport
-
-        calls = []
-
-        def layout_tool(sizing, mode):
-            calls.append(dict(sizing.sizes))
-
-            class _Result:
-                report = ParasiticReport()
-
-            return _Result()
-
-        synthesizer = LayoutOrientedSynthesizer(
-            tech, layout_tool=layout_tool
-        )
-        a = self._sizing(tech)
-        b = self._sizing(tech)
-        b.sizes = {"m1": (12 * UM, 1 * UM)}
-        synthesizer._estimate(a)
-        synthesizer._estimate(b)
-        assert len(calls) == 2
-
-    def test_non_dict_sizes_bypass_cache(self, tech):
-        from repro.core.synthesis import LayoutOrientedSynthesizer
-        from repro.layout.parasitics import ParasiticReport
-
-        calls = []
-
-        def layout_tool(sizing, mode):
-            calls.append(mode)
-
-            class _Result:
-                report = ParasiticReport()
-
-            return _Result()
-
-        synthesizer = LayoutOrientedSynthesizer(
-            tech, layout_tool=layout_tool
-        )
-
-        class _Opaque:
-            sizes = "scripted"
-
-        synthesizer._estimate(_Opaque())
-        synthesizer._estimate(_Opaque())
-        assert calls == ["estimate", "estimate"]
