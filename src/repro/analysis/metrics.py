@@ -9,6 +9,10 @@ The DC operating point is established in a unity-feedback configuration
 (output tied to the inverting input), which both defines the bias point of a
 high-gain open-loop amplifier robustly and yields the input-referred offset
 directly; the AC analyses then run open-loop at that operating point.
+
+:class:`OtaMeasurement` splits the measurement into two stages on one DC
+solve: the loop gain (GBW and phase margin, all a sizing iteration reads)
+and the full suite, which the sizing plans run once on the accepted sizing.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.ac import (
     ac_sweep,
@@ -113,6 +119,168 @@ def output_node_capacitance(tb: OtaTestbench, dc: DcSolution) -> float:
     return total
 
 
+class OtaMeasurement:
+    """One OTA testbench measured in two stages on one DC solve.
+
+    Construction runs the unity-feedback DC solve
+    (:func:`feedback_dc_solution`) and, on the compiled engine, linearises
+    the circuit once into a :class:`~repro.analysis.stamps.LinearSystem`.
+    The two stages then share that operating point:
+
+    * :meth:`loop_gain` solves only the differential sweep and returns
+      ``(gbw, phase_margin_deg)`` — all a sizing-plan iteration reads;
+    * :meth:`metrics` runs the full Table-1 suite (:func:`measure_ota`).
+
+    Completing a handle after :meth:`loop_gain` never solves the DC point
+    again, so a sizing plan that measures every iteration's loop gain and
+    completes only the accepted iteration leaves the warm-start seed chain
+    (:mod:`repro.analysis.warmstart`) exactly where a full measurement of
+    every iteration would.  The one-column differential solve equals the
+    differential column of the full batched solve bit for bit (checked
+    over jittered sized designs in ``tests/test_metrics.py``), so the
+    loop gain a plan iterates on is the one its ``predicted`` reports.
+    """
+
+    def __init__(
+        self,
+        tb: OtaTestbench,
+        f_start: float = 1.0,
+        f_stop: float = 3.0e9,
+        points_per_decade: int = 24,
+        engine: Optional[str] = None,
+    ):
+        self.tb = tb
+        self.f_start = f_start
+        self.engine = analysis_engine.resolve(engine)
+        self.dc, self.offset = feedback_dc_solution(tb, engine=self.engine)
+        self.frequencies = logspace_frequencies(
+            f_start, f_stop, points_per_decade
+        )
+        diff_drive = {tb.source_pos: 0.5, tb.source_neg: -0.5}
+        cm_drive = {tb.source_pos: 1.0, tb.source_neg: 1.0}
+        silence = {
+            name: 0.0
+            for name in (
+                s.name for s in tb.circuit if isinstance(s, VoltageSource)
+            )
+            if name not in (tb.source_pos, tb.source_neg)
+        }
+        supply_drive = {
+            **{name: 0.0 for name in silence},
+            tb.source_pos: 0.0,
+            tb.source_neg: 0.0,
+        }
+        for supply in tb.supply_sources:
+            supply_drive[supply] = 1.0
+        self._dm_drive = {**silence, **diff_drive}
+        self._cm_drive = {**silence, **cm_drive}
+        self._supply_drive = supply_drive
+
+        self.system = None
+        if self.engine == COMPILED:
+            from repro.analysis.stamps import LinearSystem
+
+            self.system = LinearSystem(tb.circuit, self.dc)
+            self._out_node = self.system.index.node(tb.output_net)
+            if self._out_node < 0:
+                raise AnalysisError("OTA output cannot be the ground net")
+
+    def _sweep(self, drive: Dict[str, float]) -> TransferFunction:
+        """Legacy-engine output transfer for one drive."""
+        return ac_sweep(
+            self.tb.circuit, self.dc, self.frequencies, drive,
+            engine=self.engine,
+        ).transfer(self.tb.output_net)
+
+    def loop_gain(self) -> Tuple[float, float]:
+        """``(gbw, phase_margin_deg)`` from the differential sweep alone."""
+        with telemetry.span(
+            "analysis.loop_gain", circuit=self.tb.circuit.name,
+            engine=self.engine,
+        ):
+            if self.system is None:
+                return _loop_gain(self._sweep(self._dm_drive))
+            solved = self.system.solve_batch(
+                self.frequencies, self.system.rhs(self._dm_drive)
+            )
+            return _loop_gain(
+                TransferFunction(
+                    self.frequencies.copy(),
+                    solved[:, self._out_node, 0].copy(),
+                )
+            )
+
+    def metrics(self) -> OtaMetrics:
+        """The full Table-1 suite at the stored operating point.
+
+        With the compiled engine the differential, common-mode and supply
+        sweeps plus the impedance probe are four right-hand-side columns
+        of a single batched solve, and the noise injections ride along on
+        the same system.
+        """
+        tb = self.tb
+        dc = self.dc
+        frequencies = self.frequencies
+        if self.system is not None:
+            system = self.system
+            out_node = self._out_node
+            noise_analysis = NoiseAnalysis(
+                tb.circuit,
+                dc,
+                tb.output_net,
+                self._dm_drive,
+                engine=self.engine,
+                system=system,
+            )
+            # A current probe stamps nothing into G/C, so the impedance
+            # column is a unit injection into the output on the very same
+            # system; the noise injections ride along too, so the whole
+            # measurement suite is one factorisation of the stacked
+            # (F, n, n) tensor.
+            zout_column = system.injection_columns([(-1, out_node)])[:, 0]
+            columns = np.concatenate(
+                [
+                    np.stack(
+                        [
+                            system.rhs(self._dm_drive),
+                            system.rhs(self._cm_drive),
+                            system.rhs(self._supply_drive),
+                            zout_column,
+                        ],
+                        axis=1,
+                    ),
+                    noise_analysis.rhs_columns,
+                ],
+                axis=1,
+            )
+            solved = system.solve_batch(frequencies, columns)
+            transfers = solved[:, out_node, :]
+            dm = TransferFunction(frequencies.copy(), transfers[:, 0].copy())
+            cm = TransferFunction(frequencies.copy(), transfers[:, 1].copy())
+            ps = TransferFunction(frequencies.copy(), transfers[:, 2].copy())
+            output_resistance = float(abs(transfers[0, 3]))
+            noise = noise_analysis.result_from_output_transfers(
+                frequencies, transfers[:, 4:]
+            )
+        else:
+            dm = self._sweep(self._dm_drive)
+            cm = self._sweep(self._cm_drive)
+            ps = self._sweep(self._supply_drive)
+            zout = output_impedance(
+                tb.circuit, dc, tb.output_net, [self.f_start],
+                engine=self.engine,
+            )
+            output_resistance = float(zout.magnitude[0])
+            noise = NoiseAnalysis(
+                tb.circuit, dc, tb.output_net, self._dm_drive,
+                engine=self.engine,
+            ).run(frequencies)
+
+        return _metrics_from_sweeps(
+            tb, dc, self.offset, dm, cm, ps, output_resistance, noise
+        )
+
+
 def measure_ota(
     tb: OtaTestbench,
     f_start: float = 1.0,
@@ -122,114 +290,28 @@ def measure_ota(
 ) -> OtaMetrics:
     """Run the full Table-1 measurement suite on an OTA testbench.
 
-    With the compiled engine the circuit is linearised once into a shared
-    :class:`~repro.analysis.stamps.LinearSystem`; the differential,
-    common-mode and supply sweeps plus the impedance probe become four
-    right-hand-side columns of a single batched solve, and the noise
-    analysis reuses the same system.
+    One :class:`OtaMeasurement` taken straight to :meth:`~OtaMeasurement.metrics`.
     """
     engine_name = analysis_engine.resolve(engine)
     with telemetry.span(
         "analysis.measure", circuit=tb.circuit.name, engine=engine_name
     ):
-        return _measure_ota(tb, f_start, f_stop, points_per_decade, engine_name)
+        return OtaMeasurement(
+            tb, f_start, f_stop, points_per_decade, engine_name
+        ).metrics()
 
 
-def _measure_ota(
-    tb: OtaTestbench,
-    f_start: float,
-    f_stop: float,
-    points_per_decade: int,
-    engine_name: str,
-) -> OtaMetrics:
-    dc, offset = feedback_dc_solution(tb, engine=engine_name)
-
-    frequencies = logspace_frequencies(f_start, f_stop, points_per_decade)
-    diff_drive = {tb.source_pos: 0.5, tb.source_neg: -0.5}
-    cm_drive = {tb.source_pos: 1.0, tb.source_neg: 1.0}
-    silence = {
-        name: 0.0
-        for name in (s.name for s in tb.circuit if isinstance(s, VoltageSource))
-        if name not in (tb.source_pos, tb.source_neg)
-    }
-    supply_drive = {
-        **{name: 0.0 for name in silence},
-        tb.source_pos: 0.0,
-        tb.source_neg: 0.0,
-    }
-    for supply in tb.supply_sources:
-        supply_drive[supply] = 1.0
-
-    if engine_name == COMPILED:
-        import numpy as np
-
-        from repro.analysis.stamps import LinearSystem
-
-        system = LinearSystem(tb.circuit, dc)
-        out_node = system.index.node(tb.output_net)
-        if out_node < 0:
-            raise AnalysisError("OTA output cannot be the ground net")
-        noise_analysis = NoiseAnalysis(
-            tb.circuit,
-            dc,
-            tb.output_net,
-            {**silence, **diff_drive},
-            engine=engine_name,
-            system=system,
+def _loop_gain(dm: TransferFunction) -> Tuple[float, float]:
+    """``(gbw, phase_margin_deg)`` of a differential transfer."""
+    gbw = dm.unity_gain_frequency()
+    if gbw is None:
+        raise AnalysisError(
+            "differential gain never crosses unity; widen the sweep"
         )
-        # A current probe stamps nothing into G/C, so the impedance column
-        # is a unit injection into the output on the very same system; the
-        # noise injections ride along too, so the whole measurement suite
-        # is one factorisation of the stacked (F, n, n) tensor.
-        zout_column = system.injection_columns([(-1, out_node)])[:, 0]
-        columns = np.concatenate(
-            [
-                np.stack(
-                    [
-                        system.rhs({**silence, **diff_drive}),
-                        system.rhs({**silence, **cm_drive}),
-                        system.rhs(supply_drive),
-                        zout_column,
-                    ],
-                    axis=1,
-                ),
-                noise_analysis.rhs_columns,
-            ],
-            axis=1,
-        )
-        solved = system.solve_batch(frequencies, columns)
-        transfers = solved[:, out_node, :]
-        dm = TransferFunction(frequencies.copy(), transfers[:, 0].copy())
-        cm = TransferFunction(frequencies.copy(), transfers[:, 1].copy())
-        ps = TransferFunction(frequencies.copy(), transfers[:, 2].copy())
-        output_resistance = float(abs(transfers[0, 3]))
-        noise = noise_analysis.result_from_output_transfers(
-            frequencies, transfers[:, 4:]
-        )
-    else:
-        dm = ac_sweep(
-            tb.circuit, dc, frequencies, {**silence, **diff_drive},
-            engine=engine_name,
-        ).transfer(tb.output_net)
-        cm = ac_sweep(
-            tb.circuit, dc, frequencies, {**silence, **cm_drive},
-            engine=engine_name,
-        ).transfer(tb.output_net)
-        ps = ac_sweep(
-            tb.circuit, dc, frequencies, supply_drive, engine=engine_name
-        ).transfer(tb.output_net)
-        zout = output_impedance(
-            tb.circuit, dc, tb.output_net, [f_start], engine=engine_name
-        )
-        output_resistance = float(zout.magnitude[0])
-        noise = NoiseAnalysis(
-            tb.circuit, dc, tb.output_net, {**silence, **diff_drive},
-            engine=engine_name,
-        ).run(frequencies)
-
-    return _metrics_from_sweeps(
-        tb, dc, offset, dm, cm, ps, output_resistance, noise
-    )
+    phase_margin = dm.phase_margin()
+    if phase_margin is None:
+        raise AnalysisError("no phase margin: unity crossing not found")
+    return gbw, phase_margin
 
 
 def _metrics_from_sweeps(
@@ -248,14 +330,7 @@ def _metrics_from_sweeps(
     measurement (:func:`repro.analysis.ensemble.measure_ota_ensemble`),
     which produces the same sweeps from one batched solve.
     """
-    gbw = dm.unity_gain_frequency()
-    if gbw is None:
-        raise AnalysisError(
-            "differential gain never crosses unity; widen the sweep"
-        )
-    phase_margin = dm.phase_margin()
-    if phase_margin is None:
-        raise AnalysisError("no phase margin: unity crossing not found")
+    gbw, phase_margin = _loop_gain(dm)
 
     cmrr = dm.magnitude[0] / max(cm.magnitude[0], 1e-30)
     psrr = dm.magnitude[0] / max(ps.magnitude[0], 1e-30)

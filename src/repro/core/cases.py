@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.analysis.metrics import OtaMetrics, measure_ota
 from repro.layout.extraction import annotate_circuit, extract_cell
@@ -35,18 +35,27 @@ class CaseResult:
     layout: OtaLayoutResult
     layout_calls: int
     elapsed: float
+    sizing_sources: Tuple[str, ...] = ()
+    """Per-round sizing provenance (:attr:`SynthesisOutcome.sizing_sources`;
+    ``("computed",)`` for the single sizing of a non-layout case)."""
 
     @property
     def label(self) -> str:
         return f"Case ({self.mode.value})"
+
+    @property
+    def sizing_served(self) -> bool:
+        """True when some sizing round was not computed in this run, so
+        :attr:`elapsed` leaves out that round's work."""
+        return any(source != "computed" for source in self.sizing_sources)
 
     def fingerprint(self) -> str:
         """Stable content hash of the deterministic result payload.
 
         Covers everything a Table-1 column is built from — the mode,
         the sizing, both measurement sets, the layout report and fold
-        configuration — and deliberately excludes wall-clock ``elapsed``
-        and the geometry cell object, so identical designs hash
+        configuration — and deliberately excludes wall-clock ``elapsed``,
+        ``sizing_sources`` and the geometry cell object, so identical designs hash
         identically no matter how long the run took or which process
         produced it.  The batch driver's serial-vs-parallel determinism
         check compares these.
@@ -123,6 +132,7 @@ def run_case(
         sizing = outcome.sizing
         layout = outcome.layout
         layout_calls = outcome.layout_calls
+        sizing_sources = tuple(outcome.sizing_sources)
         assert layout is not None
     else:
         sizing = plan.size(specs, mode)
@@ -134,6 +144,7 @@ def run_case(
         )
         layout = generate_ota_layout(request, mode="generate")
         layout_calls = 0
+        sizing_sources = ("computed",)
 
     synthesized = sizing.predicted
     assert synthesized is not None
@@ -147,4 +158,5 @@ def run_case(
         layout=layout,
         layout_calls=layout_calls,
         elapsed=time.perf_counter() - start,
+        sizing_sources=sizing_sources,
     )

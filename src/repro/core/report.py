@@ -26,6 +26,12 @@ TABLE1_ROWS: Tuple[Tuple[str, str, float, str], ...] = (
     ("Power dissipation (mW)", "power", 1e3, "{:.2f}"),
 )
 
+#: Footnote under a table with a marked (``*``) sizing-time cell.
+SERVED_FOOTNOTE = (
+    "* some sizing rounds were served from the sizing memo or a journal; "
+    "the time excludes them"
+)
+
 
 def metrics_rows(metrics: OtaMetrics) -> Dict[str, float]:
     """Scaled Table-1 row values for one measurement."""
@@ -40,7 +46,8 @@ def format_table1(results: Sequence[CaseResult], title: str = "Table 1") -> str:
 
     Every cell is ``synthesized(extracted)``, matching the paper's
     "values between brackets are obtained from layout generation,
-    extraction and simulation".
+    extraction and simulation".  A sizing time whose case had sizing
+    rounds served rather than computed is marked ``*`` and footnoted.
     """
     header = [f"{title}"]
     label_width = max(len(row[0]) for row in TABLE1_ROWS) + 2
@@ -72,7 +79,15 @@ def format_table1(results: Sequence[CaseResult], title: str = "Table 1") -> str:
         ),
         f"{'Sizing time (s)':<{label_width}}"
         + "".join(
-            f"{result.elapsed:>{column_width}.1f}" for result in results
+            f"{_sizing_time(result):>{column_width}}" for result in results
         ),
     ]
+    if any(result.sizing_served for result in results):
+        footer.append(SERVED_FOOTNOTE)
     return "\n".join(header + lines + footer)
+
+
+def _sizing_time(result: CaseResult) -> str:
+    """Sizing-time cell, marked ``*`` when some round was not computed."""
+    mark = "*" if result.sizing_served else ""
+    return f"{result.elapsed:.1f}{mark}"

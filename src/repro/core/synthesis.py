@@ -75,6 +75,10 @@ class SynthesisOutcome:
     when only the final generation pass failed."""
     trace: Optional[TraceSummary] = None
     """Telemetry summary of the run when a tracer was active, else None."""
+    sizing_sources: List[str] = field(default_factory=list)
+    """Where each round's sizing came from, in round order: the
+    ``synthesis.sizing`` memo source (``computed``, ``memo``) or
+    ``journal`` for a round replayed from a run journal."""
 
     def fingerprint(self) -> str:
         """Stable content hash of the deterministic result payload.
@@ -82,9 +86,9 @@ class SynthesisOutcome:
         Covers the sizing, the converged feedback report, every round
         record and the final layout's report/fold configuration, and
         deliberately excludes wall-clock ``elapsed``, the geometry cell
-        object, diagnostics text and the trace — so a run hashes
-        identically whether its rounds were computed, replayed from a
-        journal or served from the incremental caches.  The CI
+        object, diagnostics text, the trace and ``sizing_sources`` — so a
+        run hashes identically whether its rounds were computed, replayed
+        from a journal or served from the incremental caches.  The CI
         incremental-on/off determinism check compares these.
         """
         payload = (
@@ -202,7 +206,7 @@ class LayoutOrientedSynthesizer:
         )
 
     def _size_round(self, specs, mode, feedback, budget):
-        """One sizing round through the ``sizing`` memo.
+        """One sizing round through the ``sizing`` memo: ``(sizing, source)``.
 
         The memo value carries the warm-start snapshot taken *after* the
         original call; a hit restores it, so every downstream DC solve —
@@ -227,7 +231,7 @@ class LayoutOrientedSynthesizer:
             span.annotate(source=source)
         if source != "computed":
             warmstart.restore(warm_after)
-        return copy.deepcopy(sizing)
+        return copy.deepcopy(sizing), source
 
     def run(
         self,
@@ -301,6 +305,7 @@ class LayoutOrientedSynthesizer:
 
         start = time.perf_counter()
         records: List[SynthesisRecord] = []
+        sizing_sources: List[str] = []
         feedback: Optional[ParasiticReport] = None
         sizing: Optional[SizingResult] = None
         converged = False
@@ -321,6 +326,7 @@ class LayoutOrientedSynthesizer:
                         record = unit["record"]
                         warmstart.restore(unit["warm"])
                         records.append(record)
+                        sizing_sources.append("journal")
                         sizing = record.sizing
                         previous = feedback
                         feedback = record.report
@@ -355,9 +361,10 @@ class LayoutOrientedSynthesizer:
                             faults.maybe_raise(
                                 "synthesis.sizing", index=round_index
                             )
-                        sizing = self._size_round(
+                        sizing, source = self._size_round(
                             specs, mode, feedback, budget
                         )
+                        sizing_sources.append(source)
                         stage = "layout"
                         if faults.active():
                             faults.maybe_raise(
@@ -498,4 +505,5 @@ class LayoutOrientedSynthesizer:
             elapsed=time.perf_counter() - start,
             converged=converged and not degraded,
             diagnostics=diagnostics,
+            sizing_sources=sizing_sources,
         )

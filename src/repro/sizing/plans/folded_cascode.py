@@ -26,7 +26,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from repro import telemetry
-from repro.analysis.metrics import measure_ota
+from repro.analysis.metrics import OtaMeasurement
 from repro.circuit.testbench import OtaTestbench
 from repro.circuit.topologies.folded_cascode import (
     FOLDED_CASCODE_DEVICES,
@@ -246,7 +246,7 @@ class FoldedCascodePlan(DesignPlan):
         lengths = dict(self.initial_lengths)
         kappa = 1.0
         cl_eff = specs.cload
-        metrics = None
+        measurement = None
         result = None
         iterations = 0
         bias = None
@@ -307,10 +307,11 @@ class FoldedCascodePlan(DesignPlan):
                 mode=mode,
             )
             testbench = self.build_testbench(result, specs, mode, feedback)
-            metrics = measure_ota(testbench)
+            measurement = OtaMeasurement(testbench)
+            gbw, phase_margin = measurement.loop_gain()
 
-            gbw_error = (metrics.gbw - specs.gbw) / specs.gbw
-            pm_error = specs.phase_margin - metrics.phase_margin_deg
+            gbw_error = (gbw - specs.gbw) / specs.gbw
+            pm_error = specs.phase_margin - phase_margin
 
             if (
                 abs(gbw_error) <= self.gbw_tolerance
@@ -319,7 +320,7 @@ class FoldedCascodePlan(DesignPlan):
                 break
 
             # New current estimation from the measured effective load.
-            cl_eff = gm1 / (2.0 * math.pi * metrics.gbw)
+            cl_eff = gm1 / (2.0 * math.pi * gbw)
 
             # Monotonic iteration on cascode/mirror lengths (then branch
             # current) until the phase margin lands on target.  A deficit
@@ -353,8 +354,10 @@ class FoldedCascodePlan(DesignPlan):
                     if not grew:
                         break  # both knobs exhausted; accept the overshoot
 
-        assert result is not None and metrics is not None
-        result.predicted = metrics
+        assert result is not None and measurement is not None
+        # Every loop exit leaves the last iteration's handle here; its full
+        # suite reuses that iteration's DC solve.
+        result.predicted = measurement.metrics()
         result.iterations = iterations
         if telemetry.enabled():
             telemetry.count("sizing.iterations", iterations)

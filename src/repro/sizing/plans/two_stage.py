@@ -19,7 +19,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from repro import telemetry
-from repro.analysis.metrics import measure_ota
+from repro.analysis.metrics import OtaMeasurement
 from repro.circuit.testbench import OtaTestbench
 from repro.circuit.topologies.folded_cascode import DeviceSize
 from repro.circuit.topologies.two_stage import (
@@ -102,7 +102,7 @@ class TwoStagePlan(DesignPlan):
         cc = self.cc_ratio * specs.cload
         cc_eff = cc
         gm6_factor = 3.0
-        metrics = None
+        measurement = None
         result = None
         iterations = 0
         max_iterations = (
@@ -174,24 +174,26 @@ class TwoStagePlan(DesignPlan):
             result.biases["_cc"] = cc
 
             testbench = self.build_testbench(result, specs, mode, feedback)
-            metrics = measure_ota(testbench)
+            measurement = OtaMeasurement(testbench)
+            gbw, phase_margin = measurement.loop_gain()
 
-            gbw_error = (metrics.gbw - specs.gbw) / specs.gbw
-            pm_error = specs.phase_margin - metrics.phase_margin_deg
+            gbw_error = (gbw - specs.gbw) / specs.gbw
+            pm_error = specs.phase_margin - phase_margin
             if (
                 abs(gbw_error) <= self.gbw_tolerance
                 and abs(pm_error) <= self.pm_tolerance
             ):
                 break
-            cc_eff = gm1 / (2.0 * math.pi * metrics.gbw) * cc_eff / cc * cc
-            cc_eff = gm1 / (2.0 * math.pi * metrics.gbw)
+            cc_eff = gm1 / (2.0 * math.pi * gbw)
             if pm_error > self.pm_tolerance:
                 gm6_factor *= 1.0 + min(pm_error / 30.0, 0.5)
             elif pm_error < -4.0 * self.pm_tolerance and gm6_factor > 1.5:
                 gm6_factor *= max(0.8, 1.0 + pm_error / 100.0)
 
-        assert result is not None and metrics is not None
-        result.predicted = metrics
+        assert result is not None and measurement is not None
+        # Every loop exit leaves the last iteration's handle here; its full
+        # suite reuses that iteration's DC solve.
+        result.predicted = measurement.metrics()
         result.iterations = iterations
         if telemetry.enabled():
             telemetry.count("sizing.iterations", iterations)

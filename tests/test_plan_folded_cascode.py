@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.metrics import measure_ota
 from repro.circuit.topologies.folded_cascode import FOLDED_CASCODE_DEVICES
 from repro.mos.junction import DiffusionGeometry
 from repro.sizing.plans.folded_cascode import DEVICE_ROLE, FoldedCascodePlan
@@ -58,6 +59,30 @@ class TestCaseOneSizing:
         gm_needed = 2 * math.pi * specs.gbw * specs.cload
         id_floor = gm_needed * plan.veff_input / 2.0
         assert id1 >= 0.9 * id_floor
+
+
+class TestPredictedIsFullSuite:
+    """``predicted`` is the full Table-1 suite of the accepted iteration
+    (the loop itself reads only the loop gain), whichever way it exits."""
+
+    def test_tolerance_exit(self, plan, sized_case1, specs):
+        predicted = sized_case1.predicted
+        assert sized_case1.iterations < plan.max_iterations
+        assert abs(predicted.gbw - specs.gbw) <= plan.gbw_tolerance * specs.gbw
+        assert abs(
+            predicted.phase_margin_deg - specs.phase_margin
+        ) <= plan.pm_tolerance
+        bench = plan.build_testbench(sized_case1, specs, ParasiticMode.NONE)
+        assert predicted == measure_ota(bench)
+
+    def test_iteration_cap_exit(self, tech, specs):
+        capped = FoldedCascodePlan(tech, max_iterations=1)
+        result = capped.size(specs, ParasiticMode.SINGLE_FOLD)
+        assert result.iterations == 1
+        bench = capped.build_testbench(
+            result, specs, ParasiticMode.SINGLE_FOLD
+        )
+        assert result.predicted == measure_ota(bench)
 
 
 class TestCaseTwoSizing:
@@ -187,6 +212,12 @@ class TestSlewRateSpec:
     @pytest.fixture(scope="class")
     def slew_sized(self, tech, slew_specs):
         return FoldedCascodePlan(tech).size(slew_specs, ParasiticMode.NONE)
+
+    def test_predicted_is_full_suite(self, plan, slew_sized, slew_specs):
+        bench = plan.build_testbench(
+            slew_sized, slew_specs, ParasiticMode.NONE
+        )
+        assert slew_sized.predicted == measure_ota(bench)
 
     def test_slew_target_met(self, slew_sized, slew_specs):
         assert slew_sized.predicted.slew_rate >= 0.97 * slew_specs.slew_rate

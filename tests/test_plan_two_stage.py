@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.metrics import measure_ota
 from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.units import PF
@@ -45,6 +46,41 @@ class TestSizing:
 
     def test_all_saturated(self, sized):
         assert sized.predicted.all_saturated()
+
+
+class TestPredictedIsFullSuite:
+    """``predicted`` is the full Table-1 suite of the accepted iteration
+    (the loop itself reads only the loop gain), whichever way it exits."""
+
+    def test_tolerance_exit(self, tech, sized, two_stage_specs):
+        plan = TwoStagePlan(tech)
+        # The only early exit of this plan is the tolerance test.
+        assert sized.iterations < plan.max_iterations
+        bench = plan.build_testbench(sized, two_stage_specs, ParasiticMode.NONE)
+        assert sized.predicted == measure_ota(bench)
+
+    def test_slew_spec_sizing(self, tech, two_stage_specs):
+        specs = OtaSpecs(
+            vdd=two_stage_specs.vdd, gbw=two_stage_specs.gbw,
+            phase_margin=two_stage_specs.phase_margin,
+            cload=two_stage_specs.cload,
+            input_cm_range=two_stage_specs.input_cm_range,
+            output_range=two_stage_specs.output_range,
+            slew_rate=20e6,
+        )
+        plan = TwoStagePlan(tech)
+        result = plan.size(specs, ParasiticMode.SINGLE_FOLD)
+        bench = plan.build_testbench(result, specs, ParasiticMode.SINGLE_FOLD)
+        assert result.predicted == measure_ota(bench)
+
+    def test_iteration_cap_exit(self, tech, two_stage_specs):
+        capped = TwoStagePlan(tech, max_iterations=1)
+        result = capped.size(two_stage_specs, ParasiticMode.SINGLE_FOLD)
+        assert result.iterations == 1
+        bench = capped.build_testbench(
+            result, two_stage_specs, ParasiticMode.SINGLE_FOLD
+        )
+        assert result.predicted == measure_ota(bench)
 
 
 class TestParasiticModes:
