@@ -8,7 +8,7 @@ Commands mirror the paper's experiments:
 * ``figure2``     — the capacitance reduction factor curves;
 * ``figure3``     — the 1:3:6 current-mirror stack;
 * ``evaluate``    — technology characterisation and ranking;
-* ``bench``       — legacy vs compiled analysis-engine timings
+* ``bench``       — analysis, layout and runtime timings
   (writes ``BENCH_analysis.json``);
 * ``trace``       — replay a JSONL telemetry trace written by ``--trace``.
 
@@ -158,9 +158,9 @@ def _configure_runtime(args: argparse.Namespace) -> None:
 
         runtime_pool.set_persistent(False)
     if getattr(args, "no_incremental", False):
-        from repro.layout.engine import FROM_SCRATCH, incremental_engine
+        from repro.layout import incremental
 
-        incremental_engine.set_default(FROM_SCRATCH)
+        incremental.set_on(False)
 
 
 def _add_journal_arguments(parser: argparse.ArgumentParser) -> None:
@@ -497,13 +497,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: output directory does not exist: {json_dir}",
               file=sys.stderr)
         return 2
-    print("timing legacy vs compiled engines ...", file=sys.stderr)
+    print("timing the analysis workloads ...", file=sys.stderr)
     results = run_benchmarks(
         repeat=args.repeat,
         include_synthesis=not args.no_synthesis,
     )
     if not args.no_layout:
-        print("timing scalar vs vectorized layout path ...", file=sys.stderr)
+        print("timing the layout path ...", file=sys.stderr)
         results.update(
             run_layout_benchmarks(
                 repeat=args.repeat, batch_jobs=args.table1_jobs
@@ -717,7 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure3.set_defaults(func=cmd_figure3)
 
     bench = subparsers.add_parser(
-        "bench", help="time the legacy vs compiled analysis engines"
+        "bench",
+        help="time the analysis, layout and runtime workloads and gate "
+             "them against a baseline record",
     )
     bench.add_argument("--repeat", type=int, default=3,
                        help="best-of repetitions per workload (default 3)")
@@ -793,8 +795,13 @@ def main(argv: Optional[list] = None) -> int:
 
     # The CI kill-resume smoke job (and any operator) can arm fault
     # sites from the environment, e.g.
-    # REPRO_FAULTS="process.kill:at=2,action=crash".
-    faults.arm_from_env()
+    # REPRO_FAULTS="process.kill:at=2,action=crash".  A malformed plan
+    # is a usage error: nothing is armed and the run does not start.
+    try:
+        faults.arm_from_env()
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     # Each CLI invocation is its own process in real use; in-process
     # callers (tests, scripts calling main() repeatedly) share the
     # module-level differential stores, which would make a later

@@ -17,15 +17,15 @@ A compact modified-nodal-analysis (MNA) simulator sized for analog cells:
 It plays the role the commercial simulator plays in the paper: the
 *independent* evaluation of extracted netlists.
 
-Two interchangeable engines back every analysis (see
-:mod:`repro.analysis.engine`): the default vectorized compiled-stamp
-engine (:mod:`repro.analysis.stamps`) and the legacy per-element
-reference implementation, selectable per call via ``engine=`` or
-process-wide via :data:`~repro.analysis.engine.analysis_engine`
-(``analysis_engine.use(...)`` / ``analysis_engine.set_default(...)``).
+One engine backs every analysis: the compiled-stamp engine
+(:mod:`repro.analysis.stamps`), which compiles a circuit once into flat
+index/value arrays, evaluates MOS devices in batches and solves AC and
+noise for all frequencies in one stacked call; ensembles of parameter
+vectors (Monte-Carlo samples, process corners) are solved as one stacked
+Newton (:mod:`repro.analysis.ensemble`).  The per-element reference it
+is tested against lives in ``tests/oracles/analysis.py``.
 """
 
-from repro.analysis.engine import analysis_engine
 from repro.analysis.stamps import LinearSystem, StampProgram
 from repro.analysis.dcop import DcSolution, solve_dc
 from repro.analysis.ac import AcSolution, ac_sweep, transfer_function
@@ -52,7 +52,6 @@ __all__ = [
     "TransferFunction",
     "TransientResult",
     "ac_sweep",
-    "analysis_engine",
     "measure_ota",
     "measure_slew_rate",
     "run_monte_carlo",

@@ -3,8 +3,10 @@
 The circuit is linearised at a previously computed DC solution: each MOS
 contributes its gm/gmb controlled sources, its output conductance and its
 five operating-point capacitances, stamped at the *effective* (orientation-
-resolved) terminals recorded by the DC solver.  The complex system
-``(G + j 2 pi f C) x = b`` is then solved per frequency.
+resolved) terminals recorded by the DC solver.  ``G`` and ``C`` are
+assembled once (:class:`~repro.analysis.stamps.LinearSystem`) and the
+complex system ``(G + j 2 pi f C) x = b`` is solved for every frequency
+in one stacked call.
 """
 
 from __future__ import annotations
@@ -15,121 +17,12 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.analysis.dcop import DcSolution
-from repro.analysis.engine import COMPILED, analysis_engine
-from repro.analysis.mna import (
-    NodeIndex,
-    solve_linear,
-    stamp_conductance,
-    stamp_vccs,
-    stamp_voltage_source,
-)
+from repro.analysis.mna import NodeIndex
+from repro.analysis.stamps import LinearSystem, solve_stacked_systems
 from repro.analysis.transfer import TransferFunction
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Mos,
-    Resistor,
-    VoltageSource,
-)
+from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
-
-
-def build_ac_matrices(
-    circuit: Circuit, dc: DcSolution, index: Optional[NodeIndex] = None
-) -> Tuple[np.ndarray, np.ndarray, NodeIndex]:
-    """Real conductance and capacitance matrices ``(G, C, index)``.
-
-    Voltage sources are stamped with zero value; drive amplitudes enter via
-    the right-hand side built separately (:func:`build_ac_rhs`).
-    """
-    if index is None:
-        index = NodeIndex(circuit)
-    size = index.size
-    conductance = np.zeros((size, size))
-    capacitance = np.zeros((size, size))
-    dummy_rhs = np.zeros(size)
-
-    for element in circuit:
-        if isinstance(element, Resistor):
-            stamp_conductance(
-                conductance,
-                index.node(element.a),
-                index.node(element.b),
-                1.0 / element.value,
-            )
-        elif isinstance(element, Capacitor):
-            stamp_conductance(
-                capacitance,
-                index.node(element.a),
-                index.node(element.b),
-                element.value,
-            )
-        elif isinstance(element, VoltageSource):
-            stamp_voltage_source(
-                conductance,
-                dummy_rhs,
-                index.node(element.pos),
-                index.node(element.neg),
-                index.branch(element.name),
-                0.0,
-            )
-        elif isinstance(element, CurrentSource):
-            continue  # open in small-signal unless driven (handled in RHS)
-        elif isinstance(element, Mos):
-            try:
-                solution = dc.devices[element.name]
-            except KeyError:
-                raise AnalysisError(
-                    f"DC solution has no device {element.name!r}; "
-                    "AC analysis needs a matching operating point"
-                ) from None
-            op = solution.op
-            drain = index.node(solution.eff_drain)
-            source = index.node(solution.eff_source)
-            gate = index.node(element.g)
-            bulk = index.node(element.b)
-            stamp_conductance(conductance, drain, source, op.gds)
-            stamp_vccs(conductance, drain, source, gate, source, op.gm)
-            stamp_vccs(conductance, drain, source, bulk, source, op.gmb)
-            stamp_conductance(capacitance, gate, source, op.cgs)
-            stamp_conductance(capacitance, gate, drain, op.cgd)
-            stamp_conductance(capacitance, gate, bulk, op.cgb)
-            stamp_conductance(capacitance, drain, bulk, op.cdb)
-            stamp_conductance(capacitance, source, bulk, op.csb)
-        else:  # pragma: no cover - future element types
-            raise NotImplementedError(f"AC stamp for {type(element).__name__}")
-
-    return conductance, capacitance, index
-
-
-def build_ac_rhs(
-    circuit: Circuit,
-    index: NodeIndex,
-    overrides: Optional[Dict[str, complex]] = None,
-) -> np.ndarray:
-    """AC excitation vector from each source's ``ac`` field.
-
-    ``overrides`` maps source names to amplitudes, replacing the stored
-    values (used for common-mode vs differential drives without mutating
-    the circuit).
-    """
-    rhs = np.zeros(index.size, dtype=complex)
-    overrides = overrides or {}
-    for element in circuit:
-        if isinstance(element, VoltageSource):
-            amplitude = overrides.get(element.name, element.ac)
-            rhs[index.branch(element.name)] += amplitude
-        elif isinstance(element, CurrentSource):
-            amplitude = overrides.get(element.name, element.ac)
-            if amplitude:
-                pos = index.node(element.pos)
-                neg = index.node(element.neg)
-                if pos >= 0:
-                    rhs[pos] -= amplitude
-                if neg >= 0:
-                    rhs[neg] += amplitude
-    return rhs
 
 
 @dataclass
@@ -158,37 +51,24 @@ def ac_sweep(
     dc: DcSolution,
     frequencies: Iterable[float],
     overrides: Optional[Dict[str, complex]] = None,
-    engine: Optional[str] = None,
 ) -> AcSolution:
     """Solve the linearised circuit across ``frequencies``.
 
-    The compiled engine stacks ``(G + j 2 pi f C)`` for every frequency
-    into one tensor and performs a single broadcasted solve; the legacy
-    engine factorizes per frequency.
+    ``(G + j 2 pi f C)`` is stacked for every frequency into one tensor
+    and solved in a single broadcasted call.
     """
     freq_array = np.asarray(list(frequencies), dtype=float)
     if freq_array.size == 0:
         raise AnalysisError("ac_sweep needs at least one frequency")
     if np.any(freq_array <= 0.0):
         raise AnalysisError("AC frequencies must be positive")
-    if analysis_engine.resolve(engine) == COMPILED:
-        from repro.analysis.stamps import LinearSystem
-
-        system = LinearSystem(circuit, dc)
-        solutions = system.solve_batch(freq_array, system.rhs(overrides))
-        return AcSolution(
-            frequencies=freq_array,
-            index=system.index,
-            solutions=solutions[:, :, 0],
-        )
-    conductance, capacitance, index = build_ac_matrices(circuit, dc)
-    rhs = build_ac_rhs(circuit, index, overrides)
-    solutions = np.zeros((freq_array.size, index.size), dtype=complex)
-    for i, frequency in enumerate(freq_array):
-        omega = 2.0 * np.pi * frequency
-        matrix = conductance + 1j * omega * capacitance
-        solutions[i] = solve_linear(matrix, rhs)
-    return AcSolution(frequencies=freq_array, index=index, solutions=solutions)
+    system = LinearSystem(circuit, dc)
+    solutions = system.solve_batch(freq_array, system.rhs(overrides))
+    return AcSolution(
+        frequencies=freq_array,
+        index=system.index,
+        solutions=solutions[:, :, 0],
+    )
 
 
 def ac_sweep_ensemble(
@@ -201,12 +81,10 @@ def ac_sweep_ensemble(
     Every member must linearise to the same system size (same node and
     branch layout — e.g. the same testbench at different process corners
     or operating points); the shared ``overrides`` drive is applied to
-    each.  Matches K independent compiled :func:`ac_sweep` calls bit for
-    bit, because the stacked solve still runs LAPACK per (member,
-    frequency) matrix.
+    each.  Matches K independent :func:`ac_sweep` calls bit for bit,
+    because the stacked solve still runs LAPACK per (member, frequency)
+    matrix.
     """
-    from repro.analysis.stamps import LinearSystem, solve_stacked_systems
-
     pairs = list(members)
     if not pairs:
         raise AnalysisError("ac_sweep_ensemble needs at least one member")
@@ -243,12 +121,9 @@ def transfer_function(
     output_net: str,
     frequencies: Iterable[float],
     overrides: Optional[Dict[str, complex]] = None,
-    engine: Optional[str] = None,
 ) -> TransferFunction:
     """Convenience wrapper: sweep and return the transfer to one net."""
-    return ac_sweep(circuit, dc, frequencies, overrides, engine).transfer(
-        output_net
-    )
+    return ac_sweep(circuit, dc, frequencies, overrides).transfer(output_net)
 
 
 def output_impedance(
@@ -257,7 +132,6 @@ def output_impedance(
     output_net: str,
     frequencies: Iterable[float],
     injection_name: str = "_zout_probe",
-    engine: Optional[str] = None,
 ) -> TransferFunction:
     """Impedance seen into ``output_net`` with all drives silenced.
 
@@ -278,7 +152,7 @@ def output_impedance(
         and e.name != injection_name
     }
     return transfer_function(
-        probe_circuit, dc, output_net, frequencies, overrides, engine
+        probe_circuit, dc, output_net, frequencies, overrides
     )
 
 

@@ -17,8 +17,8 @@ Design rules (pinned by ``tests/test_ensemble.py``):
   GEMM kernel), so a member's trajectory is independent of which other
   members share its batch.  The default ``solve()`` mirrors the scalar
   :class:`~repro.resilience.policy.DirectNewton` rung stage for stage,
-  keeping the stacked path sample-for-sample equal to the per-sample
-  golden path at rtol 1e-9 — and shard partitioning bit-identical.
+  keeping the stacked path sample-for-sample equal to one scalar ladder
+  run per member at rtol 1e-9 — and shard partitioning bit-identical.
   ``solve(seed=...)`` mirrors the
   :class:`~repro.resilience.policy.WarmStart` rung instead: the same two
   stages from the seed, then the scalar ladder of
@@ -38,8 +38,9 @@ Design rules (pinned by ``tests/test_ensemble.py``):
   structured :class:`~repro.resilience.policy.ConvergenceReport` (and
   raise the same :class:`~repro.errors.ConvergenceError`) as before.
 
-The per-sample path remains the golden reference behind
-:data:`repro.analysis.engine.ensemble_engine` (``"per-sample"``).
+The per-member reference the tests compare against is plain public
+calls: ``[measure_ota(tb) for tb in benches]`` for measurements, and a
+``warm_policy(nominal).run(program)`` loop for Monte-Carlo rows.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
 from repro.analysis.mna import NodeIndex
 from repro.circuit.elements import (
     Capacitor,
@@ -74,9 +74,6 @@ __all__ = [
     "EnsembleSolution",
     "EnsembleMeasurement",
     "measure_ota_ensemble",
-    "ensemble_engine",
-    "STACKED",
-    "PERSAMPLE",
 ]
 
 
@@ -699,26 +696,19 @@ def measure_ota_ensemble(
     f_start: float = 1.0,
     f_stop: float = 3.0e9,
     points_per_decade: int = 24,
-    engine: Optional[str] = None,
 ) -> List[EnsembleMeasurement]:
     """Table-1 measurement of K structurally identical testbenches.
 
     The stacked path shares one compiled program: one batched feedback DC
     solve biases every member, then all members' small-signal questions
     (drives, impedance probe, noise injections) are answered by a single
-    ``(K, F, n, n)`` solve.  The per-member ``measure_ota`` loop remains
-    the golden reference (``engine="per-sample"``), and is also the
-    automatic fallback when the members are not stackable (different
-    structure, non-level-1 models).
+    ``(K, F, n, n)`` solve.  Members that are not stackable (different
+    structure, non-level-1 models) are measured one ``measure_ota`` call
+    each instead.
     """
     benches = list(benches)
     if not benches:
         return []
-    if ensemble_engine.resolve(engine) == PERSAMPLE:
-        return [
-            _measure_single(tb, f_start, f_stop, points_per_decade)
-            for tb in benches
-        ]
 
     from repro.analysis.ac import logspace_frequencies
     from repro.analysis.dcop import _package_solution
@@ -796,7 +786,7 @@ def measure_ota_ensemble(
                 noise_analysis = NoiseAnalysis(
                     tb.circuit, dc, tb.output_net,
                     {**silence, **diff_drive},
-                    engine="compiled", system=system,
+                    system=system,
                 )
                 zout_column = system.injection_columns(
                     [(-1, out_node)]

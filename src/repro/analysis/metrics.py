@@ -23,15 +23,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ac import (
-    ac_sweep,
-    logspace_frequencies,
-    output_impedance,
-)
 from repro import telemetry
+from repro.analysis.ac import logspace_frequencies
 from repro.analysis.dcop import DcSolution, solve_dc
-from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.noise import NoiseAnalysis
+from repro.analysis.stamps import LinearSystem
 from repro.analysis.transfer import TransferFunction
 from repro.circuit.net import canonical
 from repro.circuit.elements import VoltageSource
@@ -71,9 +67,7 @@ class OtaMetrics:
         )
 
 
-def feedback_dc_solution(
-    tb: OtaTestbench, engine: Optional[str] = None
-) -> Tuple[DcSolution, float]:
+def feedback_dc_solution(tb: OtaTestbench) -> Tuple[DcSolution, float]:
     """DC solve in unity feedback; returns (solution, offset voltage).
 
     The inverting-input source is replaced by a 0 V source from the output,
@@ -83,7 +77,7 @@ def feedback_dc_solution(
     clone = tb.circuit.clone(tb.circuit.name + "_fb")
     clone.remove(tb.source_neg)
     clone.add_vsource("_fb", tb.input_neg_net, tb.output_net, dc=0.0)
-    solution = solve_dc(clone, engine=engine)
+    solution = solve_dc(clone)
     offset = solution.voltage(tb.output_net) - tb.common_mode_voltage()
     return solution, offset
 
@@ -123,8 +117,8 @@ class OtaMeasurement:
     """One OTA testbench measured in two stages on one DC solve.
 
     Construction runs the unity-feedback DC solve
-    (:func:`feedback_dc_solution`) and, on the compiled engine, linearises
-    the circuit once into a :class:`~repro.analysis.stamps.LinearSystem`.
+    (:func:`feedback_dc_solution`) and linearises the circuit once into a
+    :class:`~repro.analysis.stamps.LinearSystem`.
     The two stages then share that operating point:
 
     * :meth:`loop_gain` solves only the differential sweep and returns
@@ -147,12 +141,10 @@ class OtaMeasurement:
         f_start: float = 1.0,
         f_stop: float = 3.0e9,
         points_per_decade: int = 24,
-        engine: Optional[str] = None,
     ):
         self.tb = tb
         self.f_start = f_start
-        self.engine = analysis_engine.resolve(engine)
-        self.dc, self.offset = feedback_dc_solution(tb, engine=self.engine)
+        self.dc, self.offset = feedback_dc_solution(tb)
         self.frequencies = logspace_frequencies(
             f_start, f_stop, points_per_decade
         )
@@ -176,30 +168,16 @@ class OtaMeasurement:
         self._cm_drive = {**silence, **cm_drive}
         self._supply_drive = supply_drive
 
-        self.system = None
-        if self.engine == COMPILED:
-            from repro.analysis.stamps import LinearSystem
-
-            self.system = LinearSystem(tb.circuit, self.dc)
-            self._out_node = self.system.index.node(tb.output_net)
-            if self._out_node < 0:
-                raise AnalysisError("OTA output cannot be the ground net")
-
-    def _sweep(self, drive: Dict[str, float]) -> TransferFunction:
-        """Legacy-engine output transfer for one drive."""
-        return ac_sweep(
-            self.tb.circuit, self.dc, self.frequencies, drive,
-            engine=self.engine,
-        ).transfer(self.tb.output_net)
+        self.system = LinearSystem(tb.circuit, self.dc)
+        self._out_node = self.system.index.node(tb.output_net)
+        if self._out_node < 0:
+            raise AnalysisError("OTA output cannot be the ground net")
 
     def loop_gain(self) -> Tuple[float, float]:
         """``(gbw, phase_margin_deg)`` from the differential sweep alone."""
         with telemetry.span(
-            "analysis.loop_gain", circuit=self.tb.circuit.name,
-            engine=self.engine,
+            "analysis.loop_gain", circuit=self.tb.circuit.name
         ):
-            if self.system is None:
-                return _loop_gain(self._sweep(self._dm_drive))
             solved = self.system.solve_batch(
                 self.frequencies, self.system.rhs(self._dm_drive)
             )
@@ -213,69 +191,48 @@ class OtaMeasurement:
     def metrics(self) -> OtaMetrics:
         """The full Table-1 suite at the stored operating point.
 
-        With the compiled engine the differential, common-mode and supply
-        sweeps plus the impedance probe are four right-hand-side columns
-        of a single batched solve, and the noise injections ride along on
-        the same system.
+        The differential, common-mode and supply sweeps plus the impedance
+        probe are four right-hand-side columns of a single batched solve,
+        and the noise injections ride along on the same system.
         """
         tb = self.tb
         dc = self.dc
         frequencies = self.frequencies
-        if self.system is not None:
-            system = self.system
-            out_node = self._out_node
-            noise_analysis = NoiseAnalysis(
-                tb.circuit,
-                dc,
-                tb.output_net,
-                self._dm_drive,
-                engine=self.engine,
-                system=system,
-            )
-            # A current probe stamps nothing into G/C, so the impedance
-            # column is a unit injection into the output on the very same
-            # system; the noise injections ride along too, so the whole
-            # measurement suite is one factorisation of the stacked
-            # (F, n, n) tensor.
-            zout_column = system.injection_columns([(-1, out_node)])[:, 0]
-            columns = np.concatenate(
-                [
-                    np.stack(
-                        [
-                            system.rhs(self._dm_drive),
-                            system.rhs(self._cm_drive),
-                            system.rhs(self._supply_drive),
-                            zout_column,
-                        ],
-                        axis=1,
-                    ),
-                    noise_analysis.rhs_columns,
-                ],
-                axis=1,
-            )
-            solved = system.solve_batch(frequencies, columns)
-            transfers = solved[:, out_node, :]
-            dm = TransferFunction(frequencies.copy(), transfers[:, 0].copy())
-            cm = TransferFunction(frequencies.copy(), transfers[:, 1].copy())
-            ps = TransferFunction(frequencies.copy(), transfers[:, 2].copy())
-            output_resistance = float(abs(transfers[0, 3]))
-            noise = noise_analysis.result_from_output_transfers(
-                frequencies, transfers[:, 4:]
-            )
-        else:
-            dm = self._sweep(self._dm_drive)
-            cm = self._sweep(self._cm_drive)
-            ps = self._sweep(self._supply_drive)
-            zout = output_impedance(
-                tb.circuit, dc, tb.output_net, [self.f_start],
-                engine=self.engine,
-            )
-            output_resistance = float(zout.magnitude[0])
-            noise = NoiseAnalysis(
-                tb.circuit, dc, tb.output_net, self._dm_drive,
-                engine=self.engine,
-            ).run(frequencies)
-
+        system = self.system
+        out_node = self._out_node
+        noise_analysis = NoiseAnalysis(
+            tb.circuit, dc, tb.output_net, self._dm_drive, system=system
+        )
+        # A current probe stamps nothing into G/C, so the impedance
+        # column is a unit injection into the output on the very same
+        # system; the noise injections ride along too, so the whole
+        # measurement suite is one factorisation of the stacked
+        # (F, n, n) tensor.
+        zout_column = system.injection_columns([(-1, out_node)])[:, 0]
+        columns = np.concatenate(
+            [
+                np.stack(
+                    [
+                        system.rhs(self._dm_drive),
+                        system.rhs(self._cm_drive),
+                        system.rhs(self._supply_drive),
+                        zout_column,
+                    ],
+                    axis=1,
+                ),
+                noise_analysis.rhs_columns,
+            ],
+            axis=1,
+        )
+        solved = system.solve_batch(frequencies, columns)
+        transfers = solved[:, out_node, :]
+        dm = TransferFunction(frequencies.copy(), transfers[:, 0].copy())
+        cm = TransferFunction(frequencies.copy(), transfers[:, 1].copy())
+        ps = TransferFunction(frequencies.copy(), transfers[:, 2].copy())
+        output_resistance = float(abs(transfers[0, 3]))
+        noise = noise_analysis.result_from_output_transfers(
+            frequencies, transfers[:, 4:]
+        )
         return _metrics_from_sweeps(
             tb, dc, self.offset, dm, cm, ps, output_resistance, noise
         )
@@ -286,18 +243,14 @@ def measure_ota(
     f_start: float = 1.0,
     f_stop: float = 3.0e9,
     points_per_decade: int = 24,
-    engine: Optional[str] = None,
 ) -> OtaMetrics:
     """Run the full Table-1 measurement suite on an OTA testbench.
 
     One :class:`OtaMeasurement` taken straight to :meth:`~OtaMeasurement.metrics`.
     """
-    engine_name = analysis_engine.resolve(engine)
-    with telemetry.span(
-        "analysis.measure", circuit=tb.circuit.name, engine=engine_name
-    ):
+    with telemetry.span("analysis.measure", circuit=tb.circuit.name):
         return OtaMeasurement(
-            tb, f_start, f_stop, points_per_decade, engine_name
+            tb, f_start, f_stop, points_per_decade
         ).metrics()
 
 

@@ -1,9 +1,8 @@
 """Modified nodal analysis scaffolding.
 
 :class:`NodeIndex` maps net names to matrix rows; voltage sources get extra
-branch-current unknowns.  Stamp helpers write conductances, capacitances and
-controlled sources into dense numpy matrices — dense is the right choice for
-cell-level circuits (tens of nodes).
+branch-current unknowns.  Matrices are dense — the right choice for
+cell-level circuits (tens of nodes) — and :func:`solve_linear` solves them.
 """
 
 from __future__ import annotations
@@ -62,64 +61,6 @@ class NodeIndex:
         for net, index in self._node_of.items():
             result[net] = float(np.real(solution[index]))
         return result
-
-
-def stamp_conductance(matrix: np.ndarray, i: int, j: int, value: float) -> None:
-    """Stamp a two-terminal conductance between matrix rows i and j.
-
-    Either index may be -1 (ground).
-    """
-    if i >= 0:
-        matrix[i, i] += value
-        if j >= 0:
-            matrix[i, j] -= value
-    if j >= 0:
-        matrix[j, j] += value
-        if i >= 0:
-            matrix[j, i] -= value
-
-
-def stamp_vccs(
-    matrix: np.ndarray,
-    out_pos: int,
-    out_neg: int,
-    ctrl_pos: int,
-    ctrl_neg: int,
-    gm: float,
-) -> None:
-    """Stamp a voltage-controlled current source.
-
-    Current ``gm * (v_ctrl_pos - v_ctrl_neg)`` flows from ``out_pos`` to
-    ``out_neg`` through the source (out of out_pos node).
-    """
-    for out, sign_out in ((out_pos, 1.0), (out_neg, -1.0)):
-        if out < 0:
-            continue
-        for ctrl, sign_ctrl in ((ctrl_pos, 1.0), (ctrl_neg, -1.0)):
-            if ctrl < 0:
-                continue
-            matrix[out, ctrl] += sign_out * sign_ctrl * gm
-
-
-def stamp_voltage_source(
-    matrix: np.ndarray, rhs: np.ndarray, pos: int, neg: int, branch: int, value: float
-) -> None:
-    """Stamp an ideal voltage source with its branch-current row."""
-    if pos >= 0:
-        matrix[pos, branch] += 1.0
-        matrix[branch, pos] += 1.0
-    if neg >= 0:
-        matrix[neg, branch] -= 1.0
-        matrix[branch, neg] -= 1.0
-    rhs[branch] += value
-
-
-def stamp_current(rhs: np.ndarray, pos: int, neg: int, value: float) -> None:
-    """Stamp an independent current source (pos -> neg through the source)."""
-    if pos >= 0:
-        rhs[pos] -= value
-    if neg >= 0:
-        rhs[neg] += value
 
 
 def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

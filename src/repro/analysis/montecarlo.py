@@ -7,13 +7,14 @@ with ``sigma_VT = A_VT / sqrt(W L)`` and a relative current-factor error
 with ``sigma_beta = A_beta / sqrt(W L)``, then the requested measurement is
 re-run per sample.
 
-The compiled engine draws **all** samples up front (one vectorized RNG
-call whose stream matches the legacy per-device draw order), compiles the
-feedback circuit into one :class:`~repro.analysis.stamps.StampProgram`
-and re-biases it per sample instead of re-cloning and re-stamping; with
-``workers=N`` the pre-drawn sample rows are partitioned over a process
-pool.  Because the draws are fixed before any work is scheduled, results
-are identical for any worker count.
+All samples are drawn up front (one vectorized RNG call whose stream
+matches :func:`apply_mismatch`'s per-device draw order), the feedback
+circuit is compiled into one :class:`~repro.analysis.stamps.StampProgram`
+and every shard of rows is solved as one stacked ensemble instead of
+re-cloning and re-stamping per sample; with ``workers=N`` the pre-drawn
+sample rows are partitioned over a process pool.  Because the draws are
+fixed before any work is scheduled, results are identical for any worker
+count.
 
 Pooled dispatch goes through the persistent executor runtime
 (:mod:`repro.runtime`): the pool is reused across calls, the sample
@@ -37,13 +38,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.engine import COMPILED, analysis_engine
-from repro.analysis.metrics import OtaTestbench, feedback_dc_solution
+from repro.analysis.ensemble import EnsembleProgram
+from repro.analysis.stamps import StampProgram
 from repro.circuit.netlist import Circuit
+from repro.circuit.testbench import OtaTestbench
 from repro.errors import AnalysisError, ConvergenceError
 from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
-from repro.resilience.policy import COMPILED_POLICY, warm_policy
+from repro.resilience.policy import COMPILED_POLICY
 from repro.runtime import pool as runtime_pool
 from repro.runtime import shm as runtime_shm
 from repro.telemetry import metrics, monitor
@@ -115,8 +117,9 @@ def draw_mismatch_samples(
     Returns ``(names, vth, beta)`` with the matrices shaped
     ``(runs, n_devices)`` in circuit device order.  The flattened draw
     order (run-major, then device, then vth-before-beta) reproduces the
-    stream :func:`apply_mismatch` consumes from the same seed, so the
-    pre-drawn path is sample-for-sample identical to the legacy loop.
+    stream :func:`apply_mismatch` consumes from the same seed, so a
+    row equals the mismatch :func:`apply_mismatch` would draw for that
+    sample.
     """
     devices = circuit.mos_devices
     sigma_vt = np.empty(len(devices))
@@ -185,8 +188,6 @@ class _CompiledOffset:
                  "nominal")
 
     def __init__(self, tb: OtaTestbench, names: Sequence[str]):
-        from repro.analysis.stamps import StampProgram
-
         feedback = tb.circuit.clone(tb.circuit.name + "_fb")
         feedback.remove(tb.source_neg)
         feedback.add_vsource("_fb", tb.input_neg_net, tb.output_net, dc=0.0)
@@ -206,52 +207,29 @@ class _CompiledOffset:
             self.nominal = None
 
     def measure(
-        self,
-        vth_rows: np.ndarray,
-        beta_rows: np.ndarray,
-        ensemble: Optional[str] = None,
+        self, vth_rows: np.ndarray, beta_rows: np.ndarray
     ) -> List[Dict[str, float]]:
         """Offset samples for a chunk of pre-drawn rows.
 
-        On the stacked ensemble engine (the default) every row becomes
-        one member of a single batched ``(K, n, n)`` Newton solve seeded
-        from ``nominal``; the per-sample loop below is the golden
-        reference, selected via
-        :data:`~repro.analysis.engine.ensemble_engine`, and runs each row
-        through the same seeded ladder.
+        Every row becomes one member of a single batched ``(K, n, n)``
+        Newton solve seeded from ``nominal``; each member equals a
+        ``warm_policy(nominal).run(program)`` solve of its row alone
+        (``COMPILED_POLICY`` when there is no nominal).  The first
+        failing member raises, so a shard fails as a unit.
         """
-        from repro.analysis.engine import STACKED, ensemble_engine
-
-        if ensemble_engine.resolve(ensemble) == STACKED and len(vth_rows):
-            from repro.analysis.ensemble import EnsembleProgram
-
-            stacked = EnsembleProgram.from_mismatch(
-                self.program,
-                np.asarray(vth_rows)[:, self.permutation],
-                np.asarray(beta_rows)[:, self.permutation],
-            )
-            solution = stacked.solve(seed=self.nominal)
-            # The per-sample loop raises at the first failing sample;
-            # match that contract so shard recovery stays unchanged.
-            solution.raise_on_failure()
-            return [
-                {"offset_voltage": float(v[self.out_node]) - self.vcm}
-                for v in solution.voltages
-            ]
-        policy = (
-            COMPILED_POLICY if self.nominal is None
-            else warm_policy(self.nominal)
+        if not len(vth_rows):
+            return []
+        stacked = EnsembleProgram.from_mismatch(
+            self.program,
+            np.asarray(vth_rows)[:, self.permutation],
+            np.asarray(beta_rows)[:, self.permutation],
         )
-        stats: List[Dict[str, float]] = []
-        for vth_row, beta_row in zip(vth_rows, beta_rows):
-            self.program.set_mismatch(
-                vth_row[self.permutation], beta_row[self.permutation]
-            )
-            voltages, _report = policy.run(self.program)
-            stats.append(
-                {"offset_voltage": float(voltages[self.out_node]) - self.vcm}
-            )
-        return stats
+        solution = stacked.solve(seed=self.nominal)
+        solution.raise_on_failure()
+        return [
+            {"offset_voltage": float(v[self.out_node]) - self.vcm}
+            for v in solution.voltages
+        ]
 
 
 def _offset_chunk(
@@ -260,15 +238,11 @@ def _offset_chunk(
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
     crash: bool = False,
-    ensemble: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Default measurement (input offset) for a chunk of sample rows.
 
     One compiled feedback program (:class:`_CompiledOffset`) is shared
-    by the whole chunk.  ``ensemble`` carries the parent's resolved
-    engine across the process-pool boundary (a worker is a fresh
-    interpreter, so the process-wide default would not follow a scoped
-    override in the parent).
+    by the whole chunk.
 
     Module-level so process-pool workers can pickle it.  ``crash`` is the
     fault-injection hook: the parent's registry decides a shard should die
@@ -277,7 +251,7 @@ def _offset_chunk(
     """
     if crash:
         os._exit(1)
-    return _CompiledOffset(tb, names).measure(vth_rows, beta_rows, ensemble)
+    return _CompiledOffset(tb, names).measure(vth_rows, beta_rows)
 
 
 def _measure_chunk(
@@ -304,7 +278,6 @@ def _run_chunk(
     beta_rows: np.ndarray,
     measure: Optional[Callable[[OtaTestbench], Dict[str, float]]],
     crash: bool = False,
-    ensemble: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """Dispatch one chunk to the right measurement implementation.
 
@@ -312,7 +285,7 @@ def _run_chunk(
     testbench); only the default offset measurement has a stacked form.
     """
     if measure is None:
-        return _offset_chunk(tb, names, vth_rows, beta_rows, crash, ensemble)
+        return _offset_chunk(tb, names, vth_rows, beta_rows, crash)
     return _measure_chunk(tb, names, vth_rows, beta_rows, measure, crash)
 
 
@@ -326,7 +299,6 @@ def _run_chunk_traced(
     shard_index: int,
     lo: int,
     hi: int,
-    ensemble: Optional[str] = None,
 ) -> Tuple[List[Dict[str, float]], Dict[str, object]]:
     """Worker-side traced chunk: runs under a local tracer and ships the
     picklable trace payload back with the samples.
@@ -347,9 +319,7 @@ def _run_chunk_traced(
     with telemetry.traced_worker(
         "mc.shard", index=shard_index, lo=lo, hi=hi
     ) as tracer:
-        stats = _run_chunk(
-            tb, names, vth_rows, beta_rows, measure, crash, ensemble
-        )
+        stats = _run_chunk(tb, names, vth_rows, beta_rows, measure, crash)
         tracer.count("mc.samples_measured", hi - lo)
         metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
     return stats, tracer.trace_payload()
@@ -377,7 +347,6 @@ class _ResidentChunk:
         names: Sequence[str],
         vth_rows: np.ndarray,
         beta_rows: np.ndarray,
-        ensemble: Optional[str],
     ) -> List[Dict[str, float]]:
         if self.measure is not None:
             return _measure_chunk(
@@ -387,7 +356,7 @@ class _ResidentChunk:
         if compiled is None or compiled.names != tuple(names):
             compiled = _CompiledOffset(self.tb, names)
             self._compiled = compiled
-        return compiled.measure(vth_rows, beta_rows, ensemble)
+        return compiled.measure(vth_rows, beta_rows)
 
 
 def _build_resident_chunk(payload: bytes) -> _ResidentChunk:
@@ -414,7 +383,6 @@ class _ShardJob:
     lo: int
     hi: int
     index: int
-    ensemble: Optional[str]
     crash: bool = False
     vth_ref: Optional[runtime_shm.ShmRef] = None
     beta_ref: Optional[runtime_shm.ShmRef] = None
@@ -442,7 +410,7 @@ def _run_shard_job(job: _ShardJob):
     except runtime_pool.NeedPayload:
         return runtime_pool.CacheMiss(job.key)
     vth_rows, beta_rows = _job_rows(job)
-    return state.run(job.names, vth_rows, beta_rows, job.ensemble)
+    return state.run(job.names, vth_rows, beta_rows)
 
 
 def _run_shard_job_traced(job: _ShardJob):
@@ -467,7 +435,7 @@ def _run_shard_job_traced(job: _ShardJob):
         except runtime_pool.NeedPayload:
             return runtime_pool.CacheMiss(job.key)
         vth_rows, beta_rows = _job_rows(job)
-        stats = state.run(job.names, vth_rows, beta_rows, job.ensemble)
+        stats = state.run(job.names, vth_rows, beta_rows)
         tracer.count("mc.samples_measured", job.hi - job.lo)
         metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
     return stats, tracer.trace_payload()
@@ -509,7 +477,6 @@ class _ShardDispatch:
         spans: Sequence[Tuple[int, int]],
         chunks: List[Optional[List[Dict[str, float]]]],
         statuses: List[ShardStatus],
-        ensemble: Optional[str],
         journal: Optional[RunJournal],
         key: str,
         payload: bytes,
@@ -524,7 +491,6 @@ class _ShardDispatch:
         self.spans = spans
         self.chunks = chunks
         self.statuses = statuses
-        self.ensemble = ensemble
         self.journal = journal
         self.key = key
         self.payload = payload
@@ -555,15 +521,13 @@ class _ShardDispatch:
             vth_ref, beta_ref = self.sample_refs
             job = _ShardJob(
                 key=self.key, payload=self.payload if ship else None,
-                names=self.names, lo=lo, hi=hi, index=i,
-                ensemble=self.ensemble, crash=crash,
+                names=self.names, lo=lo, hi=hi, index=i, crash=crash,
                 vth_ref=vth_ref, beta_ref=beta_ref,
             )
         else:
             job = _ShardJob(
                 key=self.key, payload=self.payload if ship else None,
-                names=self.names, lo=lo, hi=hi, index=i,
-                ensemble=self.ensemble, crash=crash,
+                names=self.names, lo=lo, hi=hi, index=i, crash=crash,
                 vth_rows=self.vth[lo:hi], beta_rows=self.beta[lo:hi],
             )
         entry = (
@@ -642,7 +606,7 @@ class _ShardDispatch:
                     self.chunks[i], payload = _run_chunk_traced(
                         self.tb, self.names, self.vth[lo:hi],
                         self.beta[lo:hi], self.measure,
-                        False, i, lo, hi, self.ensemble,
+                        False, i, lo, hi,
                     )
                     self.tracer.absorb(
                         payload, t_offset=t0, merge_metrics=False
@@ -659,7 +623,6 @@ class _ShardDispatch:
                     self.chunks[i] = _run_chunk(
                         self.tb, self.names, self.vth[lo:hi],
                         self.beta[lo:hi], self.measure,
-                        ensemble=self.ensemble,
                     )
                 monitor.unit_complete(
                     "mc.shard", label=_shard_key(self.spans[i])
@@ -687,7 +650,6 @@ def _run_shards(
     shard_timeout: Optional[float],
     max_shard_retries: int,
     budget: Optional[Budget],
-    ensemble: Optional[str] = None,
     journal: Optional[RunJournal] = None,
     payload: Optional[bytes] = None,
     sample_refs: Optional[
@@ -732,8 +694,7 @@ def _run_shards(
     if payload is None:
         payload = pickle.dumps((tb, measure))
     dispatch = _ShardDispatch(
-        tb, names, vth, beta, measure, spans, chunks, statuses,
-        ensemble, journal,
+        tb, names, vth, beta, measure, spans, chunks, statuses, journal,
         key=hashlib.sha256(payload).hexdigest(),
         payload=payload,
         sample_refs=sample_refs,
@@ -751,12 +712,10 @@ def run_monte_carlo(
     runs: int = 50,
     seed: int = 1234,
     measure: Optional[Callable[[OtaTestbench], Dict[str, float]]] = None,
-    engine: Optional[str] = None,
     workers: int = 1,
     budget: Optional[Budget] = None,
     shard_timeout: Optional[float] = None,
     max_shard_retries: int = 1,
-    ensemble: Optional[str] = None,
     journal: Optional[RunJournal] = None,
 ) -> MonteCarloResult:
     """Sample mismatch and collect statistics.
@@ -764,8 +723,8 @@ def run_monte_carlo(
     By default only the input-referred offset is measured per sample (one
     DC solve); pass ``measure`` for a custom (more expensive) extraction
     returning a dict of named statistics.  ``workers > 1`` partitions the
-    pre-drawn samples over a process pool (compiled engine only; a custom
-    ``measure`` must then be picklable, i.e. a module-level function).
+    pre-drawn samples over a process pool (a custom ``measure`` must then
+    be picklable, i.e. a module-level function).
     Results are independent of ``workers`` because every sample is drawn
     before any work is scheduled — and this holds through shard recovery:
     a shard whose worker dies (or exceeds ``shard_timeout`` seconds) is
@@ -774,18 +733,13 @@ def run_monte_carlo(
     shard that fails even in-process is reported, not raised: the result
     carries the surviving samples plus ``n_failed`` and per-shard
     :class:`ShardStatus` records.  ``budget`` bounds wall-clock time at
-    sample/shard boundaries via
+    run start and shard boundaries via
     :class:`~repro.errors.BudgetExceededError`.
 
-    ``ensemble`` picks how the default offset measurement evaluates each
-    shard of pre-drawn rows on the compiled engine: ``"stacked"`` (one
-    batched ensemble Newton per shard, the default) or ``"per-sample"``
-    (the golden per-row loop); ``None`` follows
-    :data:`~repro.analysis.engine.ensemble_engine`.  The value is
-    resolved here, in the parent, so scoped overrides reach pool workers.
-    Both start every sample's Newton from the design's nominal
-    (zero-mismatch) operating point, one seed per testbench, so they
-    agree sample for sample and across any worker count.
+    The default offset measurement solves each shard of pre-drawn rows
+    as one batched ensemble Newton, starting every sample from the
+    design's nominal (zero-mismatch) operating point, one seed per
+    testbench, so results agree across any worker count.
 
     ``journal`` makes the run crash-safe: completed shards are appended
     durably and restored on resume without re-running.  Because every
@@ -797,60 +751,10 @@ def run_monte_carlo(
     """
     if workers < 1:
         raise AnalysisError("workers must be >= 1")
-    engine_name = analysis_engine.resolve(engine)
-    from repro.analysis.engine import ensemble_engine
-
-    ensemble_name = ensemble_engine.resolve(ensemble)
     result = MonteCarloResult()
 
-    with telemetry.span(
-        "mc.run", runs=runs, workers=workers, engine=engine_name,
-        ensemble=ensemble_name,
-    ):
+    with telemetry.span("mc.run", runs=runs, workers=workers):
         telemetry.count("mc.samples", runs)
-
-        if engine_name != COMPILED:
-            if workers != 1:
-                raise AnalysisError(
-                    "workers > 1 requires the compiled engine"
-                )
-            # The legacy engine threads one RNG stream through the whole
-            # loop, so the run journals as a single unit: all-or-nothing,
-            # but still restored bit-identically on resume.
-            if journal is not None:
-                cached = journal.result_or_none("mc.samples.all")
-                if cached is not None:
-                    telemetry.count("mc.journaled_shards")
-                    result.samples = cached
-                    return result
-            rng = np.random.default_rng(seed)
-            for sample_index in range(runs):
-                if journal is not None:
-                    journal.check_interrupt("mc.sample")
-                if budget is not None:
-                    budget.check("montecarlo.sample", sample=sample_index)
-                perturbed = apply_mismatch(tb.circuit, rng)
-                sample_tb = OtaTestbench(
-                    circuit=perturbed,
-                    source_pos=tb.source_pos,
-                    source_neg=tb.source_neg,
-                    input_neg_net=tb.input_neg_net,
-                    output_net=tb.output_net,
-                    supply_sources=tb.supply_sources,
-                    slew_devices=tb.slew_devices,
-                )
-                if measure is None:
-                    _dc, offset = feedback_dc_solution(
-                        sample_tb, engine=engine_name
-                    )
-                    stats = {"offset_voltage": offset}
-                else:
-                    stats = measure(sample_tb)
-                for key, value in stats.items():
-                    result.samples.setdefault(key, []).append(float(value))
-            if journal is not None:
-                journal.record("mc.samples.all", result.samples, runs=runs)
-            return result
 
         names, vth, beta = draw_mismatch_samples(tb.circuit, runs, seed)
 
@@ -872,12 +776,7 @@ def run_monte_carlo(
                 metrics_on = metrics.enabled()
                 t0 = time.perf_counter() if metrics_on else 0.0
                 with telemetry.span("mc.shard", index=0, lo=0, hi=runs):
-                    chunks = [
-                        _run_chunk(
-                            tb, names, vth, beta, measure,
-                            ensemble=ensemble_name,
-                        )
-                    ]
+                    chunks = [_run_chunk(tb, names, vth, beta, measure)]
                     telemetry.count("mc.samples_measured", runs)
                 shard_seconds = (
                     time.perf_counter() - t0 if metrics_on else None
@@ -932,7 +831,6 @@ def run_monte_carlo(
                     shard_timeout=shard_timeout,
                     max_shard_retries=max_shard_retries,
                     budget=budget,
-                    ensemble=ensemble_name,
                     journal=journal,
                     payload=payload,
                     sample_refs=sample_refs,

@@ -2,9 +2,9 @@
 
 Each MOS device contributes channel thermal noise and flicker noise as a
 current source between its effective drain and source; each resistor
-contributes 4kT/R.  For every frequency the linearised MNA matrix is
-factorised once and solved against one right-hand side per noise source, so
-the cost stays linear in device count.
+contributes 4kT/R.  Every frequency's linearised MNA matrix is solved, in
+one stacked call, against one right-hand side per noise source plus the
+signal drive, so the cost stays linear in device count.
 
 Output noise is the PSD at the output node; input-referred noise divides by
 the squared magnitude of the signal transfer (differential drive).
@@ -17,9 +17,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.ac import build_ac_matrices, build_ac_rhs
 from repro.analysis.dcop import DcSolution, model_for
-from repro.analysis.engine import COMPILED, analysis_engine
+from repro.analysis.stamps import LinearSystem
 from repro.circuit.elements import Mos, Resistor
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
@@ -84,8 +83,7 @@ class NoiseAnalysis:
         output_net: str,
         input_overrides: Optional[Dict[str, complex]] = None,
         temperature: float = 300.15,
-        engine: Optional[str] = None,
-        system=None,
+        system: Optional[LinearSystem] = None,
     ):
         """``input_overrides`` defines the signal drive (source name to AC
         amplitude) used to refer output noise to the input; when omitted the
@@ -101,74 +99,47 @@ class NoiseAnalysis:
         self.dc = dc
         self.output_net = output_net
         self.temperature = temperature
-        self.engine = analysis_engine.resolve(engine)
-        if self.engine == COMPILED:
-            if system is None:
-                from repro.analysis.stamps import LinearSystem
-
-                system = LinearSystem(circuit, dc)
-            self._system = system
-            self.index = system.index
-            self._signal_rhs = system.rhs(input_overrides)
-        else:
-            self._system = None
-            self._conductance, self._capacitance, self.index = build_ac_matrices(
-                circuit, dc
-            )
-            self._signal_rhs = build_ac_rhs(circuit, self.index, input_overrides)
+        if system is None:
+            system = LinearSystem(circuit, dc)
+        self._system = system
+        self.index = system.index
+        self._signal_rhs = system.rhs(input_overrides)
         if not np.any(self._signal_rhs):
             raise AnalysisError(
                 "noise analysis needs a non-zero signal drive to refer "
                 "noise to the input"
             )
         self._sources = self._collect_sources()
-        if self.engine == COMPILED:
-            injections = self._system.injection_columns(
-                [(a, b) for _name, a, b, _psd in self._sources]
-            )
-            self._rhs_columns = np.concatenate(
-                [injections, self._signal_rhs[:, None]], axis=1
-            )
-            self._psd_const, self._psd_coef = self._psd_vectors()
+        injections = system.injection_columns(
+            [(a, b) for _name, a, b in self._sources]
+        )
+        self._rhs_columns = np.concatenate(
+            [injections, self._signal_rhs[:, None]], axis=1
+        )
+        self._psd_const, self._psd_coef = self._psd_vectors()
 
-    def _collect_sources(self) -> List[Tuple[str, int, int, object]]:
-        """(name, node_a, node_b, psd_fn) per noise source.
+    def _collect_sources(self) -> List[Tuple[str, int, int]]:
+        """(name, node_a, node_b) per noise source.
 
         The injected noise current flows from node_a to node_b.
         """
-        sources: List[Tuple[str, int, int, object]] = []
+        sources: List[Tuple[str, int, int]] = []
         for element in self.circuit:
             if isinstance(element, Mos):
                 solution = self.dc.devices[element.name]
-                model = model_for(element)
-                op = solution.op
-                thermal = model.thermal_noise_current_psd(op)
-
-                def psd(frequency: float, _model=model, _op=op, _thermal=thermal):
-                    return _thermal + _model.flicker_noise_current_psd(
-                        _op, frequency
-                    )
-
                 sources.append(
                     (
                         element.name,
                         self.index.node(solution.eff_drain),
                         self.index.node(solution.eff_source),
-                        psd,
                     )
                 )
             elif isinstance(element, Resistor):
-                psd_value = 4.0 * BOLTZMANN * self.temperature / element.value
-
-                def psd_r(frequency: float, _value=psd_value):
-                    return _value
-
                 sources.append(
                     (
                         element.name,
                         self.index.node(element.a),
                         self.index.node(element.b),
-                        psd_r,
                     )
                 )
         return sources
@@ -178,8 +149,8 @@ class NoiseAnalysis:
 
         Every noise source in this model family is white plus 1/f: MOS
         thermal + SPICE2 flicker (``KF Id^AF / (Cox Leff^2 f)``) and
-        resistor 4kT/R — which is what lets the compiled path evaluate all
-        sources at all frequencies with one broadcast.
+        resistor 4kT/R — which is what lets every source be evaluated at
+        every frequency with one broadcast.
         """
         const: List[float] = []
         coef: List[float] = []
@@ -202,13 +173,11 @@ class NoiseAnalysis:
     def rhs_columns(self) -> np.ndarray:
         """Noise-injection columns plus the signal drive, ``(size, n+1)``.
 
-        Compiled engine only.  Callers already running a batched solve on
-        the shared system (:func:`~repro.analysis.metrics.measure_ota`) can
-        append these columns and hand the output-row transfers back to
+        Callers already running a batched solve on the shared system
+        (:func:`~repro.analysis.metrics.measure_ota`) can append these
+        columns and hand the output-row transfers back to
         :meth:`result_from_output_transfers`, sharing one factorisation.
         """
-        if self.engine != COMPILED:
-            raise AnalysisError("rhs_columns requires the compiled engine")
         return self._rhs_columns
 
     def result_from_output_transfers(
@@ -240,15 +209,6 @@ class NoiseAnalysis:
             contributions=contributions,
         )
 
-    def _run_compiled(
-        self, freq_array: np.ndarray, out_node: int
-    ) -> NoiseResult:
-        """Batched noise run: one stacked solve over (frequency, source)."""
-        solutions = self._system.solve_batch(freq_array, self._rhs_columns)
-        return self.result_from_output_transfers(
-            freq_array, solutions[:, out_node, :]
-        )
-
     def run(self, frequencies: Iterable[float]) -> NoiseResult:
         """Compute output and input-referred noise over ``frequencies``."""
         freq_array = np.asarray(list(frequencies), dtype=float)
@@ -257,46 +217,7 @@ class NoiseAnalysis:
         out_node = self.index.node(self.output_net)
         if out_node < 0:
             raise AnalysisError("noise output cannot be the ground net")
-        if self.engine == COMPILED:
-            return self._run_compiled(freq_array, out_node)
-
-        size = self.index.size
-        n_sources = len(self._sources)
-        output_psd = np.zeros(freq_array.size)
-        contributions = {name: np.zeros(freq_array.size) for name, *_ in self._sources}
-        signal_gain = np.zeros(freq_array.size)
-
-        # One RHS column per noise source (unit current injection) plus the
-        # signal drive in the last column.
-        rhs = np.zeros((size, n_sources + 1), dtype=complex)
-        for column, (_name, node_a, node_b, _psd) in enumerate(self._sources):
-            if node_a >= 0:
-                rhs[node_a, column] -= 1.0
-            if node_b >= 0:
-                rhs[node_b, column] += 1.0
-        rhs[:, n_sources] = self._signal_rhs
-
-        for i, frequency in enumerate(freq_array):
-            omega = 2.0 * np.pi * frequency
-            matrix = self._conductance + 1j * omega * self._capacitance
-            try:
-                solutions = np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError as error:
-                raise AnalysisError(f"singular matrix in noise run: {error}")
-            transfers = solutions[out_node, :]
-            signal_gain[i] = abs(transfers[n_sources])
-            for column, (name, _a, _b, psd) in enumerate(self._sources):
-                contribution = (abs(transfers[column]) ** 2) * psd(frequency)
-                contributions[name][i] = contribution
-                output_psd[i] += contribution
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            input_psd = np.where(
-                signal_gain > 0.0, output_psd / signal_gain**2, np.inf
-            )
-        return NoiseResult(
-            frequencies=freq_array,
-            output_psd=output_psd,
-            input_psd=input_psd,
-            contributions=contributions,
+        solutions = self._system.solve_batch(freq_array, self._rhs_columns)
+        return self.result_from_output_transfers(
+            freq_array, solutions[:, out_node, :]
         )

@@ -15,13 +15,12 @@ net gets extra capacitance — the folding nodes of the OTA light up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.analysis.ac import build_ac_matrices
 from repro.analysis.dcop import DcSolution
-from repro.analysis.engine import COMPILED, analysis_engine
+from repro.analysis.stamps import LinearSystem
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 
@@ -57,7 +56,6 @@ def compute_poles(
     circuit: Circuit,
     dc: DcSolution,
     drop_below: float = 1.0,
-    engine: Optional[str] = None,
 ) -> PoleSet:
     """Poles of the linearised circuit, in rad/s.
 
@@ -67,13 +65,8 @@ def compute_poles(
     problem on the capacitive subspace.  Poles slower than ``drop_below``
     rad/s (numerical zeros from the rank-deficient C) are discarded.
     """
-    if analysis_engine.resolve(engine) == COMPILED:
-        from repro.analysis.stamps import LinearSystem
-
-        system = LinearSystem(circuit, dc)
-        conductance, capacitance = system.conductance, system.capacitance
-    else:
-        conductance, capacitance, _index = build_ac_matrices(circuit, dc)
+    system = LinearSystem(circuit, dc)
+    conductance, capacitance = system.conductance, system.capacitance
     try:
         g_inverse_c = np.linalg.solve(conductance, capacitance)
     except np.linalg.LinAlgError as error:

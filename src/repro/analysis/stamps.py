@@ -1,10 +1,9 @@
 """Compiled-stamp MNA engine.
 
-The legacy analyses re-stamp the MNA matrices element-by-element in pure
-Python on every Newton iteration and factorize ``(G + j omega C)`` one
-frequency at a time.  For the coupled synthesis loop — which calls the
-simulator thousands of times — that is all interpreter overhead, not linear
-algebra.
+Re-stamping the MNA matrices element by element in pure Python on every
+Newton iteration, and factorizing ``(G + j omega C)`` one frequency at a
+time, is all interpreter overhead, not linear algebra — and the coupled
+synthesis loop calls the simulator thousands of times.
 
 This module walks a :class:`~repro.circuit.netlist.Circuit` **once** and
 compiles it into a *stamp program* of flat numpy index/value arrays:
@@ -22,8 +21,9 @@ compiles it into a *stamp program* of flat numpy index/value arrays:
 
 Ground (and any dangling reference) is mapped to one extra *trash*
 row/column which is sliced away after assembly, so no per-stamp index
-checks are needed.  The arithmetic mirrors the legacy stamping term for
-term; golden-equivalence tests pin both engines together to rtol 1e-9.
+checks are needed.  The arithmetic mirrors textbook per-element stamping
+term for term; equivalence tests pin it to the dense per-element oracle
+in ``tests/oracles/analysis.py`` at rtol 1e-9.
 """
 
 from __future__ import annotations
@@ -695,8 +695,8 @@ def solve_stacked_systems(
     is assembled exactly like :meth:`LinearSystem.solve_batch` (real and
     imaginary planes written directly, LAPACK invoked per matrix), so the
     stacked result matches K independent ``solve_batch`` calls bit for bit
-    — this is what makes the ensemble measurement path equal to the
-    per-member golden path.
+    — this is what makes the ensemble measurement path equal to K
+    independent ``measure_ota`` calls.
     """
     freq = np.asarray(frequencies, dtype=float)
     members = len(systems)

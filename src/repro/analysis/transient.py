@@ -22,13 +22,12 @@ import numpy as np
 
 from repro.analysis.dcop import (
     DcSolution,
-    _build_system,
     _device_terminal_state,
     model_for,
     solve_dc,
 )
-from repro.analysis.engine import COMPILED, analysis_engine
 from repro.analysis.mna import NodeIndex, solve_linear
+from repro.analysis.stamps import StampProgram
 from repro.circuit.elements import VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.circuit.testbench import OtaTestbench
@@ -147,19 +146,17 @@ def run_transient(
     waveforms: Optional[Mapping[str, Callable[[float], float]]] = None,
     initial: Optional[DcSolution] = None,
     max_newton: int = 60,
-    engine: Optional[str] = None,
 ) -> TransientResult:
     """Integrate the circuit from its DC state to ``t_stop``.
 
     ``waveforms`` maps voltage-source names to ``v(t)`` callables; other
-    sources hold their DC values.  Backward Euler with per-step Newton.
-    The compiled engine assembles each Newton system from one shared
-    :class:`~repro.analysis.stamps.StampProgram` (companion capacitors
-    enter as scatter-add index arrays) instead of re-stamping per element.
+    sources hold their DC values.  Backward Euler with per-step Newton;
+    each Newton system is assembled from one shared
+    :class:`~repro.analysis.stamps.StampProgram`, with the companion
+    capacitors entering as scatter-add index arrays.
     """
     if dt <= 0.0 or t_stop <= dt:
         raise AnalysisError("need 0 < dt < t_stop")
-    engine_name = analysis_engine.resolve(engine)
     waveforms = dict(waveforms or {})
     for name in waveforms:
         element = circuit.element(name)
@@ -197,11 +194,7 @@ def run_transient(
         if c.value > 0.0
     ]
 
-    program = None
-    if engine_name == COMPILED:
-        from repro.analysis.stamps import StampProgram
-
-        program = StampProgram(work, index)
+    program = StampProgram(work, index)
 
     total_newton = 0
     previous = state.copy()
@@ -218,53 +211,28 @@ def run_transient(
 
         voltages = previous.copy()
         converged = False
-        if program is not None:
-            program.refresh_sources()
-            # Companion models as index arrays; ground maps to the padded
-            # trash slot whose voltage is pinned at zero.
-            node_a = np.array(
-                [a if a >= 0 else size for a, _b, _v in all_caps],
-                dtype=np.intp,
-            )
-            node_b = np.array(
-                [b if b >= 0 else size for _a, b, _v in all_caps],
-                dtype=np.intp,
-            )
-            c_over_dt = np.array([v / dt for _a, _b, v in all_caps])
-            previous_pad = np.zeros(size + 1)
-            previous_pad[:size] = previous
-            companion = (node_a, node_b, c_over_dt, previous_pad)
+        program.refresh_sources()
+        # Companion models (i = C (v - v_prev) / dt) as index arrays;
+        # ground maps to the padded trash slot whose voltage is pinned at
+        # zero.
+        node_a = np.array(
+            [a if a >= 0 else size for a, _b, _v in all_caps],
+            dtype=np.intp,
+        )
+        node_b = np.array(
+            [b if b >= 0 else size for _a, b, _v in all_caps],
+            dtype=np.intp,
+        )
+        c_over_dt = np.array([v / dt for _a, _b, v in all_caps])
+        previous_pad = np.zeros(size + 1)
+        previous_pad[:size] = previous
+        companion = (node_a, node_b, c_over_dt, previous_pad)
 
         for iteration in range(1, max_newton + 1):
-            if program is not None:
-                residual, jacobian = program.residual_and_jacobian(
-                    voltages, gmin=1e-12, source_scale=1.0,
-                    companion=companion,
-                )
-            else:
-                residual, jacobian = _build_system(
-                    work, index, voltages, gmin=1e-12, source_scale=1.0
-                )
-                # Companion models: i = C (v - v_prev)/dt out of node a.
-                for cap_a, cap_b, value in all_caps:
-                    conductance = value / dt
-                    dv = 0.0
-                    if cap_a >= 0:
-                        dv += voltages[cap_a] - previous[cap_a]
-                    if cap_b >= 0:
-                        dv -= voltages[cap_b] - previous[cap_b]
-                    current = conductance * dv
-                    if cap_a >= 0:
-                        residual[cap_a] += current
-                        jacobian[cap_a, cap_a] += conductance
-                        if cap_b >= 0:
-                            jacobian[cap_a, cap_b] -= conductance
-                    if cap_b >= 0:
-                        residual[cap_b] -= current
-                        jacobian[cap_b, cap_b] += conductance
-                        if cap_a >= 0:
-                            jacobian[cap_b, cap_a] -= conductance
-
+            residual, jacobian = program.residual_and_jacobian(
+                voltages, gmin=1e-12, source_scale=1.0,
+                companion=companion,
+            )
             norm = float(np.max(np.abs(residual)))
             delta = solve_linear(jacobian, -residual)
             step_size = float(np.max(np.abs(delta))) if delta.size else 0.0

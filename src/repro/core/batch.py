@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -114,14 +114,12 @@ def verify_task_corners(
     task: BatchTask,
     result: object,
     corners: Optional[Sequence[str]] = None,
-    ensemble: Optional[str] = None,
 ) -> Dict[str, object]:
     """Process-corner verification of a completed ``case`` task.
 
     Rebuilds the task's nominal technology from the preset registry,
     re-plans it, and re-verifies the task's converged sizing at each
-    corner — on the stacked ensemble engine all corner replicas share
-    one compiled program (see
+    corner — all corner replicas share one compiled program (see
     :meth:`~repro.sizing.verification.VerificationInterface.verify_corners`).
     Returns ``{corner: VerificationReport}``.
     """
@@ -151,7 +149,6 @@ def verify_task_corners(
             sizing,
             task.specs,
             corners=corner_set(nominal, names),
-            ensemble=ensemble,
         )
 
 
@@ -250,27 +247,32 @@ def _case_artifact_key(task: BatchTask) -> Optional[str]:
     """Content address of a ``case`` task's result, or ``None``.
 
     Keys fold the full task value (specs, mode, corner, model level,
-    aspect), the resolved technology's content fingerprint, and every
-    engine default that could steer the computation — so a run under a
-    scoped engine override or an edited preset never collides with the
-    default world.  Flow tasks return ``None``: their outcome objects
-    carry stateful flow history that is cheap to recompute and awkward
-    to address.
+    aspect) and the resolved technology's content fingerprint, so an
+    edited preset never collides with the stock one.  Flow tasks return
+    ``None``: their outcome objects carry stateful flow history that is
+    cheap to recompute and awkward to address.
     """
     if task.kind != "case":
         return None
-    from repro.analysis.engine import analysis_engine, ensemble_engine
-    from repro.layout.engine import drc_engine, extraction_engine
-
     return artifacts.content_key(
-        "case-result",
-        task,
-        _build_technology(task).fingerprint(),
-        analysis_engine.resolve(None),
-        ensemble_engine.resolve(None),
-        extraction_engine.resolve(None),
-        drc_engine.resolve(None),
+        "case-result", task, _build_technology(task).fingerprint()
     )
+
+
+def _mark_restored(result: object, source: str) -> object:
+    """``result`` with every sizing round marked as served from ``source``.
+
+    A restored :class:`~repro.core.cases.CaseResult` carries the original
+    run's ``elapsed`` and ``sizing_sources``; marking the sources
+    (``"disk"`` or ``"journal"``) makes ``table1`` flag its sizing time
+    as not computed in this run.  ``fingerprint()`` ignores the field.
+    """
+    from repro.core.cases import CaseResult
+
+    if not isinstance(result, CaseResult):
+        return result
+    rounds = max(1, len(result.sizing_sources))
+    return replace(result, sizing_sources=(source,) * rounds)
 
 
 def _restore_cached(
@@ -285,8 +287,9 @@ def _restore_cached(
     Returns the still-pending indices plus each task's content key (for
     publishing computed results).  A hit is journaled like a computed
     result so a later resume restores it from the journal, which remains
-    the authority on this run's history.  No-op (all pending, no keys)
-    when no cache is active.
+    the authority on this run's history.  A restored case's sizing rounds
+    are marked ``disk``.  No-op (all pending, no keys) when no cache is
+    active.
     """
     store = artifacts.active()
     keys: List[Optional[str]] = [None] * len(tasks)
@@ -300,7 +303,7 @@ def _restore_cached(
         if hit is None:
             still.append(i)
             continue
-        results[i] = hit
+        results[i] = _mark_restored(hit, "disk")
         statuses[i].status = "cached"
         telemetry.count("batch.cached_tasks")
         monitor.unit_complete("task", label=task.label, restored=True)
@@ -328,7 +331,8 @@ def _restore_journaled(
 
     A journaled unit whose recorded label does not match the task at the
     same index means the resumed invocation built a different task list —
-    refuse rather than silently mix incompatible results.
+    refuse rather than silently mix incompatible results.  A restored
+    case's sizing rounds are marked ``journal``.
     """
     pending: List[int] = []
     for i, task in enumerate(tasks):
@@ -343,7 +347,7 @@ def _restore_journaled(
                 f"{i} is {task.label!r}; the task list changed — refusing "
                 f"to resume"
             )
-        results[i] = journal.result(key)
+        results[i] = _mark_restored(journal.result(key), "journal")
         statuses[i].status = "journaled"
         telemetry.count("batch.journaled_tasks")
         monitor.unit_complete("task", label=task.label, restored=True)

@@ -37,7 +37,9 @@ class CaseResult:
     elapsed: float
     sizing_sources: Tuple[str, ...] = ()
     """Per-round sizing provenance (:attr:`SynthesisOutcome.sizing_sources`;
-    ``("computed",)`` for the single sizing of a non-layout case)."""
+    ``("computed",)`` for the single sizing of a non-layout case).  The
+    batch driver marks every round ``"disk"`` or ``"journal"`` on a case
+    it restores instead of running."""
 
     @property
     def label(self) -> str:

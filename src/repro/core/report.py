@@ -28,8 +28,8 @@ TABLE1_ROWS: Tuple[Tuple[str, str, float, str], ...] = (
 
 #: Footnote under a table with a marked (``*``) sizing-time cell.
 SERVED_FOOTNOTE = (
-    "* some sizing rounds were served from the sizing memo or a journal; "
-    "the time excludes them"
+    "* some sizing rounds were served from the sizing memo, a journal or "
+    "the disk cache; the time excludes them"
 )
 
 

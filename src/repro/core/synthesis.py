@@ -181,13 +181,10 @@ class LayoutOrientedSynthesizer:
         Only pure rounds are memoizable: the plan must publish a
         config key (:meth:`~repro.sizing.plans.base.DesignPlan.config_key`)
         and no budget may be active (a budget can cap iterations
-        differently per call).  The key covers the active analysis
-        engine switch and an exact digest of the warm-start state,
-        because both steer the DC iterate path the plan's verification
-        solves take.
+        differently per call).  The key covers an exact digest of the
+        warm-start state, because it steers the DC iterate path the
+        plan's verification solves take.
         """
-        from repro.analysis.engine import analysis_engine
-
         if budget is not None:
             return None
         # Duck-typed: stub plans in tests may not subclass DesignPlan at
@@ -201,7 +198,6 @@ class LayoutOrientedSynthesizer:
             specs,
             mode.name,
             feedback,
-            analysis_engine.default(),
             _warm_digest(),
         )
 

@@ -14,7 +14,9 @@ generators must honour:
 The checker is used by the test-suite to keep every generator (motif,
 stacks, mirrors, the full OTA assembly) clean, standing in for the
 "technology design rules" the paper's procedural language guarantees by
-construction.
+construction.  Pair candidates come from a :class:`GridIndex` and the
+shared interval sweep; the all-pairs scan the tests compare against
+lives in ``tests/oracles/layout.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.layout.cell import Cell, Shape
-from repro.layout.engine import GRID, drc_engine
 from repro.layout.geometry import GridIndex, Rect, interval_pairs
 from repro.layout.layers import Layer
 from repro.technology.process import Technology
@@ -117,28 +118,22 @@ class DrcChecker:
 
     # -- Entry point --------------------------------------------------------
 
-    def check(
-        self, cell: Cell, engine: Optional[str] = None
-    ) -> List[DrcViolation]:
+    def check(self, cell: Cell) -> List[DrcViolation]:
         """Run all checks; returns the (possibly empty) violation list.
 
-        ``engine`` selects ``"grid"`` (default; pair candidates through
-        a :class:`GridIndex`) or ``"allpairs"`` (the reference sorted
-        sweep); ``None`` resolves through
-        :data:`repro.layout.engine.drc_engine`.  Both produce the
-        identical violation list in the identical order — the grid only
-        narrows which pairs are examined.
+        Widths, then cuts, then spacing and shorts; within each class the
+        order is that of an all-pairs scan — the index only narrows which
+        pairs are examined.
         """
-        engine = drc_engine.resolve(engine)
         shapes = list(cell.flattened())
         with telemetry.span(
-            "layout.drc", cell=cell.name, engine=engine, shapes=len(shapes)
+            "layout.drc", cell=cell.name, shapes=len(shapes)
         ):
             telemetry.count("layout.drc")
             violations: List[DrcViolation] = []
             violations.extend(self._check_widths(shapes))
-            violations.extend(self._check_cuts(shapes, engine))
-            violations.extend(self._check_spacing_and_shorts(shapes, engine))
+            violations.extend(self._check_cuts(shapes))
+            violations.extend(self._check_spacing_and_shorts(shapes))
             return violations
 
     def assert_clean(self, cell: Cell, limit: int = 5) -> None:
@@ -176,10 +171,7 @@ class DrcChecker:
 
     # -- Cuts ------------------------------------------------------------------------
 
-    def _check_cuts(
-        self, shapes: List[Shape], engine: Optional[str] = None
-    ) -> List[DrcViolation]:
-        engine = drc_engine.resolve(engine)
+    def _check_cuts(self, shapes: List[Shape]) -> List[DrcViolation]:
         violations = []
         landing = {
             Layer.CONTACT: (Layer.METAL1,),
@@ -202,13 +194,6 @@ class DrcChecker:
         def landing_candidates(cut: Shape, metal_layer: Layer, needed: Rect):
             nonlocal grid_queries
             members = by_layer.get(metal_layer, [])
-            if engine != GRID:
-                return [
-                    shape.rect
-                    for shape in members
-                    if (cut.net is None or shape.net == cut.net)
-                    and shape.rect.intersects(needed)
-                ]
             index = metal_index.get(metal_layer)
             if index is None:
                 index = GridIndex.for_rects([s.rect for s in members])
@@ -312,9 +297,8 @@ class DrcChecker:
         return None
 
     def _check_spacing_and_shorts(
-        self, shapes: List[Shape], engine: Optional[str] = None
+        self, shapes: List[Shape]
     ) -> List[DrcViolation]:
-        engine = drc_engine.resolve(engine)
         violations: List[DrcViolation] = []
         by_layer: Dict[Layer, List[Shape]] = defaultdict(list)
         for shape in shapes:
@@ -325,51 +309,36 @@ class DrcChecker:
         for layer, members in by_layer.items():
             spacing = self.min_spacing[layer]
             conducting = layer in self.CONDUCTING
+            if len(members) < 2:
+                continue
             members = sorted(members, key=lambda s: s.rect.x0)
-            if engine == GRID:
-                # Vectorized candidate generation through the shared
-                # interval sweep: the x-window matches the reference
-                # sweep's break bound, then a y-window cut drops pairs
-                # that cannot violate (any reportable pair sits within
-                # ``spacing`` on both axes).  Pairs come out in the
-                # sweep's (i, j) order, so violations match the
-                # reference list exactly.
-                if len(members) < 2:
-                    continue
-                coords = np.array(
-                    [
-                        (s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1)
-                        for s in members
-                    ]
+            # Vectorized candidate generation through the shared interval
+            # sweep: the x-window matches an all-pairs sorted sweep's
+            # break bound, then a y-window cut drops pairs that cannot
+            # violate (any reportable pair sits within ``spacing`` on
+            # both axes).  Pairs come out in the sweep's (i, j) order, so
+            # violations match the all-pairs list exactly.
+            coords = np.array(
+                [(s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1) for s in members]
+            )
+            ii, jj = interval_pairs(
+                coords[:, 0], coords[:, 2], spacing + _EPSILON
+            )
+            if ii.size:
+                gap_y = (
+                    np.maximum(coords[ii, 1], coords[jj, 1])
+                    - np.minimum(coords[ii, 3], coords[jj, 3])
                 )
-                ii, jj = interval_pairs(
-                    coords[:, 0], coords[:, 2], spacing + _EPSILON
+                near = gap_y < spacing - _EPSILON
+                ii = ii[near]
+                jj = jj[near]
+            grid_queries += int(ii.size)
+            for i, j in zip(ii.tolist(), jj.tolist()):
+                found = self._pair_violation(
+                    layer, spacing, conducting, members[i], members[j]
                 )
-                if ii.size:
-                    gap_y = (
-                        np.maximum(coords[ii, 1], coords[jj, 1])
-                        - np.minimum(coords[ii, 3], coords[jj, 3])
-                    )
-                    near = gap_y < spacing - _EPSILON
-                    ii = ii[near]
-                    jj = jj[near]
-                grid_queries += int(ii.size)
-                for i, j in zip(ii.tolist(), jj.tolist()):
-                    found = self._pair_violation(
-                        layer, spacing, conducting, members[i], members[j]
-                    )
-                    if found is not None:
-                        violations.append(found)
-            else:
-                for i, a in enumerate(members):
-                    for b in members[i + 1:]:
-                        if b.rect.x0 > a.rect.x1 + spacing + _EPSILON:
-                            break
-                        found = self._pair_violation(
-                            layer, spacing, conducting, a, b
-                        )
-                        if found is not None:
-                            violations.append(found)
+                if found is not None:
+                    violations.append(found)
         if grid_queries:
             telemetry.count("grid.queries", grid_queries)
         return violations

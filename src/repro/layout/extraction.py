@@ -18,15 +18,13 @@ bookkeeping — everything is recomputed from the flattened shapes:
 The resulting annotated circuit is what the simulator measures for the
 bracketed columns.
 
-Two engines implement the geometric passes (see
-:mod:`repro.layout.engine`): the default ``"vector"`` engine flattens
-each layer into one ``(N, 4)`` coordinate array with nets encoded as int
-codes and runs the wire-cap, poly-over-active, coupling-window and
-junction-strip passes as array arithmetic; the original per-shape
-``"scalar"`` code is kept verbatim below as the golden reference.  Both
-produce canonically ordered reports (coupling keyed by sorted net pairs,
-all dicts in sorted key order) so downstream annotation is deterministic
-regardless of shape iteration order.
+Each layer is flattened into one ``(N, 4)`` coordinate array with nets
+encoded as int codes, and the wire-cap, poly-over-active,
+coupling-window and junction-strip passes run as array arithmetic.  The
+per-shape reference the tests compare against lives in
+``tests/oracles/layout.py``.  Reports are canonically ordered (coupling
+keyed by sorted net pairs, all dicts in sorted key order) so downstream
+annotation is deterministic regardless of shape iteration order.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from repro.circuit.elements import Mos
 from repro.circuit.net import canonical
 from repro.circuit.netlist import Circuit
 from repro.layout.cell import Cell, Shape
-from repro.layout.engine import SCALAR, extraction_engine
 from repro.layout.geometry import Rect, interval_pairs
 from repro.layout.layers import Layer, metal_name
 from repro.mos.junction import DiffusionGeometry
@@ -67,123 +64,6 @@ class ExtractedParasitics:
         return sum(self.net_wire_cap.values())
 
 
-def _wire_capacitance(
-    tech: Technology, shapes: List[Shape], actives: List[Rect]
-) -> Dict[str, float]:
-    """Ground capacitance per net over all interconnect shapes."""
-    result: Dict[str, float] = defaultdict(float)
-    for shape in shapes:
-        if shape.net is None:
-            continue
-        metal = tech.metal(metal_name(shape.layer))
-        area = shape.rect.area
-        if shape.layer is Layer.POLY:
-            # Gate poly over active is channel, not wire.
-            for active in actives:
-                overlap = shape.rect.intersection(active)
-                if overlap is not None:
-                    area -= overlap.area
-            if area <= 0.0:
-                continue
-        result[shape.net] += (
-            metal.area_cap * area + metal.fringe_cap * shape.rect.perimeter
-        )
-    return dict(result)
-
-
-def _coupling(
-    tech: Technology, shapes: List[Shape], window_factor: float = 3.0
-) -> Dict[Tuple[str, str], float]:
-    """Same-layer lateral coupling between different nets."""
-    result: Dict[Tuple[str, str], float] = defaultdict(float)
-    by_layer: Dict[Layer, List[Shape]] = defaultdict(list)
-    for shape in shapes:
-        if shape.net is not None:
-            by_layer[shape.layer].append(shape)
-    for layer, members in by_layer.items():
-        metal = tech.metal(metal_name(layer))
-        window = window_factor * metal.min_spacing
-        members = sorted(members, key=lambda s: s.rect.x0)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if b.rect.x0 > a.rect.x1 + window:
-                    break
-                if a.net == b.net:
-                    continue
-                run_x = a.rect.parallel_run_x(b.rect)
-                run_y = a.rect.parallel_run_y(b.rect)
-                if run_x > 0.0 and run_y > 0.0:
-                    continue  # overlapping different nets: not lateral
-                if run_x > 0.0:
-                    spacing = max(b.rect.y0 - a.rect.y1, a.rect.y0 - b.rect.y1)
-                    run = run_x
-                elif run_y > 0.0:
-                    spacing = max(b.rect.x0 - a.rect.x1, a.rect.x0 - b.rect.x1)
-                    run = run_y
-                else:
-                    continue
-                if spacing <= 0.0 or spacing > window:
-                    continue
-                key = tuple(sorted((a.net, b.net)))
-                result[key] += metal.coupling_capacitance(run, spacing)
-    return dict(result)
-
-
-def _diffusion_strips(
-    tech: Technology, shapes: List[Shape]
-) -> Dict[Tuple[str, str], Tuple[float, float]]:
-    """Re-derive diffusion strips from active/poly/contact geometry."""
-    actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
-    polys = [s for s in shapes if s.layer is Layer.POLY]
-    contacts = [s for s in shapes if s.layer is Layer.CONTACT and s.net]
-    nimplants = [s.rect for s in shapes if s.layer is Layer.NIMPLANT]
-
-    result: Dict[Tuple[str, str], Tuple[float, float]] = defaultdict(
-        lambda: (0.0, 0.0)
-    )
-    for active in actives:
-        polarity = "n" if any(r.contains(active) for r in nimplants) else "p"
-        # Gates: poly fully crossing the active vertically.
-        gates = []
-        for poly in polys:
-            overlap = poly.rect.intersection(active)
-            if overlap is None:
-                continue
-            if poly.rect.y0 <= active.y0 and poly.rect.y1 >= active.y1:
-                gates.append((overlap.x0, overlap.x1))
-        gates.sort()
-        # Strips between consecutive gates (and the two ends).
-        boundaries = [active.x0]
-        for x0, x1 in gates:
-            boundaries.extend((x0, x1))
-        boundaries.append(active.x1)
-        for i in range(0, len(boundaries), 2):
-            x0, x1 = boundaries[i], boundaries[i + 1]
-            if x1 - x0 <= 0.0:
-                continue
-            strip = Rect(x0, active.y0, x1, active.y1)
-            net = _strip_net(strip, contacts)
-            if net is None:
-                continue
-            area = strip.area
-            perimeter = 2.0 * strip.width
-            if abs(strip.x0 - active.x0) < 1e-12:
-                perimeter += strip.height
-            if abs(strip.x1 - active.x1) < 1e-12:
-                perimeter += strip.height
-            key = (net, polarity)
-            total_area, total_perimeter = result[key]
-            result[key] = (total_area + area, total_perimeter + perimeter)
-    return dict(result)
-
-
-def _strip_net(strip: Rect, contacts: List[Shape]) -> Optional[str]:
-    for contact in contacts:
-        if strip.intersects(contact.rect):
-            return contact.net
-    return None
-
-
 def _wells(shapes: List[Shape]) -> Dict[str, Tuple[float, float]]:
     result: Dict[str, Tuple[float, float]] = defaultdict(lambda: (0.0, 0.0))
     for shape in shapes:
@@ -196,17 +76,16 @@ def _wells(shapes: List[Shape]) -> Dict[str, Tuple[float, float]]:
     return dict(result)
 
 
-# -- Vectorized engine --------------------------------------------------------
+# -- Array passes --------------------------------------------------------------
 #
-# Same passes as the scalar reference above, restated as array arithmetic:
-# one (N, 4) float array of (x0, y0, x1, y1) rows per layer, nets encoded
+# One (N, 4) float array of (x0, y0, x1, y1) rows per layer, nets encoded
 # as int codes in sorted-name order (so min/max of a code pair *is* the
 # sorted net-name pair).  Candidate coupling pairs come from the shared
 # sorted-sweep in :func:`repro.layout.geometry.interval_pairs`; every
-# candidate is re-tested with the exact scalar predicate, so the two
-# engines agree on the pair/strip *sets* exactly and on the accumulated
-# float totals to within summation-order noise (rtol 1e-12 in the golden
-# tests).
+# candidate is re-tested with the exact per-shape predicate, so these
+# passes agree with the per-shape oracle on the pair/strip *sets* exactly
+# and on the accumulated float totals to within summation-order noise
+# (rtol 1e-12 in the equivalence tests).
 
 
 def _net_codes(shapes: List[Shape]) -> Tuple[List[str], Dict[str, int]]:
@@ -253,9 +132,9 @@ class ExtractionWorkspace:
     and dirty layers alike.  The workspace builds each array once and
     hands the *same* buffers to every pass; it is keyed by the cell's
     subtree version stamp (the layer-content version the flatten/bbox
-    memos already use), so an unchanged cell re-extracted under a
-    different engine or window also reuses its buffers, while any
-    geometry change invalidates them.
+    memos already use), so an unchanged cell re-extracted with a
+    different window also reuses its buffers, while any geometry change
+    invalidates them.
 
     The buffers are read-only by convention: every consumer indexes or
     reduces them, none writes.
@@ -340,8 +219,8 @@ def _wire_capacitance_vec(
     actives: List[Rect],
     ws: Optional[ExtractionWorkspace] = None,
 ) -> Dict[str, float]:
-    """Array form of :func:`_wire_capacitance` (inputs pre-filtered to
-    netted interconnect shapes)."""
+    """Ground capacitance per net over all interconnect shapes (inputs
+    pre-filtered to netted interconnect shapes)."""
     if not shapes:
         return {}
     if ws is not None:
@@ -366,7 +245,7 @@ def _wire_capacitance_vec(
         if layer is Layer.POLY and active_arr is not None:
             # Gate poly over active is channel, not wire: subtract every
             # strict overlap, and drop shapes left with no wire area
-            # (their fringe term goes with them, as in the scalar code).
+            # (their fringe term goes with them, as in the oracle).
             ox = np.minimum(coords[:, 2, None], active_arr[None, :, 2]) - np.maximum(
                 coords[:, 0, None], active_arr[None, :, 0]
             )
@@ -395,7 +274,8 @@ def _coupling_vec(
     window_factor: float = 3.0,
     ws: Optional[ExtractionWorkspace] = None,
 ) -> Dict[Tuple[str, str], float]:
-    """Array form of :func:`_coupling` via the shared interval sweep."""
+    """Same-layer lateral coupling between different nets, via the
+    shared interval sweep."""
     result: Dict[Tuple[str, str], float] = {}
     if not shapes:
         return result
@@ -424,7 +304,7 @@ def _coupling_vec(
         run_x = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
         run_y = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
         # Lateral only: overlapping different nets (both runs positive)
-        # are excluded, exactly as in the scalar predicate.
+        # are excluded, exactly as in the per-shape predicate.
         lateral_x = (run_x > 0.0) & ~(run_y > 0.0)
         lateral_y = (run_y > 0.0) & ~(run_x > 0.0)
         spacing = np.where(
@@ -463,7 +343,7 @@ def _diffusion_strips_vec(
     shapes: List[Shape],
     ws: Optional[ExtractionWorkspace] = None,
 ) -> Dict[Tuple[str, str], Tuple[float, float]]:
-    """Array form of :func:`_diffusion_strips`.
+    """Re-derive diffusion strips from active/poly/contact geometry.
 
     The per-active strip walk stays a Python loop (actives are few); the
     hot inner scans — gate finding over all polys and net resolution over
@@ -550,38 +430,31 @@ def _diffusion_strips_vec(
     return dict(result)
 
 
-def extract_cell(
-    cell: Cell, tech: Technology, engine: Optional[str] = None
-) -> ExtractedParasitics:
+def extract_cell(cell: Cell, tech: Technology) -> ExtractedParasitics:
     """Full geometric extraction of a (hierarchical) cell.
 
-    ``engine`` selects ``"vector"`` (default) or ``"scalar"``; ``None``
-    resolves through :data:`repro.layout.engine.extraction_engine`.  Both
-    engines return canonically ordered reports: coupling keys are sorted
-    net tuples and every result dict is in sorted key order, so the
+    The report is canonically ordered: coupling keys are sorted net
+    tuples and every result dict is in sorted key order, so the
     annotation (and everything solved from it) is independent of shape
     iteration order.
     """
     from repro.layout import incremental
 
-    engine = extraction_engine.resolve(engine)
-    with telemetry.span(
-        "layout.extract", cell=cell.name, engine=engine
-    ) as span:
+    with telemetry.span("layout.extract", cell=cell.name) as span:
         telemetry.count("layout.extract")
         # The differential fast path: a module cell whose content
         # (motif, folds, technology) already went through these exact
         # passes is served from the memo.
         result, source = incremental.memo(
             "extraction",
-            lambda: (cell.content_key(), tech.fingerprint(), engine),
-            lambda: _extract(cell, tech, engine),
+            lambda: (cell.content_key(), tech.fingerprint()),
+            lambda: _extract(cell, tech),
         )
         span.annotate(source=source)
     return result
 
 
-def _extract(cell: Cell, tech: Technology, engine: str) -> ExtractedParasitics:
+def _extract(cell: Cell, tech: Technology) -> ExtractedParasitics:
     shapes = list(cell.flattened())
     actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
     interconnect = [
@@ -589,15 +462,10 @@ def _extract(cell: Cell, tech: Technology, engine: str) -> ExtractedParasitics:
         for s in shapes
         if s.layer in (Layer.POLY, Layer.METAL1, Layer.METAL2) and s.net
     ]
-    if engine == SCALAR:
-        wire = _wire_capacitance(tech, interconnect, actives)
-        coupling = _coupling(tech, interconnect)
-        diffusion = _diffusion_strips(tech, shapes)
-    else:
-        ws = _workspace_for(cell, shapes, interconnect)
-        wire = _wire_capacitance_vec(tech, interconnect, actives, ws)
-        coupling = _coupling_vec(tech, interconnect, ws=ws)
-        diffusion = _diffusion_strips_vec(tech, shapes, ws)
+    ws = _workspace_for(cell, shapes, interconnect)
+    wire = _wire_capacitance_vec(tech, interconnect, actives, ws)
+    coupling = _coupling_vec(tech, interconnect, ws=ws)
+    diffusion = _diffusion_strips_vec(tech, shapes, ws)
     return ExtractedParasitics(
         net_wire_cap=dict(sorted(wire.items())),
         coupling=dict(sorted(coupling.items())),

@@ -15,12 +15,12 @@ with largely repeated inputs, one memo *kind* each:
 
 Every site goes through :func:`memo`, so capacity, bypass, counters and
 the disk tier are decided here.  Keys cover full content (geometry
-digests, technology fingerprints, canonicalized request fields,
-engine-switch settings), so a hit returns the result of a computation
-with bit-identical inputs and the incremental path is *exact*: flipping
-:data:`repro.layout.engine.incremental_engine` changes wall-clock, never
-output bits.  Fault-injection runs (:mod:`repro.resilience.faults`)
-bypass the memo — injected failures must reach the real computation.
+digests, technology fingerprints, canonicalized request fields), so a
+hit returns the result of a computation with bit-identical inputs and
+the incremental path is *exact*: switching it off (:func:`set_on`,
+``--no-incremental``) changes wall-clock, never output bits.
+Fault-injection runs (:mod:`repro.resilience.faults`) bypass the memo —
+injected failures must reach the real computation.
 
 The ``layout`` kind is also kept on disk when the cross-run artifact
 store (:mod:`repro.runtime.artifacts`) is active, so a fresh process
@@ -35,10 +35,10 @@ own ``runtime.artifact.{hit,miss}``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 from repro import telemetry
-from repro.layout.engine import FROM_SCRATCH, incremental_engine
 from repro.resilience import faults
 
 
@@ -105,17 +105,36 @@ _stores: Dict[str, LruStore] = {
     kind: LruStore(capacity) for kind, capacity in CAPACITY.items()
 }
 
+#: Process-wide on/off switch; ``--no-incremental`` turns it off.
+_on = True
+
+
+def set_on(on: bool) -> None:
+    """Switch incremental reuse on or off for the whole process."""
+    global _on
+    _on = bool(on)
+
+
+@contextmanager
+def using(on: bool) -> Iterator[None]:
+    """Scoped :func:`set_on` (benchmarks, tests); restores the previous
+    setting on exit, error or not."""
+    previous = _on
+    set_on(on)
+    try:
+        yield
+    finally:
+        set_on(previous)
+
 
 def enabled() -> bool:
     """True when incremental reuse is on and no fault plan is armed.
 
     Fault-injection runs must reach the real computations — a cache hit
     would swallow the very failure the test armed — so an active fault
-    plan disables every store regardless of the engine switch.
+    plan disables every store regardless of :func:`set_on`.
     """
-    if incremental_engine.default() == FROM_SCRATCH:
-        return False
-    return not faults.active()
+    return _on and not faults.active()
 
 
 def memo(

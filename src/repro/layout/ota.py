@@ -304,17 +304,11 @@ def _build_variants(
 
 
 def _request_key(request: OtaLayoutRequest) -> str:
-    """Content digest of every field the generator reads.
-
-    The active extraction engine is part of it: extraction results ride
-    inside the report, so a different engine must key differently.
-    """
-    from repro.layout.engine import extraction_engine
+    """Content digest of every field the generator reads."""
     from repro.runtime.artifacts import content_key
 
     return content_key(
         "layout-call",
-        extraction_engine.default(),
         "ota",
         request.technology.fingerprint(),
         tuple(sorted(dict(request.sizes).items())),

@@ -142,14 +142,11 @@ def _finalise(
 
 
 def _request_key(request: TwoStageLayoutRequest) -> str:
-    """Content digest of every field the generator reads, under the
-    active extraction engine (see :func:`repro.layout.ota._request_key`)."""
-    from repro.layout.engine import extraction_engine
+    """Content digest of every field the generator reads."""
     from repro.runtime.artifacts import content_key
 
     return content_key(
         "layout-call",
-        extraction_engine.default(),
         "two_stage",
         request.technology.fingerprint(),
         tuple(sorted(dict(request.sizes).items())),

@@ -217,7 +217,7 @@ class MosModel(ABC):
 
         Mirrors the scalar implementation branch-for-branch (weak
         inversion, saturation, triode selected per element with masks) so
-        the compiled-stamp engine reproduces the legacy per-device path to
+        the compiled-stamp engine reproduces per-device evaluation to
         floating-point round-off.  Returns ``(id, gm, gds, gmb, region)``
         arrays where ``region`` holds :class:`Region` codes
         (0 = cutoff, 1 = triode, 2 = saturation).

@@ -1,8 +1,8 @@
-"""Performance instrumentation for the analysis engines.
+"""Performance instrumentation for the analysis and layout paths.
 
 Small, dependency-free timing helpers plus the canonical benchmark
 fixtures (the paper's Table-1 specs and the hand-sized folded-cascode
-testbench) shared by ``benchmarks/test_perf_analysis.py`` and the
+testbench) shared by ``benchmarks/test_perf_*.py`` and the
 ``python -m repro bench`` subcommand.
 
 The machine-readable output is ``BENCH_analysis.json`` at the repo root:
@@ -12,18 +12,22 @@ The machine-readable output is ``BENCH_analysis.json`` at the repo root:
     {
       "schema": "repro-bench-v2",
       "results": {
-        "dc_solve": {"legacy_s": ..., "compiled_s": ..., "speedup": ...,
-                     "legacy_p50_s": ..., "compiled_p95_s": ...},
+        "dc_solve": {"compiled_s": ..., "compiled_p50_s": ...,
+                     "compiled_p95_s": ..., "repeat": ...},
+        "synthesize_case4_incremental": {"legacy_s": ..., "compiled_s": ...,
+                                         "speedup": ..., ...},
         ...
       }
     }
 
-Every entry times the *same* call with the legacy and compiled engines
-(flipped via :data:`repro.analysis.engine.analysis_engine`), so a
-speedup of 1.0 means "no change" and regressions show up as values <
-previous runs.
-The v2 schema adds p50/p95 percentiles next to best-of; :func:`load_bench`
-still reads v1 records (which simply lack the percentile keys).
+Every entry times one path: ``compiled_*`` is that path's best-of, p50
+and p95 wall time, which is what the ``--against`` regression gate
+(:func:`check_regressions`) compares.  An entry that measures a switch
+the library still has (memo on/off, serial/pooled, per-round/persistent
+pool, cold/warm cache) also records the "before" side as ``legacy_*``
+plus the ``speedup``.  The v2 schema adds p50/p95 percentiles next to
+best-of; :func:`load_bench` still reads v1 records (which simply lack the
+percentile keys).
 """
 
 from __future__ import annotations
@@ -85,43 +89,44 @@ def time_call(
     }
 
 
-def _engine_entry(
-    legacy: Dict[str, float], compiled: Dict[str, float]
-) -> Dict[str, float]:
-    """A v2 record entry from two :func:`time_call` results.
+def _timing_entry(timing: Dict[str, float]) -> Dict[str, float]:
+    """A one-sided v2 record entry from one :func:`time_call` result.
 
-    ``legacy``/``compiled`` generalize to any before/after pair (scalar
-    vs vectorized extraction, all-pairs vs grid DRC, serial vs parallel
-    batch) — the keys stay the same so every entry renders through
-    :func:`format_bench_table`.  ``repeat`` is the number of timed
-    samples behind the percentiles (records written before it was added
-    lack the key, and every reader accepts them).
+    ``repeat`` is the number of timed samples behind the percentiles
+    (records written before it was added lack the key, and every reader
+    accepts them).
     """
     return {
-        "legacy_s": legacy["best_s"],
-        "compiled_s": compiled["best_s"],
-        "legacy_p50_s": legacy["p50_s"],
-        "legacy_p95_s": legacy["p95_s"],
-        "compiled_p50_s": compiled["p50_s"],
-        "compiled_p95_s": compiled["p95_s"],
-        "repeat": min(legacy["repeat"], compiled["repeat"]),
-        "speedup": legacy["best_s"] / compiled["best_s"]
-        if compiled["best_s"] > 0
-        else float("inf"),
+        "compiled_s": timing["best_s"],
+        "compiled_p50_s": timing["p50_s"],
+        "compiled_p95_s": timing["p95_s"],
+        "repeat": timing["repeat"],
     }
 
 
-def compare_engines(
-    fn: Callable[[], Any], repeat: int = 3, warmup: int = 1
+def _engine_entry(
+    legacy: Dict[str, float], compiled: Dict[str, float]
 ) -> Dict[str, float]:
-    """Time ``fn()`` under both analysis engines and report the speedup."""
-    from repro.analysis.engine import COMPILED, LEGACY, analysis_engine
+    """A before/after v2 record entry from two :func:`time_call` results.
 
-    with analysis_engine.use(LEGACY):
-        legacy = time_call(fn, repeat=repeat, warmup=warmup)
-    with analysis_engine.use(COMPILED):
-        compiled = time_call(fn, repeat=repeat, warmup=warmup)
-    return _engine_entry(legacy, compiled)
+    ``legacy`` is the "before" side (memo off, serial batch, per-round
+    pool, cold cache) and ``compiled`` the path the gate tracks; the
+    keys stay the same so every entry renders through
+    :func:`format_bench_table`.
+    """
+    entry = _timing_entry(compiled)
+    entry.update(
+        {
+            "legacy_s": legacy["best_s"],
+            "legacy_p50_s": legacy["p50_s"],
+            "legacy_p95_s": legacy["p95_s"],
+            "repeat": min(legacy["repeat"], compiled["repeat"]),
+            "speedup": legacy["best_s"] / compiled["best_s"]
+            if compiled["best_s"] > 0
+            else float("inf"),
+        }
+    )
+    return entry
 
 
 def write_bench(results: Dict[str, Dict[str, float]], path: str) -> None:
@@ -281,16 +286,18 @@ def check_history_regressions(
 
 
 def format_bench_table(results: Dict[str, Dict[str, float]]) -> str:
-    """Human-readable before/after table for the CLI."""
-    rows = [("benchmark", "legacy", "compiled", "speedup")]
+    """Human-readable table for the CLI; ``-`` marks an entry without a
+    "before" side."""
+    rows = [("benchmark", "before", "time", "speedup")]
     for name in sorted(results):
         entry = results[name]
+        one_sided = "legacy_s" not in entry
         rows.append(
             (
                 name,
-                f"{entry['legacy_s'] * 1e3:.1f} ms",
+                "-" if one_sided else f"{entry['legacy_s'] * 1e3:.1f} ms",
                 f"{entry['compiled_s'] * 1e3:.1f} ms",
-                f"{entry['speedup']:.2f}x",
+                "-" if one_sided else f"{entry['speedup']:.2f}x",
             )
         )
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
@@ -433,7 +440,7 @@ def hand_ota_layout(technology=None):
 def two_stage_testbench(technology=None):
     """A hand-sized Miller two-stage OTA testbench.
 
-    The second topology of the golden-equivalence suite: it exercises the
+    The second topology of the oracle-equivalence suite: it exercises the
     compiled engine on a different device count, a compensation network
     (Miller cap) and an NMOS-input stage.
     """
@@ -476,18 +483,23 @@ def run_benchmarks(
     include_synthesis: bool = True,
     mc_runs: int = 50,
 ) -> Dict[str, Dict[str, float]]:
-    """Time the canonical analysis workloads under both engines.
+    """Time the canonical analysis workloads.
 
     Workloads: one feedback DC solve, a 200-point AC sweep, a
-    ``mc_runs``-sample Monte-Carlo offset analysis and (unless disabled)
-    the full Table-1 case-4 ``LayoutOrientedSynthesizer.run``.  Returns
-    the :func:`write_bench`-ready mapping.
+    ``mc_runs``-sample and a 200-sample Monte-Carlo offset analysis, the
+    five-corner ensemble measurement and (unless disabled) the full
+    Table-1 case-4 ``LayoutOrientedSynthesizer.run``, from scratch and
+    with the memo warm.  Returns the :func:`write_bench`-ready mapping.
     """
     import numpy as np
 
     from repro.analysis.ac import ac_sweep
     from repro.analysis.dcop import solve_dc
+    from repro.analysis.ensemble import measure_ota_ensemble
     from repro.analysis.montecarlo import run_monte_carlo
+    from repro.sizing.plans.folded_cascode import FoldedCascodePlan
+    from repro.technology import generic_060
+    from repro.technology.corners import corner_set
 
     tb = default_testbench()
     feedback = tb.circuit.clone("bench_fb")
@@ -497,68 +509,33 @@ def run_benchmarks(
     frequencies = np.logspace(0.0, 9.0, 200)
     drive = {tb.source_pos: 0.5, "_fb": 0.0}
 
-    results: Dict[str, Dict[str, float]] = {
-        "dc_solve": compare_engines(
-            lambda: solve_dc(feedback), repeat=repeat
-        ),
-        "ac_sweep_200": compare_engines(
-            lambda: ac_sweep(feedback, dc, frequencies, drive),
-            repeat=repeat,
-        ),
-        f"monte_carlo_{mc_runs}": compare_engines(
-            lambda: run_monte_carlo(tb, runs=mc_runs, seed=1234),
-            repeat=repeat,
-        ),
-    }
-
-    # Stacked-ensemble entries: per-sample (legacy column) vs the stacked
-    # (K, n, n) Newton (compiled column), both on the compiled engine.
-    from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
-    from repro.analysis.ensemble import measure_ota_ensemble
-
-    with ensemble_engine.use(PERSAMPLE):
-        per_sample = time_call(
-            lambda: run_monte_carlo(tb, runs=200, seed=1234),
-            repeat=repeat,
-        )
-    with ensemble_engine.use(STACKED):
-        stacked = time_call(
-            lambda: run_monte_carlo(tb, runs=200, seed=1234),
-            repeat=repeat,
-        )
-    results["monte_carlo_200_ensemble"] = _engine_entry(per_sample, stacked)
-
-    from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-    from repro.technology import generic_060
-    from repro.technology.corners import corner_set
-
     tech = generic_060()
     specs = table1_specs()
-    plan = FoldedCascodePlan(tech)
-    sizing = plan.size(specs)
+    sizing = FoldedCascodePlan(tech).size(specs)
     benches = [
         FoldedCascodePlan(corner_tech).build_testbench(sizing, specs)
         for corner_tech in corner_set(tech).values()
     ]
-    per_corner = time_call(
-        lambda: measure_ota_ensemble(benches, engine=PERSAMPLE),
-        repeat=repeat,
-    )
-    stacked_corners = time_call(
-        lambda: measure_ota_ensemble(benches, engine=STACKED),
-        repeat=repeat,
-    )
-    results["corners_batch_ensemble"] = _engine_entry(
-        per_corner, stacked_corners
-    )
+
+    workloads = {
+        "dc_solve": lambda: solve_dc(feedback),
+        "ac_sweep_200": lambda: ac_sweep(feedback, dc, frequencies, drive),
+        f"monte_carlo_{mc_runs}": lambda: run_monte_carlo(
+            tb, runs=mc_runs, seed=1234
+        ),
+        "monte_carlo_200_ensemble": lambda: run_monte_carlo(
+            tb, runs=200, seed=1234
+        ),
+        "corners_batch_ensemble": lambda: measure_ota_ensemble(benches),
+    }
+    results: Dict[str, Dict[str, float]] = {
+        name: _timing_entry(time_call(fn, repeat=repeat))
+        for name, fn in workloads.items()
+    }
     if include_synthesis:
         from repro.core.synthesis import LayoutOrientedSynthesizer
-        from repro.sizing.plans.folded_cascode import FoldedCascodePlan
+        from repro.layout import incremental
         from repro.sizing.specs import ParasiticMode
-        from repro.technology import generic_060
-
-        tech = generic_060()
-        specs = table1_specs()
 
         def synthesize():
             synthesizer = LayoutOrientedSynthesizer(
@@ -568,36 +545,21 @@ def run_benchmarks(
                 specs, mode=ParasiticMode.FULL, generate=True
             )
 
-        # The differential caches would mask the engine difference this
-        # entry exists to measure (a warm repeat skips the physics in
-        # both columns), so the raw legacy-vs-compiled comparison runs
-        # from scratch; the ``_incremental`` entry below owns the cached
-        # comparison.
-        from repro.layout import incremental
-        from repro.layout.engine import (
-            FROM_SCRATCH,
-            INCREMENTAL,
-            incremental_engine,
-        )
-
+        # ``synthesize_case4`` is the cold loop (memo off, so warm
+        # repeats cannot skip the physics); ``_incremental`` pairs it
+        # with the memo on.  The warmup call inside time_call fills the
+        # stores, so the timed incremental repeats measure the warm loop
+        # — the case the sizing<->layout iteration hits from round two
+        # onward.
         synth_repeat = max(1, repeat - 1)
-        with incremental_engine.use(FROM_SCRATCH):
-            results["synthesize_case4"] = compare_engines(
-                synthesize, repeat=synth_repeat
-            )
-
-        # Incremental hot path: from-scratch synthesis (legacy column)
-        # vs the differential caches (compiled column).  The warmup call
-        # inside time_call fills the stores, so the timed incremental
-        # repeats measure the warm loop — the case the sizing<->layout
-        # iteration actually hits from round two onward.
         incremental.clear()
-        with incremental_engine.use(FROM_SCRATCH):
+        with incremental.using(False):
             scratch = time_call(synthesize, repeat=synth_repeat)
         incremental.clear()
-        with incremental_engine.use(INCREMENTAL):
+        with incremental.using(True):
             differential = time_call(synthesize, repeat=synth_repeat)
         incremental.clear()
+        results["synthesize_case4"] = _timing_entry(scratch)
         results["synthesize_case4_incremental"] = _engine_entry(
             scratch, differential
         )
@@ -607,25 +569,19 @@ def run_benchmarks(
 def run_layout_benchmarks(
     repeat: int = 3, batch_jobs: int = 0
 ) -> Dict[str, Dict[str, float]]:
-    """Time the layout-path workloads under both geometry engines.
+    """Time the layout-path workloads.
 
-    ``layout_extract`` compares scalar vs vectorized extraction and
-    ``layout_drc`` all-pairs vs grid-indexed DRC, both on the generated
-    case-4 OTA cell (``legacy``/``compiled`` columns read as
-    before/after).  With ``batch_jobs >= 2``, ``table1_batch_jobs{N}``
-    additionally compares a serial four-case Table-1 batch against the
-    ``--jobs N`` process pool — only meaningful on a multi-core host
-    (one core makes the pool pure overhead).
+    ``layout_extract`` times geometric extraction (memo off) and
+    ``layout_drc`` the design-rule check of the generated case-4 OTA
+    cell; ``extraction_incremental`` pairs memo-off extraction with warm
+    per-module memo hits.  With ``batch_jobs >= 2``,
+    ``table1_batch_jobs{N}`` additionally compares a serial four-case
+    Table-1 batch against the ``--jobs N`` process pool — only
+    meaningful on a multi-core host (one core makes the pool pure
+    overhead).
     """
+    from repro.layout import incremental
     from repro.layout.drc import DrcChecker
-    from repro.layout.engine import (
-        ALLPAIRS,
-        GRID,
-        SCALAR,
-        VECTOR,
-        drc_engine,
-        extraction_engine,
-    )
     from repro.layout.extraction import extract_cell
     from repro.technology import generic_060
 
@@ -633,43 +589,19 @@ def run_layout_benchmarks(
     cell = hand_ota_layout(tech).cell
     checker = DrcChecker(tech)
 
-    from repro.layout import incremental
-    from repro.layout.engine import (
-        FROM_SCRATCH,
-        INCREMENTAL,
-        incremental_engine,
+    results: Dict[str, Dict[str, float]] = {}
+    incremental.clear()
+    with incremental.using(False):
+        scratch = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
+    results["layout_extract"] = _timing_entry(scratch)
+    results["layout_drc"] = _timing_entry(
+        time_call(lambda: checker.check(cell), repeat=repeat)
     )
 
-    results: Dict[str, Dict[str, float]] = {}
-    # Caches off: warm repeats would hit the per-module store in both
-    # columns and mask the scalar-vs-vector difference this entry
-    # measures; the ``extraction_incremental`` entry owns the cached
-    # comparison.
-    with incremental_engine.use(FROM_SCRATCH):
-        with extraction_engine.use(SCALAR):
-            scalar = time_call(
-                lambda: extract_cell(cell, tech), repeat=repeat
-            )
-        with extraction_engine.use(VECTOR):
-            vector = time_call(
-                lambda: extract_cell(cell, tech), repeat=repeat
-            )
-    results["layout_extract"] = _engine_entry(scalar, vector)
-
-    with drc_engine.use(ALLPAIRS):
-        allpairs = time_call(lambda: checker.check(cell), repeat=repeat)
-    with drc_engine.use(GRID):
-        grid = time_call(lambda: checker.check(cell), repeat=repeat)
-    results["layout_drc"] = _engine_entry(allpairs, grid)
-
-    # Differential extraction: repeated extraction of the same cell
-    # from scratch (legacy column) vs served per-module from the
-    # content-keyed store (compiled column; the warmup fills it).
+    # Differential extraction: the same cell served per-module from the
+    # content-keyed store (the warmup fills it).
     incremental.clear()
-    with incremental_engine.use(FROM_SCRATCH):
-        scratch = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
-    incremental.clear()
-    with incremental_engine.use(INCREMENTAL):
+    with incremental.using(True):
         warm = time_call(lambda: extract_cell(cell, tech), repeat=repeat)
     incremental.clear()
     results["extraction_incremental"] = _engine_entry(scratch, warm)

@@ -1,8 +1,8 @@
 """Deterministic fault-injection registry.
 
 Degradation paths (solver escalation, Monte-Carlo shard resubmission,
-synthesis-round fallback, compiled-to-legacy engine hand-over) are hard to
-reach with real inputs: they need a singular matrix on exactly the third
+synthesis-round fallback, journal crash safety) are hard to reach with
+real inputs: they need a singular matrix on exactly the third
 linear solve, or a worker process that dies on shard 2 but not on its
 resubmission.  This module lets tests *declare* such failures at named
 sites instead of contriving pathological circuits:
@@ -10,17 +10,18 @@ sites instead of contriving pathological circuits:
     with faults.inject("solve.linear", error=AnalysisError("injected")):
         solve_dc(circuit)        # first linear solve fails, ladder escalates
 
-Instrumented sites (the ``site`` strings accepted by :func:`inject`):
+Instrumented sites (:data:`SITES`, the only ``site`` strings
+:func:`inject` and ``REPRO_FAULTS`` accept):
 
 ===================== =========================================================
-``solve.linear``      every Newton linear solve (legacy and compiled); the
-                      injected error is handled like a singular matrix, so
-                      the current escalation rung fails and the ladder moves on
-``model.eval``        the compiled engine's batched MOS model evaluation;
-                      ``action="nan"`` poisons the device currents with NaN,
-                      any other action raises the injected error
-``engine.compiled``   the compiled-engine dispatch in ``solve_dc``; an
-                      injected error exercises the legacy-engine fallback
+``solve.linear``      every Newton linear solve (single circuit and stacked
+                      ensemble); the injected error is handled like a
+                      singular matrix, so the current escalation rung fails
+                      and the ladder moves on
+``model.eval``        the batched MOS model evaluation of a Newton
+                      iteration; ``action="nan"`` poisons the device
+                      currents with NaN, any other action raises the
+                      injected error
 ``mc.worker``         Monte-Carlo shard submission (``index`` = shard); a
                       firing makes the worker process die (``os._exit``),
                       exercising shard resubmission and in-process fallback
@@ -62,6 +63,20 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Mapping, Optional
 
 from repro.errors import AnalysisError
+
+#: Every instrumented site, in the order of the table above.  A fault
+#: armed anywhere else could never fire, yet would still make
+#: :func:`active` true and so bypass every memo; :class:`Fault` rejects it.
+SITES = (
+    "solve.linear",
+    "model.eval",
+    "mc.worker",
+    "batch.worker",
+    "synthesis.sizing",
+    "synthesis.layout",
+    "journal.write",
+    "process.kill",
+)
 
 #: Armed faults, in arming order.  Instrumented sites consult this list via
 #: :func:`fire`; an empty list short-circuits every check.
@@ -122,6 +137,13 @@ class Fault:
     action: str = "raise"
     hits: int = field(default=0, repr=False)
     fired: int = field(default=0, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.site not in SITES:
+            raise ValueError(
+                f"unknown fault site {self.site!r}; known sites: "
+                f"{', '.join(SITES)}"
+            )
 
     def exception(self) -> BaseException:
         """The exception a ``raise``-action firing should raise."""
@@ -210,14 +232,15 @@ def arm_from_env(environ: Optional[Mapping[str, str]] = None) -> List[Fault]:
 
     kills the process (exit :data:`KILL_EXIT_CODE`) at the second journal
     boundary — the lever the CI kill-resume smoke job pulls.  Returns the
-    armed faults (empty when the variable is unset).
+    armed faults (empty when the variable is unset).  An unknown site or
+    option raises ``ValueError`` and arms nothing.
     """
     if environ is None:
         environ = os.environ
     spec = environ.get("REPRO_FAULTS", "").strip()
     if not spec:
         return []
-    armed: List[Fault] = []
+    parsed: List[Fault] = []
     for entry in spec.split(";"):
         entry = entry.strip()
         if not entry:
@@ -235,8 +258,11 @@ def arm_from_env(environ: Optional[Mapping[str, str]] = None) -> List[Fault]:
                 raise ValueError(
                     f"REPRO_FAULTS: unknown option {key!r} in {entry!r}"
                 )
-        armed.append(arm(Fault(site=site.strip(), **fields)))
-    return armed
+        try:
+            parsed.append(Fault(site=site.strip(), **fields))
+        except ValueError as error:
+            raise ValueError(f"REPRO_FAULTS: {error}") from None
+    return [arm(fault) for fault in parsed]
 
 
 @contextmanager

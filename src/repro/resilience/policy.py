@@ -11,10 +11,10 @@ solutions (``DcSolution.convergence``) and to the final
 :class:`~repro.errors.ConvergenceError` when every rung fails — residual
 history, achieved gmin and the worst-residual nodes survive the failure.
 
-A backend is anything with the small duck-typed surface both engines
-implement (:class:`~repro.analysis.stamps.StampProgram` for the compiled
-engine, a thin adapter over the legacy stamping in
-:mod:`repro.analysis.dcop`):
+A backend is anything with this small duck-typed surface
+(:class:`~repro.analysis.stamps.StampProgram` in the library; the
+per-element reference in ``tests/oracles/analysis.py`` runs its own
+ladder through the same rungs):
 
 * ``circuit_name`` — for messages;
 * ``initial_guess()`` / ``zeros()`` — start vectors;
@@ -24,7 +24,7 @@ engine, a thin adapter over the legacy stamping in
 
 The rung arithmetic reproduces the previous hard-coded ladders exactly
 (same stages, same iteration caps, same restart points), so the happy
-path is numerically untouched — golden-equivalence tests pin this.
+path is numerically untouched — equivalence tests pin this.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class ConvergenceReport:
     achieved_gmin: float = 0.0
     rungs: List[RungRecord] = field(default_factory=list)
     worst_nodes: List[Tuple[str, float]] = field(default_factory=list)
-    engine_fallback: Optional[str] = None
     final_voltages: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -113,9 +112,6 @@ class ConvergenceReport:
             f"  total Newton iterations: {self.iterations}, "
             f"achieved gmin: {self.achieved_gmin:g}",
         ]
-        if self.engine_fallback is not None:
-            lines.append(f"  compiled engine fell back to legacy: "
-                         f"{self.engine_fallback}")
         for record in self.rungs:
             lines.append("  " + record.format())
         if self.worst_nodes:
@@ -159,7 +155,7 @@ class DirectNewton:
 class WarmStart:
     """Direct Newton seeded from a previously converged solution.
 
-    Prepended to the compiled ladder when a warm-start session (see
+    Prepended to the default ladder when a warm-start session (see
     :mod:`repro.analysis.warmstart`) holds node voltages for a
     structurally matching circuit — e.g. the previous synthesis round's
     verification bench.  A stale seed simply fails this rung and the
@@ -317,13 +313,10 @@ def _record_telemetry(
         telemetry.gauge("solver.last_residual", report.rungs[-1].residual_norm)
 
 
-#: The compiled engine's default ladder (fast direct attempt first).
+#: The default DC ladder (fast direct attempt first).
 COMPILED_POLICY = SolverPolicy(
     rungs=(DirectNewton(), GminRamp(), SourceStepping())
 )
-
-#: The legacy engine's ladder (no direct fast path, as before).
-LEGACY_POLICY = SolverPolicy(rungs=(GminRamp(), SourceStepping()))
 
 
 def ramp_policy(sequence: Tuple[float, ...]) -> SolverPolicy:
@@ -332,7 +325,7 @@ def ramp_policy(sequence: Tuple[float, ...]) -> SolverPolicy:
 
 
 def warm_policy(seed: np.ndarray) -> SolverPolicy:
-    """The compiled ladder with a warm-start rung bolted on front.
+    """The default ladder with a warm-start rung bolted on front.
 
     Same terminal behaviour as :data:`COMPILED_POLICY` (the full ladder
     still runs if the seed misleads Newton), but a good seed converges in

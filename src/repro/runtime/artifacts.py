@@ -2,7 +2,7 @@
 
 The synthesis loop's dominant repeated cost is layout work whose inputs
 recur exactly: a converged sizing re-laid-out in a later run, a Table-1
-case re-run with identical specs/technology/engines.  The in-process
+case re-run with identical specs and technology.  The in-process
 memo (:func:`repro.layout.incremental.memo`) dies with the process;
 this module persists whole layout calls (the memo's ``layout`` kind,
 its one disk tier) and Table-1 case results on disk, content-addressed,

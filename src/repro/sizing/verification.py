@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.analysis.ensemble import measure_ota_ensemble
 from repro.analysis.metrics import OtaMetrics, measure_ota
 from repro.analysis.montecarlo import MonteCarloResult, run_monte_carlo
 from repro.circuit.testbench import OtaTestbench
-from repro.errors import AnalysisError, ConvergenceError
 from repro.sizing.specs import OtaSpecs
 
 
@@ -107,7 +107,6 @@ class VerificationInterface:
         result,
         specs: OtaSpecs,
         corners: Optional[Dict[str, object]] = None,
-        ensemble: Optional[str] = None,
     ) -> Dict[str, VerificationReport]:
         """Re-verify a sizing result across process corners.
 
@@ -115,13 +114,12 @@ class VerificationInterface:
         replaces the devices while the sizes and biases stay fixed — the
         deterministic worst-case companion to the Monte-Carlo analysis.
 
-        On the stacked ensemble engine (the default) all corner replicas
-        are measured as members of one
+        All corner replicas are measured as members of one
         :func:`~repro.analysis.ensemble.measure_ota_ensemble` call — one
         compiled program and one stacked small-signal solve instead of a
-        full re-compile per corner.  ``ensemble="per-sample"`` (or the
-        process-wide switch) restores the per-corner loop; members that
-        cannot be stacked fall back to it automatically.
+        full re-compile per corner (members that cannot be stacked are
+        measured one at a time).  A corner that cannot be measured gets
+        a failed report carrying the error.
         """
         from repro.technology.corners import all_corners
 
@@ -132,37 +130,19 @@ class VerificationInterface:
             corner_plan = type(plan)(technology, plan.model_level)
             benches[name] = corner_plan.build_testbench(result, specs)
 
-        from repro.analysis.engine import PERSAMPLE, ensemble_engine
-
         reports: Dict[str, VerificationReport] = {}
-        if ensemble_engine.resolve(ensemble) != PERSAMPLE:
-            from repro.analysis.ensemble import measure_ota_ensemble
-
-            measurements = measure_ota_ensemble(list(benches.values()))
-            for name, measured in zip(benches, measurements):
-                if measured.metrics is None:
-                    reports[name] = VerificationReport(
-                        metrics=None,
-                        meets_gbw=False,
-                        meets_phase_margin=False,
-                        all_saturated=False,
-                        failure_reason=measured.error,
-                    )
-                else:
-                    reports[name] = self.report_from_metrics(
-                        measured.metrics, specs
-                    )
-            return reports
-
-        for name, bench in benches.items():
-            try:
-                reports[name] = self.verify(bench, specs)
-            except (AnalysisError, ConvergenceError) as error:
+        measurements = measure_ota_ensemble(list(benches.values()))
+        for name, measured in zip(benches, measurements):
+            if measured.metrics is None:
                 reports[name] = VerificationReport(
                     metrics=None,
                     meets_gbw=False,
                     meets_phase_margin=False,
                     all_saturated=False,
-                    failure_reason=str(error),
+                    failure_reason=measured.error,
+                )
+            else:
+                reports[name] = self.report_from_metrics(
+                    measured.metrics, specs
                 )
         return reports

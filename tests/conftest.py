@@ -7,7 +7,10 @@ and every test reads from the cached results.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import strategies as st
 
 from repro.circuit.topologies import DeviceSize, FoldedCascodeDesign, build_folded_cascode
 from repro.core.cases import run_case
@@ -16,6 +19,7 @@ from repro.layout.extraction import extract_cell
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.mos import make_model, width_for_current
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
+from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.technology import generic_035, generic_060, generic_080
 from repro.units import PF, UM
@@ -171,3 +175,67 @@ def synthesis_outcome(tech, specs, plan):
 def case4_result(tech, specs):
     """Complete case-4 run including extraction."""
     return run_case(tech, specs, ParasiticMode.FULL)
+
+
+# -- Sized designs for property tests -----------------------------------------
+
+PRESETS = {
+    "0.35": generic_035,
+    "0.6": generic_060,
+    "0.8": generic_080,
+}
+
+
+def _design_specs(technology, topology: str) -> OtaSpecs:
+    """Table-1 style specs per topology, voltage ranges scaled with the
+    preset's supply."""
+    scale = technology.supply_nominal / 3.3
+    if topology == "folded_cascode":
+        return OtaSpecs(
+            vdd=technology.supply_nominal, gbw=65e6, phase_margin=65.0,
+            cload=3 * PF, input_cm_range=(0.55 * scale, 1.84 * scale),
+            output_range=(0.51 * scale, 2.31 * scale),
+        )
+    return OtaSpecs(
+        vdd=technology.supply_nominal, gbw=30e6, phase_margin=60.0,
+        cload=2 * PF, input_cm_range=(1.0 * scale, 2.0 * scale),
+        output_range=(0.4 * scale, 2.9 * scale),
+    )
+
+
+@pytest.fixture(scope="session")
+def sized_designs():
+    """(plan, sizing, specs) per (preset, topology), sized once."""
+    designs = {}
+    for preset, make in PRESETS.items():
+        technology = make()
+        for plan_class in (FoldedCascodePlan, TwoStagePlan):
+            plan = plan_class(technology)
+            specs = _design_specs(technology, plan.topology)
+            sizing = plan.size(specs, ParasiticMode.SINGLE_FOLD)
+            designs[preset, plan.topology] = (plan, sizing, specs)
+    return designs
+
+
+#: Keys of :func:`sized_designs`, for ``st.sampled_from``.
+DESIGN_KEYS = [
+    (preset, topology)
+    for preset in PRESETS
+    for topology in ("folded_cascode", "two_stage")
+]
+
+#: One width factor per device (the folded cascode has 11), +-30 %.
+JITTER = st.lists(st.floats(0.7, 1.3), min_size=11, max_size=11)
+
+
+def jittered_bench(designs, key, factors):
+    """The sized design's testbench with every width scaled by a factor."""
+    plan, sizing, specs = designs[key]
+    jittered = copy.deepcopy(sizing)
+    jittered.sizes = {
+        device: (width * factor, length)
+        for (device, (width, length)), factor in zip(
+            sorted(sizing.sizes.items()), factors
+        )
+    }
+    return plan.build_testbench(jittered, specs, ParasiticMode.SINGLE_FOLD)

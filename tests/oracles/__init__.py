@@ -1,0 +1,14 @@
+"""Reference implementations the equivalence tests compare against.
+
+The library runs one engine per layer.  The straightforward per-element
+and per-shape implementations it replaced live here, outside ``src/``,
+as test oracles:
+
+* :mod:`tests.oracles.analysis` — dense per-element MNA stamping: the
+  gmin-ramp/source-stepping DC Newton, per-frequency AC sweeps, per-source
+  noise and the Table-1 measurement built from them;
+* :mod:`tests.oracles.layout` — per-shape extraction (wire capacitance,
+  lateral coupling, diffusion strips) and the all-pairs DRC scan.
+
+Nothing under ``src/`` imports from here.
+"""

@@ -52,6 +52,19 @@ class TestParser:
 
 
 class TestCommands:
+    def test_unknown_fault_site_is_a_usage_error(self, capsys, monkeypatch):
+        from repro.resilience import faults
+
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "process.kil:at=2,action=crash"
+        )
+        assert main(["figure2", "--max-folds", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown fault site 'process.kil'" in captured.err
+        assert "process.kill" in captured.err
+        assert captured.out == ""
+        assert not faults.active()
+
     def test_figure2_prints_curve(self, capsys):
         assert main(["figure2", "--max-folds", "6"]) == 0
         out = capsys.readouterr().out

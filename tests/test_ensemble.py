@@ -1,9 +1,11 @@
-"""Stacked-ensemble solves vs the per-sample golden path.
+"""Stacked-ensemble solves vs one public call per member.
 
 The ensemble engine must be a pure performance transform: sample-for-
-sample equal results (rtol 1e-9; in practice bitwise), per-member failure
-isolation, and worker-count independence.  These tests pin the design
-rules documented in :mod:`repro.analysis.ensemble`.
+sample equal to a ``warm_policy(nominal).run(program)`` solve per
+Monte-Carlo row and to ``measure_ota`` per corner bench (rtol 1e-9; in
+practice bitwise), with per-member failure isolation and worker-count
+independence.  These tests pin the design rules documented in
+:mod:`repro.analysis.ensemble`.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ import numpy as np
 import pytest
 
 from repro.analysis import montecarlo
-from repro.analysis.engine import PERSAMPLE, STACKED, ensemble_engine
 from repro.analysis.ensemble import EnsembleProgram, measure_ota_ensemble
+from repro.analysis.metrics import measure_ota
 from repro.analysis.montecarlo import (
     _CompiledOffset,
     draw_mismatch_samples,
     run_monte_carlo,
 )
 from repro.analysis.stamps import StampProgram
-from repro.errors import ConvergenceError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.perf import default_testbench, two_stage_testbench
 from repro.resilience.policy import COMPILED_POLICY, SolverPolicy, warm_policy
 from repro.sizing.specs import OtaSpecs
@@ -147,6 +149,34 @@ def _per_sample_outcomes(compiled, vth, beta, policy):
     return outcomes
 
 
+def _per_sample_offsets(compiled, vth, beta):
+    """Offset per row from one seeded scalar ladder run each — the
+    reference :meth:`_CompiledOffset.measure` must equal."""
+    policy = (
+        COMPILED_POLICY if compiled.nominal is None
+        else warm_policy(compiled.nominal)
+    )
+    return [
+        {"offset_voltage": float(voltages[compiled.out_node]) - compiled.vcm}
+        for voltages, _report, _error in _per_sample_outcomes(
+            compiled, vth, beta, policy
+        )
+    ]
+
+
+def _reference_monte_carlo(tb, runs, seed):
+    """``run_monte_carlo``'s offset samples, one public solve per row."""
+    names, vth, beta = draw_mismatch_samples(tb.circuit, runs, seed)
+    return {
+        "offset_voltage": [
+            stats["offset_voltage"]
+            for stats in _per_sample_offsets(
+                _CompiledOffset(tb, names), vth, beta
+            )
+        ]
+    }
+
+
 def _assert_matches_per_sample(solution, outcomes):
     """Stacked members equal the per-sample ladder: bitwise voltages,
     equal reports (rung names included) and equal errors."""
@@ -167,20 +197,17 @@ def _assert_matches_per_sample(solution, outcomes):
 
 class TestMonteCarloParity:
     def test_stacked_matches_per_sample(self, tb):
-        with ensemble_engine.use(PERSAMPLE):
-            reference = run_monte_carlo(tb, runs=40, seed=99)
-        with ensemble_engine.use(STACKED):
-            stacked = run_monte_carlo(tb, runs=40, seed=99)
-        assert set(stacked.samples) == set(reference.samples)
-        for key, values in reference.samples.items():
+        reference = _reference_monte_carlo(tb, runs=40, seed=99)
+        stacked = run_monte_carlo(tb, runs=40, seed=99)
+        assert set(stacked.samples) == set(reference)
+        for key, values in reference.items():
             np.testing.assert_allclose(
                 stacked.samples[key], values, rtol=RTOL, atol=1e-12
             )
 
     def test_stacked_statistics_identical_for_any_worker_count(self, tb):
-        with ensemble_engine.use(STACKED):
-            serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
-            pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
+        serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
+        pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
         assert serial.samples == pooled.samples
         assert pooled.n_failed == 0
 
@@ -190,22 +217,10 @@ class TestMonteCarloParity:
         """At 1000 runs each shard's live set shrinks to a handful of
         stragglers, so each member's rows are assembled alongside very
         different companions depending on the shard partition."""
-        with ensemble_engine.use(STACKED):
-            serial = run_monte_carlo(tb, runs=1000, seed=77, workers=1)
-            pooled = run_monte_carlo(tb, runs=1000, seed=77, workers=2)
+        serial = run_monte_carlo(tb, runs=1000, seed=77, workers=1)
+        pooled = run_monte_carlo(tb, runs=1000, seed=77, workers=2)
         assert serial.samples == pooled.samples
         assert pooled.n_failed == 0
-
-    def test_scoped_engine_override_crosses_worker_boundary(self, tb):
-        """A scoped per-sample override must also govern pool workers."""
-        with ensemble_engine.use(PERSAMPLE):
-            reference = run_monte_carlo(tb, runs=12, seed=77, workers=4)
-        with ensemble_engine.use(STACKED):
-            stacked = run_monte_carlo(tb, runs=12, seed=77, workers=4)
-        for key, values in reference.samples.items():
-            np.testing.assert_allclose(
-                stacked.samples[key], values, rtol=RTOL, atol=1e-12
-            )
 
     def test_seeded_solve_agrees_with_cold_solve(self, tb):
         """Seeding every member from the nominal operating point moves
@@ -242,9 +257,8 @@ class TestMonteCarloParity:
         """Under the nominal seed the stacked and per-sample paths give
         bitwise-equal offsets, reports and iteration counts."""
         compiled, vth, beta = _offset_rows(tb, runs=60, seed=99)
-        stacked = compiled.measure(vth, beta, STACKED)
-        per_sample = compiled.measure(vth, beta, PERSAMPLE)
-        assert stacked == per_sample
+        stacked = compiled.measure(vth, beta)
+        assert stacked == _per_sample_offsets(compiled, vth, beta)
         solution = EnsembleProgram.from_mismatch(
             compiled.program,
             vth[:, compiled.permutation],
@@ -293,8 +307,8 @@ class TestMonteCarloParity:
             )
             compiled = _CompiledOffset(tb, names)
         assert compiled.nominal is None
-        stacked = compiled.measure(vth, beta, STACKED)
-        assert stacked == compiled.measure(vth, beta, PERSAMPLE)
+        stacked = compiled.measure(vth, beta)
+        assert stacked == _per_sample_offsets(compiled, vth, beta)
         solution = EnsembleProgram.from_mismatch(
             compiled.program,
             vth[:, compiled.permutation],
@@ -492,13 +506,18 @@ class TestEnsembleMeasurement:
             type(plan)(tech, 1).build_testbench(sizing, specs)
             for tech in corner_set(technology).values()
         ]
-        stacked = measure_ota_ensemble(benches, engine=STACKED)
-        reference = measure_ota_ensemble(benches, engine=PERSAMPLE)
+        stacked = measure_ota_ensemble(benches)
+        reference = []
+        for bench in benches:
+            try:
+                reference.append((measure_ota(bench), None))
+            except (AnalysisError, ConvergenceError) as error:
+                reference.append((None, str(error)))
         assert len(stacked) == len(reference) == len(benches)
-        for got, ref in zip(stacked, reference):
-            if ref.metrics is None:
+        for got, (ref, error) in zip(stacked, reference):
+            if ref is None:
                 assert got.metrics is None
-                assert got.error == ref.error
+                assert got.error == error
                 continue
             for attr in (
                 "dc_gain_db", "gbw", "phase_margin_deg", "slew_rate",
@@ -506,5 +525,5 @@ class TestEnsembleMeasurement:
                 "output_resistance", "input_noise_rms", "power",
             ):
                 assert getattr(got.metrics, attr) == pytest.approx(
-                    getattr(ref.metrics, attr), rel=RTOL, abs=1e-15
+                    getattr(ref, attr), rel=RTOL, abs=1e-15
                 ), attr

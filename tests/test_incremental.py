@@ -13,7 +13,6 @@ import pytest
 from repro.analysis import warmstart
 from repro.core.synthesis import LayoutOrientedSynthesizer
 from repro.layout import incremental
-from repro.layout.engine import incremental_engine
 from repro.layout.incremental import LruStore
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.two_stage_ota import (
@@ -79,8 +78,9 @@ class TestLruStore:
 def _bypassed(how: str):
     """A context in which :func:`incremental.enabled` is False."""
     if how == "off":
-        return incremental_engine.use("off")
-    return faults.inject("test.unreached")
+        return incremental.using(False)
+    # Armed but never reached: nothing in these flows runs a batch pool.
+    return faults.inject("batch.worker")
 
 
 def _sources(tracer, span_name: str):
@@ -205,7 +205,7 @@ class TestExtractionParity:
         request = OtaLayoutRequest(
             technology=tech, sizes=sizes, currents=currents, aspect=1.0
         )
-        with incremental_engine.use("off"):
+        with incremental.using(False):
             full = generate_ota_layout(request, mode="estimate")
         cold = generate_ota_layout(request, mode="estimate")
         warm = generate_ota_layout(request, mode="estimate")
@@ -227,7 +227,7 @@ class TestExtractionParity:
             currents=result.currents,
             cc=result.biases["_cc"],
         )
-        with incremental_engine.use("off"):
+        with incremental.using(False):
             full = generate_two_stage_layout(request, mode="estimate")
         cold = generate_two_stage_layout(request, mode="estimate")
         warm = generate_two_stage_layout(request, mode="estimate")
@@ -307,7 +307,7 @@ class TestDirtyInvalidation:
             technology=tech, sizes=sizes, currents=currents, aspect=1.0
         )
         generate_ota_layout(request, mode="estimate")
-        with faults.inject("test.unreached"):
+        with faults.inject("batch.worker"):
             assert not incremental.enabled()
             generate_ota_layout(request, mode="estimate")
         assert incremental.stats()["layout"]["hits"] == 0
@@ -315,12 +315,12 @@ class TestDirtyInvalidation:
 
 class TestSynthesisDeterminism:
     """The acceptance contract: fingerprints are independent of the
-    incremental engine and cache temperature."""
+    incremental memo and cache temperature."""
 
     @pytest.fixture(scope="class")
     def reference(self, tech, specs):
         incremental.clear()
-        with incremental_engine.use("off"):
+        with incremental.using(False):
             synthesizer = LayoutOrientedSynthesizer(
                 tech, plan=FoldedCascodePlan(tech)
             )

@@ -220,6 +220,18 @@ class TestJournalFaultSites:
             faults.arm_from_env({"REPRO_FAULTS": "process.kill:when=later"})
         faults.disarm_all()
 
+    def test_arm_from_env_rejects_unknown_site(self):
+        """A misspelt site would never fire, yet an armed plan turns off
+        every memo; nothing is armed, not even the valid entry."""
+        with pytest.raises(ValueError) as excinfo:
+            faults.arm_from_env(
+                {"REPRO_FAULTS": "mc.worker:index=1; process.kil:at=2"}
+            )
+        message = str(excinfo.value)
+        assert "'process.kil'" in message
+        assert all(site in message for site in faults.SITES)
+        assert not faults.active()
+
 
 class TestShutdownGuard:
     def test_signal_converts_to_clean_interrupt(self, tmp_path):

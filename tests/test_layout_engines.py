@@ -1,42 +1,31 @@
-"""Layout-path engines: golden equivalence, spatial index, composition.
+"""Layout path: equivalence with the per-shape oracle, spatial index,
+composition.
 
-The vectorized extraction and grid-indexed DRC are exact replacements for
-the scalar references — same keys, same floats (within 1e-12), same
-violation order — verified here on both OTA topologies plus synthetic
-cells that hit every violation kind.  Index-combo Stockmeyer composition
-rebuilds exactly the frontier the direct enumeration produces.
+The array extraction and grid-indexed DRC are exact replacements for the
+per-shape references in :mod:`tests.oracles.layout` — same keys, same
+floats (within 1e-12), same violation order — verified here on both OTA
+topologies, on generated OTA layouts of random sizes and folds, and on
+synthetic cells that hit every violation kind.  Index-combo Stockmeyer
+composition rebuilds exactly the frontier the direct enumeration
+produces.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from repro.analysis.engine import (
-    COMPILED,
-    LEGACY,
-    PERSAMPLE,
-    STACKED,
-    analysis_engine,
-    ensemble_engine,
-)
+from repro.errors import LayoutError
 from repro.layout.cell import Cell
 from repro.layout.drc import DrcChecker
-from repro.layout.engine import (
-    ALLPAIRS,
-    FROM_SCRATCH,
-    GRID,
-    INCREMENTAL,
-    SCALAR,
-    VECTOR,
-    drc_engine,
-    extraction_engine,
-    incremental_engine,
-)
 from repro.layout.extraction import extract_cell
 from repro.layout.geometry import GridIndex, Rect, interval_pairs
 from repro.layout.layers import Layer
+from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
 from repro.units import UM
+from tests.conftest import _hand_sizes
+from tests.oracles import layout as oracle
 
 
 @pytest.fixture(scope="module")
@@ -91,64 +80,40 @@ def dirty_cell(tech):
     return cell
 
 
-class TestEngineSwitch:
-    """The contract every engine switch keeps; one subclass per switch."""
-
-    switch, default, alternative = extraction_engine, VECTOR, SCALAR
-
-    def test_defaults(self):
-        assert self.switch.resolve(None) == self.default
-        assert self.switch.default() == self.default
-
-    def test_explicit_resolve(self):
-        assert self.switch.resolve(self.alternative) == self.alternative
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(
-            ValueError, match=f"unknown {self.switch.label} engine 'fpga'"
-        ):
-            self.switch.resolve("fpga")
-
-    def test_use_scopes_and_restores(self):
-        with self.switch.use(self.alternative):
-            assert self.switch.resolve(None) == self.alternative
-        assert self.switch.resolve(None) == self.default
-
-    def test_use_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with self.switch.use(self.alternative):
-                raise RuntimeError("boom")
-        assert self.switch.resolve(None) == self.default
-
-
-class TestDrcEngineSwitch(TestEngineSwitch):
-    switch, default, alternative = drc_engine, GRID, ALLPAIRS
-
-
-class TestIncrementalEngineSwitch(TestEngineSwitch):
-    switch, default = incremental_engine, INCREMENTAL
-    alternative = FROM_SCRATCH
-
-
-class TestAnalysisEngineSwitch(TestEngineSwitch):
-    switch, default, alternative = analysis_engine, COMPILED, LEGACY
-
-
-class TestEnsembleEngineSwitch(TestEngineSwitch):
-    switch, default, alternative = ensemble_engine, STACKED, PERSAMPLE
-
-
 def _assert_extractions_match(cell, tech):
-    scalar = extract_cell(cell, tech, engine=SCALAR)
-    vector = extract_cell(cell, tech, engine=VECTOR)
+    reference = oracle.extract_cell(cell, tech)
+    got_all = extract_cell(cell, tech)
     for attr in ("net_wire_cap", "coupling", "diffusion", "well"):
-        got = getattr(vector, attr)
-        want = getattr(scalar, attr)
+        got = getattr(got_all, attr)
+        want = getattr(reference, attr)
         assert list(got) == list(want), f"{attr} keys differ"
         for key in want:
             assert got[key] == pytest.approx(
                 want[key], rel=1e-12, abs=1e-30
             ), f"{attr}[{key}]"
+
+
+@st.composite
+def ota_requests(draw, tech):
+    """Layout requests for the hand-sized OTA with every width scaled by
+    up to 2x either way, at a random aspect and fold preference — so the
+    generator picks different fold counts and placements."""
+    sizes, currents = _hand_sizes(tech)
+    factors = draw(
+        st.lists(st.floats(0.5, 2.0), min_size=len(sizes), max_size=len(sizes))
+    )
+    return OtaLayoutRequest(
+        technology=tech,
+        sizes={
+            name: (width * factor, length)
+            for (name, (width, length)), factor in zip(
+                sorted(sizes.items()), factors
+            )
+        },
+        currents=currents,
+        aspect=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        prefer_even_folds=draw(st.booleans()),
+    )
 
 
 class TestExtractionGolden:
@@ -159,41 +124,56 @@ class TestExtractionGolden:
         _assert_extractions_match(two_stage_cell, tech)
 
     def test_coupling_keys_canonical(self, ota_layout, tech):
-        for engine in (SCALAR, VECTOR):
-            extracted = extract_cell(ota_layout.cell, tech, engine=engine)
+        for extracted in (
+            extract_cell(ota_layout.cell, tech),
+            oracle.extract_cell(ota_layout.cell, tech),
+        ):
             for net_a, net_b in extracted.coupling:
                 assert net_a < net_b
             assert list(extracted.coupling) == sorted(extracted.coupling)
-
-    def test_default_engine_is_vector(self, ota_layout, tech):
-        default = extract_cell(ota_layout.cell, tech)
-        vector = extract_cell(ota_layout.cell, tech, engine=VECTOR)
-        assert default.net_wire_cap == vector.net_wire_cap
-        assert default.coupling == vector.coupling
 
 
 class TestDrcGolden:
     def test_clean_cell_identical(self, ota_layout, tech):
         checker = DrcChecker(tech)
-        grid = checker.check(ota_layout.cell, engine=GRID)
-        allpairs = checker.check(ota_layout.cell, engine=ALLPAIRS)
+        grid = checker.check(ota_layout.cell)
+        allpairs = oracle.drc_check(checker, ota_layout.cell)
         assert grid == allpairs == []
 
     def test_two_stage_identical(self, two_stage_cell, tech):
         checker = DrcChecker(tech)
-        assert checker.check(two_stage_cell, engine=GRID) == checker.check(
-            two_stage_cell, engine=ALLPAIRS
+        assert checker.check(two_stage_cell) == oracle.drc_check(
+            checker, two_stage_cell
         )
 
     def test_dirty_cell_identical_and_ordered(self, dirty_cell, tech):
         checker = DrcChecker(tech)
-        grid = checker.check(dirty_cell, engine=GRID)
-        allpairs = checker.check(dirty_cell, engine=ALLPAIRS)
+        grid = checker.check(dirty_cell)
+        allpairs = oracle.drc_check(checker, dirty_cell)
         kinds = {v.kind for v in allpairs}
         assert {"short", "spacing", "min_width", "cut_size",
                 "enclosure"} <= kinds
         # Same violations in the same order, field for field.
         assert grid == allpairs
+
+
+class TestGeneratedLayoutsMatchOracle:
+    """Extraction and DRC agree with the per-shape oracle on generated
+    OTA layouts, not just the fixtures above."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_extraction_and_drc_match(self, tech, data):
+        request = data.draw(ota_requests(tech))
+        try:
+            cell = generate_ota_layout(request, mode="generate").cell
+        except LayoutError:
+            # Some extreme requests congest the routing channels; that is
+            # the generator's typed refusal, not an equivalence question.
+            reject()
+        _assert_extractions_match(cell, tech)
+        checker = DrcChecker(tech)
+        assert checker.check(cell) == oracle.drc_check(checker, cell)
 
 
 class TestGridIndex:

@@ -1,13 +1,10 @@
 """OTA measurement harness (Table-1 rows) on the hand-sized design, and
 the two-stage measurement handle on jittered sized designs."""
 
-import copy
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import metrics as metrics_module
-from repro.analysis.engine import analysis_engine
 from repro.analysis.metrics import (
     OtaMeasurement,
     feedback_dc_solution,
@@ -15,11 +12,8 @@ from repro.analysis.metrics import (
     output_node_capacitance,
 )
 from repro.errors import AnalysisError
-from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-from repro.sizing.plans.two_stage import TwoStagePlan
-from repro.sizing.specs import OtaSpecs, ParasiticMode
-from repro.technology import generic_035, generic_060, generic_080
 from repro.units import PF
+from tests.conftest import DESIGN_KEYS, JITTER, jittered_bench
 
 
 @pytest.fixture(scope="module")
@@ -102,65 +96,6 @@ class TestNoiseMeasurements:
 
 # -- Two-stage measurement handle --------------------------------------------------
 
-_PRESETS = {
-    "0.35": generic_035,
-    "0.6": generic_060,
-    "0.8": generic_080,
-}
-
-
-def _specs(technology, topology: str) -> OtaSpecs:
-    """Table-1 style specs per topology, voltage ranges scaled with the
-    preset's supply."""
-    scale = technology.supply_nominal / 3.3
-    if topology == "folded_cascode":
-        return OtaSpecs(
-            vdd=technology.supply_nominal, gbw=65e6, phase_margin=65.0,
-            cload=3 * PF, input_cm_range=(0.55 * scale, 1.84 * scale),
-            output_range=(0.51 * scale, 2.31 * scale),
-        )
-    return OtaSpecs(
-        vdd=technology.supply_nominal, gbw=30e6, phase_margin=60.0,
-        cload=2 * PF, input_cm_range=(1.0 * scale, 2.0 * scale),
-        output_range=(0.4 * scale, 2.9 * scale),
-    )
-
-
-@pytest.fixture(scope="module")
-def sized_designs():
-    """(plan, sizing, specs) per (preset, topology), sized once."""
-    designs = {}
-    for preset, make in _PRESETS.items():
-        technology = make()
-        for plan_class in (FoldedCascodePlan, TwoStagePlan):
-            plan = plan_class(technology)
-            specs = _specs(technology, plan.topology)
-            sizing = plan.size(specs, ParasiticMode.SINGLE_FOLD)
-            designs[preset, plan.topology] = (plan, sizing, specs)
-    return designs
-
-
-_DESIGN_KEYS = [
-    (preset, topology)
-    for preset in _PRESETS
-    for topology in ("folded_cascode", "two_stage")
-]
-_JITTER = st.lists(st.floats(0.7, 1.3), min_size=11, max_size=11)
-
-
-def _jittered_bench(designs, key, factors):
-    """The sized design's testbench with every width scaled by a factor."""
-    plan, sizing, specs = designs[key]
-    jittered = copy.deepcopy(sizing)
-    jittered.sizes = {
-        device: (width * factor, length)
-        for (device, (width, length)), factor in zip(
-            sorted(sizing.sizes.items()), factors
-        )
-    }
-    return plan.build_testbench(jittered, specs, ParasiticMode.SINGLE_FOLD)
-
-
 def _assert_stages_match_full_suite(bench):
     full = measure_ota(bench)
     calls = []
@@ -181,29 +116,20 @@ def _assert_stages_match_full_suite(bench):
 
 class TestOtaMeasurement:
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(key=st.sampled_from(_DESIGN_KEYS), factors=_JITTER)
+    @given(key=st.sampled_from(DESIGN_KEYS), factors=JITTER)
     def test_stages_equal_full_suite(self, sized_designs, key, factors):
         _assert_stages_match_full_suite(
-            _jittered_bench(sized_designs, key, factors)
+            jittered_bench(sized_designs, key, factors)
         )
 
-    @settings(max_examples=8, deadline=None, derandomize=True)
-    @given(key=st.sampled_from(_DESIGN_KEYS), factors=_JITTER)
-    def test_stages_equal_full_suite_legacy(self, sized_designs, key, factors):
-        bench = _jittered_bench(sized_designs, key, factors)
-        with analysis_engine.use("legacy"):
-            _assert_stages_match_full_suite(bench)
-
-    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
-    def test_short_sweep_raises_same_error(self, hand_testbench, engine):
-        with analysis_engine.use(engine):
-            with pytest.raises(AnalysisError) as full:
-                measure_ota(hand_testbench, f_stop=1e3)
-            measurement = OtaMeasurement(hand_testbench, f_stop=1e3)
-            with pytest.raises(AnalysisError) as stage_one:
-                measurement.loop_gain()
-            with pytest.raises(AnalysisError) as stage_two:
-                measurement.metrics()
+    def test_short_sweep_raises_same_error(self, hand_testbench):
+        with pytest.raises(AnalysisError) as full:
+            measure_ota(hand_testbench, f_stop=1e3)
+        measurement = OtaMeasurement(hand_testbench, f_stop=1e3)
+        with pytest.raises(AnalysisError) as stage_one:
+            measurement.loop_gain()
+        with pytest.raises(AnalysisError) as stage_two:
+            measurement.metrics()
         assert "never crosses unity" in str(full.value)
         assert str(stage_one.value) == str(full.value)
         assert str(stage_two.value) == str(full.value)

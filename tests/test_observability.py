@@ -573,8 +573,7 @@ class TestMonitorDeterminism:
 
 class TestBenchHistory:
     def _entry(self, p50):
-        return {"compiled_s": p50, "compiled_p50_s": p50, "legacy_s": 1.0,
-                "speedup": 1.0}
+        return {"compiled_s": p50, "compiled_p50_s": p50}
 
     def test_append_and_load_roundtrip(self, tmp_path):
         from repro.perf import append_history, load_history
@@ -667,24 +666,45 @@ class TestBenchRecord:
     def test_entries_without_repeat_still_read(self, tmp_path):
         from repro.perf import (
             _engine_entry,
+            _timing_entry,
             check_regressions,
             format_bench_table,
             load_bench,
             write_bench,
         )
 
-        fresh = {"a": _engine_entry(self._timing(0.2, 3),
-                                    self._timing(0.1, 3))}
-        assert fresh["a"]["repeat"] == 3.0
-        old = {key: value for key, value in fresh["a"].items()
-               if key != "repeat"}
+        fresh = {
+            "a": _engine_entry(self._timing(0.2, 3), self._timing(0.1, 3)),
+            "c": _timing_entry(self._timing(0.1, 3)),
+        }
+        assert fresh["a"]["repeat"] == fresh["c"]["repeat"] == 3.0
+        assert "legacy_s" not in fresh["c"] and "speedup" not in fresh["c"]
+        old = {
+            name: {key: value for key, value in entry.items()
+                   if key != "repeat"}
+            for name, entry in fresh.items()
+        }
         path = str(tmp_path / "bench.json")
-        write_bench({"a": old}, path)
+        write_bench(old, path)
         baseline = load_bench(path)
         assert check_regressions(fresh, baseline) == {}
         assert check_regressions(baseline, fresh) == {}
-        table = format_bench_table({"a": old, "b": fresh["a"]})
+        table = format_bench_table({**old, "b": fresh["a"]})
         assert "2.00x" in table
+        one_sided = next(
+            line for line in table.splitlines() if line.startswith("c ")
+        )
+        assert one_sided.split()[1] == "-"
+        assert one_sided.split()[-1] == "-"
+
+    def test_one_sided_entry_regression_flagged(self):
+        from repro.perf import _timing_entry, check_regressions
+
+        baseline = {"dc_solve": _timing_entry(self._timing(0.1, 3))}
+        slower = {"dc_solve": _timing_entry(self._timing(0.2, 3))}
+        flagged = check_regressions(slower, baseline, threshold=0.25)
+        assert flagged["dc_solve"]["ratio"] == pytest.approx(2.0)
+        assert check_regressions(baseline, baseline) == {}
 
 
 # -- Disabled-path overhead -------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.batch import BatchTask, run_batch
 from repro.core.cases import run_case
 from repro.core.report import (
     SERVED_FOOTNOTE,
@@ -10,6 +11,10 @@ from repro.core.report import (
     metrics_rows,
 )
 from repro.layout import incremental
+from repro.resilience import faults
+from repro.resilience.faults import SimulatedKill
+from repro.resilience.journal import RunJournal
+from repro.runtime import artifacts
 from repro.sizing.specs import ParasiticMode
 
 
@@ -92,3 +97,62 @@ class TestServedSizingTime:
     def test_non_layout_case_is_computed(self, tech, specs):
         case1 = run_case(tech, specs, ParasiticMode.NONE)
         assert case1.sizing_sources == ("computed",)
+
+
+def _cheap_tasks(specs):
+    """Two fast non-layout cases (sizing only, no synthesis loop)."""
+    return [
+        BatchTask(kind="case", technology="0.6um", specs=specs,
+                  mode=mode.name)
+        for mode in (ParasiticMode.NONE, ParasiticMode.SINGLE_FOLD)
+    ]
+
+
+def _sizing_cells(results):
+    table = format_table1(results)
+    line = next(l for l in table.splitlines() if l.startswith("Sizing time"))
+    return line.split()[-len(results):], table
+
+
+class TestRestoredSizingTime:
+    """A batch-restored case shows the original run's sizing time, so
+    every one of its rounds is marked as not computed in this run."""
+
+    def test_warm_cache_marks_every_restored_case(self, specs, tmp_path):
+        with artifacts.using(str(tmp_path)):
+            cold = run_batch(_cheap_tasks(specs), jobs=1)
+            warm = run_batch(_cheap_tasks(specs), jobs=1)
+        assert [s.status for s in warm.statuses] == ["cached", "cached"]
+        for result in cold.results:
+            assert set(result.sizing_sources) == {"computed"}
+        for result in warm.results:
+            assert set(result.sizing_sources) == {"disk"}
+        assert [r.fingerprint() for r in warm.results] == [
+            r.fingerprint() for r in cold.results
+        ]
+        cells, table = _sizing_cells(warm.results)
+        assert all(cell.endswith("*") for cell in cells)
+        assert SERVED_FOOTNOTE in table.splitlines()
+        cold_cells, _ = _sizing_cells(cold.results)
+        assert not any(cell.endswith("*") for cell in cold_cells)
+
+    def test_resume_marks_journaled_cases(self, specs, tmp_path):
+        clean = run_batch(_cheap_tasks(specs), jobs=1)
+        run_dir = str(tmp_path / "run")
+        journal = RunJournal.create(run_dir, "table1")
+        with pytest.raises(SimulatedKill):
+            with faults.inject("process.kill", at=1):
+                run_batch(_cheap_tasks(specs), jobs=1, journal=journal)
+        journal.close()
+        resumed = RunJournal.resume(run_dir, kind="table1")
+        batch = run_batch(_cheap_tasks(specs), jobs=1, journal=resumed)
+        resumed.complete()
+        resumed.close()
+        assert [s.status for s in batch.statuses] == ["journaled", "serial"]
+        assert set(batch.results[0].sizing_sources) == {"journal"}
+        assert set(batch.results[1].sizing_sources) == {"computed"}
+        assert [r.fingerprint() for r in batch.results] == [
+            r.fingerprint() for r in clean.results
+        ]
+        journaled, computed = _sizing_cells(batch.results)[0]
+        assert journaled.endswith("*") and not computed.endswith("*")

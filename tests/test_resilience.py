@@ -3,8 +3,8 @@ deterministic fault injection, Monte-Carlo shard recovery, and the
 synthesis loop's degradation paths.
 
 Every degradation path the fault harness can reach is pinned here:
-ladder exhaustion with a structured report, compiled-to-legacy engine
-fallback, budget expiry at clean boundaries with partial progress,
+ladder exhaustion with a structured report, structural solver failures
+raised unchanged, budget expiry at clean boundaries with partial progress,
 crashed/timed-out Monte-Carlo shards, and the synthesis loop's
 fall-back-to-last-good-round and soft-accept behaviours.
 """
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.dcop import solve_dc
-from repro.analysis.engine import analysis_engine
 from repro.analysis.metrics import feedback_dc_solution
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.circuit import Circuit
@@ -113,32 +112,52 @@ class TestFaultRegistry:
         assert faults.fire("solve.linear") is None
 
     def test_at_and_times_counting(self):
-        with faults.inject("x", at=3, times=2) as fault:
+        site = "synthesis.layout"
+        with faults.inject(site, at=3, times=2) as fault:
             assert faults.active()
-            assert faults.fire("x") is None      # hit 1
-            assert faults.fire("x") is None      # hit 2
-            assert faults.fire("x") is fault     # hit 3: first firing
-            assert faults.fire("x") is fault     # hit 4: second firing
-            assert faults.fire("x") is None      # exhausted
+            assert faults.fire(site) is None      # hit 1
+            assert faults.fire(site) is None      # hit 2
+            assert faults.fire(site) is fault     # hit 3: first firing
+            assert faults.fire(site) is fault     # hit 4: second firing
+            assert faults.fire(site) is None      # exhausted
             assert fault.hits == 5
             assert fault.fired == 2
         assert not faults.active()
 
     def test_index_pinning(self):
-        with faults.inject("x", index=1) as fault:
-            assert faults.fire("x", index=0) is None
-            assert faults.fire("x", index=1) is fault
+        with faults.inject("synthesis.layout", index=1) as fault:
+            assert faults.fire("synthesis.layout", index=0) is None
+            assert faults.fire("synthesis.layout", index=1) is fault
             assert fault.hits == 1
 
     def test_maybe_raise_default_error(self):
-        with faults.inject("x"):
-            with pytest.raises(AnalysisError, match="injected fault at 'x'"):
-                faults.maybe_raise("x")
+        with faults.inject("synthesis.layout"):
+            with pytest.raises(
+                AnalysisError, match="injected fault at 'synthesis.layout'"
+            ):
+                faults.maybe_raise("synthesis.layout")
 
     def test_maybe_raise_custom_error(self):
-        with faults.inject("x", error=LayoutError("boom")):
+        with faults.inject("synthesis.layout", error=LayoutError("boom")):
             with pytest.raises(LayoutError, match="boom"):
-                faults.maybe_raise("x")
+                faults.maybe_raise("synthesis.layout")
+
+    def test_unknown_site_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            with faults.inject("solve.linaer"):
+                pass  # pragma: no cover - never armed
+        message = str(excinfo.value)
+        assert "'solve.linaer'" in message
+        assert "solve.linear" in message and "process.kill" in message
+        assert not faults.active()
+
+    @pytest.mark.parametrize("site", faults.SITES)
+    def test_every_documented_site_accepted(self, site):
+        assert f"``{site}``" in faults.__doc__
+        with faults.inject(site) as fault:
+            assert faults.active()
+            assert fault.site == site
+        assert not faults.active()
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +227,6 @@ class TestEscalationPolicy:
         assert report.iterations == solution.iterations
         assert [r.stage for r in report.rungs] == ["gmin=1e-12", "gmin=0"]
         assert all(np.isfinite(report.residual_history()))
-        assert report.engine_fallback is None
-
-    def test_legacy_happy_path_report(self):
-        with analysis_engine.use("legacy"):
-            solution = solve_dc(_divider())
-        report = solution.convergence
-        assert report is not None and report.converged
-        assert report.strategy == "gmin-ramp"
-        assert report.achieved_gmin == 0.0
 
     def test_injected_linear_failure_escalates(self):
         with faults.inject("solve.linear") as fault:
@@ -268,20 +278,16 @@ class TestEscalationPolicy:
         assert worst_net == "s"
         assert worst_residual > 1e-6
 
-    def test_compiled_failure_falls_back_to_legacy(self, tech):
-        circuit = _mos_diode(tech)
-        with analysis_engine.use("legacy"):
-            reference = solve_dc(circuit)
+    def test_structural_failure_raises_unchanged(self, tech):
+        """A failure that is not non-convergence (here the model
+        evaluation raising) propagates as-is: there is no second engine
+        to re-solve on."""
         with faults.inject(
-            "engine.compiled", error=AnalysisError("injected compile failure")
+            "model.eval", error=AnalysisError("injected model failure")
         ) as fault:
-            solution = solve_dc(circuit)
+            with pytest.raises(AnalysisError, match="injected model failure"):
+                solve_dc(_mos_diode(tech))
         assert fault.fired == 1
-        report = solution.convergence
-        assert report is not None and report.converged
-        assert "injected compile failure" in report.engine_fallback
-        # The fallback runs the exact legacy path: bit-identical result.
-        assert solution.voltages == reference.voltages
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +357,6 @@ class TestMonteCarloRecovery:
         with pytest.raises(BudgetExceededError) as excinfo:
             run_monte_carlo(hand_testbench, runs=2, budget=budget)
         assert excinfo.value.site == "montecarlo.start"
-
-    def test_budget_checked_per_legacy_sample(self, hand_testbench):
-        clock = FakeClock()
-        budget = Budget(deadline=Deadline(1.5, clock=clock))
-
-        def measure(tb):
-            clock.t += 1.0
-            return {"x": 0.0}
-
-        with pytest.raises(BudgetExceededError) as excinfo:
-            run_monte_carlo(
-                hand_testbench, runs=10, engine="legacy",
-                measure=measure, budget=budget,
-            )
-        assert excinfo.value.site == "montecarlo.sample"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 from repro.core.synthesis import LayoutOrientedSynthesizer, SynthesisOutcome
-from repro.errors import AnalysisError, LayoutError, ReproError, SizingError
+from repro.errors import LayoutError, ReproError, SizingError
 from repro.resilience import faults
 from repro.sizing.specs import ParasiticMode
 
@@ -28,9 +28,6 @@ _SITE_POOL = [
      lambda rng: dict(at=rng.randint(1, 40), times=rng.randint(1, 3))),
     ("model.eval",
      lambda rng: dict(action="nan", at=rng.randint(1, 20), times=1)),
-    ("engine.compiled",
-     lambda rng: dict(error=AnalysisError("injected engine failure"),
-                      times=1)),
     ("synthesis.layout",
      lambda rng: dict(index=rng.randint(1, 3),
                       error=LayoutError("injected layout failure"))),
