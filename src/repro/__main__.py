@@ -120,21 +120,13 @@ def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_runtime_arguments(
-    parser: argparse.ArgumentParser, pool: bool = True
-) -> None:
+def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", metavar="DIR", nargs="?", const="", default=None,
         help="enable the cross-run artifact cache rooted at DIR (no "
              "value: ~/.cache/repro); later runs with identical inputs "
              "are served from disk, bit-identical to a cold run",
     )
-    if pool:
-        parser.add_argument(
-            "--no-persistent-pool", action="store_true",
-            help="tear the worker pool down after every dispatch round "
-                 "instead of keeping it warm for the whole process",
-        )
     parser.add_argument(
         "--no-incremental", action="store_true",
         help="disable the differential layout/sizing caches and recompute "
@@ -144,8 +136,7 @@ def _add_runtime_arguments(
 
 
 def _configure_runtime(args: argparse.Namespace) -> None:
-    """Apply --cache-dir / --no-persistent-pool / --no-incremental
-    before any dispatch."""
+    """Apply --cache-dir / --no-incremental before any dispatch."""
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None:
         from repro.runtime import artifacts
@@ -153,10 +144,6 @@ def _configure_runtime(args: argparse.Namespace) -> None:
         root = artifacts.default_root() if cache_dir == "" else cache_dir
         artifacts.configure(root)
         print(f"artifact cache: {root}", file=sys.stderr)
-    if getattr(args, "no_persistent_pool", False):
-        from repro.runtime import pool as runtime_pool
-
-        runtime_pool.set_persistent(False)
     if getattr(args, "no_incremental", False):
         from repro.layout import incremental
 
@@ -510,8 +497,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
         )
     if not args.no_runtime:
-        print("timing per-round vs persistent executor runtime ...",
-              file=sys.stderr)
+        print("timing cold vs warm executor runtime ...", file=sys.stderr)
         results.update(run_runtime_benchmarks(repeat=args.repeat))
     print(format_bench_table(results))
     write_bench(results, args.json)
@@ -685,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_monitor_argument(synthesize)
     _add_metrics_argument(synthesize)
     _add_journal_arguments(synthesize)
-    _add_runtime_arguments(synthesize, pool=False)
+    _add_runtime_arguments(synthesize)
     synthesize.set_defaults(func=cmd_synthesize)
 
     flows = subparsers.add_parser(
@@ -730,8 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "DRC)")
     bench.add_argument("--no-runtime", action="store_true",
                        help="skip the executor-runtime benchmarks "
-                            "(persistent pool, shared memory, artifact "
-                            "cache)")
+                            "(cold vs warm pool, artifact cache)")
     bench.add_argument("--table1-jobs", type=int, default=0, metavar="N",
                        help="also time a serial vs --jobs N Table-1 batch "
                             "(needs a multi-core host; default: skip)")

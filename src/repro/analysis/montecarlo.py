@@ -17,12 +17,11 @@ fixed before any work is scheduled, results are identical for any worker
 count.
 
 Pooled dispatch goes through the persistent executor runtime
-(:mod:`repro.runtime`): the pool is reused across calls, the sample
-matrices travel by shared memory (:mod:`repro.runtime.shm`), and workers
-hold the compiled feedback program in a content-keyed resident cache so
-repeated dispatches ship a fingerprint instead of the testbench.  Each
-layer degrades independently to the old per-run behavior when disabled,
-and none of them changes a single sampled value.
+(:mod:`repro.runtime`): the pool is reused across calls, each shard's
+sample rows travel as a pickled slice of the pre-drawn matrices, and
+workers hold the compiled feedback program in a content-keyed resident
+cache so repeated dispatches ship a fingerprint instead of the
+testbench.  A cold pool and a warm one give the same sampled values.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
 from repro.resilience.policy import COMPILED_POLICY
 from repro.runtime import pool as runtime_pool
-from repro.runtime import shm as runtime_shm
 from repro.telemetry import metrics, monitor
 
 
@@ -370,11 +368,8 @@ class _ShardJob:
 
     ``payload`` is the pickled ``(tb, measure)`` recipe — or ``None``
     when the parent believes this pool generation already holds the
-    resident state under ``key``.  Sample rows travel either as
-    :class:`~repro.runtime.shm.ShmRef` descriptors (shared-memory
-    transport) or as pickled row slices (fallback); workers compute on
-    value-identical copies in both cases, so the transport never changes
-    results.
+    resident state under ``key``.  ``vth_rows``/``beta_rows`` are the
+    shard's ``[lo, hi)`` slices of the pre-drawn sample matrices.
     """
 
     key: str
@@ -383,20 +378,9 @@ class _ShardJob:
     lo: int
     hi: int
     index: int
+    vth_rows: np.ndarray
+    beta_rows: np.ndarray
     crash: bool = False
-    vth_ref: Optional[runtime_shm.ShmRef] = None
-    beta_ref: Optional[runtime_shm.ShmRef] = None
-    vth_rows: Optional[np.ndarray] = None
-    beta_rows: Optional[np.ndarray] = None
-
-
-def _job_rows(job: _ShardJob) -> Tuple[np.ndarray, np.ndarray]:
-    if job.vth_ref is not None:
-        return (
-            runtime_shm.read(job.vth_ref, job.lo, job.hi),
-            runtime_shm.read(job.beta_ref, job.lo, job.hi),
-        )
-    return job.vth_rows, job.beta_rows
 
 
 def _run_shard_job(job: _ShardJob):
@@ -409,8 +393,7 @@ def _run_shard_job(job: _ShardJob):
         )
     except runtime_pool.NeedPayload:
         return runtime_pool.CacheMiss(job.key)
-    vth_rows, beta_rows = _job_rows(job)
-    return state.run(job.names, vth_rows, beta_rows)
+    return state.run(job.names, job.vth_rows, job.beta_rows)
 
 
 def _run_shard_job_traced(job: _ShardJob):
@@ -434,8 +417,7 @@ def _run_shard_job_traced(job: _ShardJob):
             )
         except runtime_pool.NeedPayload:
             return runtime_pool.CacheMiss(job.key)
-        vth_rows, beta_rows = _job_rows(job)
-        stats = state.run(job.names, vth_rows, beta_rows)
+        stats = state.run(job.names, job.vth_rows, job.beta_rows)
         tracer.count("mc.samples_measured", job.hi - job.lo)
         metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
     return stats, tracer.trace_payload()
@@ -480,7 +462,6 @@ class _ShardDispatch:
         journal: Optional[RunJournal],
         key: str,
         payload: bytes,
-        sample_refs: Optional[Tuple[runtime_shm.ShmRef, runtime_shm.ShmRef]],
         max_workers: int,
     ):
         self.tb = tb
@@ -494,7 +475,6 @@ class _ShardDispatch:
         self.journal = journal
         self.key = key
         self.payload = payload
-        self.sample_refs = sample_refs
         self.max_workers = max_workers
         self.tracer = telemetry.current()
         self._payload_sent: Set[int] = set()
@@ -517,19 +497,12 @@ class _ShardDispatch:
             self._payload_sent.add(i)
         else:
             self._payload_sent.discard(i)
-        if self.sample_refs is not None:
-            vth_ref, beta_ref = self.sample_refs
-            job = _ShardJob(
-                key=self.key, payload=self.payload if ship else None,
-                names=self.names, lo=lo, hi=hi, index=i, crash=crash,
-                vth_ref=vth_ref, beta_ref=beta_ref,
-            )
-        else:
-            job = _ShardJob(
-                key=self.key, payload=self.payload if ship else None,
-                names=self.names, lo=lo, hi=hi, index=i, crash=crash,
-                vth_rows=self.vth[lo:hi], beta_rows=self.beta[lo:hi],
-            )
+        job = _ShardJob(
+            key=self.key, payload=self.payload if ship else None,
+            names=self.names, lo=lo, hi=hi, index=i,
+            vth_rows=self.vth[lo:hi], beta_rows=self.beta[lo:hi],
+            crash=crash,
+        )
         entry = (
             _run_shard_job_traced if self.tracer is not None
             else _run_shard_job
@@ -652,9 +625,6 @@ def _run_shards(
     budget: Optional[Budget],
     journal: Optional[RunJournal] = None,
     payload: Optional[bytes] = None,
-    sample_refs: Optional[
-        Tuple[runtime_shm.ShmRef, runtime_shm.ShmRef]
-    ] = None,
 ) -> Tuple[List[Optional[List[Dict[str, float]]]], List[ShardStatus]]:
     """Run every shard through the shared dispatch engine.
 
@@ -673,7 +643,6 @@ def _run_shards(
     ``payload`` is the pre-validated pickled ``(tb, measure)`` recipe —
     its content hash keys the worker-resident compiled state, so a warm
     persistent pool receives the hash instead of the testbench.
-    ``sample_refs`` selects the shared-memory row transport.
     """
     chunks: List[Optional[List[Dict[str, float]]]] = [None] * len(spans)
     statuses = [
@@ -697,7 +666,6 @@ def _run_shards(
         tb, names, vth, beta, measure, spans, chunks, statuses, journal,
         key=hashlib.sha256(payload).hexdigest(),
         payload=payload,
-        sample_refs=sample_refs,
         max_workers=max_workers,
     )
     runtime_pool.run_dispatch(
@@ -749,8 +717,10 @@ def run_monte_carlo(
     worker count re-runs the unmatched spans — still bit-identical, just
     without the skip.)
     """
+    if runs < 1:
+        raise AnalysisError(f"runs must be >= 1, got {runs!r}")
     if workers < 1:
-        raise AnalysisError("workers must be >= 1")
+        raise AnalysisError(f"workers must be >= 1, got {workers!r}")
     result = MonteCarloResult()
 
     with telemetry.span("mc.run", runs=runs, workers=workers):
@@ -808,36 +778,18 @@ def run_monte_carlo(
                 for i in range(workers)
                 if bounds[i + 1] > bounds[i]
             ]
-            # Publish the pre-drawn rows once over shared memory; the
-            # parent owns the segment and unlinks it whatever happens
-            # (the ``finally`` covers failures and journal-guarded
-            # SIGINT/SIGTERM; atexit + the faults kill hook cover hard
-            # exits).  Any publication failure falls back to pickled
-            # row slices — same values, same results.
-            block = None
-            sample_refs = None
-            if runtime_shm.enabled():
-                try:
-                    block = runtime_shm.publish(vth, beta)
-                except runtime_shm.ShmError:
-                    block = None
-                else:
-                    refs = block.refs()
-                    sample_refs = (refs[0], refs[1])
-            try:
-                chunks, statuses = _run_shards(
-                    tb, names, vth, beta, measure, spans,
-                    max_workers=len(spans),
-                    shard_timeout=shard_timeout,
-                    max_shard_retries=max_shard_retries,
-                    budget=budget,
-                    journal=journal,
-                    payload=payload,
-                    sample_refs=sample_refs,
-                )
-            finally:
-                if block is not None:
-                    block.close()
+            # Each shard job carries its own pickled row slices of the
+            # pre-drawn matrices, so a worker computes on exactly the
+            # rows the serial path would.
+            chunks, statuses = _run_shards(
+                tb, names, vth, beta, measure, spans,
+                max_workers=len(spans),
+                shard_timeout=shard_timeout,
+                max_shard_retries=max_shard_retries,
+                budget=budget,
+                journal=journal,
+                payload=payload,
+            )
             result.shards = statuses
             result.n_failed = sum(
                 status.span[1] - status.span[0]

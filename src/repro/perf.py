@@ -23,11 +23,11 @@ The machine-readable output is ``BENCH_analysis.json`` at the repo root:
 Every entry times one path: ``compiled_*`` is that path's best-of, p50
 and p95 wall time, which is what the ``--against`` regression gate
 (:func:`check_regressions`) compares.  An entry that measures a switch
-the library still has (memo on/off, serial/pooled, per-round/persistent
-pool, cold/warm cache) also records the "before" side as ``legacy_*``
-plus the ``speedup``.  The v2 schema adds p50/p95 percentiles next to
-best-of; :func:`load_bench` still reads v1 records (which simply lack the
-percentile keys).
+the library still has (memo on/off, serial/pooled) or a cold against a
+warm state (pool, artifact cache) also records the "before" side as
+``legacy_*`` plus the ``speedup``.  The v2 schema adds p50/p95
+percentiles next to best-of; :func:`load_bench` still reads v1 records
+(which simply lack the percentile keys).
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def _engine_entry(
 ) -> Dict[str, float]:
     """A before/after v2 record entry from two :func:`time_call` results.
 
-    ``legacy`` is the "before" side (memo off, serial batch, per-round
-    pool, cold cache) and ``compiled`` the path the gate tracks; the
+    ``legacy`` is the "before" side (memo off, serial batch, cold pool,
+    cold cache) and ``compiled`` the path the gate tracks; the
     keys stay the same so every entry renders through
     :func:`format_bench_table`.
     """
@@ -643,12 +643,12 @@ def _sample_entry(samples: List[float]) -> Dict[str, float]:
 def run_runtime_benchmarks(repeat: int = 3) -> Dict[str, Dict[str, float]]:
     """Time the persistent-runtime wins (the ``repro.runtime`` stack).
 
-    ``mc_dispatch_overhead`` runs the same 2-worker Monte-Carlo dispatch
-    with a dedicated pool per round and pickled sample transport (the
-    pre-runtime behavior; ``legacy`` column) and with the persistent
-    executor plus shared-memory samples (``compiled`` column), so the
-    speedup is pure dispatch overhead — the physics per shard is
-    identical and results are bit-identical in both modes.
+    ``mc_dispatch_overhead`` runs the same 4-worker Monte-Carlo dispatch
+    against a cold pool (``runtime_pool.shutdown()`` before every timed
+    call; ``legacy`` column) and against the warm persistent pool
+    (``compiled`` column), so the speedup is pure pool start-up and
+    payload shipping — the physics per shard is identical and results
+    are bit-identical either way.
 
     ``table1_warm_vs_cold`` runs two cheap Table-1 cases against an
     empty cross-run artifact cache (``legacy``) and then re-runs them
@@ -660,26 +660,29 @@ def run_runtime_benchmarks(repeat: int = 3) -> Dict[str, Dict[str, float]]:
     from repro.analysis.montecarlo import run_monte_carlo
     from repro.runtime import artifacts
     from repro.runtime import pool as runtime_pool
-    from repro.runtime import shm as runtime_shm
 
     tb = default_testbench()
 
     def mc():
         return run_monte_carlo(tb, runs=64, seed=1234, workers=4)
 
-    # Per-round pools, pickled samples: every timed call pays four
-    # process spawns plus a testbench + sample-rows pickle per shard.
-    with runtime_pool.persistent(False), runtime_shm.use(False):
+    # Cold pool: every timed call pays four process spawns plus the
+    # testbench payload and the compiled-state build in every worker;
+    # the shutdown that makes it cold stays outside the timing.
+    cold_pool: List[float] = []
+    for _ in range(repeat):
         runtime_pool.shutdown()
-        per_round = time_call(mc, repeat=repeat, warmup=0)
-    # Persistent pool, shared-memory samples: the warmup call creates
-    # the pool and ships the compiled-state payload once; the timed
-    # calls measure reuse.
-    with runtime_pool.persistent(True), runtime_shm.use(True):
-        runtime_pool.shutdown()
-        warm_pool = time_call(mc, repeat=repeat, warmup=1)
+        start = time.perf_counter()
+        mc()
+        cold_pool.append(time.perf_counter() - start)
+    # Warm pool: the warmup call creates the pool and ships the
+    # compiled-state payload once; the timed calls measure reuse.
+    runtime_pool.shutdown()
+    warm_pool = time_call(mc, repeat=repeat, warmup=1)
     results = {
-        "mc_dispatch_overhead": _engine_entry(per_round, warm_pool)
+        "mc_dispatch_overhead": _engine_entry(
+            _sample_entry(cold_pool), warm_pool
+        )
     }
 
     from repro.core.batch import BatchTask, run_batch

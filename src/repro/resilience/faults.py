@@ -83,28 +83,10 @@ SITES = (
 _ACTIVE: List["Fault"] = []
 
 #: Exit code of an ``action="crash"`` process kill (mirrors SIGKILL's
-#: conventional 128+9 so the CI smoke job can assert on it).
+#: conventional 128+9 so the CI smoke job can assert on it).  The kill
+#: runs no cleanup at all, exactly like a real SIGKILL: the run journal
+#: is the only state a resumed run relies on.
 KILL_EXIT_CODE = 137
-
-#: Callbacks invoked (best-effort) before an ``action="crash"`` hard
-#: kill.  ``os._exit`` skips ``finally`` blocks and ``atexit`` handlers,
-#: so resources whose lifetime outlives the process — shared-memory
-#: segments, most notably — register an emergency release here.  Hooks
-#: must be idempotent and must not raise.
-_KILL_HOOKS: List[object] = []
-
-
-def register_kill_hook(hook) -> None:
-    """Register ``hook()`` to run before a hard process kill."""
-    if hook not in _KILL_HOOKS:
-        _KILL_HOOKS.append(hook)
-
-
-def unregister_kill_hook(hook) -> None:
-    try:
-        _KILL_HOOKS.remove(hook)
-    except ValueError:
-        pass
 
 
 class SimulatedKill(BaseException):
@@ -192,7 +174,7 @@ def maybe_raise(site: str, index: Optional[int] = None) -> None:
 def maybe_kill(site: str = "process.kill", index: Optional[int] = None) -> None:
     """Die at ``site`` if an armed kill fault fires.
 
-    ``action="crash"`` exits the process uncleanly (a genuine kill: no
+    ``action="crash"`` is a plain ``os._exit(137)`` (a genuine kill: no
     atexit handlers, no finally blocks); any other action raises
     :class:`SimulatedKill` so in-process tests can walk the kill-resume
     matrix without spawning subprocesses.
@@ -201,11 +183,6 @@ def maybe_kill(site: str = "process.kill", index: Optional[int] = None) -> None:
     if fault is None:
         return
     if fault.action == "crash":
-        for hook in list(_KILL_HOOKS):
-            try:
-                hook()
-            except Exception:  # noqa: BLE001 - dying anyway; best effort
-                pass
         os._exit(KILL_EXIT_CODE)
     raise SimulatedKill(f"simulated process kill at {site!r}")
 

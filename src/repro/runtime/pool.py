@@ -10,11 +10,10 @@ worker.  This module hoists all of that into one place:
   created once and reused across runs (``runtime.pool.reuse`` counts the
   wins).  A lease over a pool that saw a timeout or a worker death is
   discarded — a broken pool must never be reused — and the next round
-  acquires a fresh one, which is exactly the old per-round behavior.
-  Disable with ``--no-persistent-pool`` / ``REPRO_NO_PERSISTENT_POOL``
-  (or scoped, with :func:`persistent`) to get a dedicated pool per
-  round again; results are bit-identical either way because worker
-  count and pool lifetime never feed back into the computation.
+  acquires a fresh one.  :func:`shutdown` drops the live pool, so the
+  next dispatch starts cold; results are bit-identical either way
+  because worker count and pool lifetime never feed back into the
+  computation.
 
 - :func:`run_dispatch` is the one dispatch loop both
   :mod:`repro.core.batch` and :mod:`repro.analysis.montecarlo` are thin
@@ -38,22 +37,10 @@ worker.  This module hoists all of that into one place:
 from __future__ import annotations
 
 import atexit
-import os
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro import telemetry
 from repro.resilience import faults
@@ -61,16 +48,17 @@ from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal, ignore_sigint
 from repro.telemetry import metrics
 
-#: Environment kill-switch: any non-empty value disables pool reuse.
-NO_PERSISTENT_POOL_ENV = "REPRO_NO_PERSISTENT_POOL"
-
-
 # --------------------------------------------------------------------------
 # Persistent executor
 
 
-class _PoolState:
-    """The process-wide executor plus its payload-shipping ledger."""
+class PoolLease:
+    """The process-wide executor plus its payload-shipping ledger.
+
+    :func:`acquire` hands the live pool to every dispatch round; a clean
+    round simply drops it and the pool stays warm.  :meth:`discard`
+    tears it down, which is mandatory after a timeout or worker death.
+    """
 
     __slots__ = ("executor", "max_workers", "generation", "shipped")
 
@@ -79,82 +67,19 @@ class _PoolState:
         self.max_workers = max_workers
         self.generation = generation
         #: Content keys whose payload at least one worker of this pool
-        #: generation has acknowledged (see :meth:`PoolLease.mark_shipped`).
+        #: generation has acknowledged (see :meth:`mark_shipped`).
         self.shipped: Set[str] = set()
-
-
-_STATE: Optional[_PoolState] = None
-_GENERATION = 0
-_DEFAULT: Optional[bool] = None
-_OVERRIDE: List[bool] = []
-
-
-def persistent_enabled() -> bool:
-    """Whether :func:`acquire` reuses the process-wide executor."""
-    if _OVERRIDE:
-        return _OVERRIDE[-1]
-    if _DEFAULT is not None:
-        return _DEFAULT
-    return not os.environ.get(NO_PERSISTENT_POOL_ENV)
-
-
-def set_persistent(flag: Optional[bool]) -> None:
-    """Set the process-wide default (``None`` restores the env check)."""
-    global _DEFAULT
-    _DEFAULT = flag
-
-
-@contextmanager
-def persistent(flag: bool) -> Iterator[None]:
-    """Scoped override of :func:`persistent_enabled` (tests, benchmarks)."""
-    _OVERRIDE.append(bool(flag))
-    try:
-        yield
-    finally:
-        _OVERRIDE.pop()
-
-
-@dataclass
-class PoolLease:
-    """One dispatch round's claim on an executor.
-
-    A lease over the persistent pool leaves it warm on :meth:`release`;
-    a dedicated lease (persistence disabled) shuts its pool down, which
-    is the old per-round lifecycle.  :meth:`discard` tears the pool down
-    in either mode — mandatory after a timeout or worker death.
-    """
-
-    executor: Any
-    persistent: bool
-    state: Optional[_PoolState] = None
-    _local_shipped: Set[str] = field(default_factory=set)
-
-    @property
-    def generation(self) -> int:
-        return self.state.generation if self.state is not None else -1
-
-    def _shipped(self) -> Set[str]:
-        return (
-            self.state.shipped if self.state is not None
-            else self._local_shipped
-        )
 
     def key_shipped(self, key: str) -> bool:
         """Whether this pool's workers have seen ``key``'s payload."""
-        return key in self._shipped()
+        return key in self.shipped
 
     def mark_shipped(self, key: str) -> None:
-        self._shipped().add(key)
+        self.shipped.add(key)
 
     def unship(self, key: str) -> None:
         """Forget ``key`` (a worker reported a :class:`CacheMiss`)."""
-        self._shipped().discard(key)
-
-    def release(self, wait: bool = True) -> None:
-        """Return the lease after a clean round."""
-        if self.persistent:
-            return
-        self.executor.shutdown(wait=wait, cancel_futures=True)
+        self.shipped.discard(key)
 
     def discard(self, wait: bool) -> None:
         """Tear the pool down (timeout, worker death, or propagating
@@ -163,29 +88,26 @@ class PoolLease:
         try:
             self.executor.shutdown(wait=wait, cancel_futures=True)
         finally:
-            if self.state is not None and _STATE is self.state:
+            if _STATE is self:
                 _STATE = None
+
+
+_STATE: Optional[PoolLease] = None
+_GENERATION = 0
 
 
 def acquire(max_workers: int) -> PoolLease:
     """Lease an executor with at least ``max_workers`` workers.
 
-    Reuses the process-wide pool when persistence is enabled and the
-    live pool is big enough; otherwise (first call, pool too small, or
-    persistence disabled) creates one.  Workers always ignore SIGINT so
-    Ctrl-C — delivered to the whole process group — leaves the pool
-    intact for the parent's journal drain.
+    Reuses the process-wide pool when the live pool is big enough;
+    otherwise (first call, after :func:`shutdown` or a discard, or pool
+    too small) creates one.  Workers always ignore SIGINT so Ctrl-C —
+    delivered to the whole process group — leaves the pool intact for
+    the parent's journal drain.
     """
     global _STATE, _GENERATION
     from concurrent.futures import ProcessPoolExecutor
 
-    if not persistent_enabled():
-        return PoolLease(
-            executor=ProcessPoolExecutor(
-                max_workers=max_workers, initializer=ignore_sigint
-            ),
-            persistent=False,
-        )
     state = _STATE
     if (
         state is not None
@@ -193,9 +115,7 @@ def acquire(max_workers: int) -> PoolLease:
         and state.max_workers >= max_workers
     ):
         telemetry.count("runtime.pool.reuse")
-        return PoolLease(
-            executor=state.executor, persistent=True, state=state
-        )
+        return state
     if state is not None:
         _STATE = None
         state.executor.shutdown(wait=True, cancel_futures=True)
@@ -203,9 +123,9 @@ def acquire(max_workers: int) -> PoolLease:
     executor = ProcessPoolExecutor(
         max_workers=max_workers, initializer=ignore_sigint
     )
-    _STATE = _PoolState(executor, max_workers, _GENERATION)
+    _STATE = PoolLease(executor, max_workers, _GENERATION)
     telemetry.count("runtime.pool.create")
-    return PoolLease(executor=executor, persistent=True, state=_STATE)
+    return _STATE
 
 
 def shutdown(wait: bool = True) -> None:
@@ -407,9 +327,8 @@ def run_dispatch(
                     except (BrokenExecutor, OSError) as error:
                         # Only a *warm* pool can break while we are
                         # still submitting: an earlier unit's worker is
-                        # already executing and died.  The old per-round
-                        # cold pools could never hit this — recover the
-                        # same way a harvest-time death does.
+                        # already executing and died.  Recover the same
+                        # way a harvest-time death does.
                         broken_at_submit = True
                         had_death = True
                         client.note_death(i, error)
@@ -476,8 +395,6 @@ def run_dispatch(
                 lease.discard(wait=False)
             elif had_death:
                 lease.discard(wait=True)
-            else:
-                lease.release()
             pending = sorted(retry)
             resend = next_resend
     finally:

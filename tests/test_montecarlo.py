@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.analysis.montecarlo import apply_mismatch, run_monte_carlo
+from repro.errors import AnalysisError
 
 import numpy as np
 
@@ -72,3 +73,8 @@ class TestRunMonteCarlo:
 
         result = run_monte_carlo(hand_testbench, runs=3, measure=measure)
         assert result.samples["constant"] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_rejects_non_positive_runs(self, hand_testbench, runs):
+        with pytest.raises(AnalysisError, match=f"got {runs}"):
+            run_monte_carlo(hand_testbench, runs=runs)

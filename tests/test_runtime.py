@@ -1,10 +1,10 @@
-"""Executor runtime: persistent pool, shm transport, artifact cache.
+"""Executor runtime: persistent pool, resident cache, artifact cache.
 
 The contracts under test: the persistent executor is reused across
 dispatches and discarded whenever it may be wedged; worker-resident
-cache misses are resent without corrupting shard statuses; shared-memory
-segments never outlive a run — clean, failing, crash-killed or
-SIGTERM'd; and the cross-run artifact cache serves bit-identical results
+cache misses are resent without corrupting shard statuses; Monte-Carlo
+samples are bit-identical for any worker count and for a cold or warm
+pool; and the cross-run artifact cache serves bit-identical results
 (warm and cold fingerprints equal) while self-healing corrupt entries.
 """
 
@@ -13,23 +13,15 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import signal
-import subprocess
-import sys
-import time
 
 import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.core.batch import BatchTask, run_batch
-from repro.resilience import faults
 from repro.runtime import artifacts
 from repro.runtime import pool as runtime_pool
-from repro.runtime import shm as runtime_shm
 from repro.sizing.specs import ParasiticMode
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def _case_tasks(specs, modes=(ParasiticMode.NONE, ParasiticMode.SINGLE_FOLD)):
@@ -40,25 +32,6 @@ def _case_tasks(specs, modes=(ParasiticMode.NONE, ParasiticMode.SINGLE_FOLD)):
     ]
 
 
-def _dev_shm() -> set:
-    """Current /dev/shm entries (empty set where the mount is absent)."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except (FileNotFoundError, NotADirectoryError, PermissionError):
-        return set()
-
-
-def _run_script(body: str, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-c", body], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Persistent pool lifecycle
 # ---------------------------------------------------------------------------
@@ -66,65 +39,46 @@ def _run_script(body: str, env_extra=None):
 
 class TestPersistentPool:
     def test_release_keeps_pool_warm_across_acquires(self):
-        with runtime_pool.persistent(True):
-            runtime_pool.shutdown()
-            first = runtime_pool.acquire(2)
-            generation = first.generation
-            assert generation == runtime_pool.pool_generation() > 0
-            first.release()
-            second = runtime_pool.acquire(2)
-            assert second.generation == generation
-            assert second.executor is first.executor
-            second.release()
-            runtime_pool.shutdown()
+        """A clean round just drops its lease; the next acquire gets
+        the same warm executor."""
+        runtime_pool.shutdown()
+        first = runtime_pool.acquire(2)
+        generation = first.generation
+        assert generation == runtime_pool.pool_generation() > 0
+        second = runtime_pool.acquire(2)
+        assert second.generation == generation
+        assert second.executor is first.executor
+        runtime_pool.shutdown()
 
     def test_bigger_request_replaces_pool(self):
-        with runtime_pool.persistent(True):
-            runtime_pool.shutdown()
-            small = runtime_pool.acquire(1)
-            small.release()
-            grown = runtime_pool.acquire(3)
-            assert grown.generation == small.generation + 1
-            # A smaller follow-up request fits the grown pool.
-            again = runtime_pool.acquire(2)
-            assert again.generation == grown.generation
-            again.release()
-            runtime_pool.shutdown()
+        runtime_pool.shutdown()
+        small = runtime_pool.acquire(1)
+        grown = runtime_pool.acquire(3)
+        assert grown.generation == small.generation + 1
+        # A smaller follow-up request fits the grown pool.
+        again = runtime_pool.acquire(2)
+        assert again.generation == grown.generation
+        runtime_pool.shutdown()
 
     def test_discard_forces_fresh_generation(self):
-        with runtime_pool.persistent(True):
-            runtime_pool.shutdown()
-            lease = runtime_pool.acquire(1)
-            lease.discard(wait=True)
-            assert runtime_pool.pool_generation() == 0
-            fresh = runtime_pool.acquire(1)
-            assert fresh.generation == lease.generation + 1
-            fresh.release()
-            runtime_pool.shutdown()
-
-    def test_disabled_mode_gives_dedicated_pool(self):
-        with runtime_pool.persistent(False):
-            lease = runtime_pool.acquire(1)
-            assert not lease.persistent
-            assert lease.state is None
-            lease.release()
-            # release() in dedicated mode shuts the executor down.
-            with pytest.raises(RuntimeError):
-                lease.executor.submit(int)
+        runtime_pool.shutdown()
+        lease = runtime_pool.acquire(1)
+        lease.discard(wait=True)
+        assert runtime_pool.pool_generation() == 0
+        fresh = runtime_pool.acquire(1)
+        assert fresh.generation == lease.generation + 1
+        runtime_pool.shutdown()
 
     def test_mc_runs_reuse_one_pool(self, hand_testbench):
-        with runtime_pool.persistent(True):
-            runtime_pool.shutdown()
-            first = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                    workers=2)
-            generation = runtime_pool.pool_generation()
-            assert generation > 0
-            second = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=2)
-            assert runtime_pool.pool_generation() == generation
-            assert first.samples == second.samples
-            assert all(s.status == "ok" for s in second.shards)
-            runtime_pool.shutdown()
+        runtime_pool.shutdown()
+        first = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=2)
+        generation = runtime_pool.pool_generation()
+        assert generation > 0
+        second = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=2)
+        assert runtime_pool.pool_generation() == generation
+        assert first.samples == second.samples
+        assert all(s.status == "ok" for s in second.shards)
+        runtime_pool.shutdown()
 
 
 class TestResidentCacheResend:
@@ -135,15 +89,12 @@ class TestResidentCacheResend:
         claims they did, answers ``CacheMiss``; the dispatcher resends on
         an uncounted round so statuses remain ``ok``."""
         baseline = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=1)
-        with runtime_pool.persistent(True):
-            runtime_pool.shutdown()
-            lease = runtime_pool.acquire(2)  # fresh pool, cold workers
-            lease.release()
-            payload = pickle.dumps((hand_testbench, None))
-            lease.mark_shipped(hashlib.sha256(payload).hexdigest())
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=2)
-            runtime_pool.shutdown()
+        runtime_pool.shutdown()
+        lease = runtime_pool.acquire(2)  # fresh pool, cold workers
+        payload = pickle.dumps((hand_testbench, None))
+        lease.mark_shipped(hashlib.sha256(payload).hexdigest())
+        result = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=2)
+        runtime_pool.shutdown()
         assert result.samples == baseline.samples
         assert [s.status for s in result.shards] == ["ok", "ok"]
         assert all(s.attempts == 1 for s in result.shards)
@@ -198,139 +149,56 @@ class TestResidentCacheResend:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport lifecycle
+# Monte-Carlo determinism across worker counts and pool states
 # ---------------------------------------------------------------------------
 
 
-needs_shm = pytest.mark.skipif(
-    not runtime_shm.available(), reason="no shared-memory support"
-)
-
-
-@needs_shm
-class TestShmLifecycle:
-    def test_publish_read_roundtrip(self):
-        vth = np.arange(24, dtype=np.float64).reshape(6, 4)
-        beta = np.linspace(-1.0, 1.0, 24).reshape(6, 4)
-        with runtime_shm.publish(vth, beta) as block:
-            ref_vth, ref_beta = block.refs()
-            np.testing.assert_array_equal(runtime_shm.read(ref_vth), vth)
-            np.testing.assert_array_equal(
-                runtime_shm.read(ref_vth, 2, 5), vth[2:5]
-            )
-            np.testing.assert_array_equal(
-                runtime_shm.read(ref_beta, 0, 1), beta[0:1]
-            )
-            assert runtime_shm.live_segments() == [ref_vth.name]
-        assert runtime_shm.live_segments() == []
-        assert ref_vth.name not in _dev_shm()
-
-    def test_close_is_idempotent(self):
-        block = runtime_shm.publish(np.zeros(3))
-        block.close()
-        block.close()
-        assert runtime_shm.live_segments() == []
-
-    def test_clean_mc_run_leaks_nothing(self, hand_testbench):
-        before = _dev_shm()
-        with runtime_shm.use(True):
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=2)
-        assert result.n_failed == 0
-        assert runtime_shm.live_segments() == []
-        assert _dev_shm() - before == set()
-
-    def test_shard_failure_leaks_nothing(self, hand_testbench):
-        before = _dev_shm()
-        with runtime_shm.use(True):
-            with faults.inject("mc.worker", index=0, times=3):
-                result = run_monte_carlo(
-                    hand_testbench, runs=8, seed=7, workers=2,
-                    max_shard_retries=1,
-                )
-        assert result.shards[0].status == "in-process"
-        assert runtime_shm.live_segments() == []
-        assert _dev_shm() - before == set()
-
-    def test_crash_kill_runs_emergency_unlink(self):
-        """``REPRO_FAULTS`` ``action="crash"`` dies via ``os._exit`` —
-        no ``finally``, no ``atexit`` — so the faults kill-hook must
-        unlink the published segment before the process dies."""
-        proc = _run_script(
-            "import numpy as np\n"
-            "from repro.resilience import faults\n"
-            "from repro.runtime import shm\n"
-            "faults.arm_from_env()\n"
-            "block = shm.publish(np.zeros((64, 8)))\n"
-            "print(block.refs()[0].name, flush=True)\n"
-            "faults.maybe_kill()\n"
-            "raise SystemExit('kill fault did not fire')\n",
-            env_extra={"REPRO_FAULTS": "process.kill:at=1,action=crash"},
-        )
-        assert proc.returncode == faults.KILL_EXIT_CODE, proc.stderr
-        name = proc.stdout.strip()
-        assert name
-        assert name not in _dev_shm()
-
-    def test_sigterm_leaves_no_segment_behind(self):
-        """A SIGTERM the run never handles is mopped up by the stdlib
-        resource tracker, which outlives the parent for this case."""
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-c",
-                "import signal, sys\n"
-                "import numpy as np\n"
-                "from repro.runtime import shm\n"
-                "block = shm.publish(np.zeros((64, 8)))\n"
-                "print(block.refs()[0].name, flush=True)\n"
-                "signal.pause()\n",
-            ],
-            env={**os.environ, "PYTHONPATH": SRC},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            name = proc.stdout.readline().strip()
-            assert name
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.stdout.close()
-            proc.stderr.close()
-        # The tracker is a separate process; give its sweep a moment.
-        deadline = time.monotonic() + 20.0
-        while name in _dev_shm() and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert name not in _dev_shm()
-
-
 class TestShmDeterminism:
+    """Monte-Carlo samples are bit-identical for any worker count, for
+    either way the testbench recipe reaches the workers, and for a cold
+    or warm pool."""
+
     @pytest.fixture(scope="class")
     def baseline(self, hand_testbench):
         return run_monte_carlo(hand_testbench, runs=8, seed=7, workers=1)
 
-    @needs_shm
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("shm_on", [True, False])
+    @pytest.mark.parametrize("fingerprint_only", [True, False])
     def test_bit_identical_for_any_transport_and_worker_count(
-        self, hand_testbench, baseline, workers, shm_on
+        self, hand_testbench, baseline, workers, fingerprint_only
     ):
-        with runtime_shm.use(shm_on):
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=workers)
+        """Workers that already hold the compiled state receive only its
+        content key; the others receive the full pickled recipe."""
+        if workers > 1:
+            key = hashlib.sha256(
+                pickle.dumps((hand_testbench, None))
+            ).hexdigest()
+            lease = runtime_pool.acquire(workers)
+            if fingerprint_only:
+                run_monte_carlo(hand_testbench, runs=8, seed=7,
+                                workers=workers)
+                assert lease.key_shipped(key)
+            else:
+                lease.unship(key)
+        result = run_monte_carlo(hand_testbench, runs=8, seed=7,
+                                 workers=workers)
         assert result.samples == baseline.samples  # bit-identical
         assert result.mean("offset_voltage") == \
             baseline.mean("offset_voltage")
         assert result.std("offset_voltage") == baseline.std("offset_voltage")
 
-    @pytest.mark.parametrize("pool_on", [True, False])
+    @pytest.mark.parametrize("warm_pool", [True, False])
     def test_bit_identical_for_any_pool_mode(
-        self, hand_testbench, baseline, pool_on
+        self, hand_testbench, baseline, warm_pool
     ):
-        with runtime_pool.persistent(pool_on):
-            result = run_monte_carlo(hand_testbench, runs=8, seed=7,
-                                     workers=2)
+        if warm_pool:
+            runtime_pool.acquire(2)
+        else:
+            runtime_pool.shutdown()
+        generation = runtime_pool.pool_generation()
+        result = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=2)
+        # A warm pool is reused; a cold start creates a new generation.
+        assert (runtime_pool.pool_generation() == generation) == warm_pool
         assert result.samples == baseline.samples
 
 
