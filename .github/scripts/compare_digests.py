@@ -1,10 +1,13 @@
-"""Compare workload digests between this checkout and a base checkout.
+"""Compare workload digests and CLI fingerprints with a base checkout.
 
 For each workload, runs ``bench/run.py --seed 7 --seconds 32 --trace 1
 --ops N`` in the base tree and in this tree, prints every per-layer count
-that differs, and exits non-zero if any run fails or any ``digest``
-differs.  A fixed op count makes the check deterministic and independent
-of the host's speed.
+that differs, and fails if any run fails or any ``digest`` differs.  A
+fixed op count makes the check deterministic and independent of the
+host's speed.  Then runs ``python -m repro synthesize --fingerprint`` and
+``python -m repro table1 --jobs 1 --fingerprint`` in both trees (memo
+on, no disk cache) and fails on any differing ``fingerprint`` line.
+Exits non-zero on any failure.
 
 Usage::
 
@@ -14,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -22,6 +26,11 @@ HERE = pathlib.Path(__file__).resolve().parents[2]
 SEED = 7
 #: (workload, ops) — each a whole number of the workload's op cycle.
 WORKLOADS = (("respin", 6), ("layout_signoff", 24), ("yield_mc", 15))
+#: CLI runs whose ``fingerprint`` lines must match the base tree's.
+FINGERPRINTS = (
+    ("synthesize", "--fingerprint"),
+    ("table1", "--jobs", "1", "--fingerprint"),
+)
 
 
 def run(tree: pathlib.Path, workload: str, ops: int):
@@ -37,6 +46,25 @@ def run(tree: pathlib.Path, workload: str, ops: int):
         raise SystemExit(f"{workload} failed in {tree}")
     detail, result = completed.stdout.strip().splitlines()[-2:]
     return json.loads(detail), json.loads(result)["metrics"]
+
+
+def fingerprints(tree: pathlib.Path, args) -> list:
+    """The ``fingerprint`` lines of one ``python -m repro`` run in ``tree``.
+
+    ``REPRO_*`` variables are dropped, so neither tree can be served
+    from a shared artifact cache or run under an injected fault.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(tree / "src")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if completed.returncode != 0:
+        sys.stderr.write(completed.stderr)
+        raise SystemExit(f"repro {' '.join(args)} failed in {tree}")
+    return [line for line in completed.stdout.splitlines()
+            if line.startswith("fingerprint")]
 
 
 def counts(metrics) -> dict:
@@ -67,8 +95,18 @@ def main(argv) -> int:
                 print(f"  {name}: {old} -> {new}")
         if not same:
             mismatched.append(workload)
+    for args in FINGERPRINTS:
+        command = " ".join(args)
+        base_lines, head_lines = fingerprints(base, args), fingerprints(HERE, args)
+        same = bool(head_lines) and base_lines == head_lines
+        print(f"repro {command}: {'equal' if same else 'DIFFERENT'}")
+        if not same:
+            for side, lines in (("base", base_lines), ("head", head_lines)):
+                for line in lines:
+                    print(f"  {side} {line}")
+            mismatched.append(f"repro {command}")
     if mismatched:
-        print(f"digest mismatch on {', '.join(mismatched)}", file=sys.stderr)
+        print(f"mismatch on {', '.join(mismatched)}", file=sys.stderr)
         return 1
     return 0
 

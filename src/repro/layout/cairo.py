@@ -279,7 +279,10 @@ class CairoProgram:
         row_nodes = []
         for row in self._rows:
             leaves = [
-                LeafNode(m, [ModuleVariant(tag=m, layout=layouts[m])])
+                LeafNode(m, [ModuleVariant(
+                    m, layouts[m].width, layouts[m].height,
+                    lambda layout=layouts[m]: layout,
+                )])
                 for m in row
             ]
             row_nodes.append(

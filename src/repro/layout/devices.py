@@ -8,19 +8,24 @@ Rendering conventions: gates are vertical poly fingers; diffusion strips
 between them carry contact columns and vertical metal-1 straps; horizontal
 metal-2 rails collect each net (drains below the row, source/gates/dummy
 ties above), with electromigration-derived widths.
+
+Each generator is a :class:`ModuleFrame` — the numeric plan, with the
+drawn module's exact footprint and no shapes — and its ``draw()``:
+``*_layout(...)`` is ``*_frame(...).draw()``.  The OTA generator places
+modules by their frames' footprints and draws only the placed ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import LayoutError
 from repro.layout.cell import Cell
-from repro.layout.geometry import Rect
+from repro.layout.geometry import Rect, bounding_box
 from repro.layout.layers import Layer
-from repro.layout.motif import generate_mos_motif
+from repro.layout.motif import MotifFrame
 from repro.layout.stack import DUMMY, StackPlan, generate_stack
 from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
@@ -49,14 +54,49 @@ class ModuleLayout:
         return self.cell.height
 
 
+class ModuleFrame:
+    """A module's numeric plan: its exact footprint now, its cell on demand.
+
+    A frame runs every feasibility check its drawing would (so it raises
+    the same :class:`LayoutError`) and sets :attr:`bbox` to the exact
+    bounding box of the cell :meth:`draw` emits, down to the last float
+    bit, without emitting a shape.  Placement reads :attr:`footprint`;
+    only the variant it places is drawn.
+    """
+
+    bbox: Rect
+
+    @property
+    def footprint(self) -> Tuple[float, float]:
+        """``(width, height)`` of the module :meth:`draw` produces."""
+        return self.bbox.width, self.bbox.height
+
+    def draw(self) -> ModuleLayout:
+        raise NotImplementedError
+
+
+def _family_samples(members: Sequence, key: Callable) -> List:
+    """The members of a repeated shape family that bound its bbox.
+
+    Every member's shapes are one function of the member's x position
+    (every x coordinate non-decreasing in it) and of ``key(member)``
+    (which alone sets the y coordinates), and members come in x order.
+    So the first and last members bound x, one member per key bounds y,
+    and the family's bounding box is exactly theirs.
+    """
+    by_key: Dict[object, object] = {}
+    for member in members:
+        by_key.setdefault(key(member), member)
+    samples = [members[0], *by_key.values(), members[-1]]
+    return list({id(member): member for member in samples}.values())
+
+
 @dataclass
 class _Strip:
     net: str
     x0: float
     width: float
     is_end: bool
-    adjacent: List[Tuple[str, bool]] = field(default_factory=list)
-    """(device, edge_is_drain) for each neighbouring finger."""
 
 
 def _layout_strips_and_gates(
@@ -115,435 +155,516 @@ def _layout_strips_and_gates(
             x += internal_width
             net_index += 1
     segments.append((segment_start, x))
-
-    # Adjacency by position: a finger's left strip is the one ending at the
-    # gate's x0, its right strip starts at gate x0 + length.
-    for finger_index, gate_x in gates:
-        finger = plan.fingers[finger_index]
-        for strip in strips:
-            if abs(strip.x0 + strip.width - gate_x) < 1e-12:
-                strip.adjacent.append((finger.device, finger.drain_left))
-            elif abs(strip.x0 - (gate_x + length)) < 1e-12:
-                strip.adjacent.append((finger.device, not finger.drain_left))
     return strips, gates, segments
 
 
-def render_stack(
-    tech: Technology,
+def _strip_adjacency(
     plan: StackPlan,
-    polarity: str,
-    finger_width: float,
+    strips: List[_Strip],
+    gates: List[Tuple[int, float]],
     length: float,
-    terminals: Mapping[str, Tuple[str, str, str]],
-    bulk_net: str,
-    currents: Optional[Mapping[str, float]] = None,
-    dummy_net: Optional[str] = None,
-    name: str = "stack",
-) -> ModuleLayout:
-    """Draw a planned stack.
+) -> List[List[Tuple[str, bool]]]:
+    """(device, edge_is_drain) for each finger beside each strip.
+
+    By position: a finger's left strip is the one ending at the gate's
+    x0, its right strip starts at gate x0 + length.
+    """
+    adjacent: List[List[Tuple[str, bool]]] = [[] for _ in strips]
+    for finger_index, gate_x in gates:
+        finger = plan.fingers[finger_index]
+        for strip, neighbours in zip(strips, adjacent):
+            if abs(strip.x0 + strip.width - gate_x) < 1e-12:
+                neighbours.append((finger.device, finger.drain_left))
+            elif abs(strip.x0 - (gate_x + length)) < 1e-12:
+                neighbours.append((finger.device, not finger.drain_left))
+    return adjacent
+
+
+class StackFrame(ModuleFrame):
+    """The numeric plan of a rendered stack.
 
     ``terminals`` maps device name to ``(drain, gate, source)`` nets; all
     devices must share the source net.  ``currents`` (A per device) drives
     the electromigration wire widths and contact counts; ``dummy_net``
     defaults to the shared source net.
+
+    Construction runs the strip walk, allocates the metal-2 tracks, the
+    left-margin connector/escape columns and the rail extents, and checks
+    the finger width and every strip's contact fit.  The per-strip and
+    per-gate shape families are bounded through :func:`_family_samples`;
+    contact and via cuts sit inside their strips and landing pads, so
+    they never reach the bounding box.
     """
-    if polarity not in ("n", "p"):
-        raise LayoutError(f"polarity must be 'n' or 'p', got {polarity!r}")
-    rules = tech.rules
-    metal1 = tech.metal("metal1")
-    metal2 = tech.metal("metal2")
-    currents = dict(currents or {})
 
-    source_nets = {t[2] for t in terminals.values()}
-    if len(source_nets) != 1:
-        raise LayoutError(f"stack devices must share one source net: {source_nets}")
-    source_net = source_nets.pop()
-    if dummy_net is None:
-        dummy_net = source_net
+    def __init__(
+        self,
+        tech: Technology,
+        plan: StackPlan,
+        polarity: str,
+        finger_width: float,
+        length: float,
+        terminals: Mapping[str, Tuple[str, str, str]],
+        bulk_net: str,
+        currents: Optional[Mapping[str, float]] = None,
+        dummy_net: Optional[str] = None,
+        name: str = "stack",
+    ):
+        if polarity not in ("n", "p"):
+            raise LayoutError(f"polarity must be 'n' or 'p', got {polarity!r}")
+        rules = tech.rules
+        metal2 = tech.metal("metal2")
+        currents = dict(currents or {})
 
-    finger = rules.snap(finger_width)
-    if finger < rules.active_min_width:
-        raise LayoutError(
-            f"finger width {finger:.3e} m below the active minimum"
+        source_nets = {t[2] for t in terminals.values()}
+        if len(source_nets) != 1:
+            raise LayoutError(
+                f"stack devices must share one source net: {source_nets}"
+            )
+        source_net = source_nets.pop()
+        if dummy_net is None:
+            dummy_net = source_net
+
+        finger = rules.snap(finger_width)
+        if finger < rules.active_min_width:
+            raise LayoutError(
+                f"finger width {finger:.3e} m below the active minimum"
+            )
+        length = rules.snap(length)
+
+        self.tech = tech
+        self.plan = plan
+        self.polarity = polarity
+        self.terminals = dict(terminals)
+        self.bulk_net = bulk_net
+        self.name = name
+        self.finger = finger
+        self.length = length
+
+        terminal_ds = {d: (t[0], t[2]) for d, t in terminals.items()}
+        strip_nets = plan.strip_nets(terminal_ds, dummy_net=dummy_net)
+        strips, gates, segments = _layout_strips_and_gates(
+            plan, strip_nets, length, rules.end_diffusion_width,
+            rules.contacted_diffusion_width, rules.active_spacing,
         )
-    length = rules.snap(length)
+        self.strips = strips
+        self.gates = gates
+        #: ``(gate x, gate net)`` per finger, in x order.
+        self.gate_nets = [
+            (
+                gate_x,
+                dummy_net if plan.fingers[finger_index].is_dummy
+                else terminals[plan.fingers[finger_index].device][1],
+            )
+            for finger_index, gate_x in gates
+        ]
 
-    terminal_ds = {d: (t[0], t[2]) for d, t in terminals.items()}
-    strip_nets = plan.strip_nets(terminal_ds, dummy_net=dummy_net)
-    end_w = rules.end_diffusion_width
-    int_w = rules.contacted_diffusion_width
-    strips, gates, segments = _layout_strips_and_gates(
-        plan, strip_nets, length, end_w, int_w, rules.active_spacing
-    )
-
-    cell = Cell(name)
-
-    # Active segments and implant.
-    for x0, x1 in segments:
-        cell.add_shape(Layer.ACTIVE, Rect(x0, 0.0, x1, finger))
-    total_width = segments[-1][1]
-    implant = Layer.NIMPLANT if polarity == "n" else Layer.PIMPLANT
-    margin = rules.contact_active_enclosure
-    cell.add_shape(
-        implant,
-        Rect(-margin, -margin, total_width + margin, finger + margin),
-    )
-
-    # Net bookkeeping for EM rules.
-    net_current: Dict[str, float] = {}
-    strips_per_net: Dict[str, int] = {}
-    for strip in strips:
-        strips_per_net[strip.net] = strips_per_net.get(strip.net, 0) + 1
-    for device, (drain, _gate, source) in terminals.items():
-        current = abs(currents.get(device, 0.0))
-        net_current[drain] = net_current.get(drain, 0.0) + current
-        net_current[source] = net_current.get(source, 0.0) + current
-
-    # Rails land via cuts, so they must be at least one via plus its
-    # enclosure wide, besides the electromigration requirement.
-    rail_floor = max(
-        rules.metal2_min_width,
-        rules.via_size + 2.0 * rules.via_metal_enclosure,
-    )
-
-    def rail_width(net: str) -> float:
-        return rules.snap_up(
-            metal2.min_width_for_current(net_current.get(net, 0.0), rail_floor)
-        )
-
-    # Track assignment: drain nets below the row, the shared source track
-    # directly above the gates, then the gate pad row, then one
-    # gate-level track per distinct gate net.  Keeping the pads *above*
-    # the source track guarantees the gate metal-1 stubs never run beside
-    # the source/drain metal-1 columns (which stop at their tracks).
-    drain_nets: List[str] = []
-    for device in sorted(terminals):
-        drain = terminals[device][0]
-        if drain not in drain_nets:
-            drain_nets.append(drain)
-
-    pitch_gap = rules.metal2_spacing
-    gate_top = finger + rules.poly_endcap
-    tap_size = rules.contact_size + 2.0 * rules.contact_metal_enclosure
-    column_width = max(
-        rules.contact_size + 2.0 * rules.contact_metal_enclosure,
-        rules.metal1_min_width,
-    )
-
-    # Below-row drain tracks.
-    track_y: Dict[str, Tuple[float, float]] = {}
-    y = -rules.poly_endcap - pitch_gap
-    for net in drain_nets:
-        width = rail_width(net)
-        track_y[net] = (y - width, y)
-        y -= width + pitch_gap
-
-    # Source track.
-    source_width = rail_width(source_net)
-    source_y0 = gate_top + pitch_gap
-    track_y[source_net] = (source_y0, source_y0 + source_width)
-
-    # Pad row and gate-level tracks.  A gate net may coincide with the
-    # source net (dummy ties) or a drain net (diode-connected devices);
-    # it still gets its own gate-level rail, tied back by a metal-1
-    # connector column past the module's left edge.
-    pad_row_y = (
-        source_y0 + source_width + rules.metal1_spacing + tap_size / 2.0
-    )
-    gate_rail_nets: List[str] = []
-    for finger_index, _gate_x in gates:
-        finger_spec = plan.fingers[finger_index]
-        net = (
-            dummy_net if finger_spec.is_dummy
-            else terminals[finger_spec.device][1]
-        )
-        if net not in gate_rail_nets:
-            gate_rail_nets.append(net)
-    gate_track_y: Dict[str, Tuple[float, float]] = {}
-    y = pad_row_y + tap_size / 2.0 + rules.metal1_spacing
-    for net in gate_rail_nets:
-        width = rail_width(net) if net in track_y else rail_floor
-        gate_track_y[net] = (y, y + width)
-        y += width + pitch_gap
-
-    via = rules.via_size
-    via_pad = via + 2.0 * rules.via_metal_enclosure
-
-    # Left-margin column allocator (connectors and escapes).  Columns are
-    # spaced so their via landing pads keep metal-1 spacing.
-    column_effective = max(column_width, via_pad)
-    next_column_left = -(rules.metal1_spacing + column_effective)
-
-    def allocate_column() -> float:
-        """Left edge of a fresh left-margin metal-1 column."""
-        nonlocal next_column_left
-        x = next_column_left + (column_effective - column_width) / 2.0
-        next_column_left -= column_effective + rules.metal1_spacing
-        return x
-
-    # Connector columns for gate rails that duplicate a source/drain net.
-    connectors: List[Tuple[str, float, float, float]] = []
-    for net in gate_rail_nets:
-        if net in track_y:
-            main_y = sum(track_y[net]) / 2.0
-            gate_y = sum(gate_track_y[net]) / 2.0
-            connectors.append((net, allocate_column(), main_y, gate_y))
-
-    # Only the outermost rails are directly reachable from the channels:
-    # the bottom-most drain track (a stub below crosses nothing) and the
-    # top-most gate track.  Every other rail *escapes* through a
-    # left-margin column ending in a small pad at the module's top or
-    # bottom edge, which becomes that net's pin.
-    bottom_net = drain_nets[-1] if drain_nets else None
-    top_net = gate_rail_nets[-1] if gate_rail_nets else None
-    escape_top_y = (
-        max(y1 for _y0, y1 in gate_track_y.values()) + pitch_gap
-        if gate_track_y
-        else track_y[source_net][1] + pitch_gap
-    )
-    escape_bottom_y = (
-        min(y0 for net in drain_nets for y0 in (track_y[net][0],))
-        - pitch_gap
-        if drain_nets
-        else -rules.poly_endcap - pitch_gap
-    )
-
-    escapes: List[Tuple[str, float, float, float]] = []
-    pinned_nets = set()
-    if bottom_net is not None:
-        pinned_nets.add(bottom_net)
-    if top_net is not None:
-        pinned_nets.add(top_net)
-    escape_rails: Dict[str, Rect] = {}
-    all_nets = list(dict.fromkeys(drain_nets + [source_net] + gate_rail_nets))
-    for net in all_nets:
-        if net in pinned_nets:
-            continue
-        if net in gate_track_y:
-            # Escape upward from the gate rail.
-            from_y = sum(gate_track_y[net]) / 2.0
-            to_y = escape_top_y + rail_floor / 2.0
-        elif net == source_net:
-            from_y = sum(track_y[net]) / 2.0
-            to_y = escape_top_y + rail_floor / 2.0
-        else:
-            from_y = sum(track_y[net]) / 2.0
-            to_y = escape_bottom_y - rail_floor / 2.0
-        x = allocate_column()
-        escapes.append((net, x, from_y, to_y))
-        center_x = x + column_width / 2.0
-        escape_rails[net] = Rect.centered(
-            center_x, to_y, via_pad, rail_floor
-        )
-        pinned_nets.add(net)
-
-    # Rails span only the connection points they collect (plus a via pad
-    # of margin), not the whole module.
-    rail_extent: Dict[str, Tuple[float, float]] = {}
-    gate_rail_extent: Dict[str, Tuple[float, float]] = {}
-
-    def extend(extents: Dict[str, Tuple[float, float]], net: str,
-               x_center: float) -> None:
-        pad = max(rail_width(net), via_pad)
-        lo, hi = extents.get(net, (x_center, x_center))
-        extents[net] = (min(lo, x_center - pad), max(hi, x_center + pad))
-
-    for strip in strips:
-        extend(rail_extent, strip.net, strip.x0 + strip.width / 2.0)
-    for finger_index, gate_x in gates:
-        finger_spec = plan.fingers[finger_index]
-        net = (
-            dummy_net if finger_spec.is_dummy
-            else terminals[finger_spec.device][1]
-        )
-        extend(gate_rail_extent, net, gate_x + length / 2.0)
-    for net, x, _main_y, _gate_y in connectors:
-        extend(rail_extent, net, x + column_width / 2.0)
-        extend(gate_rail_extent, net, x + column_width / 2.0)
-    for net, x, _from_y, _to_y in escapes:
-        if net in gate_track_y:
-            extend(gate_rail_extent, net, x + column_width / 2.0)
-        else:
-            extend(rail_extent, net, x + column_width / 2.0)
-
-    def emit_rail(net: str, y0: float, y1: float,
-                  extents: Dict[str, Tuple[float, float]],
-                  is_pin: bool) -> None:
-        lo, hi = extents.get(net, (0.0, total_width))
-        rail = Rect(lo, y0, min(total_width, hi), y1)
-        if is_pin:
-            cell.add_pin(net, Layer.METAL2, rail)
-        else:
-            cell.add_shape(Layer.METAL2, rail, net=net)
-
-    for net, (y0, y1) in track_y.items():
-        emit_rail(net, y0, y1, rail_extent, is_pin=(net == bottom_net))
-    for net, (y0, y1) in gate_track_y.items():
-        emit_rail(net, y0, y1, gate_rail_extent, is_pin=(net == top_net))
-    for net, rail in escape_rails.items():
-        cell.add_pin(net, Layer.METAL2, rail)
-
-    def add_via(x_center: float, y_center: float, net: str) -> None:
-        cell.add_shape(
-            Layer.VIA1, Rect.centered(x_center, y_center, via, via), net=net
-        )
-        cell.add_shape(
-            Layer.METAL1,
-            Rect.centered(x_center, y_center, via_pad, via_pad),
-            net=net,
+        # Active segments and implant.
+        self.actives = [Rect(x0, 0.0, x1, finger) for x0, x1 in segments]
+        total_width = segments[-1][1]
+        margin = rules.contact_active_enclosure
+        self.implant = Rect(
+            -margin, -margin, total_width + margin, finger + margin
         )
 
-    for net, x, main_y, gate_y in connectors:
-        lo, hi = sorted((main_y, gate_y))
-        cell.add_shape(
-            Layer.METAL1, Rect(x, lo, x + column_width, hi), net=net
-        )
-        add_via(x + column_width / 2.0, main_y, net)
-        add_via(x + column_width / 2.0, gate_y, net)
-    for net, x, from_y, to_y in escapes:
-        lo, hi = sorted((from_y, to_y))
-        cell.add_shape(
-            Layer.METAL1, Rect(x, lo, x + column_width, hi), net=net
-        )
-        add_via(x + column_width / 2.0, from_y, net)
-        add_via(x + column_width / 2.0, to_y, net)
+        # Net bookkeeping for EM rules.
+        net_current: Dict[str, float] = {}
+        strips_per_net: Dict[str, int] = {}
+        for strip in strips:
+            strips_per_net[strip.net] = strips_per_net.get(strip.net, 0) + 1
+        for device, (drain, _gate, source) in terminals.items():
+            current = abs(currents.get(device, 0.0))
+            net_current[drain] = net_current.get(drain, 0.0) + current
+            net_current[source] = net_current.get(source, 0.0) + current
 
-    # Contacts, metal-1 verticals per strip.
-    contact_pitch = rules.contact_size + rules.contact_spacing
-    for strip in strips:
-        per_strip = net_current.get(strip.net, 0.0) / max(
-            strips_per_net.get(strip.net, 1), 1
-        )
-        needed = tech.contact.cuts_for_current(per_strip)
+        # Every strip holds a full contact column; the column must carry
+        # the strip's share of its net's current.
         usable = finger - 2.0 * rules.contact_active_enclosure
-        fit = (
+        contact_pitch = rules.contact_size + rules.contact_spacing
+        self.contact_count = (
             max(1, int(math.floor((usable - rules.contact_size) / contact_pitch)) + 1)
             if usable >= rules.contact_size
             else 0
         )
-        if fit == 0:
+        if self.contact_count == 0:
             raise LayoutError("finger too narrow for a contact")
-        count = fit
-        if count < needed:
-            raise LayoutError(
-                f"strip on net {strip.net!r} needs {needed} contact cuts, "
-                f"only {count} fit"
+        for strip in strips:
+            per_strip = net_current.get(strip.net, 0.0) / max(
+                strips_per_net.get(strip.net, 1), 1
             )
-        x_center = strip.x0 + strip.width / 2.0
-        total_h = count * rules.contact_size + (count - 1) * rules.contact_spacing
-        cy = finger / 2.0 - total_h / 2.0 + rules.contact_size / 2.0
-        for _ in range(count):
-            cell.add_shape(
-                Layer.CONTACT,
-                Rect.centered(x_center, cy, rules.contact_size, rules.contact_size),
-                net=strip.net,
-            )
-            cy += contact_pitch
+            needed = tech.contact.cuts_for_current(per_strip)
+            if self.contact_count < needed:
+                raise LayoutError(
+                    f"strip on net {strip.net!r} needs {needed} contact cuts, "
+                    f"only {self.contact_count} fit"
+                )
 
-        y0, y1 = track_y[strip.net]
+        # Rails land via cuts, so they must be at least one via plus its
+        # enclosure wide, besides the electromigration requirement.
+        rail_floor = max(
+            rules.metal2_min_width,
+            rules.via_size + 2.0 * rules.via_metal_enclosure,
+        )
+        rail_widths: Dict[str, float] = {}
+
+        def rail_width(net: str) -> float:
+            if net not in rail_widths:
+                rail_widths[net] = rules.snap_up(
+                    metal2.min_width_for_current(
+                        net_current.get(net, 0.0), rail_floor
+                    )
+                )
+            return rail_widths[net]
+
+        # Track assignment: drain nets below the row, the shared source
+        # track directly above the gates, then the gate pad row, then one
+        # gate-level track per distinct gate net.  Keeping the pads *above*
+        # the source track guarantees the gate metal-1 stubs never run
+        # beside the source/drain metal-1 columns (which stop at their
+        # tracks).
+        drain_nets: List[str] = []
+        for device in sorted(terminals):
+            drain = terminals[device][0]
+            if drain not in drain_nets:
+                drain_nets.append(drain)
+
+        pitch_gap = rules.metal2_spacing
+        self.gate_top = finger + rules.poly_endcap
+        self.tap_size = rules.contact_size + 2.0 * rules.contact_metal_enclosure
+        column_width = max(
+            rules.contact_size + 2.0 * rules.contact_metal_enclosure,
+            rules.metal1_min_width,
+        )
+        self.column_width = column_width
+
+        # Below-row drain tracks.
+        track_y: Dict[str, Tuple[float, float]] = {}
+        y = -rules.poly_endcap - pitch_gap
+        for net in drain_nets:
+            width = rail_width(net)
+            track_y[net] = (y - width, y)
+            y -= width + pitch_gap
+
+        # Source track.
+        source_width = rail_width(source_net)
+        source_y0 = self.gate_top + pitch_gap
+        track_y[source_net] = (source_y0, source_y0 + source_width)
+
+        # Pad row and gate-level tracks.  A gate net may coincide with the
+        # source net (dummy ties) or a drain net (diode-connected devices);
+        # it still gets its own gate-level rail, tied back by a metal-1
+        # connector column past the module's left edge.
+        self.pad_row_y = (
+            source_y0 + source_width + rules.metal1_spacing + self.tap_size / 2.0
+        )
+        gate_rail_nets = list(dict.fromkeys(net for _x, net in self.gate_nets))
+        gate_track_y: Dict[str, Tuple[float, float]] = {}
+        y = self.pad_row_y + self.tap_size / 2.0 + rules.metal1_spacing
+        for net in gate_rail_nets:
+            width = rail_width(net) if net in track_y else rail_floor
+            gate_track_y[net] = (y, y + width)
+            y += width + pitch_gap
+        self.track_y = track_y
+        self.gate_track_y = gate_track_y
+
+        via_pad = rules.via_size + 2.0 * rules.via_metal_enclosure
+
+        # Left-margin column allocator (connectors and escapes).  Columns
+        # are spaced so their via landing pads keep metal-1 spacing.
+        column_effective = max(column_width, via_pad)
+        next_column_left = -(rules.metal1_spacing + column_effective)
+
+        def allocate_column() -> float:
+            """Left edge of a fresh left-margin metal-1 column."""
+            nonlocal next_column_left
+            x = next_column_left + (column_effective - column_width) / 2.0
+            next_column_left -= column_effective + rules.metal1_spacing
+            return x
+
+        # Connector columns for gate rails that duplicate a source/drain
+        # net.
+        connectors: List[Tuple[str, float, float, float]] = []
+        for net in gate_rail_nets:
+            if net in track_y:
+                main_y = sum(track_y[net]) / 2.0
+                gate_y = sum(gate_track_y[net]) / 2.0
+                connectors.append((net, allocate_column(), main_y, gate_y))
+
+        # Only the outermost rails are directly reachable from the
+        # channels: the bottom-most drain track (a stub below crosses
+        # nothing) and the top-most gate track.  Every other rail
+        # *escapes* through a left-margin column ending in a small pad at
+        # the module's top or bottom edge, which becomes that net's pin.
+        bottom_net = drain_nets[-1] if drain_nets else None
+        top_net = gate_rail_nets[-1] if gate_rail_nets else None
+        escape_top_y = (
+            max(y1 for _y0, y1 in gate_track_y.values()) + pitch_gap
+            if gate_track_y
+            else track_y[source_net][1] + pitch_gap
+        )
+        escape_bottom_y = (
+            min(y0 for net in drain_nets for y0 in (track_y[net][0],))
+            - pitch_gap
+            if drain_nets
+            else -rules.poly_endcap - pitch_gap
+        )
+
+        escapes: List[Tuple[str, float, float, float]] = []
+        pinned_nets = set()
+        if bottom_net is not None:
+            pinned_nets.add(bottom_net)
+        if top_net is not None:
+            pinned_nets.add(top_net)
+        escape_rails: Dict[str, Rect] = {}
+        all_nets = list(dict.fromkeys(drain_nets + [source_net] + gate_rail_nets))
+        for net in all_nets:
+            if net in pinned_nets:
+                continue
+            if net in gate_track_y:
+                # Escape upward from the gate rail.
+                from_y = sum(gate_track_y[net]) / 2.0
+                to_y = escape_top_y + rail_floor / 2.0
+            elif net == source_net:
+                from_y = sum(track_y[net]) / 2.0
+                to_y = escape_top_y + rail_floor / 2.0
+            else:
+                from_y = sum(track_y[net]) / 2.0
+                to_y = escape_bottom_y - rail_floor / 2.0
+            x = allocate_column()
+            escapes.append((net, x, from_y, to_y))
+            center_x = x + column_width / 2.0
+            escape_rails[net] = Rect.centered(
+                center_x, to_y, via_pad, rail_floor
+            )
+            pinned_nets.add(net)
+        self.escape_pins = list(escape_rails.items())
+
+        # Rails span only the connection points they collect (plus a via
+        # pad of margin), not the whole module.
+        rail_extent: Dict[str, Tuple[float, float]] = {}
+        gate_rail_extent: Dict[str, Tuple[float, float]] = {}
+
+        def extend(extents: Dict[str, Tuple[float, float]], net: str,
+                   x_center: float) -> None:
+            pad = max(rail_width(net), via_pad)
+            lo, hi = extents.get(net, (x_center, x_center))
+            extents[net] = (min(lo, x_center - pad), max(hi, x_center + pad))
+
+        for strip in strips:
+            extend(rail_extent, strip.net, strip.x0 + strip.width / 2.0)
+        for gate_x, net in self.gate_nets:
+            extend(gate_rail_extent, net, gate_x + length / 2.0)
+        for net, x, _main_y, _gate_y in connectors:
+            extend(rail_extent, net, x + column_width / 2.0)
+            extend(gate_rail_extent, net, x + column_width / 2.0)
+        for net, x, _from_y, _to_y in escapes:
+            if net in gate_track_y:
+                extend(gate_rail_extent, net, x + column_width / 2.0)
+            else:
+                extend(rail_extent, net, x + column_width / 2.0)
+
+        #: ``(net, rail, is_pin)`` per metal-2 rail, in drawing order.
+        self.rails: List[Tuple[str, Rect, bool]] = []
+        for tracks, extents, pin_net in (
+            (track_y, rail_extent, bottom_net),
+            (gate_track_y, gate_rail_extent, top_net),
+        ):
+            for net, (y0, y1) in tracks.items():
+                lo, hi = extents.get(net, (0.0, total_width))
+                self.rails.append(
+                    (net, Rect(lo, y0, min(total_width, hi), y1), net == pin_net)
+                )
+
+        # Connector and escape columns with a via at each end.
+        self.column_shapes: List[Tuple[Layer, Rect, str]] = []
+        for net, x, y_a, y_b in connectors + escapes:
+            lo, hi = sorted((y_a, y_b))
+            self.column_shapes.append(
+                (Layer.METAL1, Rect(x, lo, x + column_width, hi), net)
+            )
+            self.column_shapes += self._via(x + column_width / 2.0, y_a, net)
+            self.column_shapes += self._via(x + column_width / 2.0, y_b, net)
+
+        # Well for PMOS rows.
+        self.well_rect: Optional[Rect] = None
+        if polarity == "p":
+            well_margin = rules.active_well_enclosure
+            self.well_rect = Rect(
+                -well_margin,
+                -well_margin,
+                total_width + well_margin,
+                finger + well_margin,
+            )
+
+        rects = [*self.actives, self.implant]
+        rects += [rail for _net, rail, _pin in self.rails]
+        rects += [rail for _net, rail in self.escape_pins]
+        rects += [rect for _layer, rect, _net in self.column_shapes]
+        for strip in _family_samples(strips, lambda strip: strip.net):
+            rects += [rect for _l, rect, _n in self._strip_shapes(strip)]
+        for gate_x, net in _family_samples(self.gate_nets, lambda g: g[1]):
+            rects += [rect for _l, rect, _n in self._gate_shapes(gate_x, net)]
+        if self.well_rect is not None:
+            rects.append(self.well_rect)
+        self.bbox = bounding_box(rects)
+
+    def _via(self, x_center: float, y_center: float,
+             net: str) -> List[Tuple[Layer, Rect, str]]:
+        """A via cut with its metal-1 landing pad."""
+        rules = self.tech.rules
+        via = rules.via_size
+        via_pad = via + 2.0 * rules.via_metal_enclosure
+        return [
+            (Layer.VIA1, Rect.centered(x_center, y_center, via, via), net),
+            (
+                Layer.METAL1,
+                Rect.centered(x_center, y_center, via_pad, via_pad),
+                net,
+            ),
+        ]
+
+    def _strip_shapes(self, strip: _Strip) -> List[Tuple[Layer, Rect, str]]:
+        """A strip's metal-1 vertical to its track, and the via there."""
+        x_center = strip.x0 + strip.width / 2.0
+        half = self.column_width / 2.0
+        y0, y1 = self.track_y[strip.net]
         track_center = (y0 + y1) / 2.0
         if y0 < 0.0:  # below-row track
             rect = Rect(
-                x_center - column_width / 2.0,
-                track_center,
-                x_center + column_width / 2.0,
-                finger,
+                x_center - half, track_center, x_center + half, self.finger
             )
         else:
-            rect = Rect(
-                x_center - column_width / 2.0,
-                0.0,
-                x_center + column_width / 2.0,
-                track_center,
-            )
-        cell.add_shape(Layer.METAL1, rect, net=strip.net)
-        add_via(x_center, track_center, strip.net)
+            rect = Rect(x_center - half, 0.0, x_center + half, track_center)
+        return [(Layer.METAL1, rect, strip.net)] + self._via(
+            x_center, track_center, strip.net
+        )
 
-    # Gate fingers, pads and stubs to gate tracks.
-    for finger_index, gate_x in gates:
-        finger_spec = plan.fingers[finger_index]
-        if finger_spec.is_dummy:
-            gate_net = dummy_net
-        else:
-            gate_net = terminals[finger_spec.device][1]
-        cell.add_shape(
-            Layer.POLY,
-            Rect(gate_x, -rules.poly_endcap, gate_x + length, gate_top),
-            net=gate_net,
-        )
-        x_center = gate_x + length / 2.0
-        cell.add_shape(
-            Layer.POLY,
-            Rect.centered(x_center, pad_row_y, tap_size, tap_size),
-            net=gate_net,
-        )
-        # Poly neck from the gate finger up to the pad.
-        cell.add_shape(
-            Layer.POLY,
-            Rect(
-                gate_x,
-                gate_top,
-                gate_x + length,
-                pad_row_y,
-            ),
-            net=gate_net,
-        )
-        cell.add_shape(
-            Layer.CONTACT,
-            Rect.centered(
-                x_center, pad_row_y, rules.contact_size, rules.contact_size
-            ),
-            net=gate_net,
-        )
-        # Metal-1 landing pad over the gate contact.
-        cell.add_shape(
-            Layer.METAL1,
-            Rect.centered(x_center, pad_row_y, tap_size, tap_size),
-            net=gate_net,
-        )
-        y0, y1 = gate_track_y[gate_net]
+    def _gate_shapes(self, gate_x: float,
+                     net: str) -> List[Tuple[Layer, Rect, str]]:
+        """A gate finger, its contacted pad and the stub to its track."""
+        rules = self.tech.rules
+        tap_size = self.tap_size
+        pad_row_y = self.pad_row_y
+        x_center = gate_x + self.length / 2.0
+        y0, y1 = self.gate_track_y[net]
         track_center = (y0 + y1) / 2.0
-        cell.add_shape(
-            Layer.METAL1,
-            Rect(
-                x_center - rules.metal1_min_width / 2.0,
-                pad_row_y - tap_size / 2.0,
-                x_center + rules.metal1_min_width / 2.0,
-                track_center,
+        return [
+            (
+                Layer.POLY,
+                Rect(gate_x, -rules.poly_endcap, gate_x + self.length,
+                     self.gate_top),
+                net,
             ),
-            net=gate_net,
+            (
+                Layer.POLY,
+                Rect.centered(x_center, pad_row_y, tap_size, tap_size),
+                net,
+            ),
+            # Poly neck from the gate finger up to the pad.
+            (
+                Layer.POLY,
+                Rect(gate_x, self.gate_top, gate_x + self.length, pad_row_y),
+                net,
+            ),
+            (
+                Layer.CONTACT,
+                Rect.centered(
+                    x_center, pad_row_y, rules.contact_size, rules.contact_size
+                ),
+                net,
+            ),
+            # Metal-1 landing pad over the gate contact.
+            (
+                Layer.METAL1,
+                Rect.centered(x_center, pad_row_y, tap_size, tap_size),
+                net,
+            ),
+            (
+                Layer.METAL1,
+                Rect(
+                    x_center - rules.metal1_min_width / 2.0,
+                    pad_row_y - tap_size / 2.0,
+                    x_center + rules.metal1_min_width / 2.0,
+                    track_center,
+                ),
+                net,
+            ),
+        ] + self._via(x_center, track_center, net)
+
+    def draw(self) -> ModuleLayout:
+        """Emit the stack's shapes into a fresh cell."""
+        rules = self.tech.rules
+        finger = self.finger
+        cell = Cell(self.name)
+        for rect in self.actives:
+            cell.add_shape(Layer.ACTIVE, rect)
+        implant = Layer.NIMPLANT if self.polarity == "n" else Layer.PIMPLANT
+        cell.add_shape(implant, self.implant)
+
+        for net, rail, is_pin in self.rails:
+            if is_pin:
+                cell.add_pin(net, Layer.METAL2, rail)
+            else:
+                cell.add_shape(Layer.METAL2, rail, net=net)
+        for net, rail in self.escape_pins:
+            cell.add_pin(net, Layer.METAL2, rail)
+        for layer, rect, net in self.column_shapes:
+            cell.add_shape(layer, rect, net=net)
+
+        # Contacts, metal-1 verticals per strip.
+        size = rules.contact_size
+        count = self.contact_count
+        contact_pitch = size + rules.contact_spacing
+        total_h = count * size + (count - 1) * rules.contact_spacing
+        for strip in self.strips:
+            x_center = strip.x0 + strip.width / 2.0
+            cy = finger / 2.0 - total_h / 2.0 + size / 2.0
+            for _ in range(count):
+                cell.add_shape(
+                    Layer.CONTACT,
+                    Rect.centered(x_center, cy, size, size),
+                    net=strip.net,
+                )
+                cy += contact_pitch
+            for layer, rect, net in self._strip_shapes(strip):
+                cell.add_shape(layer, rect, net=net)
+
+        # Gate fingers, pads and stubs to gate tracks.
+        for gate_x, net in self.gate_nets:
+            for layer, rect, shape_net in self._gate_shapes(gate_x, net):
+                cell.add_shape(layer, rect, net=shape_net)
+
+        if self.well_rect is not None:
+            cell.add_shape(Layer.NWELL, self.well_rect, net=self.bulk_net)
+
+        # Per-device junction geometry from the drawn strips.
+        adjacency = _strip_adjacency(
+            self.plan, self.strips, self.gates, self.length
         )
-        add_via(x_center, track_center, gate_net)
-
-    # Well for PMOS rows.
-    well_rect: Optional[Rect] = None
-    if polarity == "p":
-        well_margin = rules.active_well_enclosure
-        well_rect = Rect(
-            -well_margin,
-            -well_margin,
-            total_width + well_margin,
-            finger + well_margin,
+        device_geometry = _accumulate_geometry(
+            self.strips, adjacency, self.terminals, finger
         )
-        cell.add_shape(Layer.NWELL, well_rect, net=bulk_net)
+        units = self.plan.units
+        return ModuleLayout(
+            cell=cell,
+            device_geometry=device_geometry,
+            device_nf={d: units[d] for d in self.terminals},
+            finger_width=finger,
+            length=self.length,
+            plan=self.plan,
+            well_rect=self.well_rect,
+            actual_widths={d: finger * units[d] for d in self.terminals},
+        )
 
-    # Per-device junction geometry from the drawn strips.
-    device_geometry = _accumulate_geometry(strips, terminals, finger)
 
-    return ModuleLayout(
-        cell=cell,
-        device_geometry=device_geometry,
-        device_nf={d: plan.units[d] for d in terminals},
-        finger_width=finger,
-        length=length,
-        plan=plan,
-        well_rect=well_rect,
-        actual_widths={d: finger * plan.units[d] for d in terminals},
-    )
+def render_stack(*args, **kwargs) -> ModuleLayout:
+    """Draw a planned stack: :class:`StackFrame` of the same arguments,
+    drawn."""
+    return StackFrame(*args, **kwargs).draw()
 
 
 def _accumulate_geometry(
     strips: List[_Strip],
+    adjacency: List[List[Tuple[str, bool]]],
     terminals: Mapping[str, Tuple[str, str, str]],
     finger: float,
 ) -> Dict[str, DiffusionGeometry]:
@@ -551,9 +672,9 @@ def _accumulate_geometry(
     accum: Dict[str, Dict[str, float]] = {
         device: {"ad": 0.0, "pd": 0.0, "as": 0.0, "ps": 0.0} for device in terminals
     }
-    for strip in strips:
+    for strip, adjacent in zip(strips, adjacency):
         owners: List[Tuple[str, bool]] = []
-        for device, edge_is_drain in strip.adjacent:
+        for device, edge_is_drain in adjacent:
             if device == DUMMY or device not in terminals:
                 continue
             drain, _gate, source = terminals[device]
@@ -566,7 +687,7 @@ def _accumulate_geometry(
         # Exposed perimeter: top+bottom edges always; outer vertical edge
         # for end strips not facing a gate on that side.
         perimeter = 2.0 * strip.width
-        if strip.is_end and len(strip.adjacent) < 2:
+        if strip.is_end and len(adjacent) < 2:
             perimeter += finger
         share = 1.0 / len(owners)
         for device, edge_is_drain in owners:
@@ -586,7 +707,29 @@ def _accumulate_geometry(
 # ---------------------------------------------------------------------------
 
 
-def single_device_layout(
+class DeviceFrame(ModuleFrame):
+    """One transistor as a module: a motif frame."""
+
+    def __init__(self, motif: MotifFrame, device: str):
+        self.motif = motif
+        self.device = device
+        self.bbox = motif.bbox
+
+    def draw(self) -> ModuleLayout:
+        motif = self.motif.draw()
+        return ModuleLayout(
+            cell=motif.cell,
+            device_geometry={self.device: motif.geometry},
+            device_nf={self.device: motif.nf},
+            finger_width=motif.finger_width,
+            length=motif.length,
+            plan=None,
+            well_rect=motif.well_rect,
+            actual_widths={self.device: motif.actual_w},
+        )
+
+
+def single_device_frame(
     tech: Technology,
     polarity: str,
     w: float,
@@ -596,13 +739,13 @@ def single_device_layout(
     drain_current: float = 0.0,
     drain_internal: bool = True,
     name: str = "device",
-) -> ModuleLayout:
+) -> DeviceFrame:
     """One transistor as a module (motif wrapper).
 
     ``nets`` is ``(drain, gate, source, bulk)``.
     """
     drain, gate, source, bulk = nets
-    motif = generate_mos_motif(
+    motif = MotifFrame(
         tech,
         polarity,
         w,
@@ -616,20 +759,15 @@ def single_device_layout(
         drain_current=drain_current,
         name=name,
     )
-    device_name = name
-    return ModuleLayout(
-        cell=motif.cell,
-        device_geometry={device_name: motif.geometry},
-        device_nf={device_name: motif.nf},
-        finger_width=motif.finger_width,
-        length=motif.length,
-        plan=None,
-        well_rect=motif.well_rect,
-        actual_widths={device_name: motif.actual_w},
-    )
+    return DeviceFrame(motif, name)
 
 
-def differential_pair_layout(
+def single_device_layout(*args, **kwargs) -> ModuleLayout:
+    """:func:`single_device_frame` of the same arguments, drawn."""
+    return single_device_frame(*args, **kwargs).draw()
+
+
+def differential_pair_frame(
     tech: Technology,
     polarity: str,
     w: float,
@@ -644,7 +782,7 @@ def differential_pair_layout(
     style: str = "common_centroid",
     with_dummies: bool = True,
     name: str = "diffpair",
-) -> ModuleLayout:
+) -> StackFrame:
     """Matched pair in common-centroid or interdigitated style.
 
     ``w`` is the width of *each* device, implemented as ``nf`` fingers.
@@ -674,7 +812,7 @@ def differential_pair_layout(
         b: (drains[1], gates[1], source),
     }
     currents = {a: current_per_side, b: current_per_side}
-    return render_stack(
+    return StackFrame(
         tech,
         plan,
         polarity,
@@ -688,7 +826,12 @@ def differential_pair_layout(
     )
 
 
-def current_mirror_layout(
+def differential_pair_layout(*args, **kwargs) -> ModuleLayout:
+    """:func:`differential_pair_frame` of the same arguments, drawn."""
+    return differential_pair_frame(*args, **kwargs).draw()
+
+
+def current_mirror_frame(
     tech: Technology,
     polarity: str,
     ratios: Mapping[str, int],
@@ -701,7 +844,7 @@ def current_mirror_layout(
     currents: Optional[Mapping[str, float]] = None,
     with_dummies: bool = True,
     name: str = "mirror",
-) -> ModuleLayout:
+) -> StackFrame:
     """Stacked current mirror (paper Figure 3).
 
     ``ratios`` maps device names to integer unit counts; every device has
@@ -710,7 +853,7 @@ def current_mirror_layout(
     """
     plan = generate_stack(dict(ratios), with_dummies=with_dummies)
     terminals = {d: (drains[d], gate, source) for d in ratios}
-    return render_stack(
+    return StackFrame(
         tech,
         plan,
         polarity,
@@ -722,3 +865,8 @@ def current_mirror_layout(
         dummy_net=source,
         name=name,
     )
+
+
+def current_mirror_layout(*args, **kwargs) -> ModuleLayout:
+    """:func:`current_mirror_frame` of the same arguments, drawn."""
+    return current_mirror_frame(*args, **kwargs).draw()

@@ -9,19 +9,21 @@ metal-1 tap for routing.
 
 The generator returns both the drawn :class:`~repro.layout.cell.Cell` and
 the *exact* junction geometry of the drawn diffusions — the quantity the
-sizing tool needs back during layout-aware synthesis.
+sizing tool needs back during layout-aware synthesis.  It is
+:meth:`MotifFrame.draw` of a :class:`MotifFrame`, which holds the motif's
+design-rule checks and exact footprint without drawing it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import DesignRuleError, LayoutError
 from repro.layout.cell import Cell
 from repro.layout.folding import folded_diffusion_geometry, strip_counts
-from repro.layout.geometry import Rect
+from repro.layout.geometry import Rect, bounding_box
 from repro.layout.layers import Layer
 from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
@@ -69,35 +71,40 @@ class MosMotif:
         return (self.actual_w - self.requested_w) / self.requested_w
 
 
-def _contact_column(
-    cell: Cell,
-    tech: Technology,
-    strip: Rect,
-    net: str,
-    required_cuts: int,
-) -> int:
-    """Fill a diffusion strip with a vertical column of contact cuts.
+def _contact_fit(tech: Technology, height: float, required_cuts: int) -> int:
+    """Contact cuts a diffusion strip of ``height`` holds (all of them).
 
-    Returns the number of cuts placed; raises
-    :class:`DesignRuleError` when the strip cannot hold the cuts the DC
-    current requires.
+    Raises :class:`DesignRuleError` when the strip cannot hold the cuts
+    the DC current requires.
     """
     rules = tech.rules
     size = rules.contact_size
     pitch = size + rules.contact_spacing
-    usable = strip.height - 2.0 * rules.contact_active_enclosure
+    usable = height - 2.0 * rules.contact_active_enclosure
     fit = max(1, int(math.floor((usable - size) / pitch)) + 1) if usable >= size else 0
     if fit == 0:
         raise DesignRuleError(
-            f"diffusion strip of height {strip.height:.3e} m cannot hold a contact"
+            f"diffusion strip of height {height:.3e} m cannot hold a contact"
         )
     if fit < required_cuts:
         raise DesignRuleError(
             f"strip needs {required_cuts} contact cuts for its current but "
             f"only {fit} fit; widen the device or add folds"
         )
-    # Reliability rule: fill the column (more cuts = lower resistance).
-    count = fit
+    return fit
+
+
+def _contact_column(
+    cell: Cell, tech: Technology, strip: Rect, net: str, count: int
+) -> None:
+    """Fill a diffusion strip with a centred column of ``count`` cuts.
+
+    Reliability rule: the column is full (more cuts = lower resistance).
+    The cuts keep the active enclosure, so they lie inside the strip.
+    """
+    rules = tech.rules
+    size = rules.contact_size
+    pitch = size + rules.contact_spacing
     x_center = (strip.x0 + strip.x1) / 2.0
     total_height = count * size + (count - 1) * rules.contact_spacing
     y = strip.center.y - total_height / 2.0
@@ -108,221 +115,269 @@ def _contact_column(
             net=net,
         )
         y += pitch
-    return count
 
 
-def generate_mos_motif(
-    tech: Technology,
-    polarity: str,
-    w: float,
-    l: float,
-    nf: int = 1,
-    drain_internal: bool = True,
-    net_d: str = "d",
-    net_g: str = "g",
-    net_s: str = "s",
-    net_b: str = "b",
-    drain_current: float = 0.0,
-    name: Optional[str] = None,
-) -> MosMotif:
-    """Draw one (possibly folded) transistor.
+class MotifFrame:
+    """The numeric plan of one (possibly folded) transistor, undrawn.
 
     ``drain_current`` drives the reliability rules: per-strip contact
     counts and the metal-1 terminal rail widths are sized so the maximum
     current density of the technology is respected.
+
+    Construction runs the strip walk, sizes the rails and straps, checks
+    every design rule the drawing would (gate length, finger width,
+    contact fit) and builds every rectangle except the contact cuts.
+    :attr:`bbox` is the exact bounding box :meth:`draw` produces: the
+    cuts sit inside their diffusion strips, which sit inside the implant.
     """
-    if polarity not in ("n", "p"):
-        raise LayoutError(f"polarity must be 'n' or 'p', got {polarity!r}")
-    if w <= 0.0 or l <= 0.0:
-        raise LayoutError("device dimensions must be positive")
-    if nf < 1:
-        raise LayoutError("fold count must be >= 1")
-    rules = tech.rules
-    metal1 = tech.metal("metal1")
 
-    if l < rules.poly_min_width - 1e-15:
-        raise DesignRuleError(
-            f"gate length {l:.3e} m below the minimum {rules.poly_min_width:.3e} m"
-        )
-    length = rules.snap(l)
+    def __init__(
+        self,
+        tech: Technology,
+        polarity: str,
+        w: float,
+        l: float,
+        nf: int = 1,
+        drain_internal: bool = True,
+        net_d: str = "d",
+        net_g: str = "g",
+        net_s: str = "s",
+        net_b: str = "b",
+        drain_current: float = 0.0,
+        name: Optional[str] = None,
+    ):
+        if polarity not in ("n", "p"):
+            raise LayoutError(f"polarity must be 'n' or 'p', got {polarity!r}")
+        if w <= 0.0 or l <= 0.0:
+            raise LayoutError("device dimensions must be positive")
+        if nf < 1:
+            raise LayoutError("fold count must be >= 1")
+        rules = tech.rules
+        metal1 = tech.metal("metal1")
 
-    finger = rules.snap(w / nf)
-    if finger < rules.active_min_width:
-        raise DesignRuleError(
-            f"finger width {finger:.3e} m below the active minimum "
-            f"{rules.active_min_width:.3e} m; reduce the fold count"
-        )
-    actual_w = finger * nf
-
-    cell = Cell(name or f"m{polarity}_{nf}f")
-
-    end_strip = rules.end_diffusion_width
-    internal_strip = rules.contacted_diffusion_width
-
-    # -- Horizontal walk: end strip, then nf x (gate + strip) ----------------
-    drain_strips, _source_strips = strip_counts(nf, drain_internal)
-    # Strip type sequence: with drain internal (even nf) the ends are
-    # sources: S G D G S ...; otherwise start with drain.
-    first_is_drain = not drain_internal if nf % 2 == 0 else True
-    if nf % 2 == 1:
-        # Odd: start with drain by convention (alternating anyway).
-        first_is_drain = True
-
-    x = 0.0
-    strips: List[StripInfo] = []
-    gate_rects: List[Rect] = []
-    is_drain = first_is_drain
-    for position in range(nf + 1):
-        is_end = position in (0, nf)
-        strip_width = end_strip if is_end else internal_strip
-        rect = Rect.from_size(x, 0.0, strip_width, finger)
-        net = net_d if is_drain else net_s
-        strips.append(
-            StripInfo(
-                rect=rect, net=net, is_drain=is_drain, is_end=is_end, contacts=0
+        if l < rules.poly_min_width - 1e-15:
+            raise DesignRuleError(
+                f"gate length {l:.3e} m below the minimum "
+                f"{rules.poly_min_width:.3e} m"
             )
-        )
-        x += strip_width
-        if position < nf:
-            gate_rects.append(
-                Rect.from_size(
-                    x, -rules.poly_endcap, length, finger + 2.0 * rules.poly_endcap
+        length = rules.snap(l)
+
+        finger = rules.snap(w / nf)
+        if finger < rules.active_min_width:
+            raise DesignRuleError(
+                f"finger width {finger:.3e} m below the active minimum "
+                f"{rules.active_min_width:.3e} m; reduce the fold count"
+            )
+        self.tech = tech
+        self.polarity = polarity
+        self.name = name or f"m{polarity}_{nf}f"
+        self.nf = nf
+        self.drain_internal = drain_internal
+        self.requested_w = w
+        self.length = length
+        self.finger = finger
+        self.actual_w = finger * nf
+        self.net_d, self.net_g, self.net_s, self.net_b = net_d, net_g, net_s, net_b
+
+        end_strip = rules.end_diffusion_width
+        internal_strip = rules.contacted_diffusion_width
+
+        # -- Horizontal walk: end strip, then nf x (gate + strip) ------------
+        drain_strips, _source_strips = strip_counts(nf, drain_internal)
+        # Strip type sequence: with drain internal (even nf) the ends are
+        # sources: S G D G S ...; otherwise start with drain.
+        first_is_drain = not drain_internal if nf % 2 == 0 else True
+        if nf % 2 == 1:
+            # Odd: start with drain by convention (alternating anyway).
+            first_is_drain = True
+
+        x = 0.0
+        self.strips: List[StripInfo] = []
+        self.gate_rects: List[Rect] = []
+        is_drain = first_is_drain
+        for position in range(nf + 1):
+            is_end = position in (0, nf)
+            strip_width = end_strip if is_end else internal_strip
+            rect = Rect.from_size(x, 0.0, strip_width, finger)
+            net = net_d if is_drain else net_s
+            self.strips.append(
+                StripInfo(
+                    rect=rect, net=net, is_drain=is_drain, is_end=is_end,
+                    contacts=0,
                 )
             )
-            x += length
-        is_drain = not is_drain
-    total_width = x
+            x += strip_width
+            if position < nf:
+                self.gate_rects.append(
+                    Rect.from_size(
+                        x, -rules.poly_endcap, length,
+                        finger + 2.0 * rules.poly_endcap,
+                    )
+                )
+                x += length
+            is_drain = not is_drain
+        total_width = x
 
-    # Active region spans all strips and channels.
-    cell.add_shape(Layer.ACTIVE, Rect.from_size(0.0, 0.0, total_width, finger))
-    implant = Layer.NIMPLANT if polarity == "n" else Layer.PIMPLANT
-    implant_margin = rules.contact_active_enclosure
-    cell.add_shape(
-        implant,
-        Rect.from_size(
+        # Active region spans all strips and channels.
+        self.active = Rect.from_size(0.0, 0.0, total_width, finger)
+        implant_margin = rules.contact_active_enclosure
+        self.implant = Rect.from_size(
             -implant_margin,
             -implant_margin,
             total_width + 2.0 * implant_margin,
             finger + 2.0 * implant_margin,
-        ),
-    )
-
-    for rect in gate_rects:
-        cell.add_shape(Layer.POLY, rect, net=net_g)
-
-    # -- Contacts and vertical metal-1 strip straps ---------------------------
-    source_strips_count = (nf + 1) - drain_strips
-    cuts_needed = {
-        True: tech.contact.cuts_for_current(
-            abs(drain_current) / max(drain_strips, 1)
-        ),
-        False: tech.contact.cuts_for_current(
-            abs(drain_current) / max(source_strips_count, 1)
-        ),
-    }
-    strap_width = metal1.min_width_for_current(
-        abs(drain_current), rules.metal1_min_width
-    )
-    strap_width = rules.snap_up(strap_width)
-
-    gate_top = finger + rules.poly_endcap
-    gate_strap_height = rules.poly_min_width
-    source_rail_y0 = gate_top + gate_strap_height + rules.metal1_spacing
-    drain_rail_y1 = -rules.poly_endcap - rules.metal1_spacing
-
-    for strip in strips:
-        strip.contacts = _contact_column(
-            cell, tech, strip.rect, strip.net, cuts_needed[strip.is_drain]
         )
-        column_width = max(
+
+        # -- Contact fit (reliability rules) and strap widths -----------------
+        source_strips_count = (nf + 1) - drain_strips
+        cuts_needed = {
+            True: tech.contact.cuts_for_current(
+                abs(drain_current) / max(drain_strips, 1)
+            ),
+            False: tech.contact.cuts_for_current(
+                abs(drain_current) / max(source_strips_count, 1)
+            ),
+        }
+        for strip in self.strips:
+            strip.contacts = _contact_fit(
+                tech, strip.rect.height, cuts_needed[strip.is_drain]
+            )
+        strap_width = metal1.min_width_for_current(
+            abs(drain_current), rules.metal1_min_width
+        )
+        strap_width = rules.snap_up(strap_width)
+
+        gate_top = finger + rules.poly_endcap
+        gate_strap_height = rules.poly_min_width
+        source_rail_y0 = gate_top + gate_strap_height + rules.metal1_spacing
+        drain_rail_y1 = -rules.poly_endcap - rules.metal1_spacing
+        self.column_width = max(
             rules.contact_size + 2.0 * rules.contact_metal_enclosure,
             rules.metal1_min_width,
         )
+        self.drain_column_y0 = drain_rail_y1 - strap_width
+        self.source_column_y1 = source_rail_y0 + strap_width
+
+        # -- Terminal rails ------------------------------------------------------
+        self.drain_rail = Rect(
+            0.0, drain_rail_y1 - strap_width, total_width, drain_rail_y1
+        )
+        self.source_rail = Rect(
+            0.0, source_rail_y0, total_width, source_rail_y0 + strap_width
+        )
+
+        # -- Gate strap with a metal-1 tap beyond the left edge -----------------
+        # The tap pad sits outside the strip region so its metal never
+        # clashes with the source/drain metal-1 columns rising between the
+        # gates.
+        tap_size = rules.contact_size + 2.0 * rules.contact_metal_enclosure
+        tap_center_x = -(rules.metal1_spacing + tap_size / 2.0)
+        tap_center_y = gate_top + gate_strap_height / 2.0
+        self.gate_strap = Rect(
+            tap_center_x, gate_top, total_width, gate_top + gate_strap_height
+        )
+        # Square poly pad under the tap (the strap itself may be narrower
+        # than the cut plus enclosure needs); the metal-1 pin covers it.
+        self.tap_pad = Rect.centered(tap_center_x, tap_center_y, tap_size, tap_size)
+        self.tap_cut = Rect.centered(
+            tap_center_x, tap_center_y, rules.contact_size, rules.contact_size
+        )
+
+        # -- Well (PMOS) ---------------------------------------------------------------
+        self.well_rect: Optional[Rect] = None
+        if polarity == "p":
+            margin = rules.active_well_enclosure
+            self.well_rect = Rect(
+                -margin,
+                -margin,
+                total_width + margin,
+                finger + margin,
+            )
+
+        # Strap columns are the same function of the strip's x (first and
+        # last strips bound it) and its terminal (one strip per terminal
+        # bounds y).
+        by_terminal = {strip.is_drain: strip for strip in self.strips}
+        samples = [self.strips[0], self.strips[-1], *by_terminal.values()]
+        self.bbox = bounding_box(
+            [self.active, self.implant, *self.gate_rects, self.drain_rail,
+             self.source_rail, self.gate_strap, self.tap_pad]
+            + [self._strap(strip) for strip in samples]
+            + ([self.well_rect] if self.well_rect is not None else [])
+        )
+
+    @property
+    def footprint(self) -> Tuple[float, float]:
+        """``(width, height)`` of the cell :meth:`draw` produces."""
+        return self.bbox.width, self.bbox.height
+
+    def _strap(self, strip: StripInfo) -> Rect:
+        """Vertical metal-1 from a strip to its terminal rail."""
+        half = self.column_width / 2.0
+        center = strip.rect.center.x
         if strip.is_drain:
-            # Vertical metal-1 from the strip down to the drain rail.
-            rect = Rect(
-                strip.rect.center.x - column_width / 2.0,
-                drain_rail_y1 - strap_width,
-                strip.rect.center.x + column_width / 2.0,
+            return Rect(
+                center - half, self.drain_column_y0, center + half,
                 strip.rect.y1,
             )
-        else:
-            rect = Rect(
-                strip.rect.center.x - column_width / 2.0,
-                strip.rect.y0,
-                strip.rect.center.x + column_width / 2.0,
-                source_rail_y0 + strap_width,
-            )
-        cell.add_shape(Layer.METAL1, rect, net=strip.net)
-
-    # -- Terminal rails ----------------------------------------------------------
-    drain_rail = Rect(0.0, drain_rail_y1 - strap_width, total_width, drain_rail_y1)
-    source_rail = Rect(
-        0.0, source_rail_y0, total_width, source_rail_y0 + strap_width
-    )
-    cell.add_pin(net_d, Layer.METAL1, drain_rail)
-    cell.add_pin(net_s, Layer.METAL1, source_rail)
-
-    # -- Gate strap with a metal-1 tap beyond the left edge ---------------------
-    # The tap pad sits outside the strip region so its metal never clashes
-    # with the source/drain metal-1 columns rising between the gates.
-    tap_size = rules.contact_size + 2.0 * rules.contact_metal_enclosure
-    tap_center_x = -(rules.metal1_spacing + tap_size / 2.0)
-    tap_center_y = gate_top + gate_strap_height / 2.0
-    gate_strap = Rect(
-        tap_center_x, gate_top, total_width, gate_top + gate_strap_height
-    )
-    cell.add_shape(Layer.POLY, gate_strap, net=net_g)
-    # Square poly pad under the tap (the strap itself may be narrower than
-    # the cut plus enclosure needs).
-    cell.add_shape(
-        Layer.POLY,
-        Rect.centered(tap_center_x, tap_center_y, tap_size, tap_size),
-        net=net_g,
-    )
-    cell.add_shape(
-        Layer.CONTACT,
-        Rect.centered(
-            tap_center_x, tap_center_y, rules.contact_size, rules.contact_size
-        ),
-        net=net_g,
-    )
-    gate_pin = Rect.centered(tap_center_x, tap_center_y, tap_size, tap_size)
-    cell.add_pin(net_g, Layer.METAL1, gate_pin)
-
-    # -- Well (PMOS) ------------------------------------------------------------------
-    well_rect: Optional[Rect] = None
-    if polarity == "p":
-        margin = rules.active_well_enclosure
-        well_rect = Rect(
-            -margin,
-            -margin,
-            total_width + margin,
-            finger + margin,
+        return Rect(
+            center - half, strip.rect.y0, center + half, self.source_column_y1
         )
-        cell.add_shape(Layer.NWELL, well_rect, net=net_b)
 
-    geometry = folded_diffusion_geometry(
-        actual_w,
-        nf,
-        ldif_internal=internal_strip,
-        ldif_end=end_strip,
-        drain_internal=drain_internal,
-    )
+    def draw(self) -> MosMotif:
+        """Emit the motif's shapes into a fresh cell."""
+        tech = self.tech
+        cell = Cell(self.name)
+        cell.add_shape(Layer.ACTIVE, self.active)
+        implant = Layer.NIMPLANT if self.polarity == "n" else Layer.PIMPLANT
+        cell.add_shape(implant, self.implant)
+        for rect in self.gate_rects:
+            cell.add_shape(Layer.POLY, rect, net=self.net_g)
 
-    return MosMotif(
-        cell=cell,
-        nf=nf,
-        finger_width=finger,
-        actual_w=actual_w,
-        requested_w=w,
-        length=length,
-        drain_internal=drain_internal,
-        geometry=geometry,
-        strips=strips,
-        well_rect=well_rect,
-        net_d=net_d,
-        net_g=net_g,
-        net_s=net_s,
-        net_b=net_b,
-    )
+        # -- Contacts and vertical metal-1 strip straps -----------------------
+        for strip in self.strips:
+            _contact_column(cell, tech, strip.rect, strip.net, strip.contacts)
+            cell.add_shape(Layer.METAL1, self._strap(strip), net=strip.net)
+
+        # -- Terminal rails, gate strap and tap ---------------------------------
+        cell.add_pin(self.net_d, Layer.METAL1, self.drain_rail)
+        cell.add_pin(self.net_s, Layer.METAL1, self.source_rail)
+        cell.add_shape(Layer.POLY, self.gate_strap, net=self.net_g)
+        cell.add_shape(Layer.POLY, self.tap_pad, net=self.net_g)
+        cell.add_shape(Layer.CONTACT, self.tap_cut, net=self.net_g)
+        cell.add_pin(self.net_g, Layer.METAL1, self.tap_pad)
+
+        if self.well_rect is not None:
+            cell.add_shape(Layer.NWELL, self.well_rect, net=self.net_b)
+
+        rules = tech.rules
+        geometry = folded_diffusion_geometry(
+            self.actual_w,
+            self.nf,
+            ldif_internal=rules.contacted_diffusion_width,
+            ldif_end=rules.end_diffusion_width,
+            drain_internal=self.drain_internal,
+        )
+
+        return MosMotif(
+            cell=cell,
+            nf=self.nf,
+            finger_width=self.finger,
+            actual_w=self.actual_w,
+            requested_w=self.requested_w,
+            length=self.length,
+            drain_internal=self.drain_internal,
+            geometry=geometry,
+            strips=self.strips,
+            well_rect=self.well_rect,
+            net_d=self.net_d,
+            net_g=self.net_g,
+            net_s=self.net_s,
+            net_b=self.net_b,
+        )
+
+
+def generate_mos_motif(*args, **kwargs) -> MosMotif:
+    """Draw one (possibly folded) transistor: :class:`MotifFrame` of the
+    same arguments, drawn."""
+    return MotifFrame(*args, **kwargs).draw()

@@ -17,17 +17,25 @@ variants and the slicing-tree area optimisation under the caller's shape
 constraint picks one — "layout area optimization, based on the given shape
 constraint, results in a given number of folds for each transistor".
 
+Area optimisation reads only each variant's footprint — the exact
+(width, height) its module frame computes without emitting a shape — so
+only the ten placed modules are ever drawn.
+
 Two modes, as in the paper:
 
 * ``estimate`` — parasitic calculation mode; returns only the
   :class:`~repro.layout.parasitics.ParasiticReport`;
 * ``generate`` — additionally returns the drawn top-level cell.
+
+Both run one build (placed modules drawn, routed and extracted); the
+modes differ only in what the result exposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import time
 
@@ -36,14 +44,15 @@ from repro.errors import LayoutError
 from repro.telemetry import metrics
 from repro.layout.cell import Cell
 from repro.layout.devices import (
-    ModuleLayout,
-    current_mirror_layout,
-    differential_pair_layout,
-    single_device_layout,
+    ModuleFrame,
+    current_mirror_frame,
+    differential_pair_frame,
+    single_device_frame,
 )
 from repro.layout.parasitics import DeviceParasitics, ParasiticReport
 from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
 from repro.layout.routing import ChannelRouter, PlacedModule
+from repro.layout.tap import TapFrame
 from repro.technology.process import Technology
 from repro.units import UM
 
@@ -162,87 +171,42 @@ def _net_currents(currents: Mapping[str, float]) -> Dict[str, float]:
     }
 
 
-def _build_variants(
-    request: OtaLayoutRequest,
-) -> Dict[str, List[ModuleVariant]]:
-    """Generate fold variants for every module."""
+#: A fold variant before placement: its tag and a frame factory (which
+#: raises :class:`LayoutError` when the variant is infeasible).
+Candidate = Tuple[Dict[str, int], Callable[[], ModuleFrame]]
+
+
+def _candidates(request: OtaLayoutRequest) -> Dict[str, List[Candidate]]:
+    """Every module's fold variants, in :data:`MODULE_ROWS` order."""
     tech = request.technology
     sizes = request.sizes
     currents = request.currents
     prefer_even = request.prefer_even_folds
-    max_variants = request.max_variants
     pair_bulk = "tail" if request.input_pair_well_to_source else "vdd!"
 
-    def try_build(builder, *args, **kwargs) -> Optional[ModuleLayout]:
-        try:
-            return builder(*args, **kwargs)
-        except LayoutError:
-            return None
-
-    variants: Dict[str, List[ModuleVariant]] = {}
-
-    def add_single(
-        module: str, device: str, polarity: str, nets: Tuple[str, str, str, str]
-    ) -> None:
-        w, l = sizes[device]
-        items = []
-        for nf in _fold_candidates(tech, w, prefer_even, max_variants):
-            layout = try_build(
-                single_device_layout,
-                tech,
-                polarity,
-                w,
-                l,
-                nf,
-                nets,
-                drain_current=currents.get(device, 0.0),
-                drain_internal=prefer_even,
-                name=device,
-            )
-            if layout is not None:
-                items.append(ModuleVariant(tag={device: nf}, layout=layout))
-        if not items:
-            raise LayoutError(f"no feasible fold variant for {device}")
-        variants[module] = items
-
-    add_single("ncas1", "mn1c", "n", ("mir", "vc1", "fold1", "0"))
-    add_single("ncas2", "mn2c", "n", ("vout", "vc1", "fold2", "0"))
-    add_single("pcas3", "mp3c", "p", ("mir", "vc3", "x3", "vdd!"))
-    add_single("pcas4", "mp4c", "p", ("vout", "vc3", "x4", "vdd!"))
-    add_single("tail", "mp5", "p", ("tail", "vp1", "vdd!", "vdd!"))
-
-    # Input pair: common centroid (or interdigitated) with dummies.
-    w_in, l_in = sizes["mp1"]
-    pair_items = []
-    for nf in _fold_candidates(tech, w_in, prefer_even, max_variants):
-        if nf < 2:
-            continue
-        layout = try_build(
-            differential_pair_layout,
-            tech,
-            "p",
-            w_in,
-            l_in,
-            nf,
-            names=("mp1", "mp2"),
-            drains=("fold1", "fold2"),
-            gates=("inp", "inn"),
-            source="tail",
-            bulk=pair_bulk,
-            current_per_side=currents.get("mp1", 0.0),
-            style=request.pair_style,
-            name="pair",
+    def folds(device: str) -> List[int]:
+        return _fold_candidates(
+            tech, sizes[device][0], prefer_even, request.max_variants
         )
-        if layout is not None:
-            pair_items.append(
-                ModuleVariant(tag={"mp1": nf, "mp2": nf}, layout=layout)
+
+    def single(
+        device: str, polarity: str, nets: Tuple[str, str, str, str]
+    ) -> List[Candidate]:
+        w, l = sizes[device]
+        return [
+            (
+                {device: nf},
+                partial(
+                    single_device_frame, tech, polarity, w, l, nf, nets,
+                    drain_current=currents.get(device, 0.0),
+                    drain_internal=prefer_even, name=device,
+                ),
             )
-    if not pair_items:
-        raise LayoutError("no feasible fold variant for the input pair")
-    variants["pair"] = pair_items
+            for nf in folds(device)
+        ]
 
     # Mirror stack MP3/MP4 (1:1) and sink stack MN5/MN6 (1:1).
-    def add_stack(
+    def stack(
         module: str,
         devices: Tuple[str, str],
         polarity: str,
@@ -250,56 +214,88 @@ def _build_variants(
         gate: str,
         source: str,
         bulk: str,
-    ) -> None:
+    ) -> List[Candidate]:
         w, l = sizes[devices[0]]
-        items = []
-        for nf in _fold_candidates(tech, w, prefer_even, max_variants):
-            layout = try_build(
-                current_mirror_layout,
-                tech,
-                polarity,
+        return [
+            (
                 {devices[0]: nf, devices[1]: nf},
-                unit_width=w / nf,
-                l=l,
-                drains={devices[0]: drains[0], devices[1]: drains[1]},
-                gate=gate,
-                source=source,
-                bulk=bulk,
-                currents={d: currents.get(d, 0.0) for d in devices},
-                name=module,
+                partial(
+                    current_mirror_frame, tech, polarity,
+                    {devices[0]: nf, devices[1]: nf},
+                    unit_width=w / nf, l=l,
+                    drains={devices[0]: drains[0], devices[1]: drains[1]},
+                    gate=gate, source=source, bulk=bulk,
+                    currents={d: currents.get(d, 0.0) for d in devices},
+                    name=module,
+                ),
             )
-            if layout is not None:
-                items.append(
-                    ModuleVariant(
-                        tag={devices[0]: nf, devices[1]: nf}, layout=layout
-                    )
-                )
-        if not items:
-            raise LayoutError(f"no feasible fold variant for stack {module}")
-        variants[module] = items
+            for nf in folds(devices[0])
+        ]
 
-    add_stack(
-        "mirror", ("mp3", "mp4"), "p", ("x3", "x4"), "mir", "vdd!", "vdd!"
-    )
-    add_stack("sink", ("mn5", "mn6"), "n", ("fold1", "fold2"), "vbn", "0", "0")
+    # Input pair: common centroid (or interdigitated) with dummies.
+    w_in, l_in = sizes["mp1"]
+    pair = [
+        (
+            {"mp1": nf, "mp2": nf},
+            partial(
+                differential_pair_frame, tech, "p", w_in, l_in, nf,
+                names=("mp1", "mp2"), drains=("fold1", "fold2"),
+                gates=("inp", "inn"), source="tail", bulk=pair_bulk,
+                current_per_side=currents.get("mp1", 0.0),
+                style=request.pair_style, name="pair",
+            ),
+        )
+        for nf in folds("mp1")
+        if nf >= 2
+    ]
 
     # Bulk taps: one column per MOS region flavour.
-    from repro.layout.tap import tap_column
-
     tap_height = 10.0 * tech.rules.active_min_width
-    variants["ntap"] = [
-        ModuleVariant(
-            tag={}, layout=tap_column(tech, "substrate", "0",
-                                      tap_height, name="ntap"),
-        )
-    ]
-    variants["welltap"] = [
-        ModuleVariant(
-            tag={}, layout=tap_column(tech, "well", "vdd!",
-                                      tap_height, name="welltap"),
-        )
-    ]
+    return {
+        "ncas1": single("mn1c", "n", ("mir", "vc1", "fold1", "0")),
+        "ncas2": single("mn2c", "n", ("vout", "vc1", "fold2", "0")),
+        "pcas3": single("mp3c", "p", ("mir", "vc3", "x3", "vdd!")),
+        "pcas4": single("mp4c", "p", ("vout", "vc3", "x4", "vdd!")),
+        "tail": single("mp5", "p", ("tail", "vp1", "vdd!", "vdd!")),
+        "pair": pair,
+        "mirror": stack(
+            "mirror", ("mp3", "mp4"), "p", ("x3", "x4"), "mir", "vdd!", "vdd!"
+        ),
+        "sink": stack(
+            "sink", ("mn5", "mn6"), "n", ("fold1", "fold2"), "vbn", "0", "0"
+        ),
+        "ntap": [({}, partial(
+            TapFrame, tech, "substrate", "0", tap_height, name="ntap"
+        ))],
+        "welltap": [({}, partial(
+            TapFrame, tech, "well", "vdd!", tap_height, name="welltap"
+        ))],
+    }
 
+
+def _build_variants(
+    request: OtaLayoutRequest,
+) -> Dict[str, List[ModuleVariant]]:
+    """Feasible fold variants of every module, as footprints.
+
+    Each variant carries its frame's exact footprint and draws itself
+    only if placement picks it.
+    """
+    variants: Dict[str, List[ModuleVariant]] = {}
+    for module, candidates in _candidates(request).items():
+        items = []
+        for tag, make_frame in candidates:
+            try:
+                frame = make_frame()
+            except LayoutError:
+                continue
+            items.append(ModuleVariant(tag, *frame.footprint, frame.draw))
+        if not items:
+            devices = ", ".join(MODULE_ROWS[module][1])
+            raise LayoutError(
+                f"no feasible fold variant for module {module} ({devices})"
+            )
+        variants[module] = items
     return variants
 
 
@@ -338,11 +334,12 @@ def generate_ota_layout(
     ``mode='estimate'`` is the parasitic calculation mode (no cell in the
     result); ``mode='generate'`` also returns the drawn layout.
 
-    Both modes run the same build internally (the parasitic pass needs
-    the placed-and-routed geometry anyway), so the full result is one
-    ``layout`` memo entry (:mod:`repro.layout.incremental`) keyed on
-    request content — a converged synthesis round's ``generate`` pass,
-    and any later call with identical inputs, is served without a
+    Both modes run the same build: area optimisation places every module
+    from its fold variants' footprints alone, and only the placed modules
+    are drawn, routed and extracted for the parasitic report.  The full
+    result is one ``layout`` memo entry (:mod:`repro.layout.incremental`)
+    keyed on request content — a converged synthesis round's ``generate``
+    pass, and any later call with identical inputs, is served without a
     rebuild.
     """
     from repro.layout import incremental
@@ -357,7 +354,7 @@ def generate_ota_layout(
         result, source = incremental.memo(
             "layout",
             lambda: _request_key(request),
-            lambda: _generate(request, "generate"),
+            lambda: _generate(request),
         )
         span.annotate(source=source)
     if source == "computed" and metrics.enabled():
@@ -365,14 +362,19 @@ def generate_ota_layout(
     return _project(result, mode)
 
 
-def _generate(request: OtaLayoutRequest, mode: str) -> OtaLayoutResult:
-    tech = request.technology
-    rules = tech.rules
+def _generate(request: OtaLayoutRequest) -> OtaLayoutResult:
     missing = [d for d in _all_devices() if d not in request.sizes]
     if missing:
         raise LayoutError(f"missing sizes for devices: {missing}")
+    return _place_and_route(request, _build_variants(request))
 
-    variants = _build_variants(request)
+
+def _place_and_route(
+    request: OtaLayoutRequest, variants: Dict[str, List[ModuleVariant]]
+) -> OtaLayoutResult:
+    """Place the modules, draw the placed variants, route and report."""
+    tech = request.technology
+    rules = tech.rules
     net_currents = _net_currents(request.currents)
     router = ChannelRouter(tech, net_currents)
     channel_plan = router.plan_channels(
@@ -404,11 +406,13 @@ def _generate(request: OtaLayoutRequest, mode: str) -> OtaLayoutResult:
     placements: Dict[str, PlacedModule] = {}
     fold_config: Dict[str, int] = {}
     for placement in placements_list:
+        layout = placement.variant.layout  # drawn here, on placement
+        box = layout.cell.bbox()
         module = PlacedModule(
             name=placement.name,
-            layout=placement.variant.layout,
-            dx=placement.dx - placement.variant.layout.cell.bbox().x0,
-            dy=placement.dy - placement.variant.layout.cell.bbox().y0,
+            layout=layout,
+            dx=placement.dx - box.x0,
+            dy=placement.dy - box.y0,
         )
         placements[placement.name] = module
         fold_config.update(placement.variant.tag)
@@ -443,9 +447,9 @@ def _generate(request: OtaLayoutRequest, mode: str) -> OtaLayoutResult:
     return OtaLayoutResult(
         report=report,
         fold_config=fold_config,
-        cell=top if mode == "generate" else None,
+        cell=top,
         placements=placements,
-        mode=mode,
+        mode="generate",
     )
 
 

@@ -15,7 +15,8 @@ as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import LayoutError
 from repro.layout.devices import ModuleLayout
@@ -24,11 +25,23 @@ from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
 
 @dataclass
 class ModuleVariant:
-    """One realisable implementation of a module."""
+    """One realisable implementation of a module.
+
+    Area optimisation reads only the footprint (``width``, ``height``);
+    :attr:`layout` calls ``build`` on first access and caches the result,
+    so only the variants placement picks are ever drawn.  ``build`` must
+    produce a layout of exactly the given footprint.
+    """
 
     tag: Any
     """Implementation handle, e.g. a fold-count assignment."""
-    layout: ModuleLayout
+    width: float
+    height: float
+    build: Callable[[], ModuleLayout]
+
+    @cached_property
+    def layout(self) -> ModuleLayout:
+        return self.build()
 
 
 @dataclass
@@ -52,9 +65,7 @@ class LeafNode:
 
     def shape_function(self) -> ShapeFunction:
         return ShapeFunction(
-            ShapePoint(
-                width=v.layout.width, height=v.layout.height, tag=("leaf", self, v)
-            )
+            ShapePoint(width=v.width, height=v.height, tag=("leaf", self, v))
             for v in self.variants
         )
 

@@ -8,7 +8,8 @@ as test oracles:
   gmin-ramp/source-stepping DC Newton, per-frequency AC sweeps, per-source
   noise and the Table-1 measurement built from them;
 * :mod:`tests.oracles.layout` — per-shape extraction (wire capacitance,
-  lateral coupling, diffusion strips) and the all-pairs DRC scan.
+  lateral coupling, diffusion strips), the all-pairs DRC scan and the
+  OTA build that draws every fold variant before placement.
 
 Nothing under ``src/`` imports from here.
 """

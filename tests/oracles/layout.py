@@ -8,6 +8,11 @@ and every cut against every landing shape.  The library's array and
 grid-index passes (:mod:`repro.layout.extraction`,
 :mod:`repro.layout.drc`) must reproduce these results: extraction within
 summation-order noise, DRC violation for violation, in order.
+
+:func:`eager_ota_layout` is the OTA build that draws every fold variant
+before area optimisation and places them by their drawn sizes; the
+library places by frame footprints and draws only the placed variants,
+and must produce the same layout.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import LayoutError
+from repro.layout import ota
 from repro.layout.cell import Cell, Shape
 from repro.layout.drc import _EPSILON, DrcChecker, DrcViolation, _union_covers
 from repro.layout.extraction import ExtractedParasitics, _wells
 from repro.layout.geometry import Rect
 from repro.layout.layers import Layer, metal_name
+from repro.layout.placement import ModuleVariant
 from repro.technology.process import Technology
 
 
@@ -262,3 +270,26 @@ def drc_check(checker: DrcChecker, cell: Cell) -> List[DrcViolation]:
         + _check_cuts(checker, shapes)
         + _check_spacing_and_shorts(checker, shapes)
     )
+
+
+# -- OTA build ----------------------------------------------------------------
+
+
+def eager_ota_layout(request: ota.OtaLayoutRequest) -> ota.OtaLayoutResult:
+    """Draw every feasible fold variant, then place by the drawn sizes."""
+    variants: Dict[str, List[ModuleVariant]] = {}
+    for module, candidates in ota._candidates(request).items():
+        items = []
+        for tag, make_frame in candidates:
+            try:
+                layout = make_frame().draw()
+            except LayoutError:
+                continue
+            items.append(ModuleVariant(
+                tag, layout.cell.width, layout.cell.height,
+                lambda layout=layout: layout,
+            ))
+        if not items:
+            raise LayoutError(f"no feasible fold variant for {module}")
+        variants[module] = items
+    return ota._place_and_route(request, variants)

@@ -5,7 +5,9 @@ The array extraction and grid-indexed DRC are exact replacements for the
 per-shape references in :mod:`tests.oracles.layout` — same keys, same
 floats (within 1e-12), same violation order — verified here on both OTA
 topologies, on generated OTA layouts of random sizes and folds, and on
-synthetic cells that hit every violation kind.  Index-combo Stockmeyer
+synthetic cells that hit every violation kind.  The footprint-placed OTA
+build draws only its placed modules and matches the oracle build that
+draws every fold variant first.  Index-combo Stockmeyer
 composition rebuilds exactly the frontier the direct enumeration
 produces.
 """
@@ -16,13 +18,16 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from repro.errors import LayoutError
+from repro.layout import incremental, ota
 from repro.layout.cell import Cell
+from repro.layout.devices import DeviceFrame, StackFrame
 from repro.layout.drc import DrcChecker
 from repro.layout.extraction import extract_cell
 from repro.layout.geometry import GridIndex, Rect, interval_pairs
 from repro.layout.layers import Layer
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
+from repro.layout.tap import TapFrame
 from repro.units import UM
 from tests.conftest import _hand_sizes
 from tests.oracles import layout as oracle
@@ -174,6 +179,57 @@ class TestGeneratedLayoutsMatchOracle:
         _assert_extractions_match(cell, tech)
         checker = DrcChecker(tech)
         assert checker.check(cell) == oracle.drc_check(checker, cell)
+
+
+class TestFootprintPlacementMatchesEager:
+    """Placing by frame footprints and drawing only the placed variants
+    gives exactly the layout of the build that draws every variant first
+    (:func:`tests.oracles.layout.eager_ota_layout`)."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data(), mode=st.sampled_from(["estimate", "generate"]))
+    def test_matches_eager_build(self, tech, data, mode):
+        request = data.draw(ota_requests(tech))
+        try:
+            want = oracle.eager_ota_layout(request)
+        except LayoutError:
+            reject()  # routing congestion, as above
+        with incremental.using(False):
+            got = generate_ota_layout(request, mode=mode)
+        assert got.report == want.report
+        assert got.fold_config == want.fold_config
+        assert list(got.placements) == list(want.placements)
+        for name, placed in got.placements.items():
+            reference = want.placements[name]
+            assert (placed.dx, placed.dy) == (reference.dx, reference.dy)
+            assert (placed.layout.cell.content_key()
+                    == reference.layout.cell.content_key())
+        if mode == "generate":
+            assert got.cell.content_key() == want.cell.content_key()
+        else:
+            assert got.cell is None
+
+    def test_draws_only_placed_modules(self, tech, hand_sized, monkeypatch):
+        drawn = []
+        for frame_class in (DeviceFrame, StackFrame, TapFrame):
+            def counting(frame, draw=frame_class.draw):
+                layout = draw(frame)
+                drawn.append(layout)
+                return layout
+
+            monkeypatch.setattr(frame_class, "draw", counting)
+        sizes, currents = hand_sized
+        request = OtaLayoutRequest(
+            technology=tech, sizes=sizes, currents=currents, aspect=1.0
+        )
+        variants = ota._build_variants(request)
+        assert not drawn
+        result = ota._generate(request)
+        assert len(drawn) == len(result.placements) == len(ota.MODULE_ROWS)
+        assert sum(map(len, variants.values())) > len(drawn)
+        assert {id(layout) for layout in drawn} == {
+            id(module.layout) for module in result.placements.values()
+        }
 
 
 class TestGridIndex:

@@ -19,7 +19,7 @@ def block(name, width, height):
         cell=cell, device_geometry={}, device_nf={},
         finger_width=0.0, length=0.0,
     )
-    return ModuleVariant(tag=name, layout=layout)
+    return ModuleVariant(name, width, height, lambda: layout)
 
 
 def leaf(name, *sizes):
