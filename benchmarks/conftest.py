@@ -17,9 +17,9 @@ from repro.core.cases import run_case
 from repro.core.synthesis import LayoutOrientedSynthesizer
 from repro.layout import incremental
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-from repro.sizing.specs import OtaSpecs, ParasiticMode
+from repro.sizing.specs import ParasiticMode
 from repro.technology import generic_060
-from repro.units import PF
+from tests.designs import table1_specs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -38,14 +38,7 @@ def tech():
 @pytest.fixture(scope="session")
 def specs():
     """The paper's Table-1 input specification block."""
-    return OtaSpecs(
-        vdd=3.3,
-        gbw=65e6,
-        phase_margin=65.0,
-        cload=3 * PF,
-        input_cm_range=(0.55, 1.84),
-        output_range=(0.51, 2.31),
-    )
+    return table1_specs()
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,22 @@
-"""Analysis benchmark-regression harness.
+"""Analysis speed floors.
 
 Times the analysis workloads the synthesis loop leans on — a feedback DC
 solve, a 200-point AC sweep and 50- and 200-run Monte-Carlo offset
-analyses — plus the end-to-end Table-1 case-4 synthesis.  Each
-``pytest-benchmark`` entry tracks the one library path; the speed floors
-time that path against its reference (the per-element oracle in
-``tests/oracles`` or one public solve per sample) on the same inputs.
-The final test writes the machine-readable record ``BENCH_analysis.json``
-at the repository root (the same record ``python -m repro bench``
-produces) and asserts the floors of the before/after entries that
-remain.
+analyses.  Each ``pytest-benchmark`` entry tracks the one library path;
+its speed floor times that path against its reference (the per-element
+oracle in ``tests/oracles`` or one public solve per sample) on the same
+inputs.  The remaining floors time a switch the library still has
+against its other side: the case-4 synthesis with the memo off and warm,
+a Monte-Carlo dispatch to a cold and a warm worker pool, and a Table-1
+batch against an empty and a filled artifact cache.  The floors are
+deliberately loose (the acceptance numbers are far higher on an idle
+machine) so that they flag real regressions without being flaky under
+load.
 """
 
 from __future__ import annotations
 
-import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,25 +29,17 @@ from repro.analysis.montecarlo import (
     draw_mismatch_samples,
     run_monte_carlo,
 )
-from repro.perf import (
-    BENCH_FILENAME,
-    default_testbench,
-    run_benchmarks,
-    run_runtime_benchmarks,
-    time_call,
-    write_bench,
-)
+from repro.core.batch import BatchTask, run_batch
+from repro.core.synthesis import LayoutOrientedSynthesizer
+from repro.layout import incremental
 from repro.resilience.policy import warm_policy
+from repro.runtime import artifacts
+from repro.runtime import pool as runtime_pool
+from repro.sizing.plans.folded_cascode import FoldedCascodePlan
+from repro.sizing.specs import ParasiticMode
+from benchmarks.timing import best_of, speedup
+from tests.designs import hand_testbench
 from tests.oracles import analysis as oracle
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _speedup(reference, path, repeat=3):
-    """Best-of time of ``reference()`` over best-of time of ``path()``."""
-    before = time_call(reference, repeat=repeat)
-    after = time_call(path, repeat=repeat)
-    return before["best_s"] / after["best_s"]
 
 
 def _feedback(circuit, tb):
@@ -84,7 +78,7 @@ def _per_sample_monte_carlo(tb, runs, seed):
 
 @pytest.fixture(scope="module")
 def bench_tb():
-    return default_testbench()
+    return hand_testbench()
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +99,7 @@ def test_benchmark_dc_solve(benchmark, feedback_circuit):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert solution.gmin == 0.0
-    assert _speedup(
+    assert speedup(
         lambda: oracle.solve_dc(feedback_circuit),
         lambda: solve_dc(feedback_circuit),
     ) > 1.0
@@ -123,7 +117,7 @@ def test_benchmark_ac_sweep_200(
         ac_sweep, args=args, rounds=3, iterations=1, warmup_rounds=1,
     )
     assert solution.frequencies.size == 200
-    assert _speedup(
+    assert speedup(
         lambda: oracle.ac_sweep(*args), lambda: ac_sweep(*args)
     ) > 1.0
 
@@ -137,7 +131,7 @@ def test_benchmark_monte_carlo_50(benchmark, bench_tb):
         rounds=1, iterations=1, warmup_rounds=0,
     )
     assert len(result.samples["offset_voltage"]) == 50
-    assert _speedup(
+    assert speedup(
         lambda: _oracle_monte_carlo(bench_tb, 50, 1234),
         lambda: run_monte_carlo(bench_tb, runs=50, seed=1234),
         repeat=1,
@@ -160,34 +154,69 @@ def test_benchmark_monte_carlo_200_ensemble(benchmark, bench_tb):
         offsets, _per_sample_monte_carlo(bench_tb, 200, 1234),
         rtol=1e-9, atol=1e-12,
     )
-    assert _speedup(
+    assert speedup(
         lambda: _per_sample_monte_carlo(bench_tb, 200, 1234),
         lambda: run_monte_carlo(bench_tb, runs=200, seed=1234),
     ) > 2.0
 
 
-def test_write_bench_record():
-    """Run the benchmark suite and persist ``BENCH_analysis.json``.
+def test_synthesis_memo_floor(tech, specs):
+    """The ``synthesize_case4_incremental`` floor: the warm memo serves
+    the case-4 synthesis (sizing rounds and layout calls) more than 1.8x
+    faster than the memo-off loop, which must redo the physics."""
 
-    The speedup floors are deliberately loose (the acceptance numbers are
-    far higher on an idle machine) so the harness flags real regressions
-    without being flaky under load.
-    """
-    results = run_benchmarks(repeat=3, include_synthesis=True)
-    results.update(run_runtime_benchmarks(repeat=3))
-    write_bench(results, str(REPO_ROOT / BENCH_FILENAME))
-    for name in (
-        "dc_solve", "ac_sweep_200", "monte_carlo_50",
-        "monte_carlo_200_ensemble", "corners_batch_ensemble",
-        "synthesize_case4",
-    ):
-        assert results[name]["compiled_p50_s"] > 0.0
-    # Incremental hot path: warm repeats serve sizing rounds and layout
-    # calls from the differential stores (acceptance floor 1.8x; warm
-    # repeats measure far higher on an idle machine).
-    assert results["synthesize_case4_incremental"]["speedup"] > 1.8
-    # Executor-runtime floors (acceptance: 2x dispatch, 3x warm on an
-    # idle machine; loosened here so the harness is not flaky under
-    # CI load).
-    assert results["mc_dispatch_overhead"]["speedup"] > 1.5
-    assert results["table1_warm_vs_cold"]["speedup"] > 2.0
+    def synthesize():
+        synthesizer = LayoutOrientedSynthesizer(
+            tech, plan=FoldedCascodePlan(tech)
+        )
+        return synthesizer.run(specs, mode=ParasiticMode.FULL, generate=True)
+
+    # The warmup call fills the memo, so the timed memo-on repeats
+    # measure the warm loop, the case the sizing<->layout iteration hits
+    # from round two onward.
+    incremental.clear()
+    with incremental.using(False):
+        scratch = best_of(synthesize, repeat=2)
+    incremental.clear()
+    with incremental.using(True):
+        warm = best_of(synthesize, repeat=2)
+    incremental.clear()
+    assert scratch / warm > 1.8
+
+
+def test_mc_dispatch_overhead_floor(bench_tb):
+    """The ``mc_dispatch_overhead`` floor: a 4-worker Monte-Carlo
+    dispatch to the warm persistent pool is more than 1.5x faster than
+    to a cold one, which pays four process spawns plus the testbench
+    payload and the compiled-state build in every worker.  The physics
+    per shard is identical either way."""
+
+    def mc():
+        return run_monte_carlo(bench_tb, runs=64, seed=1234, workers=4)
+
+    # The shutdown that makes each timed call cold stays outside the
+    # timing; the warm side's warmup call creates the pool.
+    cold = best_of(mc, warmup=0, before=runtime_pool.shutdown)
+    runtime_pool.shutdown()
+    warm = best_of(mc)
+    assert cold / warm > 1.5
+
+
+def test_table1_warm_vs_cold_floor(specs):
+    """The ``table1_warm_vs_cold`` floor: two Table-1 cases re-run
+    against the artifact cache their cold run just filled are served
+    from disk more than 2x faster than the cold run."""
+    tasks = [
+        BatchTask(kind="case", technology="0.6um", specs=specs, mode=mode)
+        for mode in ("NONE", "SINGLE_FOLD")
+    ]
+    cold, warm = [], []
+    for _ in range(2):
+        # A fresh cache root per iteration keeps every cold sample cold.
+        with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
+            with artifacts.using(root):
+                cold.append(best_of(lambda: run_batch(tasks, jobs=1),
+                                    repeat=1, warmup=0))
+                warm.append(best_of(lambda: run_batch(tasks, jobs=1),
+                                    repeat=1, warmup=0))
+    assert min(cold) / min(warm) > 2.0

@@ -1,44 +1,32 @@
-"""Layout-path benchmark-regression harness.
+"""Layout-path speed floors.
 
-Times geometric extraction and DRC of the generated case-4 OTA cell,
-plus the parallel Table-1 batch driver on hosts with enough cores.  The
-extraction and DRC floors time the library path against the per-shape
-oracle in ``tests/oracles`` on the same cell.  The final test merges the
-layout entries into the machine-readable ``BENCH_analysis.json`` record
-next to the analysis numbers and asserts the floors of the before/after
-entries (deliberately loose so the harness flags real regressions
-without being flaky under load — the acceptance numbers are far higher
-on an idle machine).
+Times geometric extraction and DRC of the generated case-4 OTA cell; their
+floors time the library path against the per-shape oracle in
+``tests/oracles`` on the same cell.  The remaining floors time warm
+per-module memo hits against memo-off extraction and, on hosts with at
+least four cores, the parallel Table-1 batch driver against the serial
+one.  The floors are deliberately loose (the acceptance numbers are far
+higher on an idle machine) so that they flag real regressions without
+being flaky under load.
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 
 import pytest
 
+from repro.core.batch import BatchTask, run_batch
 from repro.layout import incremental
 from repro.layout.drc import DrcChecker
 from repro.layout.extraction import extract_cell
-from repro.perf import (
-    BENCH_FILENAME,
-    hand_ota_layout,
-    load_bench,
-    run_layout_benchmarks,
-    time_call,
-    write_bench,
-)
+from repro.sizing.specs import ParasiticMode
+from benchmarks.timing import best_of, speedup
+from tests.designs import hand_ota_layout
 from tests.oracles import layout as oracle
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _speedup(reference, path, repeat=3):
-    """Best-of time of ``reference()`` over best-of time of ``path()``."""
-    before = time_call(reference, repeat=repeat)
-    after = time_call(path, repeat=repeat)
-    return before["best_s"] / after["best_s"]
+#: Workers of the parallel Table-1 batch floor.
+BATCH_JOBS = 4
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +44,7 @@ def test_benchmark_extract_ota_cell(benchmark, ota_cell, tech):
             rounds=3, iterations=1, warmup_rounds=1,
         )
         assert extracted.net_wire_cap
-        assert _speedup(
+        assert speedup(
             lambda: oracle.extract_cell(ota_cell, tech),
             lambda: extract_cell(ota_cell, tech),
         ) > 1.5
@@ -72,25 +60,40 @@ def test_benchmark_drc_ota_cell(benchmark, ota_cell, tech):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert violations == []
-    assert _speedup(
+    assert speedup(
         lambda: oracle.drc_check(checker, ota_cell),
         lambda: checker.check(ota_cell),
     ) > 1.5
 
 
-def test_write_layout_bench_record():
-    """Merge the layout entries into ``BENCH_analysis.json``."""
-    jobs = 4 if len(os.sched_getaffinity(0)) >= 4 else 0
-    results = run_layout_benchmarks(repeat=3, batch_jobs=jobs)
-    record_path = REPO_ROOT / BENCH_FILENAME
-    merged = dict(load_bench(record_path)) if record_path.exists() else {}
-    merged.update(results)
-    write_bench(merged, str(record_path))
-    assert results["layout_extract"]["compiled_p50_s"] > 0.0
-    assert results["layout_drc"]["compiled_p50_s"] > 0.0
-    # Warm repeats of the same cell come from the per-module store.
-    assert results["extraction_incremental"]["speedup"] > 3.0
-    if jobs:
-        # Serial vs --jobs 4 Table-1 batch: only asserted where the host
-        # actually has the cores to parallelize onto.
-        assert results[f"table1_batch_jobs{jobs}"]["speedup"] > 1.2
+def test_extraction_incremental_floor(ota_cell, tech):
+    """The ``extraction_incremental`` floor: warm repeats of the same
+    cell are served per module from the memo more than 3x faster than
+    memo-off extraction (the warmup call fills the memo)."""
+    incremental.clear()
+    with incremental.using(False):
+        scratch = best_of(lambda: extract_cell(ota_cell, tech))
+    incremental.clear()
+    with incremental.using(True):
+        warm = best_of(lambda: extract_cell(ota_cell, tech))
+    incremental.clear()
+    assert scratch / warm > 3.0
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < BATCH_JOBS,
+    reason=f"needs {BATCH_JOBS} cores to parallelize onto",
+)
+def test_table1_batch_jobs4_floor(specs):
+    """The ``table1_batch_jobs4`` floor: the four Table-1 cases on a
+    4-worker pool run more than 1.2x faster than serially."""
+    tasks = [
+        BatchTask(kind="case", technology="0.6um", specs=specs,
+                  mode=mode.name)
+        for mode in ParasiticMode
+    ]
+    serial = best_of(lambda: run_batch(tasks, jobs=1), repeat=1, warmup=0)
+    parallel = best_of(
+        lambda: run_batch(tasks, jobs=BATCH_JOBS), repeat=1, warmup=0
+    )
+    assert serial / parallel > 1.2

@@ -8,9 +8,8 @@ Commands mirror the paper's experiments:
 * ``figure2``     — the capacitance reduction factor curves;
 * ``figure3``     — the 1:3:6 current-mirror stack;
 * ``evaluate``    — technology characterisation and ranking;
-* ``bench``       — analysis, layout and runtime timings
-  (writes ``BENCH_analysis.json``);
-* ``trace``       — replay a JSONL telemetry trace written by ``--trace``.
+* ``trace``       — replay a JSONL telemetry trace written by ``--trace``;
+* ``profile``     — self-time per span name of such a trace.
 
 Output discipline: stdout carries the command's report (tables, metrics,
 machine-readable ``key: path`` lines); progress notices and diagnostics go
@@ -71,6 +70,31 @@ _TECHNOLOGIES = {
     "0.6um": generic_060,
     "0.8um": generic_080,
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--jobs``, ``--top`` and ``--max-folds``: an
+    integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--deadline``: a number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _add_technology_argument(parser: argparse.ArgumentParser) -> None:
@@ -214,6 +238,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.corners:
         corners = [name.strip() for name in args.corners.split(",")
                    if name.strip()]
+        if not corners:
+            print(f"error: --corners {args.corners!r} names no corner",
+                  file=sys.stderr)
+            return 2
         unknown = sorted(set(corners) - set(CORNERS))
         if unknown:
             print(f"error: unknown corners {unknown} "
@@ -276,7 +304,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     technology = _TECHNOLOGIES[args.technology]()
     specs = _specs_from_args(args)
     budget = (
-        Budget.from_seconds(args.deadline) if args.deadline else None
+        Budget.from_seconds(args.deadline)
+        if args.deadline is not None else None
     )
     synthesizer = LayoutOrientedSynthesizer(technology, aspect=args.aspect)
     config = {
@@ -453,99 +482,6 @@ def cmd_figure3(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.perf import (
-        append_history,
-        check_history_regressions,
-        check_regressions,
-        format_bench_table,
-        load_bench,
-        run_benchmarks,
-        run_layout_benchmarks,
-        run_runtime_benchmarks,
-        write_bench,
-    )
-
-    if args.repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
-    baseline = None
-    if args.against:
-        try:
-            baseline = load_bench(args.against)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: cannot read baseline {args.against!r}: {error}",
-                  file=sys.stderr)
-            return 2
-    json_dir = os.path.dirname(os.path.abspath(args.json))
-    if not os.path.isdir(json_dir):
-        print(f"error: output directory does not exist: {json_dir}",
-              file=sys.stderr)
-        return 2
-    print("timing the analysis workloads ...", file=sys.stderr)
-    results = run_benchmarks(
-        repeat=args.repeat,
-        include_synthesis=not args.no_synthesis,
-    )
-    if not args.no_layout:
-        print("timing the layout path ...", file=sys.stderr)
-        results.update(
-            run_layout_benchmarks(
-                repeat=args.repeat, batch_jobs=args.table1_jobs
-            )
-        )
-    if not args.no_runtime:
-        print("timing cold vs warm executor runtime ...", file=sys.stderr)
-        results.update(run_runtime_benchmarks(repeat=args.repeat))
-    print(format_bench_table(results))
-    write_bench(results, args.json)
-    print(f"benchmark record written to {args.json}", file=sys.stderr)
-    print(f"bench: {args.json}")
-    if args.history:
-        try:
-            flagged = check_history_regressions(
-                results, args.history, threshold=args.max_regression
-            )
-            append_history(results, args.history)
-        except (OSError, ValueError) as error:
-            print(f"error: cannot use history {args.history!r}: {error}",
-                  file=sys.stderr)
-            return 2
-        if flagged:
-            print(f"run-over-run p50 regressions vs the previous entry of "
-                  f"{args.history} (> {args.max_regression:.0%} slower):",
-                  file=sys.stderr)
-            for name, info in flagged.items():
-                print(f"  {name}: {info['baseline_p50_s'] * 1e3:.1f} ms -> "
-                      f"{info['fresh_p50_s'] * 1e3:.1f} ms "
-                      f"({info['ratio']:.2f}x)", file=sys.stderr)
-        print(f"history appended to {args.history}", file=sys.stderr)
-    if baseline is not None:
-        skipped: list = []
-        regressions = check_regressions(
-            results, baseline, threshold=args.max_regression,
-            skipped=skipped,
-        )
-        if skipped:
-            print(f"bench gate skipped {len(skipped)} one-sided "
-                  f"entr{'y' if len(skipped) == 1 else 'ies'}: "
-                  f"{', '.join(skipped)}", file=sys.stderr)
-        if regressions:
-            print(f"performance regressions vs {args.against} "
-                  f"(> {args.max_regression:.0%} slower at p50):",
-                  file=sys.stderr)
-            for name, info in regressions.items():
-                print(f"  {name}: {info['baseline_p50_s'] * 1e3:.1f} ms -> "
-                      f"{info['fresh_p50_s'] * 1e3:.1f} ms "
-                      f"({info['ratio']:.2f}x)", file=sys.stderr)
-            return 1
-        print(f"no compiled-path regressions vs {args.against} "
-              f"(threshold {args.max_regression:.0%})", file=sys.stderr)
-    return 0
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.telemetry import read_jsonl, summarize
     from repro.telemetry.profile import (
@@ -629,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = subparsers.add_parser("table1", help="reproduce Table 1")
     _add_technology_argument(table1)
     _add_spec_arguments(table1)
-    table1.add_argument("--jobs", type=int, default=1,
+    table1.add_argument("--jobs", type=_positive_int, default=1,
                         help="run cases concurrently on N worker processes "
                              "(results are bit-identical to --jobs 1)")
     table1.add_argument("--corners", default=None, metavar="NAMES",
@@ -652,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(synthesize)
     synthesize.add_argument("--aspect", type=float, default=1.0,
                             help="layout aspect ratio H/W (default 1.0)")
-    synthesize.add_argument("--deadline", type=float, default=None,
+    synthesize.add_argument("--deadline", type=_positive_float, default=None,
                             help="wall-clock budget in seconds; expiry "
                                  "aborts at a round boundary with a "
                                  "diagnostics dump")
@@ -679,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_technology_argument(flows)
     _add_spec_arguments(flows)
-    flows.add_argument("--jobs", type=int, default=1,
+    flows.add_argument("--jobs", type=_positive_int, default=1,
                        help="run the two flows concurrently on N worker "
                             "processes")
     _add_trace_argument(flows)
@@ -692,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure2 = subparsers.add_parser(
         "figure2", help="capacitance reduction factor curves"
     )
-    figure2.add_argument("--max-folds", type=int, default=20)
+    figure2.add_argument("--max-folds", type=_positive_int, default=20)
     figure2.set_defaults(func=cmd_figure2)
 
     figure3 = subparsers.add_parser(
@@ -701,48 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_technology_argument(figure3)
     figure3.add_argument("--svg", help="write the layout as SVG")
     figure3.set_defaults(func=cmd_figure3)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="time the analysis, layout and runtime workloads and gate "
-             "them against a baseline record",
-    )
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="best-of repetitions per workload (default 3)")
-    bench.add_argument("--no-synthesis", action="store_true",
-                       help="skip the end-to-end synthesis benchmark")
-    bench.add_argument("--no-layout", action="store_true",
-                       help="skip the layout-path benchmarks (extraction, "
-                            "DRC)")
-    bench.add_argument("--no-runtime", action="store_true",
-                       help="skip the executor-runtime benchmarks "
-                            "(cold vs warm pool, artifact cache)")
-    bench.add_argument("--table1-jobs", type=int, default=0, metavar="N",
-                       help="also time a serial vs --jobs N Table-1 batch "
-                            "(needs a multi-core host; default: skip)")
-    bench.add_argument(
-        "--against", default=None, metavar="PATH",
-        help="baseline bench JSON to compare against; exit 1 if any "
-             "shared compiled entry regresses past --max-regression")
-    bench.add_argument(
-        "--max-regression", type=float, default=0.25, metavar="FRACTION",
-        help="allowed compiled-p50 slowdown vs --against "
-             "(default 0.25 = 25%%)")
-    bench.add_argument("--json", default="BENCH_analysis.json",
-                       help="output record path "
-                            "(default BENCH_analysis.json)")
-    bench.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="append this run to a JSONL bench history and flag "
-             "run-over-run p50 regressions vs the previous entry "
-             "(informational; --against remains the hard gate)")
-    bench.add_argument(
-        "--no-incremental", action="store_true",
-        help="run the suite with the differential caches globally off "
-             "(the *_incremental entries still flip the switch per "
-             "column)")
-    _add_trace_argument(bench)
-    bench.set_defaults(func=cmd_bench)
 
     trace = subparsers.add_parser(
         "trace", help="replay a JSONL telemetry trace"
@@ -757,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile a JSONL telemetry trace (self-time per span name)",
     )
     profile.add_argument("file", help="trace file written by --trace")
-    profile.add_argument("--top", type=int, default=None, metavar="N",
+    profile.add_argument("--top", type=_positive_int, default=None,
+                         metavar="N",
                          help="only the N hottest rows (by self-time)")
     profile.add_argument(
         "--collapsed", default=None, metavar="FILE",

@@ -1,10 +1,10 @@
 """Atomic filesystem write discipline.
 
-Every artifact the package writes — ``BENCH_analysis.json``, GDS/SVG
-exports, JSONL traces, journal checkpoints — must never be observable in
-a half-written state: a process killed mid-write would otherwise leave a
-truncated file that poisons the next consumer (a CI baseline comparison,
-a resume, a GDS import).  :func:`atomic_write` provides the shared
+Every artifact the package writes — GDS/SVG exports, JSONL traces,
+metrics snapshots, journal checkpoints — must never be observable in a
+half-written state: a process killed mid-write would otherwise leave a
+truncated file that poisons the next consumer (a resume, a trace replay,
+a GDS import).  :func:`atomic_write` provides the shared
 discipline: write the full payload to a temporary file in the *same
 directory* (so the final rename never crosses a filesystem), flush,
 fsync, then ``os.replace`` onto the destination.  Readers therefore see

@@ -12,8 +12,7 @@ The disabled fast path is a single module-global integer comparison
 instrumented hot sites (Newton solves, model-cache lookups, router
 placement loops) call :func:`enabled` first and pay near-zero when no
 tracer is armed anywhere in the process.  ``tests/test_telemetry.py``
-guards this with an overhead benchmark and the dc_solve record in
-``BENCH_analysis.json`` pins the end-to-end cost.
+guards this with an overhead benchmark.
 
 Process-pool workers (Monte-Carlo shards) cannot share the parent's
 tracer; they run their own, then ship its picklable payload back

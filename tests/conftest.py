@@ -12,17 +12,16 @@ import copy
 import pytest
 from hypothesis import strategies as st
 
-from repro.circuit.topologies import DeviceSize, FoldedCascodeDesign, build_folded_cascode
 from repro.core.cases import run_case
 from repro.core.synthesis import LayoutOrientedSynthesizer
 from repro.layout.extraction import extract_cell
-from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
-from repro.mos import make_model, width_for_current
+from repro.mos import make_model
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.plans.two_stage import TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.technology import generic_035, generic_060, generic_080
-from repro.units import PF, UM
+from repro.units import PF
+from tests import designs
 
 
 @pytest.fixture(scope="session")
@@ -44,14 +43,7 @@ def tech_080():
 @pytest.fixture(scope="session")
 def specs():
     """The paper's Table-1 input specifications."""
-    return OtaSpecs(
-        vdd=3.3,
-        gbw=65e6,
-        phase_margin=65.0,
-        cload=3 * PF,
-        input_cm_range=(0.55, 1.84),
-        output_range=(0.51, 2.31),
-    )
+    return designs.table1_specs()
 
 
 @pytest.fixture(scope="session")
@@ -64,81 +56,22 @@ def pmos_model(tech):
     return make_model(tech.pmos, level=1)
 
 
-def _hand_sizes(tech):
-    """A fixed hand-sized OTA used by layout/circuit tests."""
-    mn = make_model(tech.nmos, 1)
-    mp = make_model(tech.pmos, 1)
-    length = 1.0 * UM
-    i_tail, i_sink = 200e-6, 200e-6
-    i_casc = i_sink - i_tail / 2.0
-
-    def w(model, current, veff):
-        return width_for_current(model, current, length, veff)
-
-    sizes = {
-        "mp1": (w(mp, i_tail / 2, 0.2), length),
-        "mp2": (w(mp, i_tail / 2, 0.2), length),
-        "mp5": (w(mp, i_tail, 0.25), length),
-        "mn5": (w(mn, i_sink, 0.25), length),
-        "mn6": (w(mn, i_sink, 0.25), length),
-        "mn1c": (w(mn, i_casc, 0.2), length),
-        "mn2c": (w(mn, i_casc, 0.2), length),
-        "mp3": (w(mp, i_casc, 0.25), length),
-        "mp4": (w(mp, i_casc, 0.25), length),
-        "mp3c": (w(mp, i_casc, 0.2), length),
-        "mp4c": (w(mp, i_casc, 0.2), length),
-    }
-    currents = {
-        "mp1": i_tail / 2, "mp2": i_tail / 2, "mp5": i_tail,
-        "mn5": i_sink, "mn6": i_sink,
-        "mn1c": i_casc, "mn2c": i_casc,
-        "mp3": i_casc, "mp4": i_casc, "mp3c": i_casc, "mp4c": i_casc,
-    }
-    return sizes, currents
-
-
 @pytest.fixture(scope="session")
 def hand_sized(tech):
     """(sizes, currents) for a plausible hand-designed OTA."""
-    return _hand_sizes(tech)
+    return designs.hand_sizes(tech)
 
 
 @pytest.fixture(scope="session")
-def hand_testbench(tech, hand_sized):
+def hand_testbench(tech):
     """A measurable hand-designed folded-cascode testbench."""
-    mn = make_model(tech.nmos, 1)
-    mp = make_model(tech.pmos, 1)
-    sizes, _currents = hand_sized
-    vdd = 3.3
-    veff_sink, veff_ncas, veff_mirror, veff_pcas = 0.25, 0.2, 0.25, 0.2
-    veff_tail = 0.25
-    fold = veff_sink + 0.15
-    x_node = vdd - veff_mirror - 0.15
-    biases = {
-        "vbn": mn.threshold(0.0) + veff_sink,
-        "vc1": fold + mn.threshold(fold) + veff_ncas,
-        "vp1": vdd - (mp.threshold(0.0) + veff_tail),
-        "vc3": x_node - (mp.threshold(vdd - x_node) + veff_pcas),
-    }
-    design = FoldedCascodeDesign(
-        technology=tech,
-        sizes={name: DeviceSize(w=w, l=l) for name, (w, l) in sizes.items()},
-        biases=biases,
-        vdd=vdd,
-        vcm=1.2,
-        cload=3 * PF,
-    )
-    return build_folded_cascode(design)
+    return designs.hand_testbench(tech)
 
 
 @pytest.fixture(scope="session")
-def ota_layout(tech, hand_sized):
+def ota_layout(tech):
     """A generated OTA layout (generate mode) for the hand-sized design."""
-    sizes, currents = hand_sized
-    request = OtaLayoutRequest(
-        technology=tech, sizes=sizes, currents=currents, aspect=1.0
-    )
-    return generate_ota_layout(request, mode="generate")
+    return designs.hand_ota_layout(tech)
 
 
 @pytest.fixture(scope="session")

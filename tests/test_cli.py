@@ -36,11 +36,33 @@ class TestParser:
         args = parser.parse_args(["flows", "--monitor", "8123"])
         assert args.monitor == 8123
 
-    def test_bench_history_flag(self):
-        args = build_parser().parse_args(
-            ["bench", "--history", "bench.jsonl"]
-        )
-        assert args.history == "bench.jsonl"
+    def test_positive_values_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["table1", "--jobs", "2"]).jobs == 2
+        args = parser.parse_args(["figure2", "--max-folds", "1"])
+        assert args.max_folds == 1
+        args = parser.parse_args(["synthesize", "--deadline", "0.5"])
+        assert args.deadline == 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--jobs", "0"],
+        ["flows", "--jobs", "-3"],
+        ["profile", "run.jsonl", "--top", "-1"],
+        ["profile", "run.jsonl", "--top", "0"],
+        ["figure2", "--max-folds", "0"],
+        ["figure2", "--max-folds", "-2"],
+        ["synthesize", "--deadline", "0"],
+        ["synthesize", "--deadline", "-1"],
+        ["table1", "--jobs", "two"],
+        ["synthesize", "--deadline", "soon"],
+    ])
+    def test_non_positive_values_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: " in captured.err
 
     def test_profile_flags(self):
         args = build_parser().parse_args(
@@ -64,6 +86,12 @@ class TestCommands:
         assert "process.kill" in captured.err
         assert captured.out == ""
         assert not faults.active()
+
+    def test_corners_naming_no_corner_is_a_usage_error(self, capsys):
+        assert main(["table1", "--corners", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --corners ',' names no corner\n"
 
     def test_figure2_prints_curve(self, capsys):
         assert main(["figure2", "--max-folds", "6"]) == 0

@@ -23,16 +23,16 @@ from repro.analysis.montecarlo import (
 )
 from repro.analysis.stamps import StampProgram
 from repro.errors import AnalysisError, ConvergenceError
-from repro.perf import default_testbench, two_stage_testbench
 from repro.resilience.policy import COMPILED_POLICY, SolverPolicy, warm_policy
 from repro.sizing.specs import OtaSpecs
 from repro.technology import generic_035
 from repro.technology.corners import corner_set
+from tests.designs import hand_testbench, two_stage_testbench
 
 RTOL = 1e-9
 
 TESTBENCHES = {
-    "folded_cascode": default_testbench,
+    "folded_cascode": hand_testbench,
     "two_stage": two_stage_testbench,
 }
 

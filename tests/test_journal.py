@@ -31,6 +31,7 @@ from repro.resilience.journal import (
     RunJournal,
 )
 from repro.sizing.specs import ParasiticMode
+from tests.designs import hand_testbench
 
 
 def journal_lines(run_dir):
@@ -427,9 +428,7 @@ class TestSynthesisKillResume:
 
 @pytest.fixture(scope="module")
 def mc_testbench():
-    from repro.perf import default_testbench
-
-    return default_testbench()
+    return hand_testbench()
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,7 @@ from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
 from repro.layout.tap import TapFrame
 from repro.units import UM
-from tests.conftest import _hand_sizes
+from tests.designs import hand_sizes
 from tests.oracles import layout as oracle
 
 
@@ -103,7 +103,7 @@ def ota_requests(draw, tech):
     """Layout requests for the hand-sized OTA with every width scaled by
     up to 2x either way, at a random aspect and fold preference — so the
     generator picks different fold counts and placements."""
-    sizes, currents = _hand_sizes(tech)
+    sizes, currents = hand_sizes(tech)
     factors = draw(
         st.lists(st.floats(0.5, 2.0), min_size=len(sizes), max_size=len(sizes))
     )

@@ -6,8 +6,8 @@ the cross-process metrics graft riding the trace payload, exact
 self-time partition on serial traces, flamegraph-collapsed output,
 monitor progress/ETA arithmetic plus its localhost HTTP endpoints, the
 telemetry-preserving shard/task recovery fallback, bit-identical batch
-fingerprints with the monitor on and off, bench history bookkeeping,
-and the near-zero disabled fast path of every new hook.
+fingerprints with the monitor on and off, and the near-zero disabled
+fast path of every new hook.
 """
 
 from __future__ import annotations
@@ -566,145 +566,6 @@ class TestMonitorDeterminism:
         ]
         # The run populated the registry through the tracer mirror.
         assert metrics.registry().counter("batch.tasks") == 2
-
-
-# -- Bench history and regression-gate skew ---------------------------------
-
-
-class TestBenchHistory:
-    def _entry(self, p50):
-        return {"compiled_s": p50, "compiled_p50_s": p50}
-
-    def test_append_and_load_roundtrip(self, tmp_path):
-        from repro.perf import append_history, load_history
-
-        path = str(tmp_path / "history.jsonl")
-        append_history({"dc_solve": self._entry(0.1)}, path, timestamp=1.0)
-        append_history({"dc_solve": self._entry(0.2)}, path, timestamp=2.0)
-        entries = load_history(path)
-        assert [e["timestamp"] for e in entries] == [1.0, 2.0]
-        assert entries[-1]["results"]["dc_solve"]["compiled_p50_s"] == 0.2
-
-    def test_torn_tail_line_is_dropped(self, tmp_path):
-        from repro.perf import append_history, load_history
-
-        path = str(tmp_path / "history.jsonl")
-        append_history({"a": self._entry(0.1)}, path, timestamp=1.0)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro-bench-hist')  # killed mid-append
-        assert len(load_history(path)) == 1
-
-    def test_foreign_schema_rejected(self, tmp_path):
-        from repro.perf import load_history
-
-        path = tmp_path / "history.jsonl"
-        path.write_text('{"schema": "wat", "results": {}}\n')
-        with pytest.raises(ValueError, match="schema"):
-            load_history(str(path))
-
-    def test_run_over_run_regression_flagged(self, tmp_path):
-        from repro.perf import append_history, check_history_regressions
-
-        path = str(tmp_path / "history.jsonl")
-        assert check_history_regressions({"a": self._entry(0.1)}, path) == {}
-        append_history({"a": self._entry(0.1)}, path, timestamp=1.0)
-        flagged = check_history_regressions(
-            {"a": self._entry(0.2)}, path, threshold=0.25
-        )
-        assert flagged["a"]["ratio"] == pytest.approx(2.0)
-        assert check_history_regressions(
-            {"a": self._entry(0.11)}, path, threshold=0.25
-        ) == {}
-
-    def test_check_regressions_warns_on_one_sided_entries(self):
-        from repro.perf import BenchSkewWarning, check_regressions
-
-        skipped: list = []
-        with pytest.warns(BenchSkewWarning, match="renamed_bench"):
-            regressions = check_regressions(
-                {"shared": self._entry(0.1), "new_bench": self._entry(0.1)},
-                {"shared": self._entry(0.1),
-                 "renamed_bench": self._entry(0.1)},
-                skipped=skipped,
-            )
-        assert regressions == {}
-        assert skipped == ["new_bench", "renamed_bench"]
-
-    def test_check_regressions_silent_when_records_match(self):
-        import warnings as warnings_mod
-
-        from repro.perf import check_regressions
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            check_regressions(
-                {"a": self._entry(0.1)}, {"a": self._entry(0.1)}
-            )
-
-
-class TestBenchRecord:
-    @staticmethod
-    def _timing(seconds, repeat):
-        return {"best_s": seconds, "mean_s": seconds, "p50_s": seconds,
-                "p95_s": seconds, "repeat": float(repeat)}
-
-    def test_monte_carlo_entries_time_every_repeat(self, monkeypatch):
-        """No entry may collapse to one timed sample (p50 == p95) when
-        the caller asked for several."""
-        import repro.perf as perf
-
-        monkeypatch.setattr(
-            perf, "time_call",
-            lambda fn, repeat=3, warmup=1: self._timing(0.01, repeat),
-        )
-        results = perf.run_benchmarks(repeat=3, include_synthesis=False)
-        assert {name: entry["repeat"] for name, entry in results.items()} \
-            == dict.fromkeys(results, 3.0)
-        assert "monte_carlo_50" in results
-        assert "monte_carlo_200_ensemble" in results
-
-    def test_entries_without_repeat_still_read(self, tmp_path):
-        from repro.perf import (
-            _engine_entry,
-            _timing_entry,
-            check_regressions,
-            format_bench_table,
-            load_bench,
-            write_bench,
-        )
-
-        fresh = {
-            "a": _engine_entry(self._timing(0.2, 3), self._timing(0.1, 3)),
-            "c": _timing_entry(self._timing(0.1, 3)),
-        }
-        assert fresh["a"]["repeat"] == fresh["c"]["repeat"] == 3.0
-        assert "legacy_s" not in fresh["c"] and "speedup" not in fresh["c"]
-        old = {
-            name: {key: value for key, value in entry.items()
-                   if key != "repeat"}
-            for name, entry in fresh.items()
-        }
-        path = str(tmp_path / "bench.json")
-        write_bench(old, path)
-        baseline = load_bench(path)
-        assert check_regressions(fresh, baseline) == {}
-        assert check_regressions(baseline, fresh) == {}
-        table = format_bench_table({**old, "b": fresh["a"]})
-        assert "2.00x" in table
-        one_sided = next(
-            line for line in table.splitlines() if line.startswith("c ")
-        )
-        assert one_sided.split()[1] == "-"
-        assert one_sided.split()[-1] == "-"
-
-    def test_one_sided_entry_regression_flagged(self):
-        from repro.perf import _timing_entry, check_regressions
-
-        baseline = {"dc_solve": _timing_entry(self._timing(0.1, 3))}
-        slower = {"dc_solve": _timing_entry(self._timing(0.2, 3))}
-        flagged = check_regressions(slower, baseline, threshold=0.25)
-        assert flagged["dc_solve"]["ratio"] == pytest.approx(2.0)
-        assert check_regressions(baseline, baseline) == {}
 
 
 # -- Disabled-path overhead -------------------------------------------------

@@ -24,15 +24,15 @@ from repro.analysis.dcop import solve_dc
 from repro.analysis.metrics import measure_ota
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.analysis.noise import NoiseAnalysis
-from repro.perf import default_testbench, two_stage_testbench
 from tests.conftest import DESIGN_KEYS, JITTER, jittered_bench
+from tests.designs import hand_testbench, two_stage_testbench
 from tests.oracles import analysis as oracle
 
 RTOL = 1e-9
 ATOL = 1e-9
 
 TESTBENCHES = {
-    "folded_cascode": default_testbench,
+    "folded_cascode": hand_testbench,
     "two_stage": two_stage_testbench,
 }
 
@@ -199,7 +199,7 @@ def test_jittered_designs_match_oracle(sized_designs, key, factors):
 
 def test_monte_carlo_workers_deterministic():
     """The process pool must not change any sampled statistic."""
-    tb = default_testbench()
+    tb = hand_testbench()
     serial = run_monte_carlo(tb, runs=12, seed=77, workers=1)
     pooled = run_monte_carlo(tb, runs=12, seed=77, workers=4)
     assert set(serial.samples) == set(pooled.samples)
@@ -208,7 +208,7 @@ def test_monte_carlo_workers_deterministic():
 
 
 def test_monte_carlo_seed_reproducible():
-    tb = default_testbench()
+    tb = hand_testbench()
     first = run_monte_carlo(tb, runs=8, seed=5)
     second = run_monte_carlo(tb, runs=8, seed=5)
     assert first.samples == second.samples

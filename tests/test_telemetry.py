@@ -29,6 +29,7 @@ from repro.telemetry import (
     trace_run,
     write_jsonl,
 )
+from tests.designs import hand_testbench
 
 
 class FakeClock:
@@ -238,9 +239,7 @@ class TestJsonlRoundTrip:
 class TestMonteCarloTracing:
     @pytest.fixture(scope="class")
     def bench_tb(self):
-        from repro.perf import default_testbench
-
-        return default_testbench()
+        return hand_testbench()
 
     def test_worker_spans_and_counters_cross_process(self, bench_tb):
         from repro.analysis.montecarlo import run_monte_carlo
