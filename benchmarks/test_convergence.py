@@ -53,6 +53,26 @@ class TestConvergenceClaims:
         """Paper: three calls."""
         assert 2 <= outcome.layout_calls <= 6
 
+    def test_case4_within_paper_count(self, outcome):
+        """Re-sizing from the previous round's knobs reaches the fixed
+        point within the paper's three layout calls."""
+        assert outcome.layout_calls <= 3
+
+    def test_seeded_rounds_take_fewer_iterations(self, outcome, plan,
+                                                 specs):
+        """Rounds 2.. re-size from the previous round's knobs: together
+        they take fewer plan iterations than cold searches under the
+        same feedback, and the last one reproduces its predecessor."""
+        records = outcome.records
+        seeded = [r.sizing.iterations for r in records[1:]]
+        cold = [
+            plan.size(specs, ParasiticMode.FULL, previous.report).iterations
+            for previous in records[:-1]
+        ]
+        assert sum(seeded) < sum(cold)
+        assert seeded[-1] == 1
+        assert outcome.sizing.status == "met"
+
     def test_final_distance_below_tolerance(self, outcome):
         assert outcome.records[-1].distance <= 2 * FF
 

@@ -345,6 +345,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         print(f"fingerprint: {outcome.fingerprint()}")
     if outcome.diagnostics:
         print(f"diagnostics: {outcome.diagnostics}", file=sys.stderr)
+    print(f"  sizing        {outcome.sizing.describe_status()}")
     print(f"  DC gain       {metrics.dc_gain_db:7.1f} dB")
     print(f"  GBW           {metrics.gbw / 1e6:7.1f} MHz")
     print(f"  phase margin  {metrics.phase_margin_deg:7.1f} deg")

@@ -8,7 +8,10 @@ parasitics converge:
 2. call the layout tool in *parasitic calculation mode* — area
    optimisation fixes fold counts and wiring, and the parasitic report
    comes back (no geometry emitted);
-3. re-size compensating the reported parasitics;
+3. re-size compensating the reported parasitics, starting from the
+   knobs the previous round's sizing accepted
+   (:attr:`~repro.sizing.specs.SizingResult.knobs`) so the plan only
+   corrects for the change in the report;
 4. repeat until the report stops changing ("till the calculated parasitics
    remain unchanged" — three layout calls in the paper's example);
 5. call the layout tool in *generation mode* for the physical layout.
@@ -175,15 +178,18 @@ class LayoutOrientedSynthesizer:
     def _default_layout_tool(self, sizing: SizingResult, mode: str):
         return generate_ota_layout(self._layout_request(sizing), mode=mode)
 
-    def _sizing_key(self, specs, mode, feedback, budget) -> Optional[str]:
+    def _sizing_key(
+        self, specs, mode, feedback, budget, start
+    ) -> Optional[str]:
         """Memo key for one whole sizing round, or None.
 
         Only pure rounds are memoizable: the plan must publish a
         config key (:meth:`~repro.sizing.plans.base.DesignPlan.config_key`)
         and no budget may be active (a budget can cap iterations
-        differently per call).  The key covers an exact digest of the
-        warm-start state, because it steers the DC iterate path the
-        plan's verification solves take.
+        differently per call).  The key covers the ``start`` knobs the
+        round is seeded with, and an exact digest of the warm-start
+        state because that state steers the DC iterate path the plan's
+        verification solves take.
         """
         if budget is not None:
             return None
@@ -198,10 +204,11 @@ class LayoutOrientedSynthesizer:
             specs,
             mode.name,
             feedback,
+            start,
             _warm_digest(),
         )
 
-    def _size_round(self, specs, mode, feedback, budget):
+    def _size_round(self, specs, mode, feedback, budget, start):
         """One sizing round through the ``sizing`` memo: ``(sizing, source)``.
 
         The memo value carries the warm-start snapshot taken *after* the
@@ -215,13 +222,15 @@ class LayoutOrientedSynthesizer:
         from repro.layout import incremental
 
         def compute():
-            sizing = self.plan.size(specs, mode, feedback, budget=budget)
+            sizing = self.plan.size(
+                specs, mode, feedback, budget=budget, start=start
+            )
             return sizing, warmstart.snapshot()
 
         with telemetry.span("synthesis.sizing") as span:
             (sizing, warm_after), source = incremental.memo(
                 "sizing",
-                lambda: self._sizing_key(specs, mode, feedback, budget),
+                lambda: self._sizing_key(specs, mode, feedback, budget, start),
                 compute,
             )
             span.annotate(source=source)
@@ -261,7 +270,8 @@ class LayoutOrientedSynthesizer:
         ``journal`` makes the loop crash-safe: every completed round is
         appended durably together with a snapshot of the warm-start
         session, and on resume the journaled rounds are replayed — record
-        list, feedback report *and* warm-start seeds restored — so the
+        list (whose last sizing carries the knobs that seed the next
+        round), feedback report *and* warm-start seeds restored — so the
         remaining rounds produce bit-identical Newton iterates and the
         final outcome matches an uninterrupted run exactly.
         """
@@ -357,8 +367,11 @@ class LayoutOrientedSynthesizer:
                             faults.maybe_raise(
                                 "synthesis.sizing", index=round_index
                             )
+                        # Round 1 starts cold; every later round resumes
+                        # from the knobs the previous round accepted.
+                        knobs = records[-1].sizing.knobs if records else None
                         sizing, source = self._size_round(
-                            specs, mode, feedback, budget
+                            specs, mode, feedback, budget, knobs
                         )
                         sizing_sources.append(source)
                         stage = "layout"

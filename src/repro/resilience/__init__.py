@@ -17,7 +17,7 @@ degradation architecture:
   registry so every degradation path is testable without contriving
   pathological circuits;
 * :mod:`repro.resilience.journal` — a crash-safe, append-only run
-  journal (:class:`RunJournal`, schema ``repro-journal-v1``) plus
+  journal (:class:`RunJournal`, schema ``repro-journal-v2``) plus
   SIGINT/SIGTERM shutdown guards, giving every long-running driver
   durable checkpoints and deterministic ``--resume``.
 """

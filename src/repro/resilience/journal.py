@@ -7,7 +7,7 @@ makes every *completed unit of work* durable the moment it finishes:
 
 * the journal is an **append-only JSONL file** (``journal.jsonl`` inside
   a run directory) with a schema-versioned header line
-  (``repro-journal-v1``) recording the run kind and its configuration
+  (``repro-journal-v2``) recording the run kind and its configuration
   fingerprint;
 * each unit append is written in one call, flushed and fsynced before
   the driver moves on, so a kill at any instant loses at most the unit
@@ -52,7 +52,7 @@ from repro.ioutil import fsync_directory
 from repro.resilience import faults
 
 #: Schema tag of the journal container (header line of every file).
-JOURNAL_SCHEMA = "repro-journal-v1"
+JOURNAL_SCHEMA = "repro-journal-v2"
 
 #: File name of the journal inside a run directory.
 JOURNAL_FILENAME = "journal.jsonl"

@@ -43,7 +43,7 @@ from repro import telemetry
 from repro.ioutil import atomic_write
 
 #: Version prefix folded into every key; bump to invalidate all entries.
-CACHE_SCHEMA = "repro-artifacts-v1"
+CACHE_SCHEMA = "repro-artifacts-v2"
 
 #: Environment variable enabling the cache process-wide.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -32,11 +32,12 @@ class DesignPlan(ABC):
         """Canonical tuple of everything that parameterizes :meth:`size`.
 
         A plan whose sizing is a pure function of (this key, specs,
-        mode, feedback, warm-start state) may return a tuple here, which
-        lets the synthesis loop serve whole sizing rounds from the
-        ``sizing`` kind of :func:`repro.layout.incremental.memo`.  The
-        default ``None`` is a ``None`` memo key — scripted or stateful
-        plans are computed every round, never served from the memo.
+        mode, feedback, ``start`` seed, warm-start state) may return a
+        tuple here, which lets the synthesis loop serve whole sizing
+        rounds from the ``sizing`` kind of
+        :func:`repro.layout.incremental.memo`.  The default ``None`` is a
+        ``None`` memo key — scripted or stateful plans are computed every
+        round, never served from the memo.
         """
         return None
 
@@ -47,6 +48,7 @@ class DesignPlan(ABC):
         mode: ParasiticMode = ParasiticMode.NONE,
         feedback: Optional[ParasiticReport] = None,
         budget: Optional[Budget] = None,
+        start: Optional[object] = None,
     ) -> SizingResult:
         """Size the topology for ``specs``.
 
@@ -55,6 +57,13 @@ class DesignPlan(ABC):
         layout-aware modes.  ``budget`` (when given) is checked at every
         iteration of the sizing fixed-point loop and may cap the
         iteration count (:meth:`Budget.sizing_iteration_cap`).
+
+        ``start`` seeds the search with the :attr:`SizingResult.knobs` of
+        an earlier sizing of this plan, so a re-size under slightly
+        changed feedback resumes where that sizing ended; ``None`` starts
+        cold from the plan's own initial knobs.  The result records how
+        the search ended (:attr:`SizingResult.status`) and its own final
+        knobs.
         """
 
     @abstractmethod

@@ -18,12 +18,17 @@ Sizing procedure, following COMDIAC's structure:
 Overestimated parasitics (Table 1 case 2) therefore push lengths to the
 technology minimum and currents up — reproducing the paper's observation
 that case 2 wastes power and loses gain, output resistance and noise.
+
+Inside the layout-oriented loop each re-size starts from the knobs the
+previous round accepted (:class:`FoldedCascodeKnobs`, passed as
+``start``), so a round only corrects for the change in layout feedback.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.analysis.metrics import OtaMeasurement
@@ -34,6 +39,7 @@ from repro.circuit.topologies.folded_cascode import (
     FoldedCascodeDesign,
     build_folded_cascode,
 )
+from repro.errors import SizingError
 from repro.layout.parasitics import ParasiticReport
 from repro.mos import make_model, width_for_current
 from repro.mos.junction import DiffusionGeometry
@@ -46,7 +52,12 @@ from repro.sizing.blocks import (
     tail_overdrive_limit,
 )
 from repro.sizing.plans.base import DesignPlan
-from repro.sizing.specs import OtaSpecs, ParasiticMode, SizingResult
+from repro.sizing.specs import (
+    OtaSpecs,
+    ParasiticMode,
+    SizingResult,
+    spec_misses,
+)
 from repro.technology.process import Technology
 from repro.units import UM
 
@@ -66,6 +77,52 @@ DEVICE_ROLE = {
 }
 
 _P_ROLES = ("input", "tail", "mirror", "pcas")
+
+#: Sizing role -> starting channel length of a cold search.
+DEFAULT_LENGTHS = {
+    "input": 1.0 * UM,
+    "tail": 1.0 * UM,
+    "sink": 1.0 * UM,
+    "ncas": 1.0 * UM,
+    "mirror": 1.0 * UM,
+    "pcas": 1.0 * UM,
+}
+
+
+@dataclass(frozen=True)
+class FoldedCascodeKnobs:
+    """The folded-cascode search state one sizing iteration starts from.
+
+    Everything the loop carries from one iteration to the next, so
+    ``size(..., start=knobs)`` continues a search exactly where the
+    iteration that produced ``knobs`` stood.
+    """
+
+    lengths: Dict[str, float]
+    """Sizing role -> channel length."""
+    kappa: float
+    """Cascode-branch current over the input-pair current."""
+    cl_eff: float
+    """Effective load the input-pair current is estimated for, F."""
+    veff_input: float
+    """Input-pair overdrive (raised above the plan's default only by a
+    slew-rate target)."""
+
+
+def _check_lengths(lengths: Mapping[str, float], source: str) -> None:
+    """Raise :class:`SizingError` naming the first unknown role or
+    non-positive length in ``lengths``."""
+    for role, length in lengths.items():
+        if role not in DEFAULT_LENGTHS:
+            raise SizingError(
+                f"{source}: unknown sizing role {role!r} "
+                f"(roles: {', '.join(DEFAULT_LENGTHS)})"
+            )
+        if not length > 0.0:
+            raise SizingError(
+                f"{source}: length of role {role!r} must be positive, "
+                f"got {length!r}"
+            )
 
 
 class FoldedCascodePlan(DesignPlan):
@@ -96,26 +153,18 @@ class FoldedCascodePlan(DesignPlan):
         self.max_cascode_length = max_cascode_length
         minimum = technology.feature_size
         self.min_length = minimum
-        self.initial_lengths = dict(
-            initial_lengths
-            or {
-                "input": 1.0 * UM,
-                "tail": 1.0 * UM,
-                "sink": 1.0 * UM,
-                "ncas": 1.0 * UM,
-                "mirror": 1.0 * UM,
-                "pcas": 1.0 * UM,
-            }
-        )
+        # A partial dict overrides only the roles it names.
+        _check_lengths(initial_lengths or {}, "initial_lengths")
+        self.initial_lengths = {**DEFAULT_LENGTHS, **(initial_lengths or {})}
 
     def config_key(self) -> tuple:
         """Everything :meth:`size` reads besides its arguments.
 
-        The plan is stateless across calls — every ``size()`` restarts
-        from ``initial_lengths`` — so this tuple plus the call inputs
-        (specs, mode, feedback, warm-start session state) fully
-        determines the result, making whole sizing rounds safe to
-        memoize on content.
+        The plan is stateless across calls — a ``size()`` starts from
+        ``initial_lengths`` or from the ``start`` knobs it is given — so
+        this tuple plus the call inputs (specs, mode, feedback, start,
+        warm-start session state) fully determines the result, making
+        whole sizing rounds safe to memoize on content.
         """
         return (
             self.topology,
@@ -133,16 +182,18 @@ class FoldedCascodePlan(DesignPlan):
 
     # -- Operating point ------------------------------------------------------
 
-    def _overdrives(self, specs: OtaSpecs) -> Dict[str, float]:
+    def _overdrives(
+        self, specs: OtaSpecs, veff_input: float
+    ) -> Dict[str, float]:
         """Overdrives from the voltage-range specifications."""
         out_lo, out_hi = specs.output_range
         veff_sink, veff_ncas = distribute_headroom(out_lo)
         veff_mirror, veff_pcas = distribute_headroom(specs.vdd - out_hi)
         veff_tail = tail_overdrive_limit(
-            self.model_p, specs.vdd, specs.input_cm_range[1], self.veff_input
+            self.model_p, specs.vdd, specs.input_cm_range[1], veff_input
         )
         return {
-            "input": self.veff_input,
+            "input": veff_input,
             "tail": veff_tail,
             "sink": veff_sink,
             "ncas": veff_ncas,
@@ -209,6 +260,20 @@ class FoldedCascodePlan(DesignPlan):
 
     # -- Main loop ------------------------------------------------------------------
 
+    def _start_knobs(
+        self, specs: OtaSpecs, start: Optional[object]
+    ) -> FoldedCascodeKnobs:
+        """The knobs of the first iteration: cold, or a checked seed."""
+        if start is None:
+            return FoldedCascodeKnobs(
+                dict(self.initial_lengths), 1.0, specs.cload, self.veff_input
+            )
+        _check_lengths(start.lengths, "start")
+        missing = [role for role in DEFAULT_LENGTHS if role not in start.lengths]
+        if missing:
+            raise SizingError(f"start: no length for role(s) {missing}")
+        return start
+
     def _veff_for_gm_and_current(
         self, gm: float, current: float, length: float
     ) -> float:
@@ -239,17 +304,20 @@ class FoldedCascodePlan(DesignPlan):
         mode: ParasiticMode = ParasiticMode.NONE,
         feedback: Optional[ParasiticReport] = None,
         budget: Optional[Budget] = None,
+        start: Optional[FoldedCascodeKnobs] = None,
     ) -> SizingResult:
         specs.validate()
-        veff = self._overdrives(specs)
+        knobs = self._start_knobs(specs, start)
+        veff = self._overdrives(specs, knobs.veff_input)
 
-        lengths = dict(self.initial_lengths)
-        kappa = 1.0
-        cl_eff = specs.cload
+        lengths = dict(knobs.lengths)
+        kappa = knobs.kappa
+        cl_eff = knobs.cl_eff
         measurement = None
         result = None
         iterations = 0
         bias = None
+        status = "iteration_cap"
         max_iterations = (
             self.max_iterations if budget is None
             else budget.sizing_iteration_cap(self.max_iterations)
@@ -305,6 +373,9 @@ class FoldedCascodePlan(DesignPlan):
                 overdrives=dict(veff),
                 iterations=iteration,
                 mode=mode,
+                knobs=FoldedCascodeKnobs(
+                    dict(lengths), kappa, cl_eff, veff["input"]
+                ),
             )
             testbench = self.build_testbench(result, specs, mode, feedback)
             measurement = OtaMeasurement(testbench)
@@ -312,11 +383,10 @@ class FoldedCascodePlan(DesignPlan):
 
             gbw_error = (gbw - specs.gbw) / specs.gbw
             pm_error = specs.phase_margin - phase_margin
-
-            if (
-                abs(gbw_error) <= self.gbw_tolerance
-                and abs(pm_error) <= self.pm_tolerance
-            ):
+            gbw_ok = abs(gbw_error) <= self.gbw_tolerance
+            pm_ok = abs(pm_error) <= self.pm_tolerance
+            if gbw_ok and pm_ok:
+                status = "met"
                 break
 
             # New current estimation from the measured effective load.
@@ -351,14 +421,19 @@ class FoldedCascodePlan(DesignPlan):
                                 self.max_cascode_length, lengths[role] * factor
                             )
                             grew = True
-                    if not grew:
-                        break  # both knobs exhausted; accept the overshoot
+                    if not grew and gbw_ok:
+                        # Both knobs exhausted; accept the overshoot once
+                        # the new current estimate has GBW on target.
+                        status = "knobs_exhausted"
+                        break
 
         assert result is not None and measurement is not None
         # Every loop exit leaves the last iteration's handle here; its full
         # suite reuses that iteration's DC solve.
         result.predicted = measurement.metrics()
         result.iterations = iterations
+        result.status = status
+        result.misses = spec_misses(specs, gbw, phase_margin, gbw_ok, pm_ok)
         if telemetry.enabled():
             telemetry.count("sizing.iterations", iterations)
         icmr, out_range = computed_ranges(

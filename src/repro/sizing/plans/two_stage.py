@@ -11,11 +11,15 @@ Plan knowledge (classic two-stage recipe):
 * the output stage transconductance is iterated until the phase margin
   target is met (the non-dominant pole sits at ``~gm6 / CL``);
 * widths by model inversion at overdrives derived from the output range.
+
+A re-size inside the layout-oriented loop starts from the previous
+round's :class:`TwoStageKnobs` (passed as ``start``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import telemetry
@@ -33,9 +37,24 @@ from repro.mos.junction import DiffusionGeometry
 from repro.resilience.budget import Budget
 from repro.sizing.blocks import distribute_headroom, input_pair_current
 from repro.sizing.plans.base import DesignPlan
-from repro.sizing.specs import OtaSpecs, ParasiticMode, SizingResult
+from repro.sizing.specs import (
+    OtaSpecs,
+    ParasiticMode,
+    SizingResult,
+    spec_misses,
+)
 from repro.technology.process import Technology
 from repro.units import UM
+
+
+@dataclass(frozen=True)
+class TwoStageKnobs:
+    """The two-stage search state one sizing iteration starts from."""
+
+    cc_eff: float
+    """Effective compensation load the input-pair gm is set for, F."""
+    gm6_factor: float
+    """Output-stage gm over the input-pair gm scaled by ``CL / Cc``."""
 
 
 class TwoStagePlan(DesignPlan):
@@ -91,6 +110,7 @@ class TwoStagePlan(DesignPlan):
         mode: ParasiticMode = ParasiticMode.NONE,
         feedback: Optional[ParasiticReport] = None,
         budget: Optional[Budget] = None,
+        start: Optional[TwoStageKnobs] = None,
     ) -> SizingResult:
         specs.validate()
         out_lo, out_hi = specs.output_range
@@ -100,11 +120,13 @@ class TwoStagePlan(DesignPlan):
         veff_tail = 0.2
 
         cc = self.cc_ratio * specs.cload
-        cc_eff = cc
-        gm6_factor = 3.0
+        cc_eff, gm6_factor = (
+            (cc, 3.0) if start is None else (start.cc_eff, start.gm6_factor)
+        )
         measurement = None
         result = None
         iterations = 0
+        status = "iteration_cap"
         max_iterations = (
             self.max_iterations if budget is None
             else budget.sizing_iteration_cap(self.max_iterations)
@@ -169,6 +191,7 @@ class TwoStagePlan(DesignPlan):
                 },
                 iterations=iteration,
                 mode=mode,
+                knobs=TwoStageKnobs(cc_eff, gm6_factor),
             )
             # Stash the compensation value for build_testbench.
             result.biases["_cc"] = cc
@@ -179,10 +202,10 @@ class TwoStagePlan(DesignPlan):
 
             gbw_error = (gbw - specs.gbw) / specs.gbw
             pm_error = specs.phase_margin - phase_margin
-            if (
-                abs(gbw_error) <= self.gbw_tolerance
-                and abs(pm_error) <= self.pm_tolerance
-            ):
+            gbw_ok = abs(gbw_error) <= self.gbw_tolerance
+            pm_ok = abs(pm_error) <= self.pm_tolerance
+            if gbw_ok and pm_ok:
+                status = "met"
                 break
             cc_eff = gm1 / (2.0 * math.pi * gbw)
             if pm_error > self.pm_tolerance:
@@ -195,6 +218,8 @@ class TwoStagePlan(DesignPlan):
         # suite reuses that iteration's DC solve.
         result.predicted = measurement.metrics()
         result.iterations = iterations
+        result.status = status
+        result.misses = spec_misses(specs, gbw, phase_margin, gbw_ok, pm_ok)
         if telemetry.enabled():
             telemetry.count("sizing.iterations", iterations)
         vth_n = self.model_n.threshold(0.0)

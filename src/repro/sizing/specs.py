@@ -69,6 +69,43 @@ class OtaSpecs:
         return (lo + hi) / 2.0
 
 
+@dataclass(frozen=True)
+class SpecMiss:
+    """A specification the accepted sizing iteration left out of tolerance."""
+
+    name: str
+    """``gbw`` (Hz) or ``phase_margin`` (degrees)."""
+    target: float
+    achieved: float
+
+    def __str__(self) -> str:
+        if self.name == "gbw":
+            return (f"gbw {self.achieved / 1e6:.1f} MHz "
+                    f"(target {self.target / 1e6:.1f})")
+        return (f"{self.name} {self.achieved:.1f} deg "
+                f"(target {self.target:.1f})")
+
+
+def spec_misses(
+    specs: "OtaSpecs",
+    gbw: float,
+    phase_margin: float,
+    gbw_ok: bool,
+    pm_ok: bool,
+) -> Tuple[SpecMiss, ...]:
+    """The :class:`SpecMiss` records of a plan's final iteration, given
+    the plan loop's own verdict on its GBW and phase margin; empty when
+    both were within tolerance."""
+    misses = []
+    if not gbw_ok:
+        misses.append(SpecMiss("gbw", specs.gbw, gbw))
+    if not pm_ok:
+        misses.append(
+            SpecMiss("phase_margin", specs.phase_margin, phase_margin)
+        )
+    return tuple(misses)
+
+
 @dataclass
 class SizingResult:
     """Output of a design plan run."""
@@ -86,6 +123,26 @@ class SizingResult:
     mode: ParasiticMode = ParasiticMode.NONE
     computed_icmr: Tuple[float, float] = (0.0, 0.0)
     computed_output_range: Tuple[float, float] = (0.0, 0.0)
+    status: str = "met"
+    """How the plan's loop ended: ``met`` (every spec within tolerance),
+    ``knobs_exhausted`` (no knob left to turn; the plan accepts the miss)
+    or ``iteration_cap`` (out of iterations)."""
+    misses: Tuple[SpecMiss, ...] = ()
+    """The specs the accepted iteration missed (empty when ``met``)."""
+    knobs: Optional[object] = None
+    """The plan's search state in the accepted iteration (e.g.
+    :class:`~repro.sizing.plans.folded_cascode.FoldedCascodeKnobs`).
+    Passing it back as ``start`` re-sizes from where this sizing ended."""
+
+    def describe_status(self) -> str:
+        """``status`` with its iteration count and any missed specs, e.g.
+        ``knobs_exhausted after 9 iterations: phase_margin 72.1 deg
+        (target 65.0)``."""
+        plural = "" if self.iterations == 1 else "s"
+        text = f"{self.status} after {self.iterations} iteration{plural}"
+        if self.misses:
+            text += ": " + ", ".join(str(miss) for miss in self.misses)
+        return text
 
     def total_current(self, branches: Dict[str, float]) -> float:
         return sum(branches.values())

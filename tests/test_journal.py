@@ -72,6 +72,21 @@ class TestJournalCore:
         assert header["kind"] == "demo"
         assert header["config"] == {"n": 3}
 
+    def test_previous_schema_refused_naming_both(self, tmp_path):
+        """A v1 journal holds a round chain without seeded re-sizing;
+        resuming it would mix two algorithms in one run."""
+        RunJournal.create(str(tmp_path), "synthesize").close()
+        path = os.path.join(str(tmp_path), JOURNAL_FILENAME)
+        with open(path, "r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        header["schema"] = "repro-journal-v1"
+        atomic_write(path, json.dumps(header) + "\n")
+        with pytest.raises(JournalError) as excinfo:
+            RunJournal.resume(str(tmp_path), kind="synthesize")
+        message = str(excinfo.value)
+        assert JOURNAL_SCHEMA in message
+        assert "repro-journal-v1" in message
+
     def test_create_refuses_existing_journal(self, tmp_path):
         RunJournal.create(str(tmp_path), "demo").close()
         with pytest.raises(JournalError, match="already exists"):

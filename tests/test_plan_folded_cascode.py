@@ -1,11 +1,19 @@
 """The folded-cascode design plan (COMDIAC's core procedure)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.metrics import measure_ota
 from repro.circuit.topologies.folded_cascode import FOLDED_CASCODE_DEVICES
+from repro.errors import SizingError
 from repro.mos.junction import DiffusionGeometry
-from repro.sizing.plans.folded_cascode import DEVICE_ROLE, FoldedCascodePlan
+from repro.sizing.plans.folded_cascode import (
+    DEFAULT_LENGTHS,
+    DEVICE_ROLE,
+    FoldedCascodeKnobs,
+    FoldedCascodePlan,
+)
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.units import UM
 
@@ -231,6 +239,16 @@ class TestSlewRateSpec:
     def test_more_current_than_gm_driven(self, slew_sized, sized_case1):
         assert slew_sized.currents["mp5"] > 1.3 * sized_case1.currents["mp5"]
 
+    def test_seeded_resize_is_idempotent(self, tech, slew_sized, slew_specs):
+        """The knobs carry the slew-raised input overdrive, so a re-size
+        from them reproduces the sizing in one iteration."""
+        again = FoldedCascodePlan(tech).size(
+            slew_specs, ParasiticMode.NONE, start=slew_sized.knobs
+        )
+        assert slew_sized.status == "met"
+        assert again.sizes == slew_sized.sizes
+        assert again.iterations == 1
+
     def test_input_overdrive_opened(self, slew_sized, plan):
         assert slew_sized.overdrives["input"] > plan.veff_input + 0.02
 
@@ -258,3 +276,105 @@ class TestSlewRateSpec:
         assert relaxed.currents["mp1"] == pytest.approx(
             sized_case1.currents["mp1"], rel=0.02
         )
+
+
+class TestSizingStatus:
+    """How the loop ended, one test per exit."""
+
+    def test_met(self, sized_case1, specs):
+        assert sized_case1.status == "met"
+        assert sized_case1.misses == ()
+        assert sized_case1.describe_status().startswith("met after")
+
+    def test_knobs_exhausted(self, plan, specs):
+        """A slow spec banks its phase-margin slack until the cascode
+        lengths hit their ceiling and kappa its floor, then accepts the
+        overshoot with GBW on target."""
+        slow = OtaSpecs(
+            vdd=specs.vdd, gbw=15e6, phase_margin=specs.phase_margin,
+            cload=specs.cload, input_cm_range=specs.input_cm_range,
+            output_range=specs.output_range,
+        )
+        result = plan.size(slow, ParasiticMode.NONE)
+        assert result.status == "knobs_exhausted"
+        assert result.iterations < plan.max_iterations
+        assert result.knobs.kappa == plan.kappa_floor
+        for role in ("ncas", "pcas", "mirror"):
+            assert result.knobs.lengths[role] == plan.max_cascode_length
+        (miss,) = result.misses
+        assert miss.name == "phase_margin"
+        assert miss.target == slow.phase_margin
+        assert miss.achieved > slow.phase_margin + plan.pm_tolerance
+        assert abs(result.predicted.gbw - slow.gbw) <= (
+            plan.gbw_tolerance * slow.gbw
+        )
+        assert "phase_margin" in result.describe_status()
+
+    def test_iteration_cap(self, tech, specs):
+        capped = FoldedCascodePlan(tech, max_iterations=2)
+        result = capped.size(specs, ParasiticMode.NONE)
+        assert result.status == "iteration_cap"
+        assert result.iterations == 2
+        assert result.misses
+        for miss in result.misses:
+            assert miss.name in ("gbw", "phase_margin")
+            assert miss.target == getattr(specs, miss.name)
+
+
+class TestKnobs:
+    def test_knobs_are_the_accepted_iterations_inputs(self, plan, specs,
+                                                      sized_case1):
+        knobs = sized_case1.knobs
+        assert isinstance(knobs, FoldedCascodeKnobs)
+        for device, (_, length) in sized_case1.sizes.items():
+            assert knobs.lengths[DEVICE_ROLE[device]] == length
+        assert sized_case1.currents["mn1c"] == pytest.approx(
+            knobs.kappa * sized_case1.currents["mp1"], rel=1e-12
+        )
+        assert knobs.veff_input == plan.veff_input
+
+    def test_start_none_is_the_cold_search(self, plan, specs, sized_case1):
+        again = plan.size(specs, ParasiticMode.NONE, start=None)
+        assert again.sizes == sized_case1.sizes
+        assert again.iterations == sized_case1.iterations
+
+    def test_seeded_resize_is_idempotent(self, plan, specs, sized_case1):
+        again = plan.size(specs, ParasiticMode.NONE, start=sized_case1.knobs)
+        assert again.sizes == sized_case1.sizes
+        assert again.iterations == 1
+        assert again.knobs == sized_case1.knobs
+
+
+class TestLengthValidation:
+    def test_partial_initial_lengths_merge_over_defaults(self, tech, specs):
+        plan = FoldedCascodePlan(tech, initial_lengths={"input": 2 * UM})
+        assert plan.initial_lengths == {**DEFAULT_LENGTHS, "input": 2 * UM}
+        result = plan.size(specs, ParasiticMode.NONE)
+        assert result.sizes["mp1"][1] == 2 * UM
+        assert result.sizes["mp5"][1] == DEFAULT_LENGTHS["tail"]
+
+    def test_unknown_role_rejected_at_construction(self, tech):
+        with pytest.raises(SizingError, match="'cascode'"):
+            FoldedCascodePlan(tech, initial_lengths={"cascode": 1 * UM})
+
+    @pytest.mark.parametrize("bad", [0.0, -1 * UM, float("nan")])
+    def test_non_positive_length_names_the_role(self, tech, bad):
+        with pytest.raises(SizingError, match="'input'"):
+            FoldedCascodePlan(tech, initial_lengths={"input": bad})
+
+    def test_start_with_bad_length_names_the_role(self, plan, specs,
+                                                  sized_case1):
+        lengths = dict(sized_case1.knobs.lengths, pcas=0.0)
+        with pytest.raises(SizingError, match="start.*'pcas'"):
+            plan.size(specs, start=replace(sized_case1.knobs, lengths=lengths))
+
+    def test_start_with_unknown_role_rejected(self, plan, specs, sized_case1):
+        lengths = dict(sized_case1.knobs.lengths, bulk=1 * UM)
+        with pytest.raises(SizingError, match="start.*'bulk'"):
+            plan.size(specs, start=replace(sized_case1.knobs, lengths=lengths))
+
+    def test_start_missing_a_role_rejected(self, plan, specs, sized_case1):
+        lengths = dict(sized_case1.knobs.lengths)
+        del lengths["tail"]
+        with pytest.raises(SizingError, match="tail"):
+            plan.size(specs, start=replace(sized_case1.knobs, lengths=lengths))

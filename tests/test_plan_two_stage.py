@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.metrics import measure_ota
-from repro.sizing.plans.two_stage import TwoStagePlan
+from repro.sizing.plans.two_stage import TwoStageKnobs, TwoStagePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode
 from repro.units import PF
 
@@ -118,3 +118,36 @@ class TestAddingTopologiesIsCheap:
 
         tool = Comdiac(tech)
         assert "two_stage" in tool.topologies
+
+
+class TestSizingStatus:
+    def test_met(self, sized):
+        assert sized.status == "met"
+        assert sized.misses == ()
+
+    def test_iteration_cap(self, tech, two_stage_specs):
+        result = TwoStagePlan(tech, max_iterations=1).size(
+            two_stage_specs, ParasiticMode.SINGLE_FOLD
+        )
+        assert result.status == "iteration_cap"
+        assert {miss.name for miss in result.misses} <= {
+            "gbw", "phase_margin"
+        }
+        assert result.misses
+
+
+class TestStart:
+    def test_knobs_of_the_accepted_iteration(self, tech, sized,
+                                             two_stage_specs):
+        knobs = sized.knobs
+        assert isinstance(knobs, TwoStageKnobs)
+        cc = TwoStagePlan(tech).cc_ratio * two_stage_specs.cload
+        assert sized.biases["_cc"] == cc
+        assert knobs.cc_eff > 0.0 and knobs.gm6_factor > 0.0
+
+    def test_seeded_resize_is_idempotent(self, tech, sized, two_stage_specs):
+        again = TwoStagePlan(tech).size(
+            two_stage_specs, ParasiticMode.NONE, start=sized.knobs
+        )
+        assert again.sizes == sized.sizes
+        assert again.iterations == 1

@@ -31,7 +31,7 @@ from repro.errors import (
     SynthesisError,
 )
 from repro.resilience import Budget, ConvergenceReport, Deadline, faults
-from repro.sizing.specs import ParasiticMode
+from repro.sizing.specs import ParasiticMode, SizingResult
 from repro.units import UM
 
 pytestmark = pytest.mark.faults
@@ -380,16 +380,22 @@ class _StubEstimate:
 
 
 class _StubPlan:
-    """Counts sizing calls; each round returns a distinct token."""
+    """Counts sizing calls; each round returns a distinct token as its
+    knobs and records the ``start`` it was seeded with."""
 
     topology = "stub"
 
     def __init__(self):
         self.calls = 0
+        self.starts = []
 
-    def size(self, specs, mode, feedback, budget=None):
+    def size(self, specs, mode, feedback, budget=None, start=None):
         self.calls += 1
-        return f"sizing-round-{self.calls}"
+        self.starts.append(start)
+        return SizingResult(
+            sizes={}, currents={}, biases={},
+            knobs=f"sizing-round-{self.calls}",
+        )
 
 
 def _stub_tool(values, clock=None, advance=0.0, generate_error=None):
@@ -432,6 +438,14 @@ class TestSynthesisDegradation:
                 tech, convergence_tolerance=float("nan")
             )
 
+    def test_each_round_starts_from_the_previous_knobs(self, tech, specs):
+        synthesizer = _synthesizer(tech, [0.0, 5.0, 5.5])
+        outcome = synthesizer.run(specs, ParasiticMode.FULL, generate=False)
+        assert outcome.layout_calls == 3
+        assert synthesizer.plan.starts == [
+            None, "sizing-round-1", "sizing-round-2"
+        ]
+
     def test_clean_convergence_has_empty_diagnostics(self, tech, specs):
         outcome = _synthesizer(tech, [0.0, 0.1]).run(
             specs, ParasiticMode.FULL, generate=False
@@ -471,7 +485,7 @@ class TestSynthesisDegradation:
         assert diagnostics["failed_stage"] == "layout"
         assert "injected crash" in diagnostics["failure"]
         # The outcome is the round-1 state, not half of round 2.
-        assert outcome.sizing == "sizing-round-1"
+        assert outcome.sizing.knobs == "sizing-round-1"
         assert outcome.feedback.value == 0.0
         assert outcome.layout_calls == 1
 
@@ -510,4 +524,4 @@ class TestSynthesisDegradation:
         assert error.site == "synthesis.round"
         assert error.partial is not None and len(error.partial) == 1
         assert error.partial[0].round_index == 1
-        assert error.partial[0].sizing == "sizing-round-1"
+        assert error.partial[0].sizing.knobs == "sizing-round-1"

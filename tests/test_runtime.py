@@ -236,6 +236,21 @@ class TestArtifactCache:
         cache = artifacts.ArtifactCache(tmp_path)
         assert not cache.put("unit", "0" * 64, lambda: None)
 
+    def test_previous_schema_entry_is_a_miss(self, specs, tmp_path,
+                                             monkeypatch):
+        """A case result cached under ``repro-artifacts-v1`` (before the
+        seeded sizing chain) is never served: the schema is part of
+        every key."""
+        tasks = _case_tasks(specs, modes=(ParasiticMode.NONE,))
+        with artifacts.using(tmp_path):
+            with monkeypatch.context() as patch:
+                patch.setattr(artifacts, "CACHE_SCHEMA", "repro-artifacts-v1")
+                old = run_batch(tasks, jobs=1)
+            assert [s.status for s in old.statuses] == ["serial"]
+            fresh = run_batch(tasks, jobs=1)
+        assert [s.status for s in fresh.statuses] == ["serial"]
+        assert artifacts.CACHE_SCHEMA != "repro-artifacts-v1"
+
     def test_disabled_by_default(self):
         if os.environ.get(artifacts.CACHE_DIR_ENV):
             pytest.skip("cache armed via environment")

@@ -285,8 +285,10 @@ class _StubReport:
 class _StubPlan:
     topology = "stub"
 
-    def size(self, specs, mode, feedback, budget=None):
-        return "sizing"
+    def size(self, specs, mode, feedback, budget=None, start=None):
+        from repro.sizing.specs import SizingResult
+
+        return SizingResult(sizes={}, currents={}, biases={})
 
 
 def _stub_synthesizer(tech, values):
