@@ -7,7 +7,10 @@ fixed op count makes the check deterministic and independent of the
 host's speed.  Then runs ``python -m repro synthesize --fingerprint`` and
 ``python -m repro table1 --jobs 1 --fingerprint`` in both trees (memo
 on, no disk cache) and fails on any differing ``fingerprint`` line.
-Exits non-zero on any failure.
+
+Exit status: 0 when every digest and fingerprint matches, 1 on any
+digest or fingerprint mismatch, 2 when a run fails (in either tree) or
+the arguments are wrong.
 
 Usage::
 
@@ -33,6 +36,13 @@ FINGERPRINTS = (
 )
 
 
+def failed(stderr: str, message: str) -> None:
+    """Report a run that did not complete and exit 2."""
+    sys.stderr.write(stderr)
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def run(tree: pathlib.Path, workload: str, ops: int):
     """``(detail, per-layer metrics)`` of one traced fixed-op run."""
     completed = subprocess.run(
@@ -42,8 +52,7 @@ def run(tree: pathlib.Path, workload: str, ops: int):
         cwd=tree, capture_output=True, text=True,
     )
     if completed.returncode != 0:
-        sys.stderr.write(completed.stderr)
-        raise SystemExit(f"{workload} failed in {tree}")
+        failed(completed.stderr, f"{workload} failed in {tree}")
     detail, result = completed.stdout.strip().splitlines()[-2:]
     return json.loads(detail), json.loads(result)["metrics"]
 
@@ -61,8 +70,7 @@ def fingerprints(tree: pathlib.Path, args) -> list:
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if completed.returncode != 0:
-        sys.stderr.write(completed.stderr)
-        raise SystemExit(f"repro {' '.join(args)} failed in {tree}")
+        failed(completed.stderr, f"repro {' '.join(args)} failed in {tree}")
     return [line for line in completed.stdout.splitlines()
             if line.startswith("fingerprint")]
 

@@ -2,10 +2,9 @@
 
 Times geometric extraction and DRC of the generated case-4 OTA cell; their
 floors time the library path against the per-shape oracle in
-``tests/oracles`` on the same cell.  The remaining floors time warm
-per-module memo hits against memo-off extraction and, on hosts with at
-least four cores, the parallel Table-1 batch driver against the serial
-one.  The floors are deliberately loose (the acceptance numbers are far
+``tests/oracles`` on the same cell.  The remaining floor times, on
+hosts with at least four cores, the parallel Table-1 batch driver
+against the serial one.  The floors are deliberately loose (the acceptance numbers are far
 higher on an idle machine) so that they flag real regressions without
 being flaky under load.
 """
@@ -17,7 +16,6 @@ import os
 import pytest
 
 from repro.core.batch import BatchTask, run_batch
-from repro.layout import incremental
 from repro.layout.drc import DrcChecker
 from repro.layout.extraction import extract_cell
 from repro.sizing.specs import ParasiticMode
@@ -35,19 +33,18 @@ def ota_cell(tech):
 
 
 def test_benchmark_extract_ota_cell(benchmark, ota_cell, tech):
-    """Full geometric extraction of the generated OTA cell (memo off, so
-    every round extracts), and the ``layout_extract`` floor: more than
-    1.5x faster than the per-shape oracle."""
-    with incremental.using(False):
-        extracted = benchmark.pedantic(
-            extract_cell, args=(ota_cell, tech),
-            rounds=3, iterations=1, warmup_rounds=1,
-        )
-        assert extracted.net_wire_cap
-        assert speedup(
-            lambda: oracle.extract_cell(ota_cell, tech),
-            lambda: extract_cell(ota_cell, tech),
-        ) > 1.5
+    """Full geometric extraction of the generated OTA cell, and the
+    ``layout_extract`` floor: more than 1.5x faster than the per-shape
+    oracle."""
+    extracted = benchmark.pedantic(
+        extract_cell, args=(ota_cell, tech),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert extracted.net_wire_cap
+    assert speedup(
+        lambda: oracle.extract_cell(ota_cell, tech),
+        lambda: extract_cell(ota_cell, tech),
+    ) > 1.5
 
 
 def test_benchmark_drc_ota_cell(benchmark, ota_cell, tech):
@@ -64,20 +61,6 @@ def test_benchmark_drc_ota_cell(benchmark, ota_cell, tech):
         lambda: oracle.drc_check(checker, ota_cell),
         lambda: checker.check(ota_cell),
     ) > 1.5
-
-
-def test_extraction_incremental_floor(ota_cell, tech):
-    """The ``extraction_incremental`` floor: warm repeats of the same
-    cell are served per module from the memo more than 3x faster than
-    memo-off extraction (the warmup call fills the memo)."""
-    incremental.clear()
-    with incremental.using(False):
-        scratch = best_of(lambda: extract_cell(ota_cell, tech))
-    incremental.clear()
-    with incremental.using(True):
-        warm = best_of(lambda: extract_cell(ota_cell, tech))
-    incremental.clear()
-    assert scratch / warm > 3.0
 
 
 @pytest.mark.skipif(

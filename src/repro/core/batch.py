@@ -254,7 +254,7 @@ def _case_artifact_key(task: BatchTask) -> Optional[str]:
     """
     if task.kind != "case":
         return None
-    return artifacts.content_key(
+    return artifacts.cache_key(
         "case-result", task, _build_technology(task).fingerprint()
     )
 

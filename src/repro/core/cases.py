@@ -13,7 +13,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro import telemetry
 from repro.analysis.metrics import OtaMetrics, measure_ota
+from repro.layout import incremental
 from repro.layout.extraction import annotate_circuit, extract_cell
 from repro.layout.ota import OtaLayoutRequest, OtaLayoutResult, generate_ota_layout
 from repro.circuit.testbench import OtaTestbench
@@ -88,9 +90,22 @@ def extract_and_measure(
     the motif generator — the mechanism behind the paper's post-folding
     offset remark) and the extractor's own diffusion/wire/coupling/well
     capacitances.
+
+    The extraction is memoized (``extraction`` kind of
+    :mod:`repro.layout.incremental`) on the layout's request key and the
+    technology: the same request always draws the same cell, so an undo
+    to an earlier design is not re-extracted.  A layout built with the
+    memo off carries no key and is always extracted.
     """
     assert layout.cell is not None, "extraction needs a generated layout"
-    extracted_parasitics = extract_cell(layout.cell, technology)
+    with telemetry.span("cases.extract") as span:
+        extracted_parasitics, source = incremental.memo(
+            "extraction",
+            lambda: None if layout.key is None
+            else (layout.key, technology.fingerprint()),
+            lambda: extract_cell(layout.cell, technology),
+        )
+        span.annotate(source=source)
 
     # Base circuit with no sizing-side parasitics: everything measured on
     # this netlist comes from the extractor.

@@ -198,7 +198,7 @@ class LayoutOrientedSynthesizer:
         config = getattr(self.plan, "config_key", lambda: None)()
         if config is None:
             return None
-        return artifacts.content_key(
+        return artifacts.cache_key(
             "sizing-round",
             config,
             specs,

@@ -27,10 +27,9 @@ from repro.layout.devices import (
     differential_pair_layout,
     single_device_layout,
 )
-from repro.layout.parasitics import DeviceParasitics, ParasiticReport
+from repro.layout.parasitics import ParasiticReport, module_report
 from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
 from repro.layout.routing import ChannelRouter, PlacedModule
-from repro.layout.extraction import extract_cell
 from repro.technology.process import Technology
 
 
@@ -339,38 +338,14 @@ class CairoProgram:
             (0.0, point.width),
         )
 
-        report = ParasiticReport(width=point.width, height=point.height)
-        for name, module in placements.items():
-            layout = module.layout
-            declaration = self._modules[name]
-            for device, geometry in layout.device_geometry.items():
-                report.devices[device] = DeviceParasitics(
-                    nf=layout.device_nf[device],
-                    finger_width=layout.finger_width,
-                    actual_width=layout.actual_widths[device],
-                    requested_width=declaration.requested_widths.get(
-                        device, layout.actual_widths[device]
-                    ),
-                    geometry=geometry,
-                )
-            module_parasitics = extract_cell(layout.cell, self.technology)
-            for net, value in module_parasitics.net_wire_cap.items():
-                report.net_capacitance[net] = (
-                    report.net_capacitance.get(net, 0.0) + value
-                )
-            for pair, value in module_parasitics.coupling.items():
-                report.coupling[pair] = report.coupling.get(pair, 0.0) + value
-            for net, (area, perimeter) in module_parasitics.well.items():
-                report.well_capacitance[net] = report.well_capacitance.get(
-                    net, 0.0
-                ) + self.technology.well.capacitance(area, perimeter)
-        for net, routed in routing.nets.items():
-            report.net_capacitance[net] = report.net_capacitance.get(
-                net, 0.0
-            ) + routed.ground_capacitance(self.technology)
-        for pair, value in routing.coupling_capacitances(self.technology).items():
-            report.coupling[pair] = report.coupling.get(pair, 0.0) + value
-
+        requested = {
+            device: width
+            for declaration in self._modules.values()
+            for device, width in declaration.requested_widths.items()
+        }
+        report = module_report(
+            self.technology, point, placements, routing, requested
+        )
         return top, placements, report
 
     def calculate_parasitics(self) -> ParasiticReport:

@@ -4,11 +4,15 @@ A :class:`Cell` holds net-annotated shapes, named pins and sub-cell
 instances.  Net annotation is what makes the geometric extractor possible:
 every interconnect shape knows which electrical net it implements, so
 extraction reduces to geometry arithmetic instead of connectivity tracing.
+
+A cell memoizes only its own derived views (bounding box, flattened
+shapes) under a subtree version stamp.  It has no content identity:
+memos over work done on a drawn cell key on what drew it (the layout
+request), never on hashing its shapes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -52,7 +56,6 @@ class Cell:
         self._version = 0
         self._bbox_cache: Optional[Tuple[object, Rect]] = None
         self._flat_cache: Optional[Tuple[object, List[Shape]]] = None
-        self._content_cache: Optional[Tuple[object, str]] = None
 
     # -- Construction -----------------------------------------------------------
 
@@ -94,39 +97,12 @@ class Cell:
     # -- Queries ------------------------------------------------------------------
 
     def _stamp(self) -> Tuple[int, Tuple[object, ...]]:
-        """Version stamp of this cell's subtree (for bbox memoization)."""
+        """Version stamp of this cell's subtree (guards the bbox and
+        flatten memos)."""
         return (
             self._version,
             tuple(i.cell._stamp() for i in self.instances),
         )
-
-    def content_key(self) -> str:
-        """Structural sha256 of the flattened geometry (hex digest).
-
-        Two cells with the same key carry bit-identical flattened shapes
-        — same layers, same rectangle coordinates (full float precision
-        via ``repr``), same net names in the same order — so any pure
-        function of the flattened geometry (extraction, DRC, area) is
-        interchangeable between them.  This is what lets the incremental
-        layout path (:mod:`repro.layout.incremental`) reuse a clean
-        module's extraction contribution across synthesis rounds while a
-        dirty module (any geometry change) gets a new key and a fresh
-        run.  Memoized under the same subtree version stamp as
-        :meth:`bbox`.
-        """
-        stamp = self._stamp()
-        if self._content_cache is not None and self._content_cache[0] == stamp:
-            return self._content_cache[1]
-        digest = hashlib.sha256(b"repro-cell-v1")
-        for shape in self._flattened_list():
-            rect = shape.rect
-            digest.update(
-                f"{shape.layer.name}\x1f{rect.x0!r}\x1f{rect.y0!r}\x1f"
-                f"{rect.x1!r}\x1f{rect.y1!r}\x1f{shape.net!r}\x1e".encode()
-            )
-        key = digest.hexdigest()
-        self._content_cache = (stamp, key)
-        return key
 
     def bbox(self) -> Rect:
         """Bounding box over shapes and (transformed) instances.

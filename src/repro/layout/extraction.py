@@ -16,20 +16,26 @@ bookkeeping — everything is recomputed from the flattened shapes:
 * **well junctions** from n-well shapes.
 
 The resulting annotated circuit is what the simulator measures for the
-bracketed columns.
+bracketed columns.  :func:`extract_cell` runs every pass;
+:func:`extract_wiring` runs all but the diffusion strips and is the
+per-module pass of the parasitic-calculation mode (whose junctions come
+from the module generators' exact device geometry).  Neither memoizes:
+the one memo over extraction keys the verification extraction on the
+layout request that drew the cell
+(:func:`repro.core.cases.extract_and_measure`).
 
 Each layer is flattened into one ``(N, 4)`` coordinate array with nets
-encoded as int codes, and the wire-cap, poly-over-active,
-coupling-window and junction-strip passes run as array arithmetic.  The
-per-shape reference the tests compare against lives in
-``tests/oracles/layout.py``.  Reports are canonically ordered (coupling
-keyed by sorted net pairs, all dicts in sorted key order) so downstream
-annotation is deterministic regardless of shape iteration order.
+encoded as int codes, built once per call and shared by the passes, and
+the wire-cap, poly-over-active, coupling-window and junction-strip
+passes run as array arithmetic.  The per-shape reference the tests
+compare against lives in ``tests/oracles/layout.py``.  Reports are
+canonically ordered (coupling keyed by sorted net pairs, all dicts in
+sorted key order) so downstream annotation is deterministic regardless
+of shape iteration order.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -123,122 +129,42 @@ def _rect_array(rects: List[Rect]) -> Optional[np.ndarray]:
     return np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects])
 
 
+_INTERCONNECT = (Layer.POLY, Layer.METAL1, Layer.METAL2)
+
+
 class ExtractionWorkspace:
-    """Shared numpy buffers for one cell's extraction passes.
+    """One cell's interconnect as numpy arrays, shared by its passes.
 
-    The wire-cap and coupling passes used to rebuild identical
-    ``(N, 4)`` coordinate arrays for every layer on every call, and the
-    diffusion pass its own rect arrays — per synthesis round, for clean
-    and dirty layers alike.  The workspace builds each array once and
-    hands the *same* buffers to every pass; it is keyed by the cell's
-    subtree version stamp (the layer-content version the flatten/bbox
-    memos already use), so an unchanged cell re-extracted with a
-    different window also reuses its buffers, while any geometry change
-    invalidates them.
-
-    The buffers are read-only by convention: every consumer indexes or
-    reduces them, none writes.
+    Built once per extraction from the flattened shapes: nets become int
+    codes in sorted-name order, and each interconnect layer (in order of
+    first appearance) one ``(N, 4)`` coordinate array that the wire-cap
+    pass reads as is and the coupling pass reads sorted by ``x0``.  The
+    buffers are read-only by convention.
     """
 
-    def __init__(self, shapes: List[Shape], interconnect: List[Shape]):
-        self.shapes = shapes
-        self.interconnect = interconnect
-        self.names, self.codes = _net_codes(interconnect)
-        self.by_layer = _group_by_layer(interconnect)
-        self._layer_cache: Dict[Layer, Tuple[np.ndarray, np.ndarray]] = {}
-        self._sorted_cache: Dict[Layer, Tuple[np.ndarray, np.ndarray]] = {}
-        self.actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
-        self._rects: Dict[str, Optional[np.ndarray]] = {}
-        self.contacts = [
-            s for s in shapes if s.layer is Layer.CONTACT and s.net
+    def __init__(self, shapes: List[Shape]):
+        interconnect = [
+            s for s in shapes if s.layer in _INTERCONNECT and s.net
         ]
-
-    def layer_arrays(self, layer: Layer) -> Tuple[np.ndarray, np.ndarray]:
-        """Coordinate rows + net codes for one interconnect layer."""
-        found = self._layer_cache.get(layer)
-        if found is None:
-            found = _layer_arrays(self.by_layer[layer], self.codes)
-            self._layer_cache[layer] = found
-        return found
-
-    def sorted_layer_arrays(
-        self, layer: Layer
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The same arrays stably ordered by x0 (the coupling sweep)."""
-        found = self._sorted_cache.get(layer)
-        if found is None:
-            coords, net_codes = self.layer_arrays(layer)
-            order = np.argsort(coords[:, 0], kind="stable")
-            found = (coords[order], net_codes[order])
-            self._sorted_cache[layer] = found
-        return found
-
-    def rect_arrays(self, kind: str) -> Optional[np.ndarray]:
-        """Rect array of one geometry class used by the diffusion pass."""
-        if kind not in self._rects:
-            if kind == "active":
-                rects = self.actives
-            elif kind == "poly":
-                rects = [
-                    s.rect for s in self.shapes if s.layer is Layer.POLY
-                ]
-            elif kind == "contact":
-                rects = [s.rect for s in self.contacts]
-            elif kind == "nimplant":
-                rects = [
-                    s.rect for s in self.shapes if s.layer is Layer.NIMPLANT
-                ]
-            else:  # pragma: no cover - internal misuse
-                raise KeyError(kind)
-            self._rects[kind] = _rect_array(rects)
-        return self._rects[kind]
+        self.names, codes = _net_codes(interconnect)
+        self.layers = {
+            layer: _layer_arrays(members, codes)
+            for layer, members in _group_by_layer(interconnect).items()
+        }
+        self.actives = _rect_array(
+            [s.rect for s in shapes if s.layer is Layer.ACTIVE]
+        )
 
 
-#: cell -> (subtree stamp, workspace); weak keys so dropped cells free
-#: their buffers with them.
-_workspaces: "weakref.WeakKeyDictionary[Cell, Tuple[object, ExtractionWorkspace]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _workspace_for(
-    cell: Cell, shapes: List[Shape], interconnect: List[Shape]
-) -> ExtractionWorkspace:
-    stamp = cell._stamp()
-    cached = _workspaces.get(cell)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    workspace = ExtractionWorkspace(shapes, interconnect)
-    _workspaces[cell] = (stamp, workspace)
-    return workspace
-
-
-def _wire_capacitance_vec(
-    tech: Technology,
-    shapes: List[Shape],
-    actives: List[Rect],
-    ws: Optional[ExtractionWorkspace] = None,
+def _wire_capacitance(
+    tech: Technology, ws: ExtractionWorkspace
 ) -> Dict[str, float]:
-    """Ground capacitance per net over all interconnect shapes (inputs
-    pre-filtered to netted interconnect shapes)."""
-    if not shapes:
-        return {}
-    if ws is not None:
-        names, codes = ws.names, ws.codes
-        active_arr = ws.rect_arrays("active")
-        groups = ws.by_layer
-    else:
-        names, codes = _net_codes(shapes)
-        active_arr = _rect_array(actives)
-        groups = _group_by_layer(shapes)
-    totals = np.zeros(len(names))
-    touched = np.zeros(len(names), dtype=bool)
-    for layer, members in groups.items():
+    """Ground capacitance per net over all netted interconnect shapes."""
+    totals = np.zeros(len(ws.names))
+    touched = np.zeros(len(ws.names), dtype=bool)
+    active_arr = ws.actives
+    for layer, (coords, net_codes) in ws.layers.items():
         metal = tech.metal(metal_name(layer))
-        if ws is not None:
-            coords, net_codes = ws.layer_arrays(layer)
-        else:
-            coords, net_codes = _layer_arrays(members, codes)
         width = coords[:, 2] - coords[:, 0]
         height = coords[:, 3] - coords[:, 1]
         area = width * height
@@ -265,37 +191,23 @@ def _wire_capacitance_vec(
         )
         np.add.at(totals, net_codes, values)
         touched[net_codes] = True
-    return {names[i]: float(totals[i]) for i in np.flatnonzero(touched)}
+    return {ws.names[i]: float(totals[i]) for i in np.flatnonzero(touched)}
 
 
-def _coupling_vec(
-    tech: Technology,
-    shapes: List[Shape],
-    window_factor: float = 3.0,
-    ws: Optional[ExtractionWorkspace] = None,
+def _coupling(
+    tech: Technology, ws: ExtractionWorkspace, window_factor: float = 3.0
 ) -> Dict[Tuple[str, str], float]:
     """Same-layer lateral coupling between different nets, via the
     shared interval sweep."""
     result: Dict[Tuple[str, str], float] = {}
-    if not shapes:
-        return result
-    if ws is not None:
-        names = ws.names
-        groups = ws.by_layer
-    else:
-        names, codes = _net_codes(shapes)
-        groups = _group_by_layer(shapes)
+    names = ws.names
     n_names = len(names)
-    for layer, members in groups.items():
+    for layer, (coords, net_codes) in ws.layers.items():
         metal = tech.metal(metal_name(layer))
         window = window_factor * metal.min_spacing
-        if ws is not None:
-            coords, net_codes = ws.sorted_layer_arrays(layer)
-        else:
-            coords, net_codes = _layer_arrays(members, codes)
-            order = np.argsort(coords[:, 0], kind="stable")
-            coords = coords[order]
-            net_codes = net_codes[order]
+        order = np.argsort(coords[:, 0], kind="stable")
+        coords = coords[order]
+        net_codes = net_codes[order]
         ii, jj = interval_pairs(coords[:, 0], coords[:, 2], window)
         if ii.size == 0:
             continue
@@ -338,10 +250,8 @@ def _coupling_vec(
     return result
 
 
-def _diffusion_strips_vec(
-    tech: Technology,
+def _diffusion_strips(
     shapes: List[Shape],
-    ws: Optional[ExtractionWorkspace] = None,
 ) -> Dict[Tuple[str, str], Tuple[float, float]]:
     """Re-derive diffusion strips from active/poly/contact geometry.
 
@@ -349,22 +259,14 @@ def _diffusion_strips_vec(
     hot inner scans — gate finding over all polys and net resolution over
     all contacts — run as array tests.
     """
-    if ws is not None:
-        actives = ws.actives
-        poly_arr = ws.rect_arrays("poly")
-        contact_arr = ws.rect_arrays("contact")
-        contact_nets = [s.net for s in ws.contacts]
-        nimp_arr = ws.rect_arrays("nimplant")
-    else:
-        actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
-        polys = [s.rect for s in shapes if s.layer is Layer.POLY]
-        contacts = [s for s in shapes if s.layer is Layer.CONTACT and s.net]
-        nimplants = [s.rect for s in shapes if s.layer is Layer.NIMPLANT]
-
-        poly_arr = _rect_array(polys)
-        contact_arr = _rect_array([s.rect for s in contacts])
-        contact_nets = [s.net for s in contacts]
-        nimp_arr = _rect_array(nimplants)
+    actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
+    contacts = [s for s in shapes if s.layer is Layer.CONTACT and s.net]
+    poly_arr = _rect_array([s.rect for s in shapes if s.layer is Layer.POLY])
+    contact_arr = _rect_array([s.rect for s in contacts])
+    contact_nets = [s.net for s in contacts]
+    nimp_arr = _rect_array(
+        [s.rect for s in shapes if s.layer is Layer.NIMPLANT]
+    )
 
     result: Dict[Tuple[str, str], Tuple[float, float]] = defaultdict(
         lambda: (0.0, 0.0)
@@ -438,40 +340,35 @@ def extract_cell(cell: Cell, tech: Technology) -> ExtractedParasitics:
     annotation (and everything solved from it) is independent of shape
     iteration order.
     """
-    from repro.layout import incremental
+    return _extract(cell, tech, diffusion=True)
 
-    with telemetry.span("layout.extract", cell=cell.name) as span:
+
+def extract_wiring(cell: Cell, tech: Technology) -> ExtractedParasitics:
+    """The wire-cap, coupling and well passes of :func:`extract_cell`.
+
+    ``diffusion`` is left empty: this is the per-module pass of the
+    parasitic-calculation mode, whose device junctions come from the
+    module's own geometry (``ModuleLayout.device_geometry``), so the
+    strip pass would be work nobody reads.  Every other field equals
+    the full extraction's.
+    """
+    return _extract(cell, tech, diffusion=False)
+
+
+def _extract(cell: Cell, tech: Technology, diffusion: bool) -> ExtractedParasitics:
+    with telemetry.span("layout.extract", cell=cell.name):
         telemetry.count("layout.extract")
-        # The differential fast path: a module cell whose content
-        # (motif, folds, technology) already went through these exact
-        # passes is served from the memo.
-        result, source = incremental.memo(
-            "extraction",
-            lambda: (cell.content_key(), tech.fingerprint()),
-            lambda: _extract(cell, tech),
+        shapes = list(cell.flattened())
+        ws = ExtractionWorkspace(shapes)
+        return ExtractedParasitics(
+            net_wire_cap=dict(sorted(_wire_capacitance(tech, ws).items())),
+            coupling=dict(sorted(_coupling(tech, ws).items())),
+            diffusion=(
+                dict(sorted(_diffusion_strips(shapes).items()))
+                if diffusion else {}
+            ),
+            well=dict(sorted(_wells(shapes).items())),
         )
-        span.annotate(source=source)
-    return result
-
-
-def _extract(cell: Cell, tech: Technology) -> ExtractedParasitics:
-    shapes = list(cell.flattened())
-    actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
-    interconnect = [
-        s
-        for s in shapes
-        if s.layer in (Layer.POLY, Layer.METAL1, Layer.METAL2) and s.net
-    ]
-    ws = _workspace_for(cell, shapes, interconnect)
-    wire = _wire_capacitance_vec(tech, interconnect, actives, ws)
-    coupling = _coupling_vec(tech, interconnect, ws=ws)
-    diffusion = _diffusion_strips_vec(tech, shapes, ws)
-    return ExtractedParasitics(
-        net_wire_cap=dict(sorted(wire.items())),
-        coupling=dict(sorted(coupling.items())),
-        diffusion=dict(sorted(diffusion.items())),
-        well=dict(sorted(_wells(shapes).items())),
-    )
 
 
 def annotate_circuit(

@@ -1,11 +1,12 @@
 """The process-wide memo for the incremental synthesis path.
 
-The synthesis loop (paper Figure 1b) re-runs three pure computations
-with largely repeated inputs, one memo *kind* each:
+The synthesis loop (paper Figure 1b) and its verification re-run three
+pure computations with largely repeated inputs, one memo *kind* each:
 
-* ``extraction`` — per-module extraction: every layout call extracts
-  each placed module cell, and across rounds (and the final
-  ``generate`` pass) most module cells are content-identical;
+* ``extraction`` — the verification extraction of a generated layout
+  (:func:`repro.core.cases.extract_and_measure`), keyed on the layout
+  request that drew the cell: an undo to an earlier design and every
+  warm re-run extract a cell that was already extracted;
 * ``layout`` — whole layout calls: a converged round's ``generate``
   pass, an undo to an earlier sizing and every warm re-run rebuild a
   layout for a sizing that was already built;
@@ -14,8 +15,8 @@ with largely repeated inputs, one memo *kind* each:
   specs, feedback and warm-start state.
 
 Every site goes through :func:`memo`, so capacity, bypass, counters and
-the disk tier are decided here.  Keys cover full content (geometry
-digests, technology fingerprints, canonicalized request fields), so a
+the disk tier are decided here.  Keys cover full content (technology
+fingerprints, canonicalized request fields), so a
 hit returns the result of a computation with bit-identical inputs and
 the incremental path is *exact*: switching it off (:func:`set_on`,
 ``--no-incremental``) changes wall-clock, never output bits.
@@ -92,11 +93,11 @@ class LruStore:
         self.evictions = 0
 
 
-#: Memo kind -> LRU capacity.  Module extractions are a few hundred
-#: shapes each, so 512 covers every module of several topologies across
-#: many rounds; layout results hold full cell geometry, so that store
-#: stays small; a sizing round is (SizingResult, warm-start snapshot).
-CAPACITY: Dict[str, int] = {"extraction": 512, "layout": 32, "sizing": 128}
+#: Memo kind -> LRU capacity.  Layout results hold full cell geometry,
+#: so that store stays small; an extraction is one per generated layout
+#: it verifies, so it gets the same bound; a sizing round is
+#: (SizingResult, warm-start snapshot).
+CAPACITY: Dict[str, int] = {"extraction": 32, "layout": 32, "sizing": 128}
 
 #: The kind whose values also live in the on-disk artifact store.
 DISK_KIND = "layout"

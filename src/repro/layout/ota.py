@@ -49,7 +49,7 @@ from repro.layout.devices import (
     differential_pair_frame,
     single_device_frame,
 )
-from repro.layout.parasitics import DeviceParasitics, ParasiticReport
+from repro.layout.parasitics import ParasiticReport, module_report
 from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
 from repro.layout.routing import ChannelRouter, PlacedModule
 from repro.layout.tap import TapFrame
@@ -132,6 +132,10 @@ class OtaLayoutResult:
     cell: Optional[Cell] = None
     placements: Dict[str, PlacedModule] = field(default_factory=dict)
     mode: str = "estimate"
+    key: Optional[str] = None
+    """The request's ``layout`` memo key; ``None`` when the call bypassed
+    the memo.  Equal keys mean identical drawn cells, so work done on
+    the cell can be memoized under it."""
 
 
 def _fold_candidates(
@@ -301,9 +305,9 @@ def _build_variants(
 
 def _request_key(request: OtaLayoutRequest) -> str:
     """Content digest of every field the generator reads."""
-    from repro.runtime.artifacts import content_key
+    from repro.runtime.artifacts import cache_key
 
-    return content_key(
+    return cache_key(
         "layout-call",
         "ota",
         request.technology.fingerprint(),
@@ -319,10 +323,13 @@ def _request_key(request: OtaLayoutRequest) -> str:
     )
 
 
-def _project(result: OtaLayoutResult, mode: str) -> OtaLayoutResult:
+def _project(
+    result: OtaLayoutResult, mode: str, key: Optional[str]
+) -> OtaLayoutResult:
     """The per-mode view of one fully built layout result."""
     return replace(
-        result, cell=result.cell if mode == "generate" else None, mode=mode
+        result, cell=result.cell if mode == "generate" else None, mode=mode,
+        key=key,
     )
 
 
@@ -340,7 +347,7 @@ def generate_ota_layout(
     result is one ``layout`` memo entry (:mod:`repro.layout.incremental`)
     keyed on request content — a converged synthesis round's ``generate``
     pass, and any later call with identical inputs, is served without a
-    rebuild.
+    rebuild.  The key rides on the result (:attr:`OtaLayoutResult.key`).
     """
     from repro.layout import incremental
 
@@ -351,15 +358,14 @@ def generate_ota_layout(
         "layout.call", mode=mode, aspect=request.aspect
     ) as span:
         telemetry.count(f"layout.calls.{mode}")
+        key = _request_key(request) if incremental.enabled() else None
         result, source = incremental.memo(
-            "layout",
-            lambda: _request_key(request),
-            lambda: _generate(request),
+            "layout", lambda: key, lambda: _generate(request)
         )
         span.annotate(source=source)
     if source == "computed" and metrics.enabled():
         metrics.observe("layout.call.seconds", time.perf_counter() - t0)
-    return _project(result, mode)
+    return _project(result, mode, key)
 
 
 def _generate(request: OtaLayoutRequest) -> OtaLayoutResult:
@@ -442,7 +448,11 @@ def _place_and_route(
         top, list(placements.values()), row_of_module, channel_plan, channel_y, x_extent
     )
 
-    report = _build_report(request, placements, routing, point)
+    report = module_report(
+        tech, point, placements, routing,
+        {device: width for device, (width, _l) in request.sizes.items()},
+        drain_internal=request.prefer_even_folds,
+    )
 
     return OtaLayoutResult(
         report=report,
@@ -458,58 +468,3 @@ def _all_devices() -> Tuple[str, ...]:
     for _row, devices in MODULE_ROWS.values():
         names.extend(devices)
     return tuple(names)
-
-
-def _build_report(
-    request: OtaLayoutRequest,
-    placements: Dict[str, PlacedModule],
-    routing,
-    point,
-) -> ParasiticReport:
-    # Imported here: repro.layout.extraction depends on circuit types, the
-    # generator itself does not.
-    from repro.layout.extraction import extract_cell
-
-    tech = request.technology
-    report = ParasiticReport(width=point.width, height=point.height)
-
-    # Devices: layout style + exact junction geometry.
-    for name, module in placements.items():
-        layout = module.layout
-        for device, geometry in layout.device_geometry.items():
-            requested_w = request.sizes[device][0]
-            report.devices[device] = DeviceParasitics(
-                nf=layout.device_nf[device],
-                finger_width=layout.finger_width,
-                actual_width=layout.actual_widths[device],
-                requested_width=requested_w,
-                geometry=geometry,
-                drain_internal=request.prefer_even_folds,
-            )
-
-    # "Each module calculates the values of parasitic components in a
-    # predefined parasitic model" — module wiring and intra-module
-    # coupling come from a per-module pass.
-    for module in placements.values():
-        module_parasitics = extract_cell(module.layout.cell, tech)
-        for net, value in module_parasitics.net_wire_cap.items():
-            report.net_capacitance[net] = (
-                report.net_capacitance.get(net, 0.0) + value
-            )
-        for pair, value in module_parasitics.coupling.items():
-            report.coupling[pair] = report.coupling.get(pair, 0.0) + value
-        for net, (area, perimeter) in module_parasitics.well.items():
-            report.well_capacitance[net] = report.well_capacitance.get(
-                net, 0.0
-            ) + tech.well.capacitance(area, perimeter)
-
-    # "Routing parasitics are then calculated": channel tracks, stubs and
-    # side columns plus track-to-track coupling.
-    for net, routed in routing.nets.items():
-        report.net_capacitance[net] = report.net_capacitance.get(
-            net, 0.0
-        ) + routed.ground_capacitance(tech)
-    for pair, value in routing.coupling_capacitances(tech).items():
-        report.coupling[pair] = report.coupling.get(pair, 0.0) + value
-
-    return report

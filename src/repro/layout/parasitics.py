@@ -17,10 +17,15 @@ in both estimate and generate modes, and the sizing tool consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
+from repro.layout.extraction import extract_wiring
 from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
+
+if TYPE_CHECKING:
+    from repro.layout.placement import ShapePoint
+    from repro.layout.routing import PlacedModule, RoutingResult
 
 
 @dataclass
@@ -109,3 +114,57 @@ class ParasiticReport:
                 f"  coupling {pair[0]}-{pair[1]}: {self.coupling[pair] * 1e15:.2f} fF"
             )
         return "\n".join(lines)
+
+
+def module_report(
+    tech: Technology,
+    point: "ShapePoint",
+    placements: Mapping[str, "PlacedModule"],
+    routing: "RoutingResult",
+    requested_widths: Mapping[str, float],
+    drain_internal: bool = True,
+) -> ParasiticReport:
+    """The parasitic report of a placed and routed assembly.
+
+    Devices take their layout style and exact junction geometry from
+    their module's generator; "each module calculates the values of
+    parasitic components in a predefined parasitic model" — module
+    wiring, intra-module coupling and wells from the wiring-only
+    extraction of each placed module cell; then "routing parasitics are
+    then calculated": channel tracks, stubs and side columns plus
+    track-to-track coupling.  ``requested_widths`` maps device names to
+    the widths the sizing asked for (a missing device reports its drawn
+    width).
+    """
+    report = ParasiticReport(width=point.width, height=point.height)
+    for module in placements.values():
+        layout = module.layout
+        for device, geometry in layout.device_geometry.items():
+            actual = layout.actual_widths[device]
+            report.devices[device] = DeviceParasitics(
+                nf=layout.device_nf[device],
+                finger_width=layout.finger_width,
+                actual_width=actual,
+                requested_width=requested_widths.get(device, actual),
+                geometry=geometry,
+                drain_internal=drain_internal,
+            )
+    for module in placements.values():
+        wiring = extract_wiring(module.layout.cell, tech)
+        for net, value in wiring.net_wire_cap.items():
+            report.net_capacitance[net] = (
+                report.net_capacitance.get(net, 0.0) + value
+            )
+        for pair, value in wiring.coupling.items():
+            report.coupling[pair] = report.coupling.get(pair, 0.0) + value
+        for net, (area, perimeter) in wiring.well.items():
+            report.well_capacitance[net] = report.well_capacitance.get(
+                net, 0.0
+            ) + tech.well.capacitance(area, perimeter)
+    for net, routed in routing.nets.items():
+        report.net_capacitance[net] = report.net_capacitance.get(
+            net, 0.0
+        ) + routed.ground_capacitance(tech)
+    for pair, value in routing.coupling_capacitances(tech).items():
+        report.coupling[pair] = report.coupling.get(pair, 0.0) + value
+    return report

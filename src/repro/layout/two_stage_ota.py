@@ -48,6 +48,9 @@ class TwoStageLayoutResult:
     fold_config: Dict[str, int]
     cell: Optional[Cell] = None
     mode: str = "estimate"
+    key: Optional[str] = None
+    """The request's ``layout`` memo key (see
+    :attr:`repro.layout.ota.OtaLayoutResult.key`)."""
 
 
 def _program(request: TwoStageLayoutRequest) -> Tuple[CairoProgram, Dict[str, int]]:
@@ -143,9 +146,9 @@ def _finalise(
 
 def _request_key(request: TwoStageLayoutRequest) -> str:
     """Content digest of every field the generator reads."""
-    from repro.runtime.artifacts import content_key
+    from repro.runtime.artifacts import cache_key
 
-    return content_key(
+    return cache_key(
         "layout-call",
         "two_stage",
         request.technology.fingerprint(),
@@ -181,11 +184,11 @@ def generate_two_stage_layout(
         built.mode = "generate"
         return built
 
-    result, _ = incremental.memo(
-        "layout", lambda: _request_key(request), build
-    )
+    key = _request_key(request) if incremental.enabled() else None
+    result, _ = incremental.memo("layout", lambda: key, build)
     return replace(
         result,
         cell=result.cell if mode == "generate" else None,
         mode=mode,
+        key=key,
     )

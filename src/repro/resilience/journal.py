@@ -420,5 +420,10 @@ def ignore_sigint() -> None:
     Ctrl-C sends SIGINT to the whole foreground process group; without
     this the workers die first and the parent sees a useless
     ``BrokenProcessPool`` instead of draining them into a checkpoint.
+    SIGTERM goes back to the default action: a worker forked inside
+    :meth:`RunJournal.shutdown_guard` would otherwise inherit the guard's
+    handler, turn ``kill`` into an interrupt flag nobody polls, and
+    outlive its parent.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)

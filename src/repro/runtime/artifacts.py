@@ -81,7 +81,7 @@ def canonical_tokens(value: object) -> Iterator[str]:
         yield repr(value)
 
 
-def content_key(*parts: object) -> str:
+def cache_key(*parts: object) -> str:
     """sha256 content address of ``parts`` under :data:`CACHE_SCHEMA`."""
     digest = hashlib.sha256(CACHE_SCHEMA.encode())
     for part in parts:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import warmstart
+from repro.core.cases import extract_and_measure
 from repro.core.synthesis import LayoutOrientedSynthesizer
 from repro.layout import incremental
+from repro.layout.extraction import extract_cell
 from repro.layout.incremental import LruStore
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.two_stage_ota import (
@@ -181,7 +183,7 @@ class TestLayoutDiskTier:
             artifacts.canonical_tokens(cold.report)
         )
         assert warm.fold_config == cold.fold_config
-        assert warm.cell.content_key() == cold.cell.content_key()
+        assert list(warm.cell.flattened()) == list(cold.cell.flattened())
         assert estimate.cell is None
         assert estimate.report is warm.report
 
@@ -252,52 +254,64 @@ class TestExtractionParity:
 
 
 class TestDirtyInvalidation:
-    """Changing one device re-extracts its module; the rest reuse."""
+    """What a repeated layout request reuses: the layout call, and the
+    verification extraction keyed on that request; a request built with
+    the memo off carries no key and reuses nothing."""
 
-    def test_one_device_change_dirties_few_modules(self, tech, hand_sized):
-        sizes, currents = hand_sized
-        base = OtaLayoutRequest(
-            technology=tech, sizes=sizes, currents=currents, aspect=1.0
-        )
-        generate_ota_layout(base, mode="estimate")
-        before = incremental.stats()["extraction"]
-        total_modules = before["misses"]
-
-        # mp5 is the tail source — the one device whose drawn width is
-        # not slaved to a matched partner, so the perturbation reaches
-        # the geometry.
-        touched = dict(sizes)
-        w, l = touched["mp5"]
-        touched["mp5"] = (w * 2.0, l)
-        dirty_request = OtaLayoutRequest(
-            technology=tech, sizes=touched, currents=currents, aspect=1.0
-        )
-        generate_ota_layout(dirty_request, mode="estimate")
-        after = incremental.stats()["extraction"]
-
-        reused = after["hits"] - before["hits"]
-        dirty = after["misses"] - before["misses"]
-        assert reused > 0, "unchanged modules must reuse their extraction"
-        assert dirty > 0, "the resized device's module must re-extract"
-        assert dirty < total_modules, (
-            "a single-device change must not re-extract every module"
-        )
-
-    def test_identical_request_reuses_every_module(self, tech, hand_sized):
-        sizes, currents = hand_sized
+    def _layout(self, tech, sizing):
         request = OtaLayoutRequest(
-            technology=tech, sizes=sizes, currents=currents, aspect=1.0
+            technology=tech, sizes=sizing.sizes, currents=sizing.currents,
+            aspect=1.0,
         )
-        generate_ota_layout(request, mode="estimate")
-        before = incremental.stats()["extraction"]
-        # Bypass the whole-call store with a fresh but content-identical
-        # request after clearing only the layout store: every module
-        # extraction must hit.
-        incremental._stores["layout"].clear()
-        generate_ota_layout(request, mode="estimate")
-        after = incremental.stats()["extraction"]
-        assert after["misses"] == before["misses"]
-        assert after["hits"] > before["hits"]
+        return generate_ota_layout(request, mode="generate")
+
+    def test_memo_on_and_off_agree(self, tech, plan, specs, sized_case2):
+        with incremental.using(False):
+            off = self._layout(tech, sized_case2)
+            measured_off = extract_and_measure(
+                plan, sized_case2, specs, off, tech
+            )
+        cold = self._layout(tech, sized_case2)
+        measured_cold = extract_and_measure(
+            plan, sized_case2, specs, cold, tech
+        )
+        warm = self._layout(tech, sized_case2)
+        measured_warm = extract_and_measure(
+            plan, sized_case2, specs, warm, tech
+        )
+        assert cold.report == off.report == warm.report
+        assert measured_cold == measured_off == measured_warm
+        stored, source = incremental.memo(
+            "extraction",
+            lambda: (warm.key, tech.fingerprint()),
+            lambda: pytest.fail("the verification extraction was not stored"),
+        )
+        assert source == "memo"
+        assert stored == extract_cell(off.cell, tech)
+
+    def test_served_layout_serves_its_extraction(
+        self, tech, plan, specs, sized_case2
+    ):
+        with trace_run("verify") as tracer:
+            for _ in range(2):
+                layout = self._layout(tech, sized_case2)
+                extract_and_measure(plan, sized_case2, specs, layout, tech)
+        assert _sources(tracer, "layout.call") == ["computed", "memo"]
+        assert _sources(tracer, "cases.extract") == ["computed", "memo"]
+        assert incremental.stats()["extraction"]["entries"] == 1
+
+    def test_memo_off_layout_has_no_key(self, tech, plan, specs, sized_case2):
+        with incremental.using(False):
+            layout = self._layout(tech, sized_case2)
+        assert layout.key is None
+        with trace_run("verify") as tracer:
+            for _ in range(2):
+                extract_and_measure(plan, sized_case2, specs, layout, tech)
+        assert _sources(tracer, "cases.extract") == ["computed", "computed"]
+        assert incremental.stats()["extraction"] == {
+            "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
+        }
+        assert incremental.stats()["layout"]["entries"] == 0
 
     def test_fault_injection_bypasses_stores(self, tech, hand_sized):
         from repro.resilience import faults
@@ -345,7 +359,6 @@ class TestSynthesisDeterminism:
         assert set(_sources(cold_tracer, "synthesis.sizing")) == {"computed"}
         assert set(_sources(warm_tracer, "synthesis.sizing")) == {"memo"}
         assert set(_sources(warm_tracer, "layout.call")) == {"memo"}
-        assert "memo" in _sources(cold_tracer, "layout.extract")
         stats = incremental.stats()
         assert stats["sizing"]["hits"] > 0, (
             "a warm repeat must serve sizing rounds from the memo"

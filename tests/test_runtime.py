@@ -13,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import run_monte_carlo
 from repro.core.batch import BatchTask, run_batch
+from repro.resilience.journal import RunJournal
 from repro.runtime import artifacts
 from repro.runtime import pool as runtime_pool
 from repro.sizing.specs import ParasiticMode
@@ -68,6 +70,28 @@ class TestPersistentPool:
         fresh = runtime_pool.acquire(1)
         assert fresh.generation == lease.generation + 1
         runtime_pool.shutdown()
+
+    def test_worker_forked_under_shutdown_guard_dies_on_sigterm(
+        self, tmp_path
+    ):
+        """The guard's SIGTERM handler is the parent's: a worker forked
+        while it is installed still exits on a plain ``kill``."""
+        runtime_pool.shutdown()
+        with RunJournal.create(str(tmp_path), "demo") as journal:
+            with journal.shutdown_guard():
+                lease = runtime_pool.acquire(1)
+                worker_pid = lease.executor.submit(os.getpid).result()
+                (worker,) = lease.executor._processes.values()
+                assert worker.pid == worker_pid
+                os.kill(worker_pid, signal.SIGTERM)
+                worker.join(timeout=1.0)
+                exitcode = worker.exitcode
+                if exitcode is None:  # survived: do not leak it
+                    worker.kill()
+                    worker.join()
+                runtime_pool.shutdown(wait=False)
+        assert exitcode == -signal.SIGTERM
+        assert not journal.interrupted
 
     def test_mc_runs_reuse_one_pool(self, hand_testbench):
         runtime_pool.shutdown()
@@ -210,22 +234,22 @@ class TestShmDeterminism:
 class TestArtifactCache:
     def test_roundtrip_and_counters(self, tmp_path):
         cache = artifacts.ArtifactCache(tmp_path)
-        key = artifacts.content_key("unit", {"x": 1.5}, ParasiticMode.NONE)
+        key = artifacts.cache_key("unit", {"x": 1.5}, ParasiticMode.NONE)
         assert cache.get("unit", key) is None
         assert cache.put("unit", key, {"value": 42})
         assert cache.get("unit", key) == {"value": 42}
         assert cache.hits == 1 and cache.misses == 1
 
     def test_content_key_is_stable_and_discriminating(self):
-        a = artifacts.content_key("kind", {"w": 1.0, "l": 2.0})
-        b = artifacts.content_key("kind", {"l": 2.0, "w": 1.0})
-        c = artifacts.content_key("kind", {"w": 1.0, "l": 2.0000000001})
+        a = artifacts.cache_key("kind", {"w": 1.0, "l": 2.0})
+        b = artifacts.cache_key("kind", {"l": 2.0, "w": 1.0})
+        c = artifacts.cache_key("kind", {"w": 1.0, "l": 2.0000000001})
         assert a == b  # mapping order canonicalized away
         assert a != c  # full float precision discriminates
 
     def test_corrupt_entry_self_heals(self, tmp_path):
         cache = artifacts.ArtifactCache(tmp_path)
-        key = artifacts.content_key("unit", "payload")
+        key = artifacts.cache_key("unit", "payload")
         cache.put("unit", key, [1, 2, 3])
         path = cache._path("unit", key)
         path.write_bytes(b"not a pickle")
