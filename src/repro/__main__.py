@@ -489,7 +489,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         collapsed_stacks,
         format_collapsed,
         format_profile_table,
-        profile_spans,
     )
 
     try:
@@ -498,12 +497,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"error: cannot read trace {args.file!r}: {error}",
               file=sys.stderr)
         return 2
-    roots = summarize(records).roots
+    summary = summarize(records)
+    roots = summary.roots
     if not roots:
         print(f"error: trace {args.file!r} has no spans to profile",
               file=sys.stderr)
         return 2
-    rows = profile_spans(roots)
     wall = sum(root.dur for root in roots)
     # Write the artifact before touching stdout so a closed pipe
     # (profile ... | head) cannot lose the collapsed stacks.
@@ -514,7 +513,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"collapsed stacks written to {args.collapsed} "
               f"({len(stacks)} unique stacks; feed to flamegraph.pl)",
               file=sys.stderr)
-    print(format_profile_table(rows, top=args.top, wall_s=wall or None))
+    print(format_profile_table(
+        summary.profile, top=args.top, wall_s=wall or None
+    ))
     if args.collapsed:
         print(f"collapsed: {args.collapsed}")
     return 0
@@ -708,11 +709,12 @@ def main(argv: Optional[list] = None) -> int:
     from repro.telemetry import metrics as metrics_mod
     from repro.telemetry import monitor as monitor_mod
 
-    # --monitor and --metrics imply a tracer even without --trace: the
-    # registry is populated from the tracer's counter/gauge mirror, so
-    # /metrics (and the --metrics snapshot) would be empty with no
-    # tracer armed.  Observation only — results are bit-identical with
-    # or without any of these flags.
+    # --monitor and --metrics imply a tracer even without --trace: every
+    # count()/gauge() call reaches the registry through the active
+    # tracer, and pool workers ship their metrics home only inside a
+    # trace payload, so /metrics (and the --metrics snapshot) would be
+    # empty with no tracer armed.  Observation only — results are
+    # bit-identical with or without any of these flags.
     name = f"cli.{args.command}"
     tracer = telemetry.Tracer()
     with ExitStack() as stack:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -235,20 +234,12 @@ def _offset_chunk(
     names: Sequence[str],
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
-    crash: bool = False,
 ) -> List[Dict[str, float]]:
     """Default measurement (input offset) for a chunk of sample rows.
 
     One compiled feedback program (:class:`_CompiledOffset`) is shared
     by the whole chunk.
-
-    Module-level so process-pool workers can pickle it.  ``crash`` is the
-    fault-injection hook: the parent's registry decides a shard should die
-    and the worker obliges with an unclean exit, so the recovery path sees
-    a genuine broken pool.
     """
-    if crash:
-        os._exit(1)
     return _CompiledOffset(tb, names).measure(vth_rows, beta_rows)
 
 
@@ -258,11 +249,8 @@ def _measure_chunk(
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
     measure: Callable[[OtaTestbench], Dict[str, float]],
-    crash: bool = False,
 ) -> List[Dict[str, float]]:
     """Custom measurement for a chunk of pre-drawn sample rows."""
-    if crash:
-        os._exit(1)
     return [
         dict(measure(_testbench_with_mismatch(tb, names, vth_row, beta_row)))
         for vth_row, beta_row in zip(vth_rows, beta_rows)
@@ -275,7 +263,6 @@ def _run_chunk(
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
     measure: Optional[Callable[[OtaTestbench], Dict[str, float]]],
-    crash: bool = False,
 ) -> List[Dict[str, float]]:
     """Dispatch one chunk to the right measurement implementation.
 
@@ -283,44 +270,30 @@ def _run_chunk(
     testbench); only the default offset measurement has a stacked form.
     """
     if measure is None:
-        return _offset_chunk(tb, names, vth_rows, beta_rows, crash)
-    return _measure_chunk(tb, names, vth_rows, beta_rows, measure, crash)
+        return _offset_chunk(tb, names, vth_rows, beta_rows)
+    return _measure_chunk(tb, names, vth_rows, beta_rows, measure)
 
 
-def _run_chunk_traced(
-    tb: OtaTestbench,
-    names: Sequence[str],
-    vth_rows: np.ndarray,
-    beta_rows: np.ndarray,
-    measure: Optional[Callable[[OtaTestbench], Dict[str, float]]],
-    crash: bool,
-    shard_index: int,
-    lo: int,
-    hi: int,
-) -> Tuple[List[Dict[str, float]], Dict[str, object]]:
-    """Worker-side traced chunk: runs under a local tracer and ships the
-    picklable trace payload back with the samples.
+def _run_shard(
+    index: int, lo: int, hi: int, run: Callable[[], List[Dict[str, float]]]
+) -> Tuple[List[Dict[str, float]], float]:
+    """Measure shard ``index`` (sample rows ``[lo, hi)``) under its
+    ``mc.shard`` span; return the samples and the shard's wall seconds.
 
-    The parent grafts the payload under its ``mc.run`` span with
-    :meth:`~repro.telemetry.core.Tracer.absorb`, which is how per-shard
-    spans, worker-side solver counters and metrics aggregates (the
-    :func:`~repro.telemetry.core.traced_worker` delta) survive the
-    process boundary.  Tracing never touches the pre-drawn sample rows,
-    so results stay bit-identical with tracing on or off.
-
-    This is also the recovery path's workhorse: the in-process fallback
-    in :func:`_run_shards` calls it directly so a shard recovered from a
-    dead worker reports the same spans and counters as one that came
-    home through the pool.
+    The one per-shard entry: the single-worker path, the in-process
+    fallback and the pool worker (:func:`_run_shard_job`) all call it,
+    so a shard reports the same span, ``mc.samples_measured`` count and
+    ``mc.shard.seconds`` observation wherever it ran.  Telemetry never
+    touches the pre-drawn sample rows, so results stay bit-identical
+    with tracing on or off.
     """
     t0 = time.perf_counter()
-    with telemetry.traced_worker(
-        "mc.shard", index=shard_index, lo=lo, hi=hi
-    ) as tracer:
-        stats = _run_chunk(tb, names, vth_rows, beta_rows, measure, crash)
-        tracer.count("mc.samples_measured", hi - lo)
-        metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
-    return stats, tracer.trace_payload()
+    with telemetry.span("mc.shard", index=index, lo=lo, hi=hi):
+        stats = run()
+        telemetry.count("mc.samples_measured", hi - lo)
+    seconds = time.perf_counter() - t0
+    metrics.observe("mc.shard.seconds", seconds)
+    return stats, seconds
 
 
 class _ResidentChunk:
@@ -380,47 +353,26 @@ class _ShardJob:
     index: int
     vth_rows: np.ndarray
     beta_rows: np.ndarray
-    crash: bool = False
 
 
 def _run_shard_job(job: _ShardJob):
-    """Pool-side shard entry (untraced parent)."""
-    if job.crash:
-        os._exit(1)
-    try:
+    """Pool-side shard entry: one shard on the worker-resident state.
+
+    A cold resident cache answers :class:`~repro.runtime.pool.CacheMiss`
+    (the dispatcher resends with the payload and drops this attempt's
+    telemetry, so the resend's span is the only one the parent keeps).
+    """
+
+    def run() -> List[Dict[str, float]]:
         state = runtime_pool.resident_object(
             job.key, job.payload, _build_resident_chunk
         )
+        return state.run(job.names, job.vth_rows, job.beta_rows)
+
+    try:
+        return _run_shard(job.index, job.lo, job.hi, run)
     except runtime_pool.NeedPayload:
         return runtime_pool.CacheMiss(job.key)
-    return state.run(job.names, job.vth_rows, job.beta_rows)
-
-
-def _run_shard_job_traced(job: _ShardJob):
-    """Pool-side shard entry under a worker-local tracer.
-
-    Ships ``(stats, trace_payload)`` home exactly like
-    :func:`_run_chunk_traced`; a cold resident cache short-circuits to a
-    :class:`~repro.runtime.pool.CacheMiss` (the abandoned tracer is
-    dropped with the ``with`` block, so the resend's span is the only
-    one the parent absorbs — trace shape matches the pre-runtime path).
-    """
-    if job.crash:
-        os._exit(1)
-    t0 = time.perf_counter()
-    with telemetry.traced_worker(
-        "mc.shard", index=job.index, lo=job.lo, hi=job.hi
-    ) as tracer:
-        try:
-            state = runtime_pool.resident_object(
-                job.key, job.payload, _build_resident_chunk
-            )
-        except runtime_pool.NeedPayload:
-            return runtime_pool.CacheMiss(job.key)
-        stats = state.run(job.names, job.vth_rows, job.beta_rows)
-        tracer.count("mc.samples_measured", job.hi - job.lo)
-        metrics.observe("mc.shard.seconds", time.perf_counter() - t0)
-    return stats, tracer.trace_payload()
 
 
 def _shard_key(span: Tuple[int, int]) -> str:
@@ -476,7 +428,6 @@ class _ShardDispatch:
         self.key = key
         self.payload = payload
         self.max_workers = max_workers
-        self.tracer = telemetry.current()
         self._payload_sent: Set[int] = set()
         self._lease: Optional[runtime_pool.PoolLease] = None
 
@@ -486,7 +437,7 @@ class _ShardDispatch:
     def has_result(self, i: int) -> bool:
         return self.chunks[i] is not None
 
-    def submit(self, pool, lease, i: int, crash: bool, resend: bool):
+    def job(self, lease, i: int, resend: bool):
         lo, hi = self.spans[i]
         self._lease = lease
         # Ship the (tb, measure) payload until this pool generation has
@@ -501,27 +452,24 @@ class _ShardDispatch:
             key=self.key, payload=self.payload if ship else None,
             names=self.names, lo=lo, hi=hi, index=i,
             vth_rows=self.vth[lo:hi], beta_rows=self.beta[lo:hi],
-            crash=crash,
         )
-        entry = (
-            _run_shard_job_traced if self.tracer is not None
-            else _run_shard_job
-        )
-        return pool.submit(entry, job)
+        return _run_shard_job, (job,)
 
-    def accept(self, i: int, outcome, submit_time: Optional[float]) -> None:
+    def accept(self, i: int, outcome) -> None:
         """Accept one completed shard result (and journal it durably)."""
-        seconds = None
-        if self.tracer is not None:
-            self.chunks[i], payload = outcome
-            self.tracer.absorb(payload, t_offset=submit_time)
-            if submit_time is not None:
-                seconds = self.tracer.now() - submit_time
-        else:
-            self.chunks[i] = outcome
+        self.chunks[i], seconds = outcome
         self.statuses[i].status = (
             "ok" if self.statuses[i].attempts == 1 else "resubmitted"
         )
+        self._complete(i, seconds)
+        if i in self._payload_sent and self._lease is not None:
+            # At least one worker of this generation built the resident
+            # state; later dispatches ship the hash alone (a cold worker
+            # answers CacheMiss and gets the payload resent).
+            self._lease.mark_shipped(self.key)
+
+    def _complete(self, i: int, seconds: float) -> None:
+        """Report and journal one shard computed in this run."""
         monitor.unit_complete(
             "mc.shard", label=_shard_key(self.spans[i]), seconds=seconds
         )
@@ -530,11 +478,6 @@ class _ShardDispatch:
             self.journal.record(
                 _shard_key(self.spans[i]), self.chunks[i], lo=lo, hi=hi
             )
-        if i in self._payload_sent and self._lease is not None:
-            # At least one worker of this generation built the resident
-            # state; later dispatches ship the hash alone (a cold worker
-            # answers CacheMiss and gets the payload resent).
-            self._lease.mark_shipped(self.key)
 
     def note_timeout(self, i: int, timeout: Optional[float]) -> None:
         self.statuses[i].error = f"shard timed out after {timeout:g} s"
@@ -563,49 +506,21 @@ class _ShardDispatch:
         )
 
     def fallback(self, i: int) -> None:
-        """In-process recovery after bounded retries are exhausted."""
+        """In-process recovery after bounded retries are exhausted, under
+        this process's own tracer."""
         lo, hi = self.spans[i]
         try:
-            if self.tracer is not None:
-                # Run the *traced* chunk in-process so a recovered shard
-                # reports the same ``mc.shard`` span and counters a pool
-                # worker would have shipped home.  ``merge_metrics=False``
-                # because the in-process hooks fed the shared registry
-                # live; merging the delta again would double it.
-                t0 = self.tracer.now()
-                with telemetry.span(
-                    "mc.shard_fallback", index=i, lo=lo, hi=hi
-                ):
-                    self.chunks[i], payload = _run_chunk_traced(
+            with telemetry.span("mc.shard_fallback", index=i, lo=lo, hi=hi):
+                self.chunks[i], seconds = _run_shard(
+                    i, lo, hi,
+                    lambda: _run_chunk(
                         self.tb, self.names, self.vth[lo:hi],
                         self.beta[lo:hi], self.measure,
-                        False, i, lo, hi,
-                    )
-                    self.tracer.absorb(
-                        payload, t_offset=t0, merge_metrics=False
-                    )
-                monitor.unit_complete(
-                    "mc.shard",
-                    label=_shard_key(self.spans[i]),
-                    seconds=self.tracer.now() - t0,
-                )
-            else:
-                with telemetry.span(
-                    "mc.shard_fallback", index=i, lo=lo, hi=hi
-                ):
-                    self.chunks[i] = _run_chunk(
-                        self.tb, self.names, self.vth[lo:hi],
-                        self.beta[lo:hi], self.measure,
-                    )
-                monitor.unit_complete(
-                    "mc.shard", label=_shard_key(self.spans[i])
+                    ),
                 )
             telemetry.count("mc.shards_in_process")
             self.statuses[i].status = "in-process"
-            if self.journal is not None:
-                self.journal.record(
-                    _shard_key(self.spans[i]), self.chunks[i], lo=lo, hi=hi
-                )
+            self._complete(i, seconds)
         except Exception as error:  # noqa: BLE001 - recorded, not masked
             telemetry.count("mc.shards_failed")
             self.statuses[i].status = "failed"
@@ -743,19 +658,12 @@ def run_monte_carlo(
                     journal.check_interrupt("mc.start")
                 if budget is not None:
                     budget.check("montecarlo.start", runs=runs)
-                metrics_on = metrics.enabled()
-                t0 = time.perf_counter() if metrics_on else 0.0
-                with telemetry.span("mc.shard", index=0, lo=0, hi=runs):
-                    chunks = [_run_chunk(tb, names, vth, beta, measure)]
-                    telemetry.count("mc.samples_measured", runs)
-                shard_seconds = (
-                    time.perf_counter() - t0 if metrics_on else None
+                stats, seconds = _run_shard(
+                    0, 0, runs,
+                    lambda: _run_chunk(tb, names, vth, beta, measure),
                 )
-                if metrics_on:
-                    metrics.observe("mc.shard.seconds", shard_seconds)
-                monitor.unit_complete(
-                    "mc.shard", label=key, seconds=shard_seconds
-                )
+                chunks = [stats]
+                monitor.unit_complete("mc.shard", label=key, seconds=seconds)
                 if journal is not None:
                     journal.record(key, chunks[0], lo=0, hi=runs)
         else:

@@ -6,8 +6,9 @@ The dispatch discipline reuses the Monte-Carlo shard-recovery machinery
 (:mod:`repro.analysis.montecarlo`): task payloads are pickle-validated
 before any worker spawns, a task whose worker dies (or times out) is
 resubmitted on a fresh pool a bounded number of times and then run
-in-process, and worker-side telemetry crosses the process boundary as a
-picklable trace payload the parent absorbs.
+in-process.  Every task runs through one entry (:func:`_run_unit`) —
+serially, in a pool worker, or recovered in-process — so it reports the
+same ``batch.task`` span, counters and metrics wherever it ran.
 
 Determinism: every :class:`BatchTask` is a self-contained value — the
 worker rebuilds its technology from the preset registry, so no solver or
@@ -19,7 +20,6 @@ comparison handle (it excludes wall-clock timings by construction).
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from dataclasses import dataclass, replace
@@ -189,54 +189,31 @@ def run_task(task: BatchTask) -> object:
     raise SynthesisError(f"unknown batch task kind {task.kind!r}")
 
 
-def _run_task_worker(task: BatchTask, crash: bool = False) -> object:
-    """Pool-side task entry; ``crash`` is the fault-injection hook (the
-    parent's registry decides a worker should die and it obliges with an
-    unclean exit, so the recovery path sees a genuine broken pool)."""
-    if crash:
-        os._exit(1)
-    return run_task(task)
+def _run_unit(task: BatchTask, index: int) -> Tuple[object, float]:
+    """Run task ``index`` under its ``batch.task`` span; return the
+    result and the task's wall seconds.
 
-
-def _run_task_traced(
-    task: BatchTask, index: int, crash: bool = False
-) -> Tuple[object, Dict[str, object]]:
-    """Worker-side traced task: runs under a local tracer and ships the
-    picklable trace payload — spans, counters and the scoped metrics
-    delta (:func:`~repro.telemetry.core.traced_worker`) — back with the
-    result (the parent grafts it under its ``batch.run`` span, exactly
-    like Monte-Carlo shards).  Also the in-process recovery entry, so a
-    task recovered from a dead worker reports identical telemetry."""
-    if crash:
-        os._exit(1)
+    The one per-task entry: the serial loop, the in-process fallback and
+    the pool worker (:func:`_run_task_payload`) all call it, so a task
+    reports the same span and ``batch.task.seconds`` observation
+    wherever it ran.
+    """
     t0 = time.perf_counter()
-    with telemetry.traced_worker(
-        "batch.task", index=index, label=task.label
-    ) as tracer:
+    with telemetry.span("batch.task", index=index, label=task.label):
         result = run_task(task)
-        metrics.observe("batch.task.seconds", time.perf_counter() - t0)
-    return result, tracer.trace_payload()
+    seconds = time.perf_counter() - t0
+    metrics.observe("batch.task.seconds", seconds)
+    return result, seconds
 
 
-def _run_task_payload(payload: bytes, crash: bool = False) -> object:
+def _run_task_payload(payload: bytes, index: int) -> Tuple[object, float]:
     """Pool-side entry over the pre-validated pickled task.
 
     Submitting the validation pass's own bytes means each task is
     pickled exactly once, parent-side, and the worker does the single
     ``loads`` the executor's argument machinery would have done anyway.
     """
-    if crash:
-        os._exit(1)
-    return run_task(pickle.loads(payload))
-
-
-def _run_task_payload_traced(
-    payload: bytes, index: int, crash: bool = False
-) -> Tuple[object, Dict[str, object]]:
-    """Traced pool-side entry over the pre-validated pickled task."""
-    if crash:
-        os._exit(1)
-    return _run_task_traced(pickle.loads(payload), index)
+    return _run_unit(pickle.loads(payload), index)
 
 
 def _task_key(index: int) -> str:
@@ -354,6 +331,21 @@ def _restore_journaled(
     return pending
 
 
+def _complete(
+    task: BatchTask,
+    index: int,
+    result: object,
+    seconds: float,
+    journal: Optional[RunJournal],
+    cache_key: Optional[str],
+) -> None:
+    """Report, journal and publish one task computed in this run."""
+    monitor.unit_complete("task", label=task.label, seconds=seconds)
+    if journal is not None:
+        journal.record(_task_key(index), result, label=task.label)
+    _store_artifact(cache_key, result)
+
+
 def _run_serial(
     tasks: Sequence[BatchTask],
     statuses: List[TaskStatus],
@@ -366,24 +358,14 @@ def _run_serial(
         tasks, statuses, results, pending, journal
     )
     for i in pending:
-        task = tasks[i]
         if journal is not None:
             journal.check_interrupt("batch.task")
         if budget is not None:
             budget.check("batch.task", index=i)
         statuses[i].attempts += 1
-        instrumented = metrics.enabled() or monitor.active()
-        t0 = time.perf_counter() if instrumented else 0.0
-        with telemetry.span("batch.task", index=i, label=task.label):
-            results[i] = run_task(task)
-        if instrumented:
-            seconds = time.perf_counter() - t0
-            metrics.observe("batch.task.seconds", seconds)
-            monitor.unit_complete("task", label=task.label, seconds=seconds)
+        results[i], seconds = _run_unit(tasks[i], i)
         statuses[i].status = "serial"
-        if journal is not None:
-            journal.record(_task_key(i), results[i], label=task.label)
-        _store_artifact(cache_keys[i], results[i])
+        _complete(tasks[i], i, results[i], seconds, journal, cache_keys[i])
     return results
 
 
@@ -401,9 +383,9 @@ _BATCH_SITES = runtime_pool.DispatchSites(
 
 class _BatchDispatch:
     """Batch's unit semantics for :func:`repro.runtime.pool.run_dispatch`:
-    how to submit a task, harvest its result, record a failure, and
-    recover in-process.  The engine owns pool lifecycle, retry rounds,
-    journal drain and budget checkpoints."""
+    which worker call runs a task, how to harvest its result, record a
+    failure, and recover in-process.  The engine owns pool lifecycle,
+    retry rounds, journal drain and budget checkpoints."""
 
     transport_exceptions = (pickle.PicklingError,)
 
@@ -424,7 +406,6 @@ class _BatchDispatch:
         self.cache_keys = cache_keys
         self.journal = journal
         self.jobs = jobs
-        self.tracer = telemetry.current()
 
     def begin_attempt(self, i: int) -> None:
         self.statuses[i].attempts += 1
@@ -432,36 +413,21 @@ class _BatchDispatch:
     def has_result(self, i: int) -> bool:
         return self.results[i] is not None
 
-    def submit(self, pool, lease, i: int, crash: bool, resend: bool):
+    def job(self, lease, i: int, resend: bool):
         # Tasks are unique values, so there is no resident state to
         # fingerprint: the pre-validated payload bytes ship every time.
-        if self.tracer is not None:
-            return pool.submit(
-                _run_task_payload_traced, self.payloads[i], i, crash
-            )
-        return pool.submit(_run_task_payload, self.payloads[i], crash)
+        return _run_task_payload, (self.payloads[i], i)
 
-    def accept(self, i: int, outcome, submit_time: Optional[float]) -> None:
+    def accept(self, i: int, outcome) -> None:
         """Accept one completed task result (and journal it durably)."""
-        seconds = None
-        if self.tracer is not None:
-            self.results[i], payload = outcome
-            self.tracer.absorb(payload, t_offset=submit_time)
-            if submit_time is not None:
-                seconds = self.tracer.now() - submit_time
-        else:
-            self.results[i] = outcome
+        self.results[i], seconds = outcome
         self.statuses[i].status = (
             "ok" if self.statuses[i].attempts == 1 else "resubmitted"
         )
-        monitor.unit_complete(
-            "task", label=self.tasks[i].label, seconds=seconds
+        _complete(
+            self.tasks[i], i, self.results[i], seconds,
+            self.journal, self.cache_keys[i],
         )
-        if self.journal is not None:
-            self.journal.record(
-                _task_key(i), self.results[i], label=self.tasks[i].label
-            )
-        _store_artifact(self.cache_keys[i], self.results[i])
 
     def note_timeout(self, i: int, timeout: Optional[float]) -> None:
         self.statuses[i].error = f"task timed out after {timeout:g} s"
@@ -485,38 +451,18 @@ class _BatchDispatch:
         )
 
     def fallback(self, i: int) -> None:
-        """In-process recovery; task exceptions propagate here too —
-        parity with the serial path."""
-        if self.tracer is not None:
-            # Recover with the *traced* worker entry so the task reports
-            # the same ``batch.task`` span and counters a pool worker
-            # would have shipped home.  ``merge_metrics=False``: the
-            # in-process hooks already fed the shared registry live.
-            t0 = self.tracer.now()
-            with telemetry.span(
-                "batch.task_fallback", index=i, label=self.tasks[i].label
-            ):
-                self.results[i], payload = _run_task_traced(
-                    self.tasks[i], i
-                )
-                self.tracer.absorb(payload, t_offset=t0, merge_metrics=False)
-            monitor.unit_complete(
-                "task", label=self.tasks[i].label,
-                seconds=self.tracer.now() - t0,
-            )
-        else:
-            with telemetry.span(
-                "batch.task_fallback", index=i, label=self.tasks[i].label
-            ):
-                self.results[i] = run_task(self.tasks[i])
-            monitor.unit_complete("task", label=self.tasks[i].label)
+        """In-process recovery, under this process's own tracer; task
+        exceptions propagate here too — parity with the serial path."""
+        with telemetry.span(
+            "batch.task_fallback", index=i, label=self.tasks[i].label
+        ):
+            self.results[i], seconds = _run_unit(self.tasks[i], i)
         telemetry.count("batch.in_process")
         self.statuses[i].status = "in-process"
-        if self.journal is not None:
-            self.journal.record(
-                _task_key(i), self.results[i], label=self.tasks[i].label
-            )
-        _store_artifact(self.cache_keys[i], self.results[i])
+        _complete(
+            self.tasks[i], i, self.results[i], seconds,
+            self.journal, self.cache_keys[i],
+        )
 
 
 def _run_pooled(

@@ -265,7 +265,8 @@ class LayoutOrientedSynthesizer:
         With a tracer active (:mod:`repro.telemetry`), the loop records a
         ``synthesis.run`` span with one ``synthesis.round`` child per
         round, and the returned outcome carries the
-        :class:`~repro.telemetry.replay.TraceSummary` in ``.trace``.
+        :class:`~repro.telemetry.replay.TraceSummary` of this run's
+        records in ``.trace``.
 
         ``journal`` makes the loop crash-safe: every completed round is
         appended durably together with a snapshot of the warm-start
@@ -282,6 +283,8 @@ class LayoutOrientedSynthesizer:
             )
         from repro.analysis import warmstart
 
+        tracer = telemetry.current()
+        first_record = len(tracer.records) if tracer is not None else 0
         with telemetry.span(
             "synthesis.run",
             topology=self.plan.topology,
@@ -294,9 +297,10 @@ class LayoutOrientedSynthesizer:
             # this run, keeping runs independent and batch fingerprints
             # serial/parallel-identical.
             outcome = self._run(specs, mode, generate, budget, journal)
-        tracer = telemetry.current()
         if tracer is not None:
-            outcome.trace = tracer.summary()
+            # This run's records only: a tracer spanning several runs
+            # (table1, a batch) must not fold earlier runs in.
+            outcome.trace = telemetry.summarize(tracer.records[first_record:])
         return outcome
 
     def _run(

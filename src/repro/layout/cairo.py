@@ -40,6 +40,9 @@ class _ModuleDecl:
     name: str
     builder: object
     requested_widths: Dict[str, float] = field(default_factory=dict)
+    drain_internal: Dict[str, bool] = field(default_factory=dict)
+    """Declared drain style per device (devices absent here report the
+    default drain-internal style)."""
 
 
 class CairoProgram:
@@ -90,7 +93,8 @@ class CairoProgram:
             )
 
         self._declare(_ModuleDecl(name=name, builder=build,
-                                  requested_widths={name: w}))
+                                  requested_widths={name: w},
+                                  drain_internal={name: drain_internal}))
 
     def pair(
         self,
@@ -343,8 +347,14 @@ class CairoProgram:
             for declaration in self._modules.values()
             for device, width in declaration.requested_widths.items()
         }
+        drain_internal = {
+            device: flag
+            for declaration in self._modules.values()
+            for device, flag in declaration.drain_internal.items()
+        }
         report = module_report(
-            self.technology, point, placements, routing, requested
+            self.technology, point, placements, routing, requested,
+            drain_internal,
         )
         return top, placements, report
 

@@ -451,7 +451,11 @@ def _place_and_route(
     report = module_report(
         tech, point, placements, routing,
         {device: width for device, (width, _l) in request.sizes.items()},
-        drain_internal=request.prefer_even_folds,
+        {
+            device: request.prefer_even_folds
+            for module in placements.values()
+            for device in module.layout.device_geometry
+        },
     )
 
     return OtaLayoutResult(

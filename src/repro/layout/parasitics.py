@@ -122,7 +122,7 @@ def module_report(
     placements: Mapping[str, "PlacedModule"],
     routing: "RoutingResult",
     requested_widths: Mapping[str, float],
-    drain_internal: bool = True,
+    drain_internal: Mapping[str, bool],
 ) -> ParasiticReport:
     """The parasitic report of a placed and routed assembly.
 
@@ -134,7 +134,8 @@ def module_report(
     then calculated": channel tracks, stubs and side columns plus
     track-to-track coupling.  ``requested_widths`` maps device names to
     the widths the sizing asked for (a missing device reports its drawn
-    width).
+    width); ``drain_internal`` maps device names to their declared drain
+    style (a missing device reports drain-internal).
     """
     report = ParasiticReport(width=point.width, height=point.height)
     for module in placements.values():
@@ -147,7 +148,7 @@ def module_report(
                 actual_width=actual,
                 requested_width=requested_widths.get(device, actual),
                 geometry=geometry,
-                drain_internal=drain_internal,
+                drain_internal=drain_internal.get(device, True),
             )
     for module in placements.values():
         wiring = extract_wiring(module.layout.cell, tech)

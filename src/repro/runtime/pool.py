@@ -25,6 +25,12 @@ worker.  This module hoists all of that into one place:
   :class:`~repro.errors.RunInterrupted` propagates, and budget checks
   run at round and fallback boundaries.
 
+  Every unit crosses through one worker-side wrapper (the crash-fault
+  hook, plus a worker tracer only when the parent traces); the engine
+  grafts the worker's trace payload under the parent's span, so clients
+  never see tracing, and a unit recovered in-process runs under the
+  parent's own tracer.
+
 - :func:`resident_object` is the worker-side content-keyed cache:
   instead of re-shipping and recompiling a testbench per shard, tasks
   carry a content hash plus an optional payload.  A worker that already
@@ -37,10 +43,12 @@ worker.  This module hoists all of that into one place:
 from __future__ import annotations
 
 import atexit
+import os
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.resilience import faults
@@ -95,6 +103,34 @@ class PoolLease:
 _STATE: Optional[PoolLease] = None
 _GENERATION = 0
 
+#: Seconds between a worker's checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _init_worker() -> None:
+    """Pool worker initializer: the parent owns shutdown and lifetime.
+
+    Workers ignore SIGINT (:func:`~repro.resilience.journal.ignore_sigint`)
+    and exit once their parent is gone.  A parent killed outright (the
+    ``process.kill`` fault, SIGKILL, OOM) never shuts its pool down, and
+    its workers would otherwise wait on the call queue forever.  A daemon
+    thread compares ``os.getppid()`` with the parent recorded at
+    start-up: re-parenting means the parent process died.
+    (``PR_SET_PDEATHSIG`` fires when the parent *thread* that forked the
+    worker exits, which for an executor is not the parent's lifetime.)
+    """
+    ignore_sigint()
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
+
 
 def acquire(max_workers: int) -> PoolLease:
     """Lease an executor with at least ``max_workers`` workers.
@@ -103,7 +139,8 @@ def acquire(max_workers: int) -> PoolLease:
     otherwise (first call, after :func:`shutdown` or a discard, or pool
     too small) creates one.  Workers always ignore SIGINT so Ctrl-C —
     delivered to the whole process group — leaves the pool intact for
-    the parent's journal drain.
+    the parent's journal drain, and exit on their own when the parent
+    dies (:func:`_init_worker`).
     """
     global _STATE, _GENERATION
     from concurrent.futures import ProcessPoolExecutor
@@ -121,7 +158,7 @@ def acquire(max_workers: int) -> PoolLease:
         state.executor.shutdown(wait=True, cancel_futures=True)
     _GENERATION += 1
     executor = ProcessPoolExecutor(
-        max_workers=max_workers, initializer=ignore_sigint
+        max_workers=max_workers, initializer=_init_worker
     )
     _STATE = PoolLease(executor, max_workers, _GENERATION)
     telemetry.count("runtime.pool.create")
@@ -225,6 +262,28 @@ def clear_resident() -> None:
 # The shared dispatch engine
 
 
+def _run_in_worker(
+    fn: Callable[..., Any], args: Tuple[Any, ...], traced: bool, crash: bool
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """Pool-side wrapper of every unit: ``(outcome, trace payload)``.
+
+    ``crash`` is the fault-injection hook: the parent's fault registry
+    decided this unit's worker should die, and it obliges with an
+    unclean exit so the recovery path sees a genuine broken pool.
+    ``fn`` is the same per-unit entry the parent runs in-process; only
+    when the parent traces does it run under a worker tracer
+    (:func:`~repro.telemetry.core.traced_worker`), whose payload the
+    parent grafts under its current span.
+    """
+    if crash:
+        os._exit(1)
+    if not traced:
+        return fn(*args), None
+    with telemetry.traced_worker() as tracer:
+        outcome = fn(*args)
+    return outcome, tracer.trace_payload()
+
+
 @dataclass(frozen=True)
 class DispatchSites:
     """Per-caller names for the dispatch engine's instrumentation and
@@ -263,8 +322,8 @@ def run_dispatch(
     The client owns unit semantics; the engine owns the lifecycle.  A
     client provides::
 
-        submit(executor, lease, i, crash, resend) -> Future
-        accept(i, outcome, submit_time)   # harvest one result
+        job(lease, i, resend) -> (fn, args)  # picklable worker call
+        accept(i, outcome)                # harvest one result
         has_result(i) -> bool             # for the journal drain
         begin_attempt(i)                  # attempts ledger
         note_timeout(i, timeout)          # status + telemetry
@@ -277,14 +336,27 @@ def run_dispatch(
     up to ``max_retries`` times and then handed to ``fallback``.  A
     worker answering :class:`CacheMiss` gets its unit resubmitted with
     the payload forced — on the same attempt, without consuming a retry
-    round, because a cold cache is not a failure.  Whole-dispatch wall
-    time lands in the ``runtime.dispatch.seconds`` histogram.
+    round, because a cold cache is not a failure.  With a tracer
+    active, each worker's trace payload is grafted under the current
+    span at the unit's submit time before ``accept`` sees the outcome.
+    Whole-dispatch wall time lands in the ``runtime.dispatch.seconds``
+    histogram.
     """
     from concurrent.futures import BrokenExecutor
     from concurrent.futures import TimeoutError as FuturesTimeoutError
     from concurrent.futures import wait
 
     tracer = telemetry.current()
+    traced = tracer is not None
+    submit_times: Dict[int, float] = {}
+
+    def harvest(i: int, result: Tuple[Any, Any]) -> Any:
+        """Graft the unit's worker trace; return its outcome."""
+        outcome, trace = result
+        if trace is not None and not isinstance(outcome, CacheMiss):
+            tracer.absorb(trace, t_offset=submit_times[i])
+        return outcome
+
     t_start = time.perf_counter()
     rounds_used = 0
     resend: Set[int] = set()
@@ -302,7 +374,6 @@ def run_dispatch(
             had_timeout = False
             had_death = False
             futures: Dict[int, Any] = {}
-            submit_times: Dict[int, float] = {}
             try:
                 broken_at_submit = False
                 for i in pending:
@@ -318,11 +389,12 @@ def run_dispatch(
                     )
                     if i not in resend:
                         client.begin_attempt(i)
-                    if tracer is not None:
+                    if traced:
                         submit_times[i] = tracer.now()
                     try:
-                        futures[i] = client.submit(
-                            pool, lease, i, crash, i in resend
+                        fn, args = client.job(lease, i, i in resend)
+                        futures[i] = pool.submit(
+                            _run_in_worker, fn, args, traced, crash
                         )
                     except (BrokenExecutor, OSError) as error:
                         # Only a *warm* pool can break while we are
@@ -353,21 +425,21 @@ def run_dispatch(
                                 and not done.cancelled()
                                 and done.exception() is None
                             ):
-                                outcome = done.result()
+                                outcome = harvest(j, done.result())
                                 if not isinstance(outcome, CacheMiss):
-                                    client.accept(
-                                        j, outcome, submit_times.get(j)
-                                    )
+                                    client.accept(j, outcome)
                         journal.check_interrupt(sites.drain_site)
                     try:
-                        outcome = future.result(timeout=unit_timeout)
+                        outcome = harvest(
+                            i, future.result(timeout=unit_timeout)
+                        )
                         if isinstance(outcome, CacheMiss):
                             lease.unship(outcome.key)
                             telemetry.count("runtime.resident.resend")
                             next_resend.add(i)
                             retry.append(i)
                             continue
-                        client.accept(i, outcome, submit_times.get(i))
+                        client.accept(i, outcome)
                     except client.transport_exceptions as error:
                         # A result that cannot cross back can never
                         # succeed on a retry: fail fast with context.

@@ -1,10 +1,13 @@
 """Dependency-free synthesis telemetry.
 
 The observability substrate of the stack (DESIGN.md §8): a thread-local
-:class:`Tracer` with hierarchical spans, typed events and monotonic
-counters/gauges, a JSONL trace container, and a replay pass that folds a
-trace into a per-phase timing/counter tree
-(:class:`~repro.telemetry.replay.TraceSummary`).
+:class:`Tracer` whose records (hierarchical spans, typed events,
+counters and gauges) are the only per-run store, a JSONL trace
+container, a replay pass that folds a trace into a per-phase
+timing/counter tree and per-name profile rows in one walk
+(:class:`~repro.telemetry.replay.TraceSummary`), and the process-wide
+:mod:`~repro.telemetry.metrics` registry (the only per-process
+aggregate, armed by ``--monitor``/``--metrics``).
 
 Instrumentation sites use the module-level helpers, which no-op at the
 cost of one global integer test when no tracer is active::

@@ -14,11 +14,15 @@ placement loops) call :func:`enabled` first and pay near-zero when no
 tracer is armed anywhere in the process.  ``tests/test_telemetry.py``
 guards this with an overhead benchmark.
 
-Process-pool workers (Monte-Carlo shards) cannot share the parent's
-tracer; they run their own, then ship its picklable payload back
+The records are the only per-run store: a run's counter and gauge
+totals are derived from them (:meth:`Tracer.summary`).  Process-pool
+workers (batch tasks, Monte-Carlo shards) cannot share the parent's
+tracer; they run their own under :func:`traced_worker`, then ship its
+picklable ``{"records", "metrics"}`` payload back
 (:meth:`Tracer.trace_payload`) for the parent to graft under the current
-span with :meth:`Tracer.absorb` — ids are remapped and worker-relative
-timestamps shifted to the parent timeline.
+span with :meth:`Tracer.absorb` — ids are remapped, worker-relative
+timestamps shifted to the parent timeline, and the worker's metrics
+delta merged into the process registry.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class _Span:
         self._id = tracer._allocate_id()
         self._parent = tracer._stack[-1] if tracer._stack else None
         tracer._stack.append(self._id)
-        self._t0 = tracer._now()
+        self._t0 = tracer.now()
         return self
 
     def annotate(self, **attrs: Any) -> None:
@@ -97,7 +101,7 @@ class _Span:
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
         tracer = self._tracer
-        duration = tracer._now() - self._t0
+        duration = tracer.now() - self._t0
         tracer._stack.pop()
         tracer.records.append(
             {
@@ -116,7 +120,7 @@ class _Span:
 
 
 class Tracer:
-    """Collects one run's spans, events, counters and gauges.
+    """Collects one run's spans, events, counters and gauges as records.
 
     ``clock`` is injectable for deterministic tests; timestamps are
     seconds relative to the tracer's construction.
@@ -124,24 +128,19 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.records: List[Dict[str, Any]] = []
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self._clock = clock
         self._origin = clock()
         self._stack: List[int] = []
         self._next_id = 0
-        #: Metrics delta captured by :func:`traced_worker`, shipped home
-        #: inside :meth:`trace_payload` when present.
+        #: Metrics delta captured by :func:`traced_worker`, the payload's
+        #: ``metrics``.
         self._metrics_delta: Optional[Dict[str, Any]] = None
 
     # -- Internals ---------------------------------------------------------
 
-    def _now(self) -> float:
-        return self._clock() - self._origin
-
     def now(self) -> float:
         """Current tracer-relative timestamp (the unit of all records)."""
-        return self._now()
+        return self._clock() - self._origin
 
     def _allocate_id(self) -> int:
         span_id = self._next_id
@@ -163,7 +162,7 @@ class Tracer:
             {
                 "type": "event",
                 "name": name,
-                "t": self._now(),
+                "t": self.now(),
                 "parent": self._parent_id(),
                 "attrs": attrs,
             }
@@ -181,13 +180,12 @@ class Tracer:
         """
         if _metrics._enabled:
             _metrics._REGISTRY.inc(name, n)
-        self.counters[name] = self.counters.get(name, 0.0) + n
         self.records.append(
             {
                 "type": "count",
                 "name": name,
                 "n": n,
-                "t": self._now(),
+                "t": self.now(),
                 "parent": self._parent_id(),
             }
         )
@@ -197,13 +195,12 @@ class Tracer:
         value = float(value)
         if _metrics._enabled:
             _metrics._REGISTRY.set_gauge(name, value)
-        self.gauges[name] = value
         self.records.append(
             {
                 "type": "gauge",
                 "name": name,
                 "value": value,
-                "t": self._now(),
+                "t": self.now(),
                 "parent": self._parent_id(),
             }
         )
@@ -226,52 +223,25 @@ class Tracer:
     # -- Cross-process protocol -------------------------------------------
 
     def trace_payload(self) -> Dict[str, Any]:
-        """Picklable snapshot for shipping across a process boundary."""
-        payload: Dict[str, Any] = {
-            "records": self.records,
-            "counters": self.counters,
-            "gauges": self.gauges,
-        }
-        if self._metrics_delta is not None:
-            payload["metrics"] = self._metrics_delta
-        return payload
+        """Picklable ``{"records", "metrics"}`` snapshot for shipping
+        across a process boundary (``metrics`` is the
+        :func:`traced_worker` registry delta, ``None`` outside one)."""
+        return {"records": self.records, "metrics": self._metrics_delta}
 
-    def absorb(
-        self,
-        payload: Dict[str, Any],
-        t_offset: float = 0.0,
-        parent: Optional[int] = None,
-        merge_metrics: bool = True,
-    ) -> None:
-        """Graft another tracer's payload under the current span.
+    def absorb(self, payload: Dict[str, Any], t_offset: float = 0.0) -> None:
+        """Graft a worker tracer's payload under the current span.
 
-        Record ids are remapped past this tracer's id space, orphan
-        records are re-parented to ``parent`` (default: the current
-        span), and timestamps are shifted by ``t_offset`` seconds so the
-        child's records sit on this tracer's timeline.  Counter totals
-        and gauges merge into this tracer's aggregates.
-
-        While the metrics registry is armed, the payload's aggregates
-        also merge into it: a payload carrying a ``metrics`` key (a
-        worker-side :meth:`~repro.telemetry.metrics.MetricsRegistry.delta_since`)
-        merges histograms and all, an older payload without one falls
-        back to folding its counter totals in.  Pass
-        ``merge_metrics=False`` when the payload was produced *in this
-        process* (the shard-recovery in-process fallback): its hooks
-        already fed the registry live, so merging again would double
-        every aggregate.
+        Record ids are remapped past this tracer's id space, the
+        payload's root records are re-parented to the current span, and
+        timestamps are shifted by ``t_offset`` seconds so the worker's
+        records sit on this tracer's timeline.  While the metrics
+        registry is armed, the payload's metrics delta (histograms and
+        all) merges into it.
         """
-        if merge_metrics and _metrics._enabled:
-            worker_metrics = payload.get("metrics")
-            if worker_metrics is not None:
-                _metrics._REGISTRY.merge(worker_metrics)
-            else:
-                _metrics._REGISTRY.absorb_counters(
-                    payload.get("counters", {})
-                )
+        if _metrics._enabled:
+            _metrics._REGISTRY.merge(payload["metrics"])
         base = self._next_id
-        if parent is None:
-            parent = self._parent_id()
+        parent = self._parent_id()
         max_id = -1
         for record in payload["records"]:
             record = dict(record)
@@ -289,10 +259,6 @@ class Tracer:
                 record["t"] += t_offset
             self.records.append(record)
         self._next_id = base + max_id + 1
-        for name, total in payload.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0.0) + total
-        for name, value in payload.get("gauges", {}).items():
-            self.gauges[name] = value
 
     # -- Export ------------------------------------------------------------
 
@@ -310,7 +276,8 @@ class Tracer:
 
     def summary(self):
         """The :class:`~repro.telemetry.replay.TraceSummary` of this
-        tracer's records so far."""
+        tracer's records so far: the run's span tree and its counter and
+        gauge totals."""
         from repro.telemetry.replay import summarize
 
         return summarize(self.records)
@@ -355,27 +322,23 @@ def trace_run(name: str = "run", **attrs: Any) -> Iterator[Tracer]:
 
 
 @contextmanager
-def traced_worker(name: str, **attrs: Any) -> Iterator[Tracer]:
+def traced_worker() -> Iterator[Tracer]:
     """Pool-worker scope: a fresh tracer plus scoped metrics collection.
 
-    Activates a new :class:`Tracer` with ``name`` as its root span and
-    arms the metrics registry for the block; on exit the registry delta
-    observed during the block is attached to the tracer, so
-    :meth:`Tracer.trace_payload` ships spans, counters *and* histogram
-    aggregates home in one picklable payload.  The delta (not the whole
-    registry) is what crosses: a pool worker reused across units never
-    re-ships work it already reported.
-
-    Also the recovery path's collection scope: running the same function
-    *in-process* (dead-worker fallback) produces an identical payload,
-    which the parent grafts with ``merge_metrics=False`` because the
-    in-process hooks already fed the shared registry live.
+    Activates a new :class:`Tracer` and arms the metrics registry for
+    the block; on exit the registry delta observed during the block is
+    attached to the tracer, so :meth:`Tracer.trace_payload` ships spans,
+    counters *and* histogram aggregates home in one picklable payload.
+    The delta (not the whole registry) is what crosses: a pool worker
+    reused across units never re-ships work it already reported.  The
+    unit run inside opens its own span, exactly as it does when it runs
+    in the parent process.
     """
     tracer = Tracer()
     base = _metrics._REGISTRY.snapshot()
     _metrics.enable()
     try:
-        with tracer.activate(), tracer.span(name, **attrs):
+        with tracer.activate():
             yield tracer
     finally:
         _metrics.disable()

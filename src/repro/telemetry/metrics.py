@@ -14,22 +14,21 @@ module-global int comparison — before touching a clock.  The registry is
 **process-wide** (not thread-local): aggregates are what a monitor
 scrapes, so every thread folds into the same totals under a lock.
 
-Population has three feeds:
+Population has two feeds:
 
-* **tracer counters** — an active :class:`~repro.telemetry.core.Tracer`
-  mirrors every ``count()``/``gauge()`` into the registry while metrics
-  are enabled, so the whole existing counter vocabulary
-  (``solver.solves``, ``layout.calls.estimate``, ...) shows up in
-  ``/metrics`` without touching those sites;
-* **histogram hooks** — the solver/layout/shard hot sites call
-  :func:`observe` directly (latency and iteration distributions have no
-  tracer-counter equivalent);
-* **cross-process merge** — pool workers ship a :meth:`snapshot` /
-  :meth:`MetricsRegistry.delta_since` payload home inside the existing
-  traced-worker payload, and :meth:`Tracer.absorb
-  <repro.telemetry.core.Tracer.absorb>` merges it here — including
-  payloads from dead-shard resubmissions and the in-process recovery
-  fallback, so aggregate totals match a clean serial run.
+* **live hooks** — an active :class:`~repro.telemetry.core.Tracer`
+  forwards every ``count()``/``gauge()`` to the registry while metrics
+  are enabled, so the whole counter vocabulary (``solver.solves``,
+  ``layout.calls.estimate``, ...) shows up in ``/metrics`` without a
+  second hook at each site; the solver/layout/shard hot sites call
+  :func:`observe` directly for latency and iteration distributions;
+* **cross-process merge** — a pool worker runs its unit under
+  :func:`~repro.telemetry.core.traced_worker`, which ships the
+  :meth:`MetricsRegistry.delta_since` of the unit inside the trace
+  payload, and :meth:`Tracer.absorb
+  <repro.telemetry.core.Tracer.absorb>` merges it here.  A unit
+  recovered in-process runs under the parent's own tracer and feeds the
+  registry live, so aggregate totals match a clean serial run.
 
 Exposition is Prometheus text format 0.0.4 (:func:`to_prometheus`),
 served by :mod:`repro.telemetry.monitor` at ``/metrics``.
@@ -121,23 +120,6 @@ class Histogram:
             total += n
             out.append(total)
         return out
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile by linear interpolation inside the
-        owning bucket (the standard Prometheus ``histogram_quantile``
-        estimate; exact only up to bucket resolution)."""
-        if self.count == 0:
-            return float("nan")
-        rank = q * self.count
-        total = 0
-        lower = 0.0
-        for bound, n in zip(self.bounds, self.counts):
-            if total + n >= rank and n > 0:
-                fraction = (rank - total) / n
-                return lower + (bound - lower) * fraction
-            total += n
-            lower = bound
-        return self.bounds[-1]
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -292,13 +274,6 @@ class MetricsRegistry:
                     self._histograms[name] = histogram
                 histogram.merge_payload(data)
 
-    def absorb_counters(self, counters: Dict[str, float]) -> None:
-        """Fold a plain tracer counter mapping in (the compatibility feed
-        for worker payloads predating the ``metrics`` key)."""
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
@@ -399,16 +374,6 @@ def collecting(fresh: bool = False) -> Iterator[MetricsRegistry]:
         yield _REGISTRY
     finally:
         disable()
-
-
-def inc(name: str, n: float = 1.0) -> None:
-    if _enabled:
-        _REGISTRY.inc(name, n)
-
-
-def set_gauge(name: str, value: float) -> None:
-    if _enabled:
-        _REGISTRY.set_gauge(name, value)
 
 
 def observe(

@@ -1,12 +1,14 @@
 """Trace-driven profiler: self-time attribution over recorded span trees.
 
 :mod:`repro.telemetry.replay` answers "what happened" (the span tree);
-this module answers "where did the time go".  :func:`profile_records`
-folds a trace into per-name aggregate rows — call count, total
-(inclusive) seconds, **self** (exclusive) seconds, and p50/p95 of the
-per-call durations — and :func:`collapsed_stacks` emits the
-``stack;path count`` lines standard flamegraph tooling consumes
-(Brendan Gregg's ``flamegraph.pl``, speedscope, inferno).
+this module answers "where did the time go".  The per-name rows — call
+count, total (inclusive) seconds, **self** (exclusive) seconds, and
+p50/p95 of the per-call durations — are built by the same single pass
+that rebuilds the tree (:attr:`TraceSummary.profile
+<repro.telemetry.replay.TraceSummary.profile>`); this module renders
+them (:func:`format_profile_table`) and emits the ``stack;path count``
+lines standard flamegraph tooling consumes (:func:`collapsed_stacks`:
+Brendan Gregg's ``flamegraph.pl``, speedscope, inferno).
 
 Self-time is defined the usual way: a span's duration minus the summed
 durations of its *direct* children.  Attribution is exact on a serial
@@ -23,86 +25,9 @@ CLI: ``python -m repro profile TRACE [--top N] [--collapsed FILE]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.replay import SpanNode, summarize
-
-
-@dataclass
-class SpanProfile:
-    """Aggregate profile row for one span name."""
-
-    name: str
-    count: int
-    total_s: float
-    """Inclusive seconds summed over every occurrence."""
-    self_s: float
-    """Exclusive seconds: total minus time inside direct children."""
-    p50_s: float
-    p95_s: float
-    """Percentiles of the per-call *inclusive* durations."""
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_s": self.total_s,
-            "self_s": self.self_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-        }
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Linear-interpolation percentile of an already-sorted sample list."""
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = q * (len(ordered) - 1)
-    lo = int(position)
-    hi = min(lo + 1, len(ordered) - 1)
-    fraction = position - lo
-    return ordered[lo] * (1.0 - fraction) + ordered[hi] * fraction
-
-
-def node_self_seconds(node: SpanNode) -> float:
-    """Exclusive time of one span: duration minus direct children."""
-    return node.dur - sum(child.dur for child in node.children)
-
-
-def profile_spans(roots: List[SpanNode]) -> List[SpanProfile]:
-    """Per-name profile rows over the given span trees, ranked by
-    self-time (descending) with total time as the tiebreaker."""
-    durations: Dict[str, List[float]] = {}
-    self_times: Dict[str, float] = {}
-    for root in roots:
-        for node in root.walk():
-            durations.setdefault(node.name, []).append(node.dur)
-            self_times[node.name] = (
-                self_times.get(node.name, 0.0) + node_self_seconds(node)
-            )
-    rows = []
-    for name, samples in durations.items():
-        ordered = sorted(samples)
-        rows.append(
-            SpanProfile(
-                name=name,
-                count=len(samples),
-                total_s=sum(samples),
-                self_s=self_times[name],
-                p50_s=_percentile(ordered, 0.50),
-                p95_s=_percentile(ordered, 0.95),
-            )
-        )
-    rows.sort(key=lambda row: (-row.self_s, -row.total_s, row.name))
-    return rows
-
-
-def profile_records(records: List[Dict[str, Any]]) -> List[SpanProfile]:
-    """Profile a flat record list (live tracer or ``read_jsonl`` output)."""
-    return profile_spans(summarize(records).roots)
+from repro.telemetry.replay import SpanNode, SpanProfile
 
 
 def collapsed_stacks(
@@ -120,7 +45,7 @@ def collapsed_stacks(
 
     def walk(node: SpanNode, prefix: str) -> None:
         path = f"{prefix};{node.name}" if prefix else node.name
-        stacks[path] = stacks.get(path, 0.0) + node_self_seconds(node)
+        stacks[path] = stacks.get(path, 0.0) + node.self_s
         for child in node.children:
             walk(child, path)
 

@@ -2,18 +2,21 @@
 
 :func:`summarize` turns a flat record list (live from a
 :class:`~repro.telemetry.core.Tracer` or read back from JSONL) into a
-:class:`TraceSummary`: the span tree with per-subtree counter
-aggregates, global counter/gauge totals, and per-name span statistics.
-``TraceSummary.format_tree`` renders the human-readable per-phase
-timing/counter tree the ``python -m repro trace`` subcommand prints;
-``TraceSummary.to_json`` is the machine-readable form.
+:class:`TraceSummary`: the span tree, global counter/gauge totals, and
+per-name profile rows.  After linking the records into a tree it makes
+one post-order pass: every node gets its subtree counter totals
+(:attr:`SpanNode.totals`) and its self time (:attr:`SpanNode.self_s`),
+and the per-name :class:`SpanProfile` rows (calls, total, self, p50,
+p95) are built.  ``TraceSummary.format_tree`` (the ``python -m repro
+trace`` text), ``TraceSummary.to_json`` and the profiler's table and
+collapsed stacks (:mod:`repro.telemetry.profile`) only read those values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 #: Schema tag of the machine-readable summary (``repro trace --json``).
 SUMMARY_SCHEMA = "repro-trace-summary-v1"
@@ -34,14 +37,12 @@ class SpanNode:
     counts: Dict[str, float] = field(default_factory=dict)
     """Counter increments recorded directly under this span."""
     events: List[Dict[str, Any]] = field(default_factory=list)
-
-    def subtree_counts(self) -> Dict[str, float]:
-        """Counter totals over this span and all its descendants."""
-        totals = dict(self.counts)
-        for child in self.children:
-            for name, value in child.subtree_counts().items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
+    totals: Dict[str, float] = field(default_factory=dict)
+    """Counter totals over this span and all its descendants."""
+    self_s: float = 0.0
+    """Exclusive seconds: duration minus the direct children's.  Not
+    clamped: under an absorbed process-pool subtree the children overlap
+    in wall time and a parent's self time can go negative."""
 
     def walk(self) -> Iterator["SpanNode"]:
         yield self
@@ -50,25 +51,44 @@ class SpanNode:
 
 
 @dataclass
+class SpanProfile:
+    """Aggregate profile row for one span name."""
+
+    name: str
+    count: int
+    total_s: float
+    """Inclusive seconds summed over every occurrence."""
+    self_s: float
+    """Exclusive seconds: total minus time inside direct children."""
+    p50_s: float
+    p95_s: float
+    """Percentiles of the per-call *inclusive* durations."""
+
+
+@dataclass
 class TraceSummary:
     """Aggregated view of one trace."""
 
     counters: Dict[str, float]
     gauges: Dict[str, float]
-    span_stats: Dict[str, Tuple[int, float]]
-    """Span name -> (occurrences, total seconds)."""
+    profile: List[SpanProfile]
+    """One row per span name, ranked by self time (descending), total
+    time breaking ties."""
     roots: List[SpanNode]
-    orphan_counts: Dict[str, float] = field(default_factory=dict)
-    """Counter increments recorded outside any span."""
 
     def counter(self, name: str, default: float = 0.0) -> float:
         return self.counters.get(name, default)
 
+    def _row(self, name: str) -> Optional[SpanProfile]:
+        return next((row for row in self.profile if row.name == name), None)
+
     def span_count(self, name: str) -> int:
-        return self.span_stats.get(name, (0, 0.0))[0]
+        row = self._row(name)
+        return row.count if row is not None else 0
 
     def span_seconds(self, name: str) -> float:
-        return self.span_stats.get(name, (0, 0.0))[1]
+        row = self._row(name)
+        return row.total_s if row is not None else 0.0
 
     def spans(self, name: str) -> List[SpanNode]:
         """Every span named ``name``, in tree order."""
@@ -120,7 +140,7 @@ class TraceSummary:
         if node.status != "ok":
             label += f"  [ERROR: {node.error}]"
         if counters_per_span:
-            totals = node.subtree_counts()
+            totals = node.totals
             if totals:
                 inner = ", ".join(
                     f"{name}={_format_number(totals[name])}"
@@ -151,7 +171,7 @@ class TraceSummary:
                 "status": node.status,
                 "error": node.error,
                 "attrs": node.attrs,
-                "counts": node.subtree_counts(),
+                "counts": node.totals,
                 "events": node.events,
                 "children": [node_json(child) for child in node.children],
             }
@@ -161,8 +181,8 @@ class TraceSummary:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "spans": {
-                name: {"count": count, "total_s": total}
-                for name, (count, total) in self.span_stats.items()
+                row.name: {"count": row.count, "total_s": row.total_s}
+                for row in self.profile
             },
             "tree": [node_json(root) for root in self.roots],
         }
@@ -177,33 +197,33 @@ def _format_number(value: float) -> str:
     return f"{value:g}"
 
 
+def _percentile(ordered: List[float], q: float) -> float:
+    """Linear-interpolation percentile of an already-sorted sample list."""
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    lo = int(position)
+    hi = min(lo + 1, len(ordered) - 1)
+    fraction = position - lo
+    return ordered[lo] * (1.0 - fraction) + ordered[hi] * fraction
+
+
 def summarize(records: List[Dict[str, Any]]) -> TraceSummary:
     """Rebuild the span tree and aggregates from a flat record list.
 
-    Tolerant of partial traces: counters/events whose parent span never
-    closed (crash mid-span) are kept as orphans rather than dropped.
+    Tolerant of partial traces: the children of a span that never
+    closed (crash mid-span) surface as roots, and counters recorded
+    under it still reach the global totals.
     """
     nodes: Dict[int, SpanNode] = {}
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
-    span_stats: Dict[str, Tuple[int, float]] = {}
     # parent id -> deferred children/counters/events (children close
     # before their parent exists as a node).
     pending_children: Dict[int, List[SpanNode]] = {}
     pending_counts: Dict[int, Dict[str, float]] = {}
     pending_events: Dict[int, List[Dict[str, Any]]] = {}
-    orphan_counts: Dict[str, float] = {}
     roots: List[SpanNode] = []
-
-    def attach_count(parent: Optional[int], name: str, n: float) -> None:
-        if parent is None:
-            orphan_counts[name] = orphan_counts.get(name, 0.0) + n
-            return
-        node = nodes.get(parent)
-        bucket = node.counts if node is not None else pending_counts.setdefault(
-            parent, {}
-        )
-        bucket[name] = bucket.get(name, 0.0) + n
 
     for record in records:
         kind = record.get("type")
@@ -218,8 +238,6 @@ def summarize(records: List[Dict[str, Any]]) -> TraceSummary:
                 attrs=record.get("attrs", {}) or {},
             )
             nodes[node.id] = node
-            count, total = span_stats.get(node.name, (0, 0.0))
-            span_stats[node.name] = (count + 1, total + node.dur)
             # Adopt anything recorded under this span before it closed.
             node.children.extend(pending_children.pop(node.id, []))
             node.counts.update(pending_counts.pop(node.id, {}))
@@ -235,7 +253,14 @@ def summarize(records: List[Dict[str, Any]]) -> TraceSummary:
             name = record["name"]
             n = record.get("n", 1)
             counters[name] = counters.get(name, 0.0) + n
-            attach_count(record.get("parent"), name, n)
+            parent = record.get("parent")
+            if parent is not None:
+                node = nodes.get(parent)
+                bucket = (
+                    node.counts if node is not None
+                    else pending_counts.setdefault(parent, {})
+                )
+                bucket[name] = bucket.get(name, 0.0) + n
         elif kind == "gauge":
             gauges[record["name"]] = record.get("value", 0.0)
         elif kind == "event":
@@ -256,25 +281,42 @@ def summarize(records: List[Dict[str, Any]]) -> TraceSummary:
     # Spans that never closed: surface their orphaned children as roots.
     for children in pending_children.values():
         roots.extend(children)
-    for bucket in pending_counts.values():
-        for name, n in bucket.items():
-            orphan_counts[name] = orphan_counts.get(name, 0.0) + n
-
-    # Children close before parents, so adopted child lists are in
-    # completion order; re-sort every sibling list by start time.
-    def sort_tree(node: SpanNode) -> None:
-        node.children.sort(key=lambda child: child.t0)
-        for child in node.children:
-            sort_tree(child)
-
     roots.sort(key=lambda node: node.t0)
-    for root in roots:
-        sort_tree(root)
 
+    durations: Dict[str, List[float]] = {}
+    self_times: Dict[str, float] = {}
+
+    def finish(node: SpanNode) -> None:
+        # Children close before parents, so adopted child lists are in
+        # completion order; visit them by start time.
+        node.children.sort(key=lambda child: child.t0)
+        totals = dict(node.counts)
+        for child in node.children:
+            finish(child)
+            for name, value in child.totals.items():
+                totals[name] = totals.get(name, 0.0) + value
+        node.totals = totals
+        node.self_s = node.dur - sum(child.dur for child in node.children)
+        durations.setdefault(node.name, []).append(node.dur)
+        self_times[node.name] = self_times.get(node.name, 0.0) + node.self_s
+
+    for root in roots:
+        finish(root)
+
+    profile = []
+    for name, samples in durations.items():
+        ordered = sorted(samples)
+        profile.append(
+            SpanProfile(
+                name=name,
+                count=len(samples),
+                total_s=sum(samples),
+                self_s=self_times[name],
+                p50_s=_percentile(ordered, 0.50),
+                p95_s=_percentile(ordered, 0.95),
+            )
+        )
+    profile.sort(key=lambda row: (-row.self_s, -row.total_s, row.name))
     return TraceSummary(
-        counters=counters,
-        gauges=gauges,
-        span_stats=span_stats,
-        roots=roots,
-        orphan_counts=orphan_counts,
+        counters=counters, gauges=gauges, profile=profile, roots=roots
     )

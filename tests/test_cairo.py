@@ -53,6 +53,17 @@ class TestParasiticMode:
         report = mirror_program.calculate_parasitics()
         assert report.net_capacitance["o2"] > 0
 
+    def test_device_reports_declared_drain_style(self, tech):
+        program = CairoProgram(tech)
+        program.device("ext", "n", 40 * UM, 1 * UM, ("d1", "g", "s", "0"),
+                       nf=4, drain_internal=False)
+        program.device("int", "n", 40 * UM, 1 * UM, ("d2", "g", "s", "0"),
+                       nf=4)
+        program.row("ext", "int")
+        report = program.calculate_parasitics()
+        assert report.devices["ext"].drain_internal is False
+        assert report.devices["int"].drain_internal is True
+
     def test_area_reported(self, mirror_program):
         report = mirror_program.calculate_parasitics()
         assert report.width > 10 * UM

@@ -152,7 +152,7 @@ class TestCommands:
         assert summary.counter("layout.calls.estimate") >= 3
         assert summary.counter("layout.calls.generate") == 1
         for round_span in summary.spans("synthesis.round"):
-            counts = round_span.subtree_counts()
+            counts = round_span.totals
             assert counts.get("solver.solves", 0) > 0
             assert counts.get("layout.calls.estimate", 0) == 1
 

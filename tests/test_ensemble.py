@@ -241,7 +241,7 @@ class TestMonteCarloParity:
                     ).solve(seed=seed)
                 )
             iterations.append(
-                tracer.counters["ensemble.newton_iterations"]
+                tracer.summary().counters["ensemble.newton_iterations"]
             )
         cold, seeded = solutions
         assert cold.converged.all() and seeded.converged.all()
@@ -409,7 +409,7 @@ class TestMemberMasking:
             for report in solution.reports.values()
         )
         assert len(set(assembled)) > 1
-        assert sum(assembled) == tracer.counters[
+        assert sum(assembled) == tracer.summary().counters[
             "ensemble.newton_iterations"
         ]
         assert sum(assembled) < len(assembled) * solution.members
@@ -490,8 +490,8 @@ class TestMemberMasking:
         np.testing.assert_allclose(
             solution.voltages, reference.voltages, rtol=RTOL, atol=1e-12
         )
-        assert tracer.counters["ensemble.singular_batches"] >= 1
-        assert tracer.counters["ensemble.singular_members"] == 1
+        assert tracer.summary().counters["ensemble.singular_batches"] >= 1
+        assert tracer.summary().counters["ensemble.singular_members"] == 1
 
 
 class TestEnsembleMeasurement:

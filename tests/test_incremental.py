@@ -110,8 +110,8 @@ class TestMemo:
         assert first == ("value", "computed")
         assert second == ("value", "memo")
         assert len(calls) == 1
-        assert tracer.counters["memo.sizing.miss"] == 1
-        assert tracer.counters["memo.sizing.hit"] == 1
+        assert tracer.summary().counters["memo.sizing.miss"] == 1
+        assert tracer.summary().counters["memo.sizing.hit"] == 1
         assert incremental.stats()["sizing"] == {
             "entries": 1, "hits": 1, "misses": 1, "evictions": 0,
         }
@@ -121,7 +121,7 @@ class TestMemo:
         with artifacts.using(None), trace_run("memo") as tracer:
             for i in range(capacity + 2):
                 incremental.memo("layout", lambda i=i: f"k{i}", lambda: 1)
-        assert tracer.counters["memo.layout.evict"] == 2
+        assert tracer.summary().counters["memo.layout.evict"] == 2
         assert incremental.stats()["layout"]["evictions"] == 2
         assert incremental.stats()["layout"]["entries"] == capacity
 
@@ -177,8 +177,8 @@ class TestLayoutDiskTier:
                 warm = generate_ota_layout(request, mode="generate")
                 estimate = generate_ota_layout(request, mode="estimate")
         assert _sources(tracer, "layout.call") == ["disk", "memo"]
-        assert tracer.counters["runtime.artifact.hit"] == 1
-        assert "runtime.artifact.miss" not in tracer.counters
+        assert tracer.summary().counters["runtime.artifact.hit"] == 1
+        assert "runtime.artifact.miss" not in tracer.summary().counters
         assert list(artifacts.canonical_tokens(warm.report)) == list(
             artifacts.canonical_tokens(cold.report)
         )
@@ -382,7 +382,7 @@ class TestWarmStartLru:
                 assert warmstart.lookup(key_a) is not None
                 assert warmstart.lookup(key_c) is not None
                 assert warmstart.evictions() == 1
-        assert tracer.counters["dc.warm_start.evicted"] == 1
+        assert tracer.summary().counters["dc.warm_start.evicted"] == 1
 
     def test_snapshot_restore_preserves_order(self):
         with warmstart.session(limit=2):

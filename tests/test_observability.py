@@ -31,9 +31,6 @@ from repro.telemetry.profile import (
     collapsed_stacks,
     format_collapsed,
     format_profile_table,
-    node_self_seconds,
-    profile_records,
-    profile_spans,
 )
 
 
@@ -89,13 +86,6 @@ class TestHistogram:
         h.observe(0.25)
         h.observe(0.75)
         assert h.sum == pytest.approx(1.0)
-
-    def test_quantile_interpolates(self):
-        h = Histogram((1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 3.0, 3.5):
-            h.observe(v)
-        assert 0.0 < h.quantile(0.5) <= 2.0
-        assert h.quantile(0.95) <= 4.0
 
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):
@@ -166,23 +156,21 @@ class TestRegistry:
         assert r.counter("a") == 4
         assert r.histogram("h").count == 1
 
-    def test_absorb_counters_fallback(self):
-        r = MetricsRegistry()
-        r.absorb_counters({"solver.solves": 4.0})
-        assert r.counter("solver.solves") == 4.0
-
     def test_hooks_no_op_when_disabled(self):
         assert not metrics.enabled()
-        metrics.inc("x")
-        metrics.set_gauge("g", 1.0)
+        with trace_run("t"):
+            telemetry.count("x")
+            telemetry.gauge("g", 1.0)
         metrics.observe("h", 1.0)
         snap = metrics.registry().snapshot()
-        assert not snap["counters"] and not snap["histograms"]
+        assert not snap["counters"] and not snap["gauges"]
+        assert not snap["histograms"]
 
     def test_collecting_arms_and_disarms(self):
         with metrics.collecting(fresh=True) as r:
             assert metrics.enabled()
-            metrics.inc("x", 2)
+            with trace_run("t"):
+                telemetry.count("x", 2)
             assert r.counter("x") == 2
         assert not metrics.enabled()
 
@@ -237,10 +225,13 @@ class TestPrometheusExposition:
 class TestTracedWorker:
     def test_payload_carries_scoped_delta(self):
         metrics.registry().inc("pre.existing", 9)
-        with telemetry.traced_worker("mc.shard", index=0) as tracer:
-            tracer.count("mc.samples_measured", 4)
-            metrics.observe("mc.shard.seconds", 0.5)
+        with telemetry.traced_worker() as tracer:
+            with telemetry.span("mc.shard", index=0):
+                tracer.count("mc.samples_measured", 4)
+                metrics.observe("mc.shard.seconds", 0.5)
         payload = tracer.trace_payload()
+        # One store per scope: the records, plus the registry delta.
+        assert set(payload) == {"records", "metrics"}
         delta = payload["metrics"]
         # The delta is scoped to the block: nothing pre-existing leaks in.
         assert delta["counters"] == {"mc.samples_measured": 4}
@@ -248,9 +239,10 @@ class TestTracedWorker:
         assert not metrics.enabled()  # disarmed on exit
 
     def test_absorb_merges_worker_metrics(self):
-        with telemetry.traced_worker("w") as worker:
-            worker.count("solver.solves", 2)
-            metrics.observe("h", 1.0, buckets=(2.0,))
+        with telemetry.traced_worker() as worker:
+            with telemetry.span("w"):
+                worker.count("solver.solves", 2)
+                metrics.observe("h", 1.0, buckets=(2.0,))
         payload = worker.trace_payload()
         metrics.registry().reset()
         parent = Tracer()
@@ -259,33 +251,19 @@ class TestTracedWorker:
                 parent.absorb(payload, t_offset=0.1)
             assert r.counter("solver.solves") == 2
             assert r.histogram("h").count == 1
+        assert parent.summary().counter("solver.solves") == 2.0
 
-    def test_absorb_merge_metrics_false_skips_registry(self):
-        with telemetry.traced_worker("w") as worker:
-            worker.count("solver.solves", 2)
+    def test_absorb_without_registry_keeps_records_only(self):
+        with telemetry.traced_worker() as worker:
+            with telemetry.span("w"):
+                worker.count("solver.solves", 2)
         payload = worker.trace_payload()
         metrics.registry().reset()
         parent = Tracer()
-        with metrics.collecting(fresh=True) as r, parent.activate():
-            with parent.span("run"):
-                parent.absorb(payload, merge_metrics=False)
-            assert r.counter("solver.solves") == 0
-        # The tracer-side aggregates still merged.
-        assert parent.counters["solver.solves"] == 2.0
-
-    def test_absorb_falls_back_to_counter_totals(self):
-        # A payload without a metrics key (plain worker tracer) still
-        # lands its counter totals in the registry.
-        worker = Tracer()
-        with worker.activate(), worker.span("w"):
-            worker.count("solver.solves", 3)
-        payload = worker.trace_payload()
-        assert "metrics" not in payload
-        parent = Tracer()
-        with metrics.collecting(fresh=True) as r, parent.activate():
-            with parent.span("run"):
-                parent.absorb(payload)
-            assert r.counter("solver.solves") == 3
+        with parent.activate(), parent.span("run"):
+            parent.absorb(payload)
+        assert metrics.registry().counter("solver.solves") == 0
+        assert parent.summary().counter("solver.solves") == 2.0
 
 
 # -- Profiler ---------------------------------------------------------------
@@ -310,7 +288,7 @@ def _synthetic_trace():
 class TestProfiler:
     def test_self_times_partition_root_wall_time(self):
         tracer = _synthetic_trace()
-        rows = profile_records(tracer.records)
+        rows = tracer.summary().profile
         by_name = {row.name: row for row in rows}
         assert by_name["root"].total_s == pytest.approx(10.0)
         assert by_name["root"].self_s == pytest.approx(4.0)
@@ -321,7 +299,7 @@ class TestProfiler:
         assert sum(row.self_s for row in rows) == pytest.approx(10.0)
 
     def test_rows_ranked_by_self_time(self):
-        rows = profile_records(_synthetic_trace().records)
+        rows = _synthetic_trace().summary().profile
         self_times = [row.self_s for row in rows]
         assert self_times == sorted(self_times, reverse=True)
 
@@ -333,7 +311,7 @@ class TestProfiler:
                 with tracer.span("unit"):
                     clock.advance(dur)
         (unit,) = [
-            r for r in profile_records(tracer.records) if r.name == "unit"
+            r for r in tracer.summary().profile if r.name == "unit"
         ]
         assert unit.count == 4
         assert unit.p50_s == pytest.approx(2.5)
@@ -363,7 +341,7 @@ class TestProfiler:
                     worker._clock.advance(0.8)  # type: ignore[attr-defined]
                 parent.absorb(worker.trace_payload())
             clock.advance(1.0)
-        rows = profile_records(parent.records)
+        rows = parent.summary().profile
         pool = next(r for r in rows if r.name == "pool")
         assert pool.self_s == pytest.approx(-0.6)
         stacks = collapsed_stacks(parent.summary().roots)
@@ -371,7 +349,7 @@ class TestProfiler:
         assert stacks["pool;work"] == 1_600_000
 
     def test_table_formatting(self):
-        rows = profile_records(_synthetic_trace().records)
+        rows = _synthetic_trace().summary().profile
         table = format_profile_table(rows, top=2, wall_s=10.0)
         lines = table.splitlines()
         assert lines[0].split() == [
@@ -382,9 +360,10 @@ class TestProfiler:
         assert "40.0%" in table  # root self share
 
     def test_node_self_seconds(self):
-        (root,) = _synthetic_trace().summary().roots
-        assert node_self_seconds(root) == pytest.approx(4.0)
-        assert profile_spans([root])[0].name == "root"
+        summary = _synthetic_trace().summary()
+        (root,) = summary.roots
+        assert root.self_s == pytest.approx(4.0)
+        assert summary.profile[0].name == "root"
 
 
 # -- Monitor ----------------------------------------------------------------
@@ -457,8 +436,8 @@ class TestMonitor:
         assert "last case.full" in line
 
     def test_http_status_and_metrics_endpoints(self):
-        with metrics.collecting(fresh=True):
-            metrics.inc("solver.solves", 5)
+        with metrics.collecting(fresh=True) as r:
+            r.inc("solver.solves", 5)
             m = monitor.RunMonitor(label="t", interval=0, port=0)
             with m:
                 monitor.declare("task", 2)
@@ -519,6 +498,23 @@ class TestRecoveryTelemetry:
         # Each recovered shard's spans nest under its fallback marker.
         for fallback in summary.spans("mc.shard_fallback"):
             assert [c.name for c in fallback.children] == ["mc.shard"]
+
+    def test_recovered_shards_feed_registry_once(self, hand_testbench):
+        """In-process recovery runs under the parent's own tracer: the
+        registry sees each recovered shard exactly once."""
+        from repro.analysis.montecarlo import run_monte_carlo
+        from repro.resilience import faults
+
+        with faults.inject("mc.worker", index=0, times=3):
+            with metrics.collecting(fresh=True) as r:
+                with trace_run("mc") as tracer:
+                    run_monte_carlo(
+                        hand_testbench, runs=8, seed=7, workers=2,
+                        max_shard_retries=1,
+                    )
+                assert r.counter("mc.samples_measured") == 8
+                assert r.histogram("mc.shard.seconds").count == 2
+        assert tracer.summary().counter("mc.samples_measured") == 8.0
 
     def test_batch_in_process_fallback_keeps_task_telemetry(self, specs):
         from repro.core.batch import BatchTask, run_batch

@@ -93,6 +93,53 @@ class TestPersistentPool:
         assert exitcode == -signal.SIGTERM
         assert not journal.interrupted
 
+    def test_workers_exit_when_parent_crashes(self, tmp_path):
+        """A parent killed outright never shuts its pool down; its
+        workers notice the re-parenting and exit on their own."""
+        import subprocess
+        import sys
+        import time
+
+        script = tmp_path / "crash.py"
+        script.write_text(
+            "import os, sys\n"
+            "from repro.runtime import pool\n"
+            "lease = pool.acquire(2)\n"
+            "lease.executor.submit(os.getpid).result()\n"
+            "print(' '.join(map(str, lease.executor._processes)))\n"
+            "sys.stdout.flush()\n"
+            "os._exit(137)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        # Output goes to a file, not a pipe: surviving workers would hold
+        # a pipe open and stall the read past the parent's exit.
+        out = tmp_path / "workers.txt"
+        with open(out, "w") as handle:
+            done = subprocess.run(
+                [sys.executable, str(script)], env=env,
+                stdout=handle, stderr=subprocess.STDOUT, timeout=60,
+            )
+        workers = [int(pid) for pid in out.read_text().split()[:2]]
+        assert done.returncode == 137, out.read_text()
+        assert len(workers) == 2
+
+        def alive(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"  # an unreaped zombie has exited
+
+        deadline = time.monotonic() + 5.0
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if alive(pid)]
+        for pid in survivors:  # do not leak them past the test
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
     def test_mc_runs_reuse_one_pool(self, hand_testbench):
         runtime_pool.shutdown()
         first = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=2)

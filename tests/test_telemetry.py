@@ -90,8 +90,8 @@ class TestTracerCore:
             with inner.activate():
                 telemetry.count("x")
             telemetry.count("y")
-        assert inner.counters == {"x": 1.0}
-        assert outer.counters == {"y": 1.0}
+        assert inner.summary().counters == {"x": 1.0}
+        assert outer.summary().counters == {"y": 1.0}
         assert not telemetry.enabled()
 
     def test_counters_and_gauges_aggregate(self):
@@ -101,9 +101,10 @@ class TestTracerCore:
             telemetry.count("b", 2.5)
             telemetry.gauge("g", 1.0)
             telemetry.gauge("g", 3.0)
-        assert tracer.counters["a"] == 5.0
-        assert tracer.counters["b"] == 2.5
-        assert tracer.gauges["g"] == 3.0
+        summary = tracer.summary()
+        assert summary.counters["a"] == 5.0
+        assert summary.counters["b"] == 2.5
+        assert summary.gauges["g"] == 3.0
 
     def test_span_timestamps_use_injected_clock(self):
         clock = FakeClock()
@@ -129,12 +130,12 @@ class TestAbsorb:
             with parent.span("mc.run"):
                 parent.absorb(payload, t_offset=2.0)
         summary = parent.summary()
-        assert parent.counters["mc.samples_measured"] == 4.0
+        assert summary.counters["mc.samples_measured"] == 4.0
         (shard,) = summary.spans("mc.shard")
         (run,) = summary.spans("mc.run")
         assert shard in run.children
         assert shard.t0 == 2.0  # worker-relative 0.0 shifted to submit time
-        assert shard.subtree_counts()["mc.samples_measured"] == 4.0
+        assert shard.totals["mc.samples_measured"] == 4.0
 
     def test_absorb_keeps_ids_disjoint(self):
         worker = Tracer()
@@ -163,8 +164,9 @@ class TestJsonlRoundTrip:
 
         records = read_jsonl(path)
         summary = summarize(records)
-        assert summary.counters == tracer.counters
-        assert summary.gauges == tracer.gauges
+        live = tracer.summary()
+        assert summary.counters == live.counters
+        assert summary.gauges == live.gauges
         (root,) = summary.spans("root")
         (child,) = summary.spans("child")
         assert child in root.children
@@ -330,6 +332,23 @@ class TestSynthesisTrace:
             if e["name"] == "synthesis.round.complete"
         ]
         assert completes[-1]["attrs"]["distance"] == 0.1
+
+    def test_outcome_trace_covers_only_its_run(self, tech, specs):
+        """Several runs under one tracer (table1, a batch): each outcome
+        summarizes its own run, not every record the tracer holds."""
+        from repro.sizing.specs import ParasiticMode
+
+        with trace_run("run"):
+            outcomes = [
+                _stub_synthesizer(tech, [0.0, 0.1]).run(
+                    specs, mode=ParasiticMode.FULL, generate=False
+                )
+                for _ in range(3)
+            ]
+        for outcome in outcomes:
+            assert outcome.trace.span_count("synthesis.run") == 1
+            assert outcome.trace.span_count("synthesis.round") == 2
+            assert outcome.trace.counter("synthesis.rounds") == 2.0
 
     def test_outcome_trace_is_none_untraced(self, tech, specs):
         from repro.sizing.specs import ParasiticMode
