@@ -79,16 +79,10 @@ class TraceSummary:
     def counter(self, name: str, default: float = 0.0) -> float:
         return self.counters.get(name, default)
 
-    def _row(self, name: str) -> Optional[SpanProfile]:
-        return next((row for row in self.profile if row.name == name), None)
-
     def span_count(self, name: str) -> int:
-        row = self._row(name)
-        return row.count if row is not None else 0
-
-    def span_seconds(self, name: str) -> float:
-        row = self._row(name)
-        return row.total_s if row is not None else 0.0
+        return next(
+            (row.count for row in self.profile if row.name == name), 0
+        )
 
     def spans(self, name: str) -> List[SpanNode]:
         """Every span named ``name``, in tree order."""
