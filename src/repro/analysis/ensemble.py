@@ -9,7 +9,8 @@ residuals become ``(K, n)``, Jacobians ``(K, n, n)``, and every Newton
 iteration performs **one** stacked ``np.linalg.solve`` plus one batched
 device-model evaluation for the whole ensemble.
 
-Design rules (pinned by ``tests/test_ensemble.py``):
+Design rules (pinned by ``tests/test_ensemble.py`` and
+``tests/test_ensemble_kernels.py``):
 
 * **Parity** — member arithmetic is elementwise per row, the stacked
   linear solve runs LAPACK per matrix, and the linear-part residual is
@@ -32,11 +33,29 @@ Design rules (pinned by ``tests/test_ensemble.py``):
   them as ``idx``), so a solve costs the summed member iterations
   (``ensemble.newton_iterations``), not K times the slowest member's.
   Stragglers keep iterating.  A member that exhausts the fast
-  batched rung falls back *individually* to the full scalar escalation
-  ladder (:data:`~repro.resilience.policy.COMPILED_POLICY`), so one
-  divergent sample cannot poison its batch and failures carry the same
-  structured :class:`~repro.resilience.policy.ConvergenceReport` (and
-  raise the same :class:`~repro.errors.ConvergenceError`) as before.
+  batched rung falls back *individually* to the scalar escalation
+  ladder a per-sample solve would run
+  (:data:`~repro.resilience.policy.COMPILED_POLICY`, or
+  :func:`~repro.resilience.policy.warm_policy` of its seed for a seeded
+  solve), so one divergent sample cannot poison its batch and failures
+  carry the same structured
+  :class:`~repro.resilience.policy.ConvergenceReport` (and raise the
+  same :class:`~repro.errors.ConvergenceError`) as that solve.
+* **Assembly** — the live rows' Jacobians are built directly in one
+  contiguous ``(m, size, size)`` block seeded from the program's linear
+  stamps (no padded ``(m, size+1, size+1)`` stack to slice).  MOS stamps go
+  in through one ``np.add.at`` over flat 1-D indices (numpy's tuple-index
+  path is ~8x slower); stamps on the ground row or column land in a
+  single trash slot past the block, and the residual is scattered
+  through flat indices too.  The indices are rebuilt every iteration:
+  there is no swap cache, since the live set shrinks and its swap state
+  changes, and a cache keyed on them mostly missed.  Each entry receives
+  its adds in the same order as a padded tuple-indexed scatter, so every
+  number is bit-identical to that reference, signed zeros included
+  (``tests/oracles/analysis.py``, pinned by
+  ``tests/test_ensemble_kernels.py``; only the sign of a NaN born of
+  ``nan + nan`` may differ, as the flat path orders operands the other
+  way).
 
 The per-member reference the tests compare against is plain public
 calls: ``[measure_ota(tb) for tb in benches]`` for measurements, and a
@@ -222,7 +241,6 @@ class EnsembleProgram:
         )
         self._groups = program._groups if groups is None else groups
         self._circuits = member_circuits
-        self._swap_cache: Optional[Tuple[np.ndarray, ...]] = None
 
     def fingerprint(self) -> str:
         """16-hex content hash of the ensemble's inputs.
@@ -348,11 +366,20 @@ class EnsembleProgram:
         v_pad = np.zeros((m, pad))
         v_pad[:, :size] = voltages[idx]
 
-        jacobian = np.empty((m, pad, pad))
-        jacobian[:] = program._a_pad
+        # One contiguous (m, size, size) block plus a trash slot at flat
+        # index m*size*size that absorbs every ground-row/column stamp;
+        # it is zeroed so those adds never read uninitialized memory.
+        block = size * size
+        flat = np.empty(m * block + 1)
+        flat[-1] = 0.0
+        jacobian = flat[:-1].reshape(m, size, size)
+        jacobian[:] = program._a_pad[:size, :size]
         # einsum (optimize=False) accumulates j in fixed order per (k, i):
         # deliberately *not* a GEMM, whose blocking may depend on K.
-        residual = np.einsum("ij,kj->ki", program._a_pad, v_pad)
+        # ``out`` pins the C layout the flat residual scatter relies on.
+        residual = np.einsum(
+            "ij,kj->ki", program._a_pad, v_pad, out=np.empty((m, pad))
+        )
         residual -= source_scale * program._source_vector
 
         if program._n_mos:
@@ -402,40 +429,40 @@ class EnsembleProgram:
             gmb *= beta_scale
             i_ds = sign * current
 
-            cache = self._swap_cache
-            if cache is None or not np.array_equal(cache[0], swapped):
-                drain = np.where(swapped, program._mos_s, program._mos_d)
-                source = np.where(swapped, program._mos_d, program._mos_s)
-                gate = np.broadcast_to(program._mos_g, drain.shape)
-                bulk = np.broadcast_to(program._mos_b, drain.shape)
-                rows = np.concatenate(
-                    (drain, drain, drain, drain,
-                     source, source, source, source),
-                    axis=1,
-                )
-                cols = np.concatenate(
-                    (drain, gate, source, bulk) * 2, axis=1
-                )
-                kidx = np.arange(m)[:, None]
-                cache = (swapped.copy(), kidx, drain, source, rows, cols)
-                self._swap_cache = cache
-            _swapped, kidx, drain, source, rows, cols = cache
-            np.add.at(residual, (kidx, drain), i_ds)
-            np.add.at(residual, (kidx, source), -i_ds)
-
+            # Flat scatters: one np.add.at over a 1-D index adds in the
+            # same per-entry order as the (k, row, col) tuple form, but
+            # skips numpy's slow multi-index path.
+            drain = np.where(swapped, program._mos_s, program._mos_d)
+            source = np.where(swapped, program._mos_d, program._mos_s)
+            gate = np.broadcast_to(program._mos_g, drain.shape)
+            bulk = np.broadcast_to(program._mos_b, drain.shape)
+            member = np.arange(m)[:, None]
+            np.add.at(
+                residual.reshape(-1),
+                (member * pad + np.concatenate((drain, source), axis=1))
+                .reshape(-1),
+                np.concatenate((i_ds, -i_ds), axis=1).reshape(-1),
+            )
+            rows = np.concatenate(
+                (drain, drain, drain, drain, source, source, source, source),
+                axis=1,
+            )
+            cols = np.concatenate((drain, gate, source, bulk) * 2, axis=1)
+            target = member * block + rows * size + cols
+            target[(rows == size) | (cols == size)] = m * block
             minus_sum = -(gm + gds + gmb)
             vals = np.concatenate(
                 (gds, gm, minus_sum, gmb, -gds, -gm, -minus_sum, -gmb),
                 axis=1,
             )
-            np.add.at(jacobian, (kidx, rows, cols), vals)
+            np.add.at(flat, target.reshape(-1), vals.reshape(-1))
 
         nodes = program.node_count
         residual[:, :nodes] += gmin * v_pad[:, :nodes]
         diag = np.arange(nodes)
         jacobian[:, diag, diag] += gmin
 
-        return residual[:, :size], jacobian[:, :size, :size]
+        return residual[:, :size], jacobian
 
     # -- Masked batched Newton -------------------------------------------------
 

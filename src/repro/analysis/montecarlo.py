@@ -77,6 +77,13 @@ class MonteCarloResult:
         return float(np.mean(self.samples[key]))
 
     def std(self, key: str) -> float:
+        """Sample standard deviation (``ddof=1``); needs two samples."""
+        count = len(self.samples[key])
+        if count < 2:
+            raise AnalysisError(
+                f"Monte-Carlo sigma of {key!r} needs at least 2 samples, "
+                f"got {count}"
+            )
         return float(np.std(self.samples[key], ddof=1))
 
     def worst(self, key: str) -> float:
@@ -87,9 +94,12 @@ class MonteCarloResult:
     def summary(self) -> str:
         lines = []
         for key in sorted(self.samples):
-            lines.append(
-                f"{key}: mean={self.mean(key):.4g} sigma={self.std(key):.4g}"
+            # A key holds at least one sample; one sample has no sigma.
+            sigma = (
+                f"{self.std(key):.4g}" if len(self.samples[key]) > 1
+                else "n/a (1 sample)"
             )
+            lines.append(f"{key}: mean={self.mean(key):.4g} sigma={sigma}")
         return "\n".join(lines)
 
 

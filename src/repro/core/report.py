@@ -48,6 +48,10 @@ def format_table1(results: Sequence[CaseResult], title: str = "Table 1") -> str:
     "values between brackets are obtained from layout generation,
     extraction and simulation".  A sizing time whose case had sizing
     rounds served rather than computed is marked ``*`` and footnoted.
+    The "Sizing status" row shows how each case's final sizing ended
+    (``met`` / ``knobs_exhausted`` / ``iteration_cap``); every case that
+    did not meet its specs gets a footnote naming each missed spec with
+    its target and achieved value.
     """
     header = [f"{title}"]
     label_width = max(len(row[0]) for row in TABLE1_ROWS) + 2
@@ -81,9 +85,18 @@ def format_table1(results: Sequence[CaseResult], title: str = "Table 1") -> str:
         + "".join(
             f"{_sizing_time(result):>{column_width}}" for result in results
         ),
+        f"{'Sizing status':<{label_width}}"
+        + "".join(
+            f"{result.sizing.status:>{column_width}}" for result in results
+        ),
     ]
     if any(result.sizing_served for result in results):
         footer.append(SERVED_FOOTNOTE)
+    footer.extend(
+        f"{result.label} sizing {result.sizing.describe_status()}"
+        for result in results
+        if result.sizing.status != "met"
+    )
     return "\n".join(header + lines + footer)
 
 

@@ -222,6 +222,11 @@ class MosModel(ABC):
         arrays where ``region`` holds :class:`Region` codes
         (0 = cutoff, 1 = triode, 2 = saturation).
 
+        Regions are gated: the weak-inversion and triode formulas run only
+        when some element is in that region (an all-saturated batch pays
+        for the saturation formulas alone).  Every selected value keeps
+        its formula, so gating never changes a result bit.
+
         ``vds`` must be element-wise >= 0 (callers swap terminals first).
         The subclass hooks (``_saturation_current_factor`` and friends) are
         pure arithmetic in both provided models, so they broadcast as-is.
@@ -253,22 +258,7 @@ class MosModel(ABC):
         weak = veff < veff_t
         saturated = ~weak & (vds >= veff)
         triode = ~weak & ~saturated
-
-        # Weak inversion ------------------------------------------------------
-        f_t = self._saturation_current_factor(veff_t, length)
-        i_t = 0.5 * beta * f_t
-        exp_arg = np.where(weak, (veff - veff_t) / (n * self.vt), -np.inf)
-        exp_term = np.where(exp_arg < -80.0, 0.0, np.exp(exp_arg))
-        shaped = vds < 5.0 * self.vt
-        decay = np.exp(np.where(shaped, -vds / self.vt, 0.0))
-        sat_shape = np.where(shaped, 1.0 - decay, 1.0)
-        id_core_w = i_t * exp_term * sat_shape
         clm = 1.0 + lam * vds
-        current_w = id_core_w * clm
-        gm_w = np.where(exp_term > 0.0, current_w / (n * self.vt), 0.0)
-        gds_w = id_core_w * lam + np.where(
-            shaped, (i_t * exp_term * decay / self.vt) * clm, 0.0
-        )
 
         # Saturation ----------------------------------------------------------
         f = self._saturation_current_factor(veff, length)
@@ -277,18 +267,41 @@ class MosModel(ABC):
         gm_s = 0.5 * beta * df * clm
         gds_s = 0.5 * beta * f * lam
 
+        # A region no element is in is never selected by np.where below,
+        # so its formulas are skipped and 0.0 stands in.  NaN biases fail
+        # every comparison and land in triode, which stays computed.
+        current_w = gm_w = gds_w = 0.0
+        current_t = gm_t = gds_t = 0.0
+
+        # Weak inversion ------------------------------------------------------
+        if weak.any():
+            f_t = self._saturation_current_factor(veff_t, length)
+            i_t = 0.5 * beta * f_t
+            exp_arg = np.where(weak, (veff - veff_t) / (n * self.vt), -np.inf)
+            exp_term = np.where(exp_arg < -80.0, 0.0, np.exp(exp_arg))
+            shaped = vds < 5.0 * self.vt
+            decay = np.exp(np.where(shaped, -vds / self.vt, 0.0))
+            sat_shape = np.where(shaped, 1.0 - decay, 1.0)
+            id_core_w = i_t * exp_term * sat_shape
+            current_w = id_core_w * clm
+            gm_w = np.where(exp_term > 0.0, current_w / (n * self.vt), 0.0)
+            gds_w = id_core_w * lam + np.where(
+                shaped, (i_t * exp_term * decay / self.vt) * clm, 0.0
+            )
+
         # Triode --------------------------------------------------------------
-        # Scalars (level 1 returns plain 1.0 / 0.0) broadcast in the
-        # arithmetic below without materialising full arrays.
-        degradation = self._triode_degradation(veff, length)
-        d_degradation = self._triode_degradation_derivative(veff, length)
-        id_core_t = beta * (veff - 0.5 * vds) * vds / degradation
-        current_t = id_core_t * clm
-        gm_t = (
-            beta * vds * clm / degradation
-            - id_core_t * clm * d_degradation / degradation
-        )
-        gds_t = beta * (veff - vds) / degradation * clm + id_core_t * lam
+        if triode.any():
+            # Scalars (level 1 returns plain 1.0 / 0.0) broadcast in the
+            # arithmetic below without materialising full arrays.
+            degradation = self._triode_degradation(veff, length)
+            d_degradation = self._triode_degradation_derivative(veff, length)
+            id_core_t = beta * (veff - 0.5 * vds) * vds / degradation
+            current_t = id_core_t * clm
+            gm_t = (
+                beta * vds * clm / degradation
+                - id_core_t * clm * d_degradation / degradation
+            )
+            gds_t = beta * (veff - vds) / degradation * clm + id_core_t * lam
 
         current = np.where(weak, current_w, np.where(saturated, current_s, current_t))
         gm = np.where(weak, gm_w, np.where(saturated, gm_s, gm_t))

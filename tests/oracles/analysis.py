@@ -5,6 +5,12 @@ Newton re-stamps the whole circuit per iteration, and AC and noise
 factorize ``G + j 2 pi f C`` one frequency at a time.  Slow, but each
 line maps onto a textbook stamp, which is what makes it the oracle for
 the compiled engine (:mod:`repro.analysis.stamps`).
+
+The batched kernels at the end (:func:`evaluate_batch`,
+:func:`stacked_residual_and_jacobian`) are the exact references for the
+stacked Newton of :mod:`repro.analysis.ensemble`: same arithmetic, no
+region gating and no flat scatters, so results compare under
+``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -583,3 +589,174 @@ def measure_ota(
         float(zout.magnitude[0]),
         noise(tb.circuit, dc, tb.output_net, frequencies, dm_drive),
     )
+
+
+# -- Batched kernels ---------------------------------------------------------
+
+
+def evaluate_batch(model, width, length, vgs, vds, vsb):
+    """``MosModel.evaluate_batch`` with every region's formulas evaluated
+    for every element, then selected per element with ``np.where``.
+
+    The library gates the weak-inversion and triode branches on whether
+    any element is in them; this all-branch form is the reference that
+    gating must reproduce bit for bit (return types included).
+    """
+    width = np.asarray(width, dtype=float)
+    length = np.asarray(length, dtype=float)
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    vsb = np.asarray(vsb, dtype=float)
+    params = model.params
+    vt = model.vt
+
+    arg = np.maximum(params.phi + vsb, 0.01)
+    sqrt_arg = np.sqrt(arg)
+    vth = params.sign * params.vto + params.gamma * (
+        sqrt_arg - np.sqrt(params.phi)
+    )
+    n = 1.0 + params.gamma / (2.0 * sqrt_arg)
+    veff = vgs - vth
+    veff_t = 2.0 * n * vt
+    beta = params.kp * width / length
+    lam = params.lambda_l / length
+
+    weak = veff < veff_t
+    saturated = ~weak & (vds >= veff)
+    triode = ~weak & ~saturated
+
+    f_t = model._saturation_current_factor(veff_t, length)
+    i_t = 0.5 * beta * f_t
+    exp_arg = np.where(weak, (veff - veff_t) / (n * vt), -np.inf)
+    exp_term = np.where(exp_arg < -80.0, 0.0, np.exp(exp_arg))
+    shaped = vds < 5.0 * vt
+    decay = np.exp(np.where(shaped, -vds / vt, 0.0))
+    sat_shape = np.where(shaped, 1.0 - decay, 1.0)
+    id_core_w = i_t * exp_term * sat_shape
+    clm = 1.0 + lam * vds
+    current_w = id_core_w * clm
+    gm_w = np.where(exp_term > 0.0, current_w / (n * vt), 0.0)
+    gds_w = id_core_w * lam + np.where(
+        shaped, (i_t * exp_term * decay / vt) * clm, 0.0
+    )
+
+    f = model._saturation_current_factor(veff, length)
+    df = model._saturation_current_factor_derivative(veff, length)
+    current_s = 0.5 * beta * f * clm
+    gm_s = 0.5 * beta * df * clm
+    gds_s = 0.5 * beta * f * lam
+
+    degradation = model._triode_degradation(veff, length)
+    d_degradation = model._triode_degradation_derivative(veff, length)
+    id_core_t = beta * (veff - 0.5 * vds) * vds / degradation
+    current_t = id_core_t * clm
+    gm_t = (
+        beta * vds * clm / degradation
+        - id_core_t * clm * d_degradation / degradation
+    )
+    gds_t = beta * (veff - vds) / degradation * clm + id_core_t * lam
+
+    current = np.where(
+        weak, current_w, np.where(saturated, current_s, current_t)
+    )
+    gm = np.where(weak, gm_w, np.where(saturated, gm_s, gm_t))
+    gds = np.where(weak, gds_w, np.where(saturated, gds_s, gds_t))
+    gmb = gm * (params.gamma / (2.0 * sqrt_arg))
+    region = np.where(weak, 0, np.where(triode, 1, 2))
+    return current, gm, gds, gmb, region
+
+
+def stacked_residual_and_jacobian(
+    ensemble,
+    voltages: np.ndarray,
+    idx: np.ndarray,
+    gmin: float,
+    source_scale: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``EnsembleProgram.residual_and_jacobian`` on padded
+    ``(m, size+1, size+1)`` stacks: every MOS stamp goes through one
+    ``(member, row, col)`` tuple-indexed ``np.add.at`` (ground stamps land
+    in the padding), devices are evaluated by :func:`evaluate_batch`, and
+    the padding is sliced off at the end.
+    """
+    from repro.analysis.ensemble import _StackedParams, _stacked_level1
+
+    program = ensemble.program
+    size = program.size
+    pad = size + 1
+    m = idx.size
+    v_pad = np.zeros((m, pad))
+    v_pad[:, :size] = voltages[idx]
+
+    jacobian = np.empty((m, pad, pad))
+    jacobian[:] = program._a_pad
+    residual = np.einsum("ij,kj->ki", program._a_pad, v_pad)
+    residual -= source_scale * program._source_vector
+
+    if program._n_mos:
+        vd = v_pad[:, program._mos_d]
+        vg = v_pad[:, program._mos_g]
+        vs = v_pad[:, program._mos_s]
+        vb = v_pad[:, program._mos_b]
+        sign = program._mos_sign
+        swapped = sign * (vd - vs) < 0.0
+        vd_f = np.where(swapped, vs, vd)
+        vs_f = np.where(swapped, vd, vs)
+        vgs = sign * (vg - vs_f) - ensemble._vth[idx]
+        vds = sign * (vd_f - vs_f)
+        vsb = sign * (vs_f - vb)
+
+        current = np.empty((m, program._n_mos))
+        gm = np.empty((m, program._n_mos))
+        gds = np.empty((m, program._n_mos))
+        gmb = np.empty((m, program._n_mos))
+        w = ensemble._w[idx] if ensemble._w.ndim == 2 else ensemble._w
+        length = ensemble._l[idx] if ensemble._l.ndim == 2 else ensemble._l
+        for model, members in ensemble._groups:
+            if isinstance(model.params, _StackedParams):
+                model = _stacked_level1(model, model.params.rows(idx))
+            ids, gms, gdss, gmbs, _regions = evaluate_batch(
+                model,
+                w[..., members],
+                length[..., members],
+                vgs[:, members],
+                vds[:, members],
+                vsb[:, members],
+            )
+            current[:, members] = ids
+            gm[:, members] = gms
+            gds[:, members] = gdss
+            gmb[:, members] = gmbs
+        beta_scale = 1.0 + ensemble._beta[idx]
+        current *= beta_scale
+        gm *= beta_scale
+        gds *= beta_scale
+        gmb *= beta_scale
+        i_ds = sign * current
+
+        drain = np.where(swapped, program._mos_s, program._mos_d)
+        source = np.where(swapped, program._mos_d, program._mos_s)
+        gate = np.broadcast_to(program._mos_g, drain.shape)
+        bulk = np.broadcast_to(program._mos_b, drain.shape)
+        rows = np.concatenate(
+            (drain, drain, drain, drain, source, source, source, source),
+            axis=1,
+        )
+        cols = np.concatenate((drain, gate, source, bulk) * 2, axis=1)
+        kidx = np.arange(m)[:, None]
+        np.add.at(residual, (kidx, drain), i_ds)
+        np.add.at(residual, (kidx, source), -i_ds)
+
+        minus_sum = -(gm + gds + gmb)
+        vals = np.concatenate(
+            (gds, gm, minus_sum, gmb, -gds, -gm, -minus_sum, -gmb),
+            axis=1,
+        )
+        np.add.at(jacobian, (kidx, rows, cols), vals)
+
+    nodes = program.node_count
+    residual[:, :nodes] += gmin * v_pad[:, :nodes]
+    diag = np.arange(nodes)
+    jacobian[:, diag, diag] += gmin
+
+    return residual[:, :size], jacobian[:, :size, :size]

@@ -67,6 +67,13 @@ class TestRunMonteCarlo:
     def test_summary_mentions_statistic(self, result):
         assert "offset_voltage" in result.summary()
 
+    def test_single_sample_has_no_sigma(self, hand_testbench):
+        result = run_monte_carlo(hand_testbench, runs=1, seed=3)
+        with pytest.raises(AnalysisError, match=r"'offset_voltage'.*got 1"):
+            result.std("offset_voltage")
+        assert "sigma=n/a (1 sample)" in result.summary()
+        assert "nan" not in result.summary()
+
     def test_custom_measure(self, hand_testbench):
         def measure(bench):
             return {"constant": 1.0}

@@ -1,5 +1,7 @@
 """Table-1 report formatting."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.batch import BatchTask, run_batch
@@ -15,7 +17,7 @@ from repro.resilience import faults
 from repro.resilience.faults import SimulatedKill
 from repro.resilience.journal import RunJournal
 from repro.runtime import artifacts
-from repro.sizing.specs import ParasiticMode
+from repro.sizing.specs import ParasiticMode, SpecMiss
 
 
 class TestMetricsRows:
@@ -59,6 +61,42 @@ class TestFormatTable1:
     def test_custom_title(self, case4_result):
         table = format_table1([case4_result], title="My experiment")
         assert table.startswith("My experiment")
+
+
+class TestSizingStatus:
+    """Each case's final sizing status, with the specs a miss left out."""
+
+    @staticmethod
+    def _missed(result):
+        sizing = dataclasses.replace(
+            result.sizing,
+            status="knobs_exhausted",
+            iterations=9,
+            misses=(
+                SpecMiss("gbw", 65e6, 58.2e6),
+                SpecMiss("phase_margin", 65.0, 61.3),
+            ),
+        )
+        return dataclasses.replace(result, sizing=sizing)
+
+    def test_status_row(self, case4_result):
+        table = format_table1([case4_result, self._missed(case4_result)])
+        line = next(
+            l for l in table.splitlines() if l.startswith("Sizing status")
+        )
+        assert line.split()[-2:] == ["met", "knobs_exhausted"]
+
+    def test_footnote_names_each_miss(self, case4_result):
+        table = format_table1([case4_result, self._missed(case4_result)])
+        assert table.splitlines()[-1] == (
+            "Case (4) sizing knobs_exhausted after 9 iterations: "
+            "gbw 58.2 MHz (target 65.0), "
+            "phase_margin 61.3 deg (target 65.0)"
+        )
+
+    def test_met_cases_have_no_footnote(self, case4_result):
+        table = format_table1([case4_result])
+        assert table.splitlines()[-1].startswith("Sizing status")
 
 
 class TestServedSizingTime:
