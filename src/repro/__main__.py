@@ -124,23 +124,12 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_monitor_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--monitor", metavar="PORT", nargs="?", const=-1, type=int,
-        default=None,
-        help="live progress heartbeat on stderr (units done/total, ETA, "
-             "last-unit seconds); with PORT also serve GET /metrics "
-             "(Prometheus text) and /status (JSON) on 127.0.0.1:PORT "
-             "(0 picks a free port); results stay bit-identical",
-    )
-
-
 def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics", metavar="FILE", default=None,
-        help="write a Prometheus text snapshot of the run's counters and "
-             "histograms to FILE at exit (observation only; results stay "
-             "bit-identical)",
+        help="write a Prometheus text snapshot of the counters and gauges "
+             "of the run's trace to FILE at exit (observation only; "
+             "results stay bit-identical)",
     )
 
 
@@ -577,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a deterministic content hash per case "
                              "(excludes timings; for determinism checks)")
     _add_trace_argument(table1)
-    _add_monitor_argument(table1)
     _add_metrics_argument(table1)
     _add_journal_arguments(table1)
     _add_runtime_arguments(table1)
@@ -606,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
              "sizes, feedback and layout; identical runs print identical "
              "fingerprints regardless of caches)")
     _add_trace_argument(synthesize)
-    _add_monitor_argument(synthesize)
     _add_metrics_argument(synthesize)
     _add_journal_arguments(synthesize)
     _add_runtime_arguments(synthesize)
@@ -621,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the two flows concurrently on N worker "
                             "processes")
     _add_trace_argument(flows)
-    _add_monitor_argument(flows)
     _add_metrics_argument(flows)
     _add_journal_arguments(flows)
     _add_runtime_arguments(flows)
@@ -697,59 +683,35 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     _configure_runtime(args)
     trace_path = getattr(args, "trace", None)
-    monitor_port = getattr(args, "monitor", None)
     metrics_path = getattr(args, "metrics", None)
-    if not trace_path and monitor_port is None and not metrics_path:
+    if not trace_path and not metrics_path:
         return args.func(args)
-
-    from contextlib import ExitStack
 
     from repro import telemetry
     from repro.ioutil import atomic_write
-    from repro.telemetry import metrics as metrics_mod
-    from repro.telemetry import monitor as monitor_mod
 
-    # --monitor and --metrics imply a tracer even without --trace: every
-    # count()/gauge() call reaches the registry through the active
-    # tracer, and pool workers ship their metrics home only inside a
-    # trace payload, so /metrics (and the --metrics snapshot) would be
-    # empty with no tracer armed.  Observation only — results are
-    # bit-identical with or without any of these flags.
+    # --metrics implies a tracer even without --trace: the snapshot is a
+    # projection of the run's trace summary.  Observation only — results
+    # are bit-identical with or without either flag.
     name = f"cli.{args.command}"
     tracer = telemetry.Tracer()
-    with ExitStack() as stack:
-        if monitor_port is not None or metrics_path:
-            stack.enter_context(metrics_mod.collecting(fresh=True))
-        if monitor_port is not None:
-            run_monitor = monitor_mod.RunMonitor(
-                label=args.command,
-                port=None if monitor_port < 0 else monitor_port,
+    try:
+        with tracer.activate(), tracer.span(name):
+            code = args.func(args)
+    finally:
+        # Partial traces are still replayable and summarisable; export
+        # both files even when the command dies mid-run.
+        if trace_path:
+            # A resumed run appends a new trace segment instead of
+            # erasing the original legs.
+            tracer.write_jsonl(
+                trace_path, name=name,
+                append=bool(getattr(args, "resume", None)),
             )
-            stack.enter_context(run_monitor)
-            if run_monitor.port is not None:
-                print(f"monitor: http://127.0.0.1:{run_monitor.port}/status "
-                      f"(and /metrics)", file=sys.stderr)
-        try:
-            with tracer.activate(), tracer.span(name):
-                code = args.func(args)
-        finally:
-            if trace_path:
-                # Partial traces are still replayable; export them even
-                # when the command dies mid-run.  A resumed run appends a
-                # new trace segment instead of erasing the original legs.
-                tracer.write_jsonl(
-                    trace_path, name=name,
-                    append=bool(getattr(args, "resume", None)),
-                )
-                print(f"trace written to {trace_path}", file=sys.stderr)
-            if metrics_path:
-                # Snapshot before collecting() pops the registry; a run
-                # that died mid-way still leaves a usable snapshot.
-                atomic_write(
-                    metrics_path, metrics_mod.registry().to_prometheus()
-                )
-                print(f"metrics written to {metrics_path}",
-                      file=sys.stderr)
+            print(f"trace written to {trace_path}", file=sys.stderr)
+        if metrics_path:
+            atomic_write(metrics_path, tracer.summary().to_prometheus())
+            print(f"metrics written to {metrics_path}", file=sys.stderr)
     if trace_path:
         print(f"trace: {trace_path}")
     if metrics_path:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,7 +44,6 @@ from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
 from repro.resilience.policy import COMPILED_POLICY
 from repro.runtime import pool as runtime_pool
-from repro.telemetry import metrics, monitor
 
 
 @dataclass
@@ -286,24 +284,20 @@ def _run_chunk(
 
 def _run_shard(
     index: int, lo: int, hi: int, run: Callable[[], List[Dict[str, float]]]
-) -> Tuple[List[Dict[str, float]], float]:
+) -> List[Dict[str, float]]:
     """Measure shard ``index`` (sample rows ``[lo, hi)``) under its
-    ``mc.shard`` span; return the samples and the shard's wall seconds.
+    ``mc.shard`` span; return the samples.
 
     The one per-shard entry: the single-worker path, the in-process
     fallback and the pool worker (:func:`_run_shard_job`) all call it,
-    so a shard reports the same span, ``mc.samples_measured`` count and
-    ``mc.shard.seconds`` observation wherever it ran.  Telemetry never
-    touches the pre-drawn sample rows, so results stay bit-identical
-    with tracing on or off.
+    so a shard reports the same span and ``mc.samples_measured`` count
+    wherever it ran.  Telemetry never touches the pre-drawn sample rows,
+    so results stay bit-identical with tracing on or off.
     """
-    t0 = time.perf_counter()
     with telemetry.span("mc.shard", index=index, lo=lo, hi=hi):
         stats = run()
         telemetry.count("mc.samples_measured", hi - lo)
-    seconds = time.perf_counter() - t0
-    metrics.observe("mc.shard.seconds", seconds)
-    return stats, seconds
+    return stats
 
 
 class _ResidentChunk:
@@ -467,22 +461,19 @@ class _ShardDispatch:
 
     def accept(self, i: int, outcome) -> None:
         """Accept one completed shard result (and journal it durably)."""
-        self.chunks[i], seconds = outcome
+        self.chunks[i] = outcome
         self.statuses[i].status = (
             "ok" if self.statuses[i].attempts == 1 else "resubmitted"
         )
-        self._complete(i, seconds)
+        self._complete(i)
         if i in self._payload_sent and self._lease is not None:
             # At least one worker of this generation built the resident
             # state; later dispatches ship the hash alone (a cold worker
             # answers CacheMiss and gets the payload resent).
             self._lease.mark_shipped(self.key)
 
-    def _complete(self, i: int, seconds: float) -> None:
-        """Report and journal one shard computed in this run."""
-        monitor.unit_complete(
-            "mc.shard", label=_shard_key(self.spans[i]), seconds=seconds
-        )
+    def _complete(self, i: int) -> None:
+        """Journal one shard computed in this run."""
         if self.journal is not None:
             lo, hi = self.spans[i]
             self.journal.record(
@@ -521,7 +512,7 @@ class _ShardDispatch:
         lo, hi = self.spans[i]
         try:
             with telemetry.span("mc.shard_fallback", index=i, lo=lo, hi=hi):
-                self.chunks[i], seconds = _run_shard(
+                self.chunks[i] = _run_shard(
                     i, lo, hi,
                     lambda: _run_chunk(
                         self.tb, self.names, self.vth[lo:hi],
@@ -530,7 +521,7 @@ class _ShardDispatch:
                 )
             telemetry.count("mc.shards_in_process")
             self.statuses[i].status = "in-process"
-            self._complete(i, seconds)
+            self._complete(i)
         except Exception as error:  # noqa: BLE001 - recorded, not masked
             telemetry.count("mc.shards_failed")
             self.statuses[i].status = "failed"
@@ -573,16 +564,12 @@ def _run_shards(
     statuses = [
         ShardStatus(index=i, span=span) for i, span in enumerate(spans)
     ]
-    monitor.declare("mc.shard", len(spans))
     pending = []
     for i, span in enumerate(spans):
         if journal is not None and journal.has(_shard_key(span)):
             chunks[i] = journal.result(_shard_key(span))
             statuses[i].status = "journaled"
             telemetry.count("mc.journaled_shards")
-            monitor.unit_complete(
-                "mc.shard", label=_shard_key(span), restored=True
-            )
         else:
             pending.append(i)
     if payload is None:
@@ -654,26 +641,24 @@ def run_monte_carlo(
         names, vth, beta = draw_mismatch_samples(tb.circuit, runs, seed)
 
         if workers == 1:
-            monitor.declare("mc.shard", 1)
             key = _shard_key((0, runs))
             cached = (
                 journal.result_or_none(key) if journal is not None else None
             )
             if cached is not None:
                 telemetry.count("mc.journaled_shards")
-                monitor.unit_complete("mc.shard", label=key, restored=True)
                 chunks: List[Optional[List[Dict[str, float]]]] = [cached]
             else:
                 if journal is not None:
                     journal.check_interrupt("mc.start")
                 if budget is not None:
                     budget.check("montecarlo.start", runs=runs)
-                stats, seconds = _run_shard(
-                    0, 0, runs,
-                    lambda: _run_chunk(tb, names, vth, beta, measure),
-                )
-                chunks = [stats]
-                monitor.unit_complete("mc.shard", label=key, seconds=seconds)
+                chunks = [
+                    _run_shard(
+                        0, 0, runs,
+                        lambda: _run_chunk(tb, names, vth, beta, measure),
+                    )
+                ]
                 if journal is not None:
                     journal.record(key, chunks[0], lo=0, hi=runs)
         else:

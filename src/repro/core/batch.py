@@ -8,7 +8,7 @@ before any worker spawns, a task whose worker dies (or times out) is
 resubmitted on a fresh pool a bounded number of times and then run
 in-process.  Every task runs through one entry (:func:`_run_unit`) —
 serially, in a pool worker, or recovered in-process — so it reports the
-same ``batch.task`` span, counters and metrics wherever it ran.
+same ``batch.task`` span and counters wherever it ran.
 
 Determinism: every :class:`BatchTask` is a self-contained value — the
 worker rebuilds its technology from the preset registry, so no solver or
@@ -21,7 +21,6 @@ comparison handle (it excludes wall-clock timings by construction).
 from __future__ import annotations
 
 import pickle
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +30,6 @@ from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
 from repro.runtime import artifacts, pool as runtime_pool
 from repro.sizing.specs import OtaSpecs, ParasiticMode
-from repro.telemetry import metrics, monitor
 from repro.technology import generic_035, generic_060, generic_080
 from repro.technology.corners import corner as technology_corner
 from repro.technology.process import Technology
@@ -189,24 +187,18 @@ def run_task(task: BatchTask) -> object:
     raise SynthesisError(f"unknown batch task kind {task.kind!r}")
 
 
-def _run_unit(task: BatchTask, index: int) -> Tuple[object, float]:
-    """Run task ``index`` under its ``batch.task`` span; return the
-    result and the task's wall seconds.
+def _run_unit(task: BatchTask, index: int) -> object:
+    """Run task ``index`` under its ``batch.task`` span.
 
     The one per-task entry: the serial loop, the in-process fallback and
     the pool worker (:func:`_run_task_payload`) all call it, so a task
-    reports the same span and ``batch.task.seconds`` observation
-    wherever it ran.
+    reports the same span wherever it ran.
     """
-    t0 = time.perf_counter()
     with telemetry.span("batch.task", index=index, label=task.label):
-        result = run_task(task)
-    seconds = time.perf_counter() - t0
-    metrics.observe("batch.task.seconds", seconds)
-    return result, seconds
+        return run_task(task)
 
 
-def _run_task_payload(payload: bytes, index: int) -> Tuple[object, float]:
+def _run_task_payload(payload: bytes, index: int) -> object:
     """Pool-side entry over the pre-validated pickled task.
 
     Submitting the validation pass's own bytes means each task is
@@ -283,7 +275,6 @@ def _restore_cached(
         results[i] = _mark_restored(hit, "disk")
         statuses[i].status = "cached"
         telemetry.count("batch.cached_tasks")
-        monitor.unit_complete("task", label=task.label, restored=True)
         if journal is not None:
             journal.record(_task_key(i), hit, label=task.label)
     return still, keys
@@ -327,7 +318,6 @@ def _restore_journaled(
         results[i] = _mark_restored(journal.result(key), "journal")
         statuses[i].status = "journaled"
         telemetry.count("batch.journaled_tasks")
-        monitor.unit_complete("task", label=task.label, restored=True)
     return pending
 
 
@@ -335,12 +325,10 @@ def _complete(
     task: BatchTask,
     index: int,
     result: object,
-    seconds: float,
     journal: Optional[RunJournal],
     cache_key: Optional[str],
 ) -> None:
-    """Report, journal and publish one task computed in this run."""
-    monitor.unit_complete("task", label=task.label, seconds=seconds)
+    """Journal and publish one task computed in this run."""
     if journal is not None:
         journal.record(_task_key(index), result, label=task.label)
     _store_artifact(cache_key, result)
@@ -363,9 +351,9 @@ def _run_serial(
         if budget is not None:
             budget.check("batch.task", index=i)
         statuses[i].attempts += 1
-        results[i], seconds = _run_unit(tasks[i], i)
+        results[i] = _run_unit(tasks[i], i)
         statuses[i].status = "serial"
-        _complete(tasks[i], i, results[i], seconds, journal, cache_keys[i])
+        _complete(tasks[i], i, results[i], journal, cache_keys[i])
     return results
 
 
@@ -420,13 +408,13 @@ class _BatchDispatch:
 
     def accept(self, i: int, outcome) -> None:
         """Accept one completed task result (and journal it durably)."""
-        self.results[i], seconds = outcome
+        self.results[i] = outcome
         self.statuses[i].status = (
             "ok" if self.statuses[i].attempts == 1 else "resubmitted"
         )
         _complete(
-            self.tasks[i], i, self.results[i], seconds,
-            self.journal, self.cache_keys[i],
+            self.tasks[i], i, self.results[i], self.journal,
+            self.cache_keys[i],
         )
 
     def note_timeout(self, i: int, timeout: Optional[float]) -> None:
@@ -456,12 +444,12 @@ class _BatchDispatch:
         with telemetry.span(
             "batch.task_fallback", index=i, label=self.tasks[i].label
         ):
-            self.results[i], seconds = _run_unit(self.tasks[i], i)
+            self.results[i] = _run_unit(self.tasks[i], i)
         telemetry.count("batch.in_process")
         self.statuses[i].status = "in-process"
         _complete(
-            self.tasks[i], i, self.results[i], seconds,
-            self.journal, self.cache_keys[i],
+            self.tasks[i], i, self.results[i], self.journal,
+            self.cache_keys[i],
         )
 
 
@@ -541,7 +529,6 @@ def run_batch(
         for i, task in enumerate(tasks)
     ]
     effective_jobs = min(jobs, len(tasks)) if tasks else 1
-    monitor.declare("task", len(tasks))
     with telemetry.span("batch.run", tasks=len(tasks), jobs=effective_jobs):
         telemetry.count("batch.tasks", len(tasks))
         if effective_jobs <= 1:

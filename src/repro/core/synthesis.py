@@ -41,7 +41,6 @@ from repro.resilience import faults
 from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal
 from repro.runtime import artifacts
-from repro.telemetry import metrics, monitor
 from repro.sizing.plans.folded_cascode import FoldedCascodePlan
 from repro.sizing.specs import OtaSpecs, ParasiticMode, SizingResult
 from repro.technology.process import Technology
@@ -322,7 +321,6 @@ class LayoutOrientedSynthesizer:
         degraded = False
         diagnostics: Dict[str, object] = {}
 
-        monitor.declare("round", self.max_layout_calls)
         try:
             for round_index in range(1, self.max_layout_calls + 1):
                 if journal is not None:
@@ -346,11 +344,6 @@ class LayoutOrientedSynthesizer:
                             round=round_index,
                             distance=record.distance,
                         )
-                        monitor.unit_complete(
-                            "round",
-                            label=f"round {round_index}",
-                            restored=True,
-                        )
                         if (
                             previous is not None
                             and record.distance <= self.convergence_tolerance
@@ -361,8 +354,6 @@ class LayoutOrientedSynthesizer:
                     journal.check_interrupt("synthesis.round")
                 if budget is not None:
                     budget.check("synthesis.round", round=round_index)
-                instrumented = metrics.enabled() or monitor.active()
-                round_t0 = time.perf_counter() if instrumented else 0.0
                 with telemetry.span("synthesis.round", round=round_index):
                     telemetry.count("synthesis.rounds")
                     stage = "sizing"
@@ -435,16 +426,6 @@ class LayoutOrientedSynthesizer:
                         width=getattr(estimate.report, "width", None),
                         height=getattr(estimate.report, "height", None),
                     )
-                    if instrumented:
-                        round_seconds = time.perf_counter() - round_t0
-                        metrics.observe(
-                            "synthesis.round.seconds", round_seconds
-                        )
-                        monitor.unit_complete(
-                            "round",
-                            label=f"round {round_index}",
-                            seconds=round_seconds,
-                        )
                     if journal is not None:
                         # The warm-start snapshot rides along so a resume
                         # re-enters the next round with identical Newton

@@ -1,7 +1,7 @@
 """Atomic filesystem write discipline.
 
 Every artifact the package writes — GDS/SVG exports, JSONL traces,
-metrics snapshots, journal checkpoints — must never be observable in a
+``--metrics`` files, journal checkpoints — must never be observable in a
 half-written state: a process killed mid-write would otherwise leave a
 truncated file that poisons the next consumer (a resume, a trace replay,
 a GDS import).  :func:`atomic_write` provides the shared

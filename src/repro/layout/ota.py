@@ -37,11 +37,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-import time
-
 from repro import telemetry
 from repro.errors import LayoutError
-from repro.telemetry import metrics
 from repro.layout.cell import Cell
 from repro.layout.devices import (
     ModuleFrame,
@@ -353,7 +350,6 @@ def generate_ota_layout(
 
     if mode not in ("estimate", "generate"):
         raise LayoutError(f"mode must be 'estimate' or 'generate', got {mode!r}")
-    t0 = time.perf_counter()
     with telemetry.span(
         "layout.call", mode=mode, aspect=request.aspect
     ) as span:
@@ -363,8 +359,6 @@ def generate_ota_layout(
             "layout", lambda: key, lambda: _generate(request)
         )
         span.annotate(source=source)
-    if source == "computed" and metrics.enabled():
-        metrics.observe("layout.call.seconds", time.perf_counter() - t0)
     return _project(result, mode, key)
 
 

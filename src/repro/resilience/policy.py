@@ -36,7 +36,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConvergenceError
-from repro.telemetry import metrics
 
 #: The classic gmin relaxation ladder (large shunt -> fully removed).
 DEFAULT_GMIN_SEQUENCE: Tuple[float, ...] = (
@@ -274,10 +273,10 @@ class SolverPolicy:
                 report.strategy = rung.name
                 report.achieved_gmin = gmin
                 report.final_voltages = None
-                if telemetry.enabled() or metrics.enabled():
+                if telemetry.enabled():
                     _record_telemetry(report, rung_index)
                 return voltages, report
-        if telemetry.enabled() or metrics.enabled():
+        if telemetry.enabled():
             _record_telemetry(report, len(self.rungs) - 1, failed=True)
         if report.final_voltages is not None:
             report.worst_nodes = backend.worst_residual_nodes(
@@ -296,8 +295,6 @@ def _record_telemetry(
     report: ConvergenceReport, rung_index: int, failed: bool = False
 ) -> None:
     """Fold one escalation-ladder run into the active tracer."""
-    if metrics.enabled():
-        metrics.observe("newton.iterations", report.iterations)
     telemetry.count("solver.solves")
     telemetry.count("solver.newton_iterations", report.iterations)
     attempts: dict = {}

@@ -54,7 +54,6 @@ from repro import telemetry
 from repro.resilience import faults
 from repro.resilience.budget import Budget
 from repro.resilience.journal import RunJournal, ignore_sigint
-from repro.telemetry import metrics
 
 # --------------------------------------------------------------------------
 # Persistent executor
@@ -271,15 +270,14 @@ def _run_in_worker(
     decided this unit's worker should die, and it obliges with an
     unclean exit so the recovery path sees a genuine broken pool.
     ``fn`` is the same per-unit entry the parent runs in-process; only
-    when the parent traces does it run under a worker tracer
-    (:func:`~repro.telemetry.core.traced_worker`), whose payload the
-    parent grafts under its current span.
+    when the parent traces does it run under a fresh worker tracer,
+    whose records the parent grafts under its current span.
     """
     if crash:
         os._exit(1)
     if not traced:
         return fn(*args), None
-    with telemetry.traced_worker() as tracer:
+    with telemetry.Tracer().activate() as tracer:
         outcome = fn(*args)
     return outcome, tracer.trace_payload()
 
@@ -339,8 +337,6 @@ def run_dispatch(
     round, because a cold cache is not a failure.  With a tracer
     active, each worker's trace payload is grafted under the current
     span at the unit's submit time before ``accept`` sees the outcome.
-    Whole-dispatch wall time lands in the ``runtime.dispatch.seconds``
-    histogram.
     """
     from concurrent.futures import BrokenExecutor
     from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -357,122 +353,116 @@ def run_dispatch(
             tracer.absorb(trace, t_offset=submit_times[i])
         return outcome
 
-    t_start = time.perf_counter()
     rounds_used = 0
     resend: Set[int] = set()
-    try:
-        while pending and rounds_used <= max_retries:
-            if any(i not in resend for i in pending):
-                rounds_used += 1
-            if budget is not None:
-                budget.check(sites.budget_round, pending=len(pending))
-            retry: List[int] = []
-            next_resend: Set[int] = set()
-            workers = min(jobs, len(pending))
-            lease = acquire(workers)
-            pool = lease.executor
-            had_timeout = False
-            had_death = False
-            futures: Dict[int, Any] = {}
-            try:
-                broken_at_submit = False
-                for i in pending:
-                    if broken_at_submit:
-                        # The pool broke mid-submission; this unit was
-                        # never attempted — carry it to the next round.
-                        retry.append(i)
-                        if i in resend:
-                            next_resend.add(i)
-                        continue
-                    crash = (
-                        faults.fire(sites.fault_site, index=i) is not None
+    while pending and rounds_used <= max_retries:
+        if any(i not in resend for i in pending):
+            rounds_used += 1
+        if budget is not None:
+            budget.check(sites.budget_round, pending=len(pending))
+        retry: List[int] = []
+        next_resend: Set[int] = set()
+        workers = min(jobs, len(pending))
+        lease = acquire(workers)
+        pool = lease.executor
+        had_timeout = False
+        had_death = False
+        futures: Dict[int, Any] = {}
+        try:
+            broken_at_submit = False
+            for i in pending:
+                if broken_at_submit:
+                    # The pool broke mid-submission; this unit was
+                    # never attempted — carry it to the next round.
+                    retry.append(i)
+                    if i in resend:
+                        next_resend.add(i)
+                    continue
+                crash = (
+                    faults.fire(sites.fault_site, index=i) is not None
+                )
+                if i not in resend:
+                    client.begin_attempt(i)
+                if traced:
+                    submit_times[i] = tracer.now()
+                try:
+                    fn, args = client.job(lease, i, i in resend)
+                    futures[i] = pool.submit(
+                        _run_in_worker, fn, args, traced, crash
                     )
-                    if i not in resend:
-                        client.begin_attempt(i)
-                    if traced:
-                        submit_times[i] = tracer.now()
-                    try:
-                        fn, args = client.job(lease, i, i in resend)
-                        futures[i] = pool.submit(
-                            _run_in_worker, fn, args, traced, crash
-                        )
-                    except (BrokenExecutor, OSError) as error:
-                        # Only a *warm* pool can break while we are
-                        # still submitting: an earlier unit's worker is
-                        # already executing and died.  Recover the same
-                        # way a harvest-time death does.
-                        broken_at_submit = True
-                        had_death = True
-                        client.note_death(i, error)
+                except (BrokenExecutor, OSError) as error:
+                    # Only a *warm* pool can break while we are
+                    # still submitting: an earlier unit's worker is
+                    # already executing and died.  Recover the same
+                    # way a harvest-time death does.
+                    broken_at_submit = True
+                    had_death = True
+                    client.note_death(i, error)
+                    retry.append(i)
+            for i, future in futures.items():
+                if journal is not None and journal.interrupted:
+                    # Shutdown signal: let the units already handed
+                    # to the workers finish, cancel the queued rest,
+                    # journal every result that made it home, then
+                    # stop cleanly.  Cancelling straight away would
+                    # also cancel a submitted unit the executor had
+                    # not yet moved to an idle worker.
+                    unfinished = [
+                        f for f in futures.values() if not f.done()
+                    ]
+                    wait(unfinished[:workers], timeout=unit_timeout)
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    for j, done in futures.items():
+                        if (
+                            not client.has_result(j)
+                            and done.done()
+                            and not done.cancelled()
+                            and done.exception() is None
+                        ):
+                            outcome = harvest(j, done.result())
+                            if not isinstance(outcome, CacheMiss):
+                                client.accept(j, outcome)
+                    journal.check_interrupt(sites.drain_site)
+                try:
+                    outcome = harvest(
+                        i, future.result(timeout=unit_timeout)
+                    )
+                    if isinstance(outcome, CacheMiss):
+                        lease.unship(outcome.key)
+                        telemetry.count("runtime.resident.resend")
+                        next_resend.add(i)
                         retry.append(i)
-                for i, future in futures.items():
-                    if journal is not None and journal.interrupted:
-                        # Shutdown signal: let the units already handed
-                        # to the workers finish, cancel the queued rest,
-                        # journal every result that made it home, then
-                        # stop cleanly.  Cancelling straight away would
-                        # also cancel a submitted unit the executor had
-                        # not yet moved to an idle worker.
-                        unfinished = [
-                            f for f in futures.values() if not f.done()
-                        ]
-                        wait(unfinished[:workers], timeout=unit_timeout)
+                        continue
+                    client.accept(i, outcome)
+                except client.transport_exceptions as error:
+                    # A result that cannot cross back can never
+                    # succeed on a retry: fail fast with context.
+                    if sites.transport_shutdown_wait:
                         pool.shutdown(wait=True, cancel_futures=True)
-                        for j, done in futures.items():
-                            if (
-                                not client.has_result(j)
-                                and done.done()
-                                and not done.cancelled()
-                                and done.exception() is None
-                            ):
-                                outcome = harvest(j, done.result())
-                                if not isinstance(outcome, CacheMiss):
-                                    client.accept(j, outcome)
-                        journal.check_interrupt(sites.drain_site)
-                    try:
-                        outcome = harvest(
-                            i, future.result(timeout=unit_timeout)
-                        )
-                        if isinstance(outcome, CacheMiss):
-                            lease.unship(outcome.key)
-                            telemetry.count("runtime.resident.resend")
-                            next_resend.add(i)
-                            retry.append(i)
-                            continue
-                        client.accept(i, outcome)
-                    except client.transport_exceptions as error:
-                        # A result that cannot cross back can never
-                        # succeed on a retry: fail fast with context.
-                        if sites.transport_shutdown_wait:
-                            pool.shutdown(wait=True, cancel_futures=True)
-                        raise client.transport_error(i, error) from error
-                    except FuturesTimeoutError:
-                        had_timeout = True
-                        client.note_timeout(i, unit_timeout)
-                        retry.append(i)
-                    except (BrokenExecutor, OSError, EOFError) as error:
-                        had_death = True
-                        client.note_death(i, error)
-                        retry.append(i)
-            except BaseException:
-                # A unit-level error propagates to the caller like a
-                # serial run's would; don't leave workers running behind
-                # it, and never hand a possibly-wedged pool to the next
-                # dispatch.
-                lease.discard(wait=False)
-                raise
-            if had_timeout:
-                # A timed-out worker may still be running; don't block
-                # on it, and don't reuse a pool with a stale unit.
-                lease.discard(wait=False)
-            elif had_death:
-                lease.discard(wait=True)
-            pending = sorted(retry)
-            resend = next_resend
-    finally:
-        metrics.observe(
-            "runtime.dispatch.seconds", time.perf_counter() - t_start
-        )
+                    raise client.transport_error(i, error) from error
+                except FuturesTimeoutError:
+                    had_timeout = True
+                    client.note_timeout(i, unit_timeout)
+                    retry.append(i)
+                except (BrokenExecutor, OSError, EOFError) as error:
+                    had_death = True
+                    client.note_death(i, error)
+                    retry.append(i)
+        except BaseException:
+            # A unit-level error propagates to the caller like a
+            # serial run's would; don't leave workers running behind
+            # it, and never hand a possibly-wedged pool to the next
+            # dispatch.
+            lease.discard(wait=False)
+            raise
+        if had_timeout:
+            # A timed-out worker may still be running; don't block
+            # on it, and don't reuse a pool with a stale unit.
+            lease.discard(wait=False)
+        elif had_death:
+            lease.discard(wait=True)
+        pending = sorted(retry)
+        resend = next_resend
 
     # Bounded retries exhausted: bring the stragglers home in-process.
     for i in pending:

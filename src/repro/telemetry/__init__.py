@@ -2,12 +2,12 @@
 
 The observability substrate of the stack (DESIGN.md §8): a thread-local
 :class:`Tracer` whose records (hierarchical spans, typed events,
-counters and gauges) are the only per-run store, a JSONL trace
+counters and gauges) are the only telemetry store, a JSONL trace
 container, a replay pass that folds a trace into a per-phase
 timing/counter tree and per-name profile rows in one walk
-(:class:`~repro.telemetry.replay.TraceSummary`), and the process-wide
-:mod:`~repro.telemetry.metrics` registry (the only per-process
-aggregate, armed by ``--monitor``/``--metrics``).
+(:class:`~repro.telemetry.replay.TraceSummary`), and the renderings of
+that summary: the replay tree and JSON, the profiler's table, and the
+Prometheus text snapshot that ``--metrics FILE`` writes.
 
 Instrumentation sites use the module-level helpers, which no-op at the
 cost of one global integer test when no tracer is active::
@@ -22,7 +22,7 @@ or the ``--trace FILE`` CLI flag; replay a written file with
 ``python -m repro trace FILE``.
 """
 
-from repro.telemetry import metrics, monitor, profile
+from repro.telemetry import profile
 from repro.telemetry.core import (
     TRACE_SCHEMA,
     Tracer,
@@ -33,7 +33,6 @@ from repro.telemetry.core import (
     gauge,
     span,
     trace_run,
-    traced_worker,
 )
 from repro.telemetry.export import read_jsonl, write_jsonl
 from repro.telemetry.replay import (
@@ -54,13 +53,10 @@ __all__ = [
     "enabled",
     "event",
     "gauge",
-    "metrics",
-    "monitor",
     "profile",
     "read_jsonl",
     "span",
     "summarize",
     "trace_run",
-    "traced_worker",
     "write_jsonl",
 ]

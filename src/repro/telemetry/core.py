@@ -17,12 +17,11 @@ guards this with an overhead benchmark.
 The records are the only per-run store: a run's counter and gauge
 totals are derived from them (:meth:`Tracer.summary`).  Process-pool
 workers (batch tasks, Monte-Carlo shards) cannot share the parent's
-tracer; they run their own under :func:`traced_worker`, then ship its
-picklable ``{"records", "metrics"}`` payload back
-(:meth:`Tracer.trace_payload`) for the parent to graft under the current
-span with :meth:`Tracer.absorb` — ids are remapped, worker-relative
-timestamps shifted to the parent timeline, and the worker's metrics
-delta merged into the process registry.
+tracer; each unit runs under a fresh worker tracer, then ships its
+picklable ``{"records"}`` payload back (:meth:`Tracer.trace_payload`)
+for the parent to graft under the current span with
+:meth:`Tracer.absorb` — ids are remapped and worker-relative timestamps
+shifted to the parent timeline.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
-
-from repro.telemetry import metrics as _metrics
 
 #: Schema tag of the JSONL trace container (header line of every file).
 TRACE_SCHEMA = "repro-trace-v1"
@@ -132,9 +129,6 @@ class Tracer:
         self._origin = clock()
         self._stack: List[int] = []
         self._next_id = 0
-        #: Metrics delta captured by :func:`traced_worker`, the payload's
-        #: ``metrics``.
-        self._metrics_delta: Optional[Dict[str, Any]] = None
 
     # -- Internals ---------------------------------------------------------
 
@@ -170,16 +164,7 @@ class Tracer:
 
     def count(self, name: str, n: float = 1) -> None:
         """Add ``n`` to the monotonic counter ``name`` (under the current
-        span, so replay can aggregate counters per subtree).
-
-        While the metrics registry is armed
-        (:func:`repro.telemetry.metrics.enabled`), every increment also
-        mirrors into the process-wide aggregates — that is how the whole
-        tracer counter vocabulary shows up in ``/metrics`` without a
-        second hook at each site.
-        """
-        if _metrics._enabled:
-            _metrics._REGISTRY.inc(name, n)
+        span, so replay can aggregate counters per subtree)."""
         self.records.append(
             {
                 "type": "count",
@@ -192,14 +177,11 @@ class Tracer:
 
     def gauge(self, name: str, value: float) -> None:
         """Record the latest value of ``name`` (last write wins)."""
-        value = float(value)
-        if _metrics._enabled:
-            _metrics._REGISTRY.set_gauge(name, value)
         self.records.append(
             {
                 "type": "gauge",
                 "name": name,
-                "value": value,
+                "value": float(value),
                 "t": self.now(),
                 "parent": self._parent_id(),
             }
@@ -223,10 +205,9 @@ class Tracer:
     # -- Cross-process protocol -------------------------------------------
 
     def trace_payload(self) -> Dict[str, Any]:
-        """Picklable ``{"records", "metrics"}`` snapshot for shipping
-        across a process boundary (``metrics`` is the
-        :func:`traced_worker` registry delta, ``None`` outside one)."""
-        return {"records": self.records, "metrics": self._metrics_delta}
+        """Picklable ``{"records"}`` snapshot for shipping across a
+        process boundary."""
+        return {"records": self.records}
 
     def absorb(self, payload: Dict[str, Any], t_offset: float = 0.0) -> None:
         """Graft a worker tracer's payload under the current span.
@@ -234,12 +215,8 @@ class Tracer:
         Record ids are remapped past this tracer's id space, the
         payload's root records are re-parented to the current span, and
         timestamps are shifted by ``t_offset`` seconds so the worker's
-        records sit on this tracer's timeline.  While the metrics
-        registry is armed, the payload's metrics delta (histograms and
-        all) merges into it.
+        records sit on this tracer's timeline.
         """
-        if _metrics._enabled:
-            _metrics._REGISTRY.merge(payload["metrics"])
         base = self._next_id
         parent = self._parent_id()
         max_id = -1
@@ -320,26 +297,3 @@ def trace_run(name: str = "run", **attrs: Any) -> Iterator[Tracer]:
         with tracer.span(name, **attrs):
             yield tracer
 
-
-@contextmanager
-def traced_worker() -> Iterator[Tracer]:
-    """Pool-worker scope: a fresh tracer plus scoped metrics collection.
-
-    Activates a new :class:`Tracer` and arms the metrics registry for
-    the block; on exit the registry delta observed during the block is
-    attached to the tracer, so :meth:`Tracer.trace_payload` ships spans,
-    counters *and* histogram aggregates home in one picklable payload.
-    The delta (not the whole registry) is what crosses: a pool worker
-    reused across units never re-ships work it already reported.  The
-    unit run inside opens its own span, exactly as it does when it runs
-    in the parent process.
-    """
-    tracer = Tracer()
-    base = _metrics._REGISTRY.snapshot()
-    _metrics.enable()
-    try:
-        with tracer.activate():
-            yield tracer
-    finally:
-        _metrics.disable()
-        tracer._metrics_delta = _metrics._REGISTRY.delta_since(base)

@@ -8,13 +8,15 @@ one post-order pass: every node gets its subtree counter totals
 (:attr:`SpanNode.totals`) and its self time (:attr:`SpanNode.self_s`),
 and the per-name :class:`SpanProfile` rows (calls, total, self, p50,
 p95) are built.  ``TraceSummary.format_tree`` (the ``python -m repro
-trace`` text), ``TraceSummary.to_json`` and the profiler's table and
-collapsed stacks (:mod:`repro.telemetry.profile`) only read those values.
+trace`` text), ``TraceSummary.to_json``, ``TraceSummary.to_prometheus``
+(the ``--metrics FILE`` snapshot) and the profiler's table and collapsed
+stacks (:mod:`repro.telemetry.profile`) only read those values.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -184,11 +186,46 @@ class TraceSummary:
     def format_json(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
+    def to_prometheus(self) -> str:
+        """Prometheus text exposition (format 0.0.4) of the counter and
+        gauge totals.
+
+        Names are sanitised (``.`` and other non-identifier characters
+        become ``_``) and prefixed with ``repro_``; counters get the
+        conventional ``_total`` suffix.  Each kind is sorted by name, so
+        the output is golden-testable.
+        """
+        lines: List[str] = []
+        for kind, values, suffix in (
+            ("counter", self.counters, "_total"),
+            ("gauge", self.gauges, ""),
+        ):
+            for name in sorted(values):
+                metric = "repro_" + _prometheus_name(name) + suffix
+                lines.append(f"# TYPE {metric} {kind}")
+                lines.append(f"{metric} {_prometheus_number(values[name])}")
+        return "\n".join(lines) + "\n"
+
 
 def _format_number(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return f"{value:g}"
+
+
+def _prometheus_name(name: str) -> str:
+    text = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
+    return "_" + text if text[:1].isdigit() else text
+
+
+def _prometheus_number(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
 
 
 def _percentile(ordered: List[float], q: float) -> float:

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -27,14 +29,9 @@ class TestParser:
         assert args.cload == 5.0
         assert args.vdd == 5.0
 
-    def test_monitor_flag_shapes(self):
-        parser = build_parser()
-        assert parser.parse_args(["synthesize"]).monitor is None
-        # Bare --monitor means heartbeat only (no HTTP server).
-        assert parser.parse_args(["synthesize", "--monitor"]).monitor == -1
-        assert parser.parse_args(["table1", "--monitor", "0"]).monitor == 0
-        args = parser.parse_args(["flows", "--monitor", "8123"])
-        assert args.monitor == 8123
+    def test_monitor_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1", "--monitor"])
 
     def test_positive_values_parse(self):
         parser = build_parser()
@@ -214,3 +211,53 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+
+def _metric_lines(path):
+    """``{metric: value}`` of a ``--metrics`` file's sample lines."""
+    samples = {}
+    for line in path.read_text().splitlines():
+        if not line.startswith("#"):
+            metric, value = line.rsplit(" ", 1)
+            samples[metric] = float(value)
+    return samples
+
+
+class TestMetricsFile:
+    def test_table1_metrics_are_the_trace_counters(self, capsys, tmp_path):
+        from repro.telemetry import read_jsonl, summarize
+
+        metrics = tmp_path / "metrics.txt"
+        trace = tmp_path / "run.jsonl"
+        assert main([
+            "table1", "--jobs", "2", "--fingerprint",
+            "--metrics", str(metrics), "--trace", str(trace),
+        ]) == 0
+        assert f"metrics: {metrics}" in capsys.readouterr().out
+        summary = summarize(read_jsonl(str(trace)))
+        totals = {
+            metric: value
+            for metric, value in _metric_lines(metrics).items()
+            if metric.endswith("_total")
+        }
+        assert totals == {
+            "repro_" + re.sub(r"\W", "_", name) + "_total": value
+            for name, value in summary.counters.items()
+        }
+        assert totals["repro_batch_tasks_total"] == 4
+        assert "histogram" not in metrics.read_text()
+
+    def test_metrics_written_when_the_command_dies(self, capsys, tmp_path):
+        from repro.resilience import faults
+
+        metrics = tmp_path / "metrics.txt"
+        with pytest.raises(faults.SimulatedKill):
+            with faults.inject("process.kill", at=2):
+                main([
+                    "table1", "--journal", str(tmp_path / "run"),
+                    "--metrics", str(metrics),
+                ])
+        assert "metrics written to" in capsys.readouterr().err
+        samples = _metric_lines(metrics)
+        assert samples["repro_batch_tasks_total"] == 4
+        assert samples["repro_solver_solves_total"] > 0

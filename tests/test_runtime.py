@@ -14,6 +14,7 @@ import hashlib
 import os
 import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -84,7 +85,14 @@ class TestPersistentPool:
                 (worker,) = lease.executor._processes.values()
                 assert worker.pid == worker_pid
                 os.kill(worker_pid, signal.SIGTERM)
-                worker.join(timeout=1.0)
+                # Poll rather than join once for a fixed second: on a
+                # loaded host the signalled worker can take longer to be
+                # reaped.
+                deadline = time.monotonic() + 10.0
+                while (
+                    worker.exitcode is None and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
                 exitcode = worker.exitcode
                 if exitcode is None:  # survived: do not leak it
                     worker.kill()
