@@ -68,7 +68,7 @@ class TestFigure5Claims:
             )
 
     def test_input_pair_common_centroid_with_dummies(self, layout):
-        pair = layout.placements["pair"].layout
+        pair = layout.placements["pair"].frame
         assert pair.plan is not None
         dummies = [f for f in pair.plan.fingers if f.is_dummy]
         assert len(dummies) == 2

@@ -144,6 +144,7 @@ class OtaMeasurement:
     ):
         self.tb = tb
         self.f_start = f_start
+        self.points_per_decade = points_per_decade
         self.dc, self.offset = feedback_dc_solution(tb)
         self.frequencies = logspace_frequencies(
             f_start, f_stop, points_per_decade
@@ -174,17 +175,38 @@ class OtaMeasurement:
             raise AnalysisError("OTA output cannot be the ground net")
 
     def loop_gain(self) -> Tuple[float, float]:
-        """``(gbw, phase_margin_deg)`` from the differential sweep alone."""
+        """``(gbw, phase_margin_deg)`` from the differential sweep alone.
+
+        The sweep is solved a decade (``points_per_decade`` points) at a
+        time from the low end and stops once it holds the first unity
+        crossing and one point past it: the crossing, the unwrapped phase
+        and its interpolation read only that prefix, and each frequency's
+        matrix is factored on its own, so the result equals the full
+        sweep's bit for bit.
+        """
         with telemetry.span(
             "analysis.loop_gain", circuit=self.tb.circuit.name
         ):
-            solved = self.system.solve_batch(
-                self.frequencies, self.system.rhs(self._dm_drive)
-            )
+            rhs = self.system.rhs(self._dm_drive)
+            frequencies = self.frequencies
+            step = self.points_per_decade
+            values = np.empty(frequencies.size, dtype=complex)
+            solved = 0
+            while solved < frequencies.size:
+                chunk = frequencies[solved:solved + step]
+                values[solved:solved + chunk.size] = self.system.solve_batch(
+                    chunk, rhs
+                )[:, self._out_node, 0]
+                solved += chunk.size
+                gains = TransferFunction(
+                    frequencies[:solved], values[:solved]
+                ).magnitude_db
+                crossing = np.flatnonzero((gains[:-1] >= 0.0) & (gains[1:] < 0.0))
+                if crossing.size and crossing[0] + 2 < solved:
+                    break
             return _loop_gain(
                 TransferFunction(
-                    self.frequencies.copy(),
-                    solved[:, self._out_node, 0].copy(),
+                    frequencies[:solved].copy(), values[:solved].copy()
                 )
             )
 

@@ -18,6 +18,8 @@ The package mirrors the structure the paper describes in section 3:
 * :mod:`repro.layout.parasitics` — the *parasitic calculation mode*: fold
   counts, diffusion geometry, routing/coupling/well capacitances, with no
   geometry emitted;
+* :mod:`repro.layout.assembly` — the one place/route/report path both
+  generators share, and the generation mode's drawing;
 * :mod:`repro.layout.extraction` — independent geometric extraction of a
   *generated* layout (the role Cadence plays in the paper);
 * :mod:`repro.layout.svg` / :mod:`repro.layout.gds` — SVG and GDSII export.

@@ -7,29 +7,36 @@ program declares devices, pairs and mirrors, groups them into rows and
 stacks rows into a column, states a shape constraint, and then runs in
 either of the paper's two modes:
 
-* :meth:`CairoProgram.calculate_parasitics` — parasitic calculation mode;
+* :meth:`CairoProgram.calculate_parasitics` — parasitic calculation
+  mode: the report, with no geometry emitted;
 * :meth:`CairoProgram.generate` — generation mode (returns the cell).
 
-The OTA generator (:mod:`repro.layout.ota`) is the hand-tuned equivalent
-for the paper's specific circuit; the DSL covers the general case.
+Transistors, pairs, mirrors and taps are module frames; capacitors and
+resistors have no frame, so their generators draw a cell whose shapes
+stand in for a frame's enumeration
+(:class:`~repro.layout.devices.CellFrame`).  Placement, routing and the report go
+through the same :func:`repro.layout.assembly.assemble` as the OTA
+generator (:mod:`repro.layout.ota`), the hand-tuned equivalent for the
+paper's specific circuit; the DSL covers the general case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import LayoutError
+from repro.layout.assembly import Assembly, assemble
 from repro.layout.cell import Cell
 from repro.layout.devices import (
-    ModuleLayout,
-    current_mirror_layout,
-    differential_pair_layout,
-    single_device_layout,
+    CellFrame,
+    ModuleFrame,
+    current_mirror_frame,
+    differential_pair_frame,
+    single_device_frame,
 )
-from repro.layout.parasitics import ParasiticReport, module_report
-from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
-from repro.layout.routing import ChannelRouter, PlacedModule
+from repro.layout.parasitics import ParasiticReport
+from repro.layout.placement import ModuleVariant
 from repro.technology.process import Technology
 
 
@@ -38,7 +45,7 @@ class _ModuleDecl:
     """A declared module awaiting generation."""
 
     name: str
-    builder: object
+    builder: Callable[[], ModuleFrame]
     requested_widths: Dict[str, float] = field(default_factory=dict)
     drain_internal: Dict[str, bool] = field(default_factory=dict)
     """Declared drain style per device (devices absent here report the
@@ -79,8 +86,8 @@ class CairoProgram:
     ) -> None:
         """Declare a single transistor module (drain, gate, source, bulk)."""
 
-        def build() -> ModuleLayout:
-            return single_device_layout(
+        def build() -> ModuleFrame:
+            return single_device_frame(
                 self.technology,
                 polarity,
                 w,
@@ -113,8 +120,8 @@ class CairoProgram:
     ) -> None:
         """Declare a matched differential pair module."""
 
-        def build() -> ModuleLayout:
-            return differential_pair_layout(
+        def build() -> ModuleFrame:
+            return differential_pair_frame(
                 self.technology,
                 polarity,
                 w,
@@ -153,8 +160,8 @@ class CairoProgram:
     ) -> None:
         """Declare a stacked current mirror module (paper Figure 3)."""
 
-        def build() -> ModuleLayout:
-            return current_mirror_layout(
+        def build() -> ModuleFrame:
+            return current_mirror_frame(
                 self.technology,
                 polarity,
                 ratios,
@@ -183,11 +190,11 @@ class CairoProgram:
         """Declare a double-poly plate capacitor module."""
         from repro.layout.capacitor import plate_capacitor
 
-        def build() -> ModuleLayout:
-            return plate_capacitor(
+        def build() -> ModuleFrame:
+            return CellFrame(plate_capacitor(
                 self.technology, value, net_top, net_bottom,
                 name=name, aspect=aspect,
-            )
+            ))
 
         self._declare(_ModuleDecl(name=name, builder=build))
 
@@ -202,11 +209,11 @@ class CairoProgram:
         """Declare a serpentine poly resistor module."""
         from repro.layout.resistor import poly_resistor
 
-        def build() -> ModuleLayout:
-            return poly_resistor(
+        def build() -> ModuleFrame:
+            return CellFrame(poly_resistor(
                 self.technology, value, net_a, net_b,
                 name=name, width=width,
-            )
+            ))
 
         self._declare(_ModuleDecl(name=name, builder=build))
 
@@ -218,10 +225,10 @@ class CairoProgram:
         height: float,
     ) -> None:
         """Declare a substrate or well tap column."""
-        from repro.layout.tap import tap_column
+        from repro.layout.tap import TapFrame
 
-        def build() -> ModuleLayout:
-            return tap_column(self.technology, kind, net, height, name=name)
+        def build() -> ModuleFrame:
+            return TapFrame(self.technology, kind, net, height, name=name)
 
         self._declare(_ModuleDecl(name=name, builder=build))
 
@@ -249,98 +256,20 @@ class CairoProgram:
 
     # -- Execution ----------------------------------------------------------------------
 
-    def _assemble(self) -> Tuple[Cell, Dict[str, PlacedModule], ParasiticReport]:
+    def assemble(self) -> Tuple[Assembly, ParasiticReport]:
+        """Place, route and report the program, drawing nothing."""
         if not self._rows:
             raise LayoutError("program has no rows; call row() first")
-        rules = self.technology.rules
 
-        layouts = {
-            name: declaration.builder()
-            for name, declaration in self._modules.items()
-        }
-
-        # Net pin channels for planning: a pin on a module's bottom edge
-        # reaches its row's channel, a top-edge pin the channel above.
-        net_pins: Dict[str, List[int]] = {}
-        for row_index, row in enumerate(self._rows):
-            for module in row:
-                cell = layouts[module].cell
-                box = cell.bbox()
-                for net, shapes in cell.pins.items():
-                    for shape in shapes:
-                        channel = (
-                            row_index
-                            if shape.rect.center.y < box.center.y
-                            else row_index + 1
-                        )
-                        net_pins.setdefault(net, []).append(channel)
-
-        router = ChannelRouter(self.technology, self._net_currents)
-        channel_plan = router.plan_channels(len(self._rows), net_pins)
-
-        module_gap = 4.0 * rules.metal1_spacing
-        row_nodes = []
-        for row in self._rows:
-            leaves = [
-                LeafNode(m, [ModuleVariant(
-                    m, layouts[m].width, layouts[m].height,
-                    lambda layout=layouts[m]: layout,
-                )])
-                for m in row
-            ]
-            row_nodes.append(
-                SliceNode(
-                    "h", leaves, [module_gap] * (len(leaves) - 1), align="center"
-                )
-            )
-        if len(row_nodes) > 1:
-            root = SliceNode(
-                "v", row_nodes,
-                spacings=channel_plan.heights[1:len(row_nodes)],
-                align="center",
-            )
-        else:
-            root = row_nodes[0]
-
-        point, placements_list = optimize(
-            root, aspect=self._aspect, height=self._height, width=self._width
-        )
-
-        placements: Dict[str, PlacedModule] = {}
-        row_of_module: Dict[str, int] = {}
-        for placement in placements_list:
-            box = placement.variant.layout.cell.bbox()
-            placements[placement.name] = PlacedModule(
-                name=placement.name,
-                layout=placement.variant.layout,
-                dx=placement.dx - box.x0,
-                dy=placement.dy - box.y0,
-            )
-        for row_index, row in enumerate(self._rows):
-            for module in row:
-                row_of_module[module] = row_index
-
-        # Channel 0 hangs below the bottom row; channel i starts at the top
-        # of row i-1; the last channel sits above the top row.
-        def row_members(row_index: int):
-            return [placements[m] for m in self._rows[row_index]]
-
-        bottom = min(m.bbox().y0 for m in row_members(0))
-        channel_y = [bottom - channel_plan.heights[0]]
-        for row_index in range(len(self._rows)):
-            channel_y.append(max(m.bbox().y1 for m in row_members(row_index)))
-
-        top = Cell(self.name)
-        for module in placements.values():
-            top.add_instance(module.layout.cell, dx=module.dx, dy=module.dy)
-        routing = router.route(
-            top,
-            list(placements.values()),
-            row_of_module,
-            channel_plan,
-            channel_y,
-            (0.0, point.width),
-        )
+        def variants() -> Dict[str, List[ModuleVariant]]:
+            frames = {
+                name: declaration.builder()
+                for name, declaration in self._modules.items()
+            }
+            return {
+                name: [ModuleVariant(name, *frame.footprint, frame)]
+                for name, frame in frames.items()
+            }
 
         requested = {
             device: width
@@ -352,18 +281,20 @@ class CairoProgram:
             for declaration in self._modules.values()
             for device, flag in declaration.drain_internal.items()
         }
-        report = module_report(
-            self.technology, point, placements, routing, requested,
-            drain_internal,
+        assembly, report, _tags = assemble(
+            self.technology, self.name, self._rows, variants,
+            net_currents=self._net_currents,
+            requested_widths=requested,
+            drain_internal=drain_internal,
+            aspect=self._aspect, height=self._height, width=self._width,
         )
-        return top, placements, report
+        return assembly, report
 
     def calculate_parasitics(self) -> ParasiticReport:
-        """Parasitic calculation mode: report only, no geometry kept."""
-        _cell, _placements, report = self._assemble()
-        return report
+        """Parasitic calculation mode: the report, no geometry emitted."""
+        return self.assemble()[1]
 
     def generate(self) -> Tuple[Cell, ParasiticReport]:
         """Generation mode: the drawn cell plus its parasitic report."""
-        cell, _placements, report = self._assemble()
-        return cell, report
+        assembly, report = self.assemble()
+        return assembly.draw(), report

@@ -14,7 +14,7 @@ request), never on hashing its shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import LayoutError
 from repro.layout.geometry import Orientation, Rect, bounding_box
@@ -28,6 +28,11 @@ class Shape:
     layer: Layer
     rect: Rect
     net: Optional[str] = None
+
+
+#: One entry of a module frame's shape enumeration: ``(layer, rect, net,
+#: is_pin)``, in the order the frame's drawing emits its shapes.
+FrameShape = Tuple[Layer, Rect, Optional[str], bool]
 
 
 @dataclass
@@ -56,6 +61,21 @@ class Cell:
         self._version = 0
         self._bbox_cache: Optional[Tuple[object, Rect]] = None
         self._flat_cache: Optional[Tuple[object, List[Shape]]] = None
+
+    @classmethod
+    def from_shapes(cls, name: str, shapes: Iterable[FrameShape]) -> "Cell":
+        """A fresh cell holding ``shapes`` in order, pins declared: the
+        same cell as :meth:`add_shape`/:meth:`add_pin` calls in order."""
+        cell = cls(name)
+        drawn = cell.shapes
+        pins = cell.pins
+        for layer, rect, net, is_pin in shapes:
+            shape = Shape(layer=layer, rect=rect, net=net)
+            drawn.append(shape)
+            if is_pin:
+                pins.setdefault(net, []).append(shape)
+        cell._version = len(drawn)
+        return cell
 
     # -- Construction -----------------------------------------------------------
 

@@ -10,21 +10,26 @@ metal-2 rails collect each net (drains below the row, source/gates/dummy
 ties above), with electromigration-derived widths.
 
 Each generator is a :class:`ModuleFrame` — the numeric plan, with the
-drawn module's exact footprint and no shapes — and its ``draw()``:
-``*_layout(...)`` is ``*_frame(...).draw()``.  The OTA generator places
-modules by their frames' footprints and draws only the placed ones.
+drawn module's exact footprint — whose ``shapes()`` enumerates the
+module's rectangles in drawing order and whose ``draw()`` emits that
+enumeration into a cell: ``*_layout(...)`` is ``*_frame(...).draw()``.
+The layout generators place modules by their frames' footprints, compute
+parasitics from the placed frames' enumerations and draw only in
+generation mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.errors import LayoutError
-from repro.layout.cell import Cell
+from repro.layout.cell import Cell, FrameShape
 from repro.layout.geometry import Rect, bounding_box
-from repro.layout.layers import Layer
+from repro.layout.layers import CUT_LAYERS, Layer
 from repro.layout.motif import MotifFrame
 from repro.layout.stack import DUMMY, StackPlan, generate_stack
 from repro.mos.junction import DiffusionGeometry
@@ -55,24 +60,92 @@ class ModuleLayout:
 
 
 class ModuleFrame:
-    """A module's numeric plan: its exact footprint now, its cell on demand.
+    """A module's numeric plan: its exact footprint, shapes and devices.
 
     A frame runs every feasibility check its drawing would (so it raises
     the same :class:`LayoutError`) and sets :attr:`bbox` to the exact
     bounding box of the cell :meth:`draw` emits, down to the last float
-    bit, without emitting a shape.  Placement reads :attr:`footprint`;
-    only the variant it places is drawn.
+    bit, without emitting a shape.  Placement reads :attr:`footprint`.
+
+    :meth:`shapes` enumerates the module's rectangles in drawing order;
+    :meth:`cell` emits that enumeration into a cell, so drawing and the
+    parasitic-calculation mode (which reads the enumeration as arrays,
+    :class:`repro.layout.parasitics.ModuleView`) share one source.  The
+    device annotations — :meth:`device_geometry`, :attr:`device_nf`,
+    :attr:`finger_width`, :attr:`actual_widths` — come from the plan,
+    not from drawn shapes.
     """
 
+    name: str
     bbox: Rect
+    device_nf: Dict[str, int]
+    finger_width: float
+    length: float
+    actual_widths: Dict[str, float]
+    """Drawn total width per device (after grid snapping)."""
+    plan: Optional[StackPlan] = None
+    well_rect: Optional[Rect] = None
 
     @property
     def footprint(self) -> Tuple[float, float]:
         """``(width, height)`` of the module :meth:`draw` produces."""
         return self.bbox.width, self.bbox.height
 
-    def draw(self) -> ModuleLayout:
+    def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
+        """Every shape :meth:`cell` emits, in order; ``cuts=False``
+        leaves out the contact and via cuts."""
         raise NotImplementedError
+
+    def device_geometry(self) -> Dict[str, DiffusionGeometry]:
+        """Exact junction geometry per device."""
+        return {}
+
+    def cell(self) -> Cell:
+        """The module drawn into a fresh cell."""
+        return Cell.from_shapes(self.name, self.shapes())
+
+    def draw(self) -> ModuleLayout:
+        """The drawn cell with the frame's device annotations."""
+        return ModuleLayout(
+            cell=self.cell(),
+            device_geometry=self.device_geometry(),
+            device_nf=dict(self.device_nf),
+            finger_width=self.finger_width,
+            length=self.length,
+            plan=self.plan,
+            well_rect=self.well_rect,
+            actual_widths=dict(self.actual_widths),
+        )
+
+
+class CellFrame(ModuleFrame):
+    """A module drawn by a generator that has no frame (plate
+    capacitors, poly resistors): its shapes are those of its cell."""
+
+    def __init__(self, layout: ModuleLayout):
+        cell = layout.cell
+        self.layout = layout
+        self.name = cell.name
+        self.bbox = cell.bbox()
+        self.device_nf = layout.device_nf
+        self.finger_width = layout.finger_width
+        self.length = layout.length
+        self.actual_widths = layout.actual_widths
+        self.plan = layout.plan
+        self.well_rect = layout.well_rect
+
+    def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
+        pins = {id(shape) for shapes in self.layout.cell.pins.values()
+                for shape in shapes}
+        for shape in self.layout.cell.flattened():
+            if cuts or shape.layer not in CUT_LAYERS:
+                yield shape.layer, shape.rect, shape.net, id(shape) in pins
+
+    def device_geometry(self) -> Dict[str, DiffusionGeometry]:
+        return dict(self.layout.device_geometry)
+
+    def cell(self) -> Cell:
+        return self.layout.cell
 
 
 def _family_samples(members: Sequence, key: Callable) -> List:
@@ -158,28 +231,6 @@ def _layout_strips_and_gates(
     return strips, gates, segments
 
 
-def _strip_adjacency(
-    plan: StackPlan,
-    strips: List[_Strip],
-    gates: List[Tuple[int, float]],
-    length: float,
-) -> List[List[Tuple[str, bool]]]:
-    """(device, edge_is_drain) for each finger beside each strip.
-
-    By position: a finger's left strip is the one ending at the gate's
-    x0, its right strip starts at gate x0 + length.
-    """
-    adjacent: List[List[Tuple[str, bool]]] = [[] for _ in strips]
-    for finger_index, gate_x in gates:
-        finger = plan.fingers[finger_index]
-        for strip, neighbours in zip(strips, adjacent):
-            if abs(strip.x0 + strip.width - gate_x) < 1e-12:
-                neighbours.append((finger.device, finger.drain_left))
-            elif abs(strip.x0 - (gate_x + length)) < 1e-12:
-                neighbours.append((finger.device, not finger.drain_left))
-    return adjacent
-
-
 class StackFrame(ModuleFrame):
     """The numeric plan of a rendered stack.
 
@@ -238,7 +289,10 @@ class StackFrame(ModuleFrame):
         self.bulk_net = bulk_net
         self.name = name
         self.finger = finger
+        self.finger_width = finger
         self.length = length
+        self.device_nf = {d: plan.units[d] for d in terminals}
+        self.actual_widths = {d: finger * plan.units[d] for d in terminals}
 
         terminal_ds = {d: (t[0], t[2]) for d, t in terminals.items()}
         strip_nets = plan.strip_nets(terminal_ds, dummy_net=dummy_net)
@@ -507,22 +561,26 @@ class StackFrame(ModuleFrame):
             rects.append(self.well_rect)
         self.bbox = bounding_box(rects)
 
-    def _via(self, x_center: float, y_center: float,
-             net: str) -> List[Tuple[Layer, Rect, str]]:
-        """A via cut with its metal-1 landing pad."""
+    def _via(self, x_center: float, y_center: float, net: str,
+             cuts: bool = True) -> List[Tuple[Layer, Rect, str]]:
+        """A via cut (when ``cuts``) with its metal-1 landing pad."""
         rules = self.tech.rules
         via = rules.via_size
         via_pad = via + 2.0 * rules.via_metal_enclosure
+        pad = (
+            Layer.METAL1,
+            Rect.centered(x_center, y_center, via_pad, via_pad),
+            net,
+        )
+        if not cuts:
+            return [pad]
         return [
             (Layer.VIA1, Rect.centered(x_center, y_center, via, via), net),
-            (
-                Layer.METAL1,
-                Rect.centered(x_center, y_center, via_pad, via_pad),
-                net,
-            ),
+            pad,
         ]
 
-    def _strip_shapes(self, strip: _Strip) -> List[Tuple[Layer, Rect, str]]:
+    def _strip_shapes(self, strip: _Strip,
+                      cuts: bool = True) -> List[Tuple[Layer, Rect, str]]:
         """A strip's metal-1 vertical to its track, and the via there."""
         x_center = strip.x0 + strip.width / 2.0
         half = self.column_width / 2.0
@@ -535,11 +593,11 @@ class StackFrame(ModuleFrame):
         else:
             rect = Rect(x_center - half, 0.0, x_center + half, track_center)
         return [(Layer.METAL1, rect, strip.net)] + self._via(
-            x_center, track_center, strip.net
+            x_center, track_center, strip.net, cuts
         )
 
-    def _gate_shapes(self, gate_x: float,
-                     net: str) -> List[Tuple[Layer, Rect, str]]:
+    def _gate_shapes(self, gate_x: float, net: str,
+                     cuts: bool = True) -> List[Tuple[Layer, Rect, str]]:
         """A gate finger, its contacted pad and the stub to its track."""
         rules = self.tech.rules
         tap_size = self.tap_size
@@ -547,7 +605,7 @@ class StackFrame(ModuleFrame):
         x_center = gate_x + self.length / 2.0
         y0, y1 = self.gate_track_y[net]
         track_center = (y0 + y1) / 2.0
-        return [
+        shapes = [
             (
                 Layer.POLY,
                 Rect(gate_x, -rules.poly_endcap, gate_x + self.length,
@@ -565,13 +623,16 @@ class StackFrame(ModuleFrame):
                 Rect(gate_x, self.gate_top, gate_x + self.length, pad_row_y),
                 net,
             ),
-            (
+        ]
+        if cuts:
+            shapes.append((
                 Layer.CONTACT,
                 Rect.centered(
                     x_center, pad_row_y, rules.contact_size, rules.contact_size
                 ),
                 net,
-            ),
+            ))
+        shapes += [
             # Metal-1 landing pad over the gate contact.
             (
                 Layer.METAL1,
@@ -588,27 +649,24 @@ class StackFrame(ModuleFrame):
                 ),
                 net,
             ),
-        ] + self._via(x_center, track_center, net)
+        ]
+        return shapes + self._via(x_center, track_center, net, cuts)
 
-    def draw(self) -> ModuleLayout:
-        """Emit the stack's shapes into a fresh cell."""
+    def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
         rules = self.tech.rules
         finger = self.finger
-        cell = Cell(self.name)
         for rect in self.actives:
-            cell.add_shape(Layer.ACTIVE, rect)
+            yield Layer.ACTIVE, rect, None, False
         implant = Layer.NIMPLANT if self.polarity == "n" else Layer.PIMPLANT
-        cell.add_shape(implant, self.implant)
+        yield implant, self.implant, None, False
 
         for net, rail, is_pin in self.rails:
-            if is_pin:
-                cell.add_pin(net, Layer.METAL2, rail)
-            else:
-                cell.add_shape(Layer.METAL2, rail, net=net)
+            yield Layer.METAL2, rail, net, is_pin
         for net, rail in self.escape_pins:
-            cell.add_pin(net, Layer.METAL2, rail)
+            yield Layer.METAL2, rail, net, True
         for layer, rect, net in self.column_shapes:
-            cell.add_shape(layer, rect, net=net)
+            if cuts or layer not in CUT_LAYERS:
+                yield layer, rect, net, False
 
         # Contacts, metal-1 verticals per strip.
         size = rules.contact_size
@@ -616,90 +674,86 @@ class StackFrame(ModuleFrame):
         contact_pitch = size + rules.contact_spacing
         total_h = count * size + (count - 1) * rules.contact_spacing
         for strip in self.strips:
-            x_center = strip.x0 + strip.width / 2.0
-            cy = finger / 2.0 - total_h / 2.0 + size / 2.0
-            for _ in range(count):
-                cell.add_shape(
-                    Layer.CONTACT,
-                    Rect.centered(x_center, cy, size, size),
-                    net=strip.net,
-                )
-                cy += contact_pitch
-            for layer, rect, net in self._strip_shapes(strip):
-                cell.add_shape(layer, rect, net=net)
+            if cuts:
+                x_center = strip.x0 + strip.width / 2.0
+                cy = finger / 2.0 - total_h / 2.0 + size / 2.0
+                for _ in range(count):
+                    yield (
+                        Layer.CONTACT, Rect.centered(x_center, cy, size, size),
+                        strip.net, False,
+                    )
+                    cy += contact_pitch
+            for layer, rect, net in self._strip_shapes(strip, cuts):
+                yield layer, rect, net, False
 
         # Gate fingers, pads and stubs to gate tracks.
         for gate_x, net in self.gate_nets:
-            for layer, rect, shape_net in self._gate_shapes(gate_x, net):
-                cell.add_shape(layer, rect, net=shape_net)
+            for layer, rect, shape_net in self._gate_shapes(gate_x, net, cuts):
+                yield layer, rect, shape_net, False
 
         if self.well_rect is not None:
-            cell.add_shape(Layer.NWELL, self.well_rect, net=self.bulk_net)
+            yield Layer.NWELL, self.well_rect, self.bulk_net, False
 
-        # Per-device junction geometry from the drawn strips.
-        adjacency = _strip_adjacency(
-            self.plan, self.strips, self.gates, self.length
-        )
-        device_geometry = _accumulate_geometry(
-            self.strips, adjacency, self.terminals, finger
-        )
-        units = self.plan.units
-        return ModuleLayout(
-            cell=cell,
-            device_geometry=device_geometry,
-            device_nf={d: units[d] for d in self.terminals},
-            finger_width=finger,
-            length=self.length,
-            plan=self.plan,
-            well_rect=self.well_rect,
-            actual_widths={d: finger * units[d] for d in self.terminals},
-        )
+    def _strip_adjacency(self) -> List[List[Tuple[str, bool]]]:
+        """(device, edge_is_drain) for each finger beside each strip.
+
+        One walk: finger ``i`` sits between the strip that precedes it
+        and the next one, which at a break is the end strip before the
+        gap.  A strip lists its left finger before its right one.
+        """
+        adjacent: List[List[Tuple[str, bool]]] = [[] for _ in self.strips]
+        left = 0
+        for i, finger in enumerate(self.plan.fingers):
+            adjacent[left].append((finger.device, finger.drain_left))
+            adjacent[left + 1].append((finger.device, not finger.drain_left))
+            left += 2 if i in self.plan.breaks else 1
+        return adjacent
+
+    def device_geometry(self) -> Dict[str, DiffusionGeometry]:
+        """Split each strip's area/perimeter among the adjacent device
+        edges."""
+        terminals = self.terminals
+        finger = self.finger
+        accum: Dict[str, Dict[str, float]] = {
+            device: {"ad": 0.0, "pd": 0.0, "as": 0.0, "ps": 0.0}
+            for device in terminals
+        }
+        adjacency = self._strip_adjacency()
+        for strip, adjacent in zip(self.strips, adjacency):
+            owners: List[Tuple[str, bool]] = []
+            for device, edge_is_drain in adjacent:
+                if device == DUMMY or device not in terminals:
+                    continue
+                drain, _gate, source = terminals[device]
+                terminal_net = drain if edge_is_drain else source
+                if terminal_net == strip.net:
+                    owners.append((device, edge_is_drain))
+            if not owners:
+                continue
+            area = strip.width * finger
+            # Exposed perimeter: top+bottom edges always; outer vertical
+            # edge for end strips not facing a gate on that side.
+            perimeter = 2.0 * strip.width
+            if strip.is_end and len(adjacent) < 2:
+                perimeter += finger
+            share = 1.0 / len(owners)
+            for device, edge_is_drain in owners:
+                keys = ("ad", "pd") if edge_is_drain else ("as", "ps")
+                accum[device][keys[0]] += area * share
+                accum[device][keys[1]] += perimeter * share
+        return {
+            device: DiffusionGeometry(
+                ad=values["ad"], pd=values["pd"], as_=values["as"],
+                ps=values["ps"],
+            )
+            for device, values in accum.items()
+        }
 
 
 def render_stack(*args, **kwargs) -> ModuleLayout:
     """Draw a planned stack: :class:`StackFrame` of the same arguments,
     drawn."""
     return StackFrame(*args, **kwargs).draw()
-
-
-def _accumulate_geometry(
-    strips: List[_Strip],
-    adjacency: List[List[Tuple[str, bool]]],
-    terminals: Mapping[str, Tuple[str, str, str]],
-    finger: float,
-) -> Dict[str, DiffusionGeometry]:
-    """Split each strip's area/perimeter among the adjacent device edges."""
-    accum: Dict[str, Dict[str, float]] = {
-        device: {"ad": 0.0, "pd": 0.0, "as": 0.0, "ps": 0.0} for device in terminals
-    }
-    for strip, adjacent in zip(strips, adjacency):
-        owners: List[Tuple[str, bool]] = []
-        for device, edge_is_drain in adjacent:
-            if device == DUMMY or device not in terminals:
-                continue
-            drain, _gate, source = terminals[device]
-            terminal_net = drain if edge_is_drain else source
-            if terminal_net == strip.net:
-                owners.append((device, edge_is_drain))
-        if not owners:
-            continue
-        area = strip.width * finger
-        # Exposed perimeter: top+bottom edges always; outer vertical edge
-        # for end strips not facing a gate on that side.
-        perimeter = 2.0 * strip.width
-        if strip.is_end and len(adjacent) < 2:
-            perimeter += finger
-        share = 1.0 / len(owners)
-        for device, edge_is_drain in owners:
-            keys = ("ad", "pd") if edge_is_drain else ("as", "ps")
-            accum[device][keys[0]] += area * share
-            accum[device][keys[1]] += perimeter * share
-    return {
-        device: DiffusionGeometry(
-            ad=values["ad"], pd=values["pd"], as_=values["as"], ps=values["ps"]
-        )
-        for device, values in accum.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -713,20 +767,19 @@ class DeviceFrame(ModuleFrame):
     def __init__(self, motif: MotifFrame, device: str):
         self.motif = motif
         self.device = device
+        self.name = motif.name
         self.bbox = motif.bbox
+        self.device_nf = {device: motif.nf}
+        self.finger_width = motif.finger
+        self.length = motif.length
+        self.actual_widths = {device: motif.actual_w}
+        self.well_rect = motif.well_rect
 
-    def draw(self) -> ModuleLayout:
-        motif = self.motif.draw()
-        return ModuleLayout(
-            cell=motif.cell,
-            device_geometry={self.device: motif.geometry},
-            device_nf={self.device: motif.nf},
-            finger_width=motif.finger_width,
-            length=motif.length,
-            plan=None,
-            well_rect=motif.well_rect,
-            actual_widths={self.device: motif.actual_w},
-        )
+    def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
+        return self.motif.shapes(cuts)
+
+    def device_geometry(self) -> Dict[str, DiffusionGeometry]:
+        return {self.device: self.motif.geometry()}
 
 
 def single_device_frame(

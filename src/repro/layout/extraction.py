@@ -16,13 +16,14 @@ bookkeeping — everything is recomputed from the flattened shapes:
 * **well junctions** from n-well shapes.
 
 The resulting annotated circuit is what the simulator measures for the
-bracketed columns.  :func:`extract_cell` runs every pass;
-:func:`extract_wiring` runs all but the diffusion strips and is the
-per-module pass of the parasitic-calculation mode (whose junctions come
-from the module generators' exact device geometry).  Neither memoizes:
-the one memo over extraction keys the verification extraction on the
-layout request that drew the cell
-(:func:`repro.core.cases.extract_and_measure`).
+bracketed columns.  :func:`extract_cell` runs every pass and is the
+only ``layout.extract``; it does not memoize: the one memo over
+extraction keys the verification extraction on the layout request that
+drew the cell (:func:`repro.core.cases.extract_and_measure`).  The
+parasitic-calculation mode runs :func:`interconnect_parasitics` — every
+pass but the diffusion strips — on workspaces built from module frames'
+shape enumerations, never on a drawn cell
+(:mod:`repro.layout.parasitics`).
 
 Each layer is flattened into one ``(N, 4)`` coordinate array with nets
 encoded as int codes, built once per call and shared by the passes, and
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,9 +49,13 @@ from repro.circuit.net import canonical
 from repro.circuit.netlist import Circuit
 from repro.layout.cell import Cell, Shape
 from repro.layout.geometry import Rect, interval_pairs
-from repro.layout.layers import Layer, metal_name
+from repro.layout.layers import ROUTING_LAYERS, Layer, metal_name
 from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
+
+
+#: One shape as the passes read it: ``(layer, rect, net)``.
+ShapeRow = Tuple[Layer, Rect, Optional[str]]
 
 
 @dataclass
@@ -70,15 +75,12 @@ class ExtractedParasitics:
         return sum(self.net_wire_cap.values())
 
 
-def _wells(shapes: List[Shape]) -> Dict[str, Tuple[float, float]]:
+def _wells(rows: Iterable[ShapeRow]) -> Dict[str, Tuple[float, float]]:
     result: Dict[str, Tuple[float, float]] = defaultdict(lambda: (0.0, 0.0))
-    for shape in shapes:
-        if shape.layer is Layer.NWELL and shape.net is not None:
-            area, perimeter = result[shape.net]
-            result[shape.net] = (
-                area + shape.rect.area,
-                perimeter + shape.rect.perimeter,
-            )
+    for layer, rect, net in rows:
+        if layer is Layer.NWELL and net is not None:
+            area, perimeter = result[net]
+            result[net] = (area + rect.area, perimeter + rect.perimeter)
     return dict(result)
 
 
@@ -94,66 +96,45 @@ def _wells(shapes: List[Shape]) -> Dict[str, Tuple[float, float]]:
 # (rtol 1e-12 in the equivalence tests).
 
 
-def _net_codes(shapes: List[Shape]) -> Tuple[List[str], Dict[str, int]]:
-    """Net names in sorted order plus the name -> int code table."""
-    names = sorted({s.net for s in shapes})
-    return names, {net: index for index, net in enumerate(names)}
-
-
-def _group_by_layer(shapes: List[Shape]) -> Dict[Layer, List[Shape]]:
-    by_layer: Dict[Layer, List[Shape]] = defaultdict(list)
-    for shape in shapes:
-        by_layer[shape.layer].append(shape)
-    return by_layer
-
-
-def _layer_arrays(
-    members: List[Shape], codes: Dict[str, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten one layer's shapes into coordinate rows + net codes."""
-    coords = np.empty((len(members), 4))
-    net_codes = np.empty(len(members), dtype=np.intp)
-    for i, shape in enumerate(members):
-        rect = shape.rect
-        coords[i, 0] = rect.x0
-        coords[i, 1] = rect.y0
-        coords[i, 2] = rect.x1
-        coords[i, 3] = rect.y1
-        net_codes[i] = codes[shape.net]
-    return coords, net_codes
-
-
 def _rect_array(rects: List[Rect]) -> Optional[np.ndarray]:
     if not rects:
         return None
     return np.array([(r.x0, r.y0, r.x1, r.y1) for r in rects])
 
 
-_INTERCONNECT = (Layer.POLY, Layer.METAL1, Layer.METAL2)
-
-
 class ExtractionWorkspace:
     """One cell's interconnect as numpy arrays, shared by its passes.
 
-    Built once per extraction from the flattened shapes: nets become int
-    codes in sorted-name order, and each interconnect layer (in order of
-    first appearance) one ``(N, 4)`` coordinate array that the wire-cap
-    pass reads as is and the coupling pass reads sorted by ``x0``.  The
+    Built once per extraction from ``(layer, rect, net)`` rows in drawing
+    order — a cell's flattened shapes, or a module frame's enumeration
+    (:class:`repro.layout.parasitics.ModuleView`): nets become int codes
+    in sorted-name order, and each interconnect layer (in order of first
+    appearance) one ``(N, 4)`` coordinate array that the wire-cap pass
+    reads as is and the coupling pass reads sorted by ``x0``.  The
     buffers are read-only by convention.
     """
 
-    def __init__(self, shapes: List[Shape]):
-        interconnect = [
-            s for s in shapes if s.layer in _INTERCONNECT and s.net
-        ]
-        self.names, codes = _net_codes(interconnect)
-        self.layers = {
-            layer: _layer_arrays(members, codes)
-            for layer, members in _group_by_layer(interconnect).items()
-        }
-        self.actives = _rect_array(
-            [s.rect for s in shapes if s.layer is Layer.ACTIVE]
+    def __init__(self, rows: Iterable[ShapeRow]):
+        by_layer: Dict[Layer, List[Tuple[Rect, str]]] = {}
+        actives: List[Rect] = []
+        for layer, rect, net in rows:
+            if layer in ROUTING_LAYERS:
+                if net:
+                    by_layer.setdefault(layer, []).append((rect, net))
+            elif layer is Layer.ACTIVE:
+                actives.append(rect)
+        self.names = sorted(
+            {net for members in by_layer.values() for _rect, net in members}
         )
+        codes = {net: index for index, net in enumerate(self.names)}
+        self.layers = {
+            layer: (
+                np.array([(r.x0, r.y0, r.x1, r.y1) for r, _net in members]),
+                np.array([codes[net] for _r, net in members], dtype=np.intp),
+            )
+            for layer, members in by_layer.items()
+        }
+        self.actives = _rect_array(actives)
 
 
 def _wire_capacitance(
@@ -332,6 +313,20 @@ def _diffusion_strips(
     return dict(result)
 
 
+def interconnect_parasitics(
+    tech: Technology,
+    ws: ExtractionWorkspace,
+    wells: Dict[str, Tuple[float, float]],
+) -> ExtractedParasitics:
+    """The wire-cap, coupling and well passes over one workspace, in the
+    canonical report order; ``diffusion`` is left empty."""
+    return ExtractedParasitics(
+        net_wire_cap=dict(sorted(_wire_capacitance(tech, ws).items())),
+        coupling=dict(sorted(_coupling(tech, ws).items())),
+        well=dict(sorted(wells.items())),
+    )
+
+
 def extract_cell(cell: Cell, tech: Technology) -> ExtractedParasitics:
     """Full geometric extraction of a (hierarchical) cell.
 
@@ -340,35 +335,15 @@ def extract_cell(cell: Cell, tech: Technology) -> ExtractedParasitics:
     annotation (and everything solved from it) is independent of shape
     iteration order.
     """
-    return _extract(cell, tech, diffusion=True)
-
-
-def extract_wiring(cell: Cell, tech: Technology) -> ExtractedParasitics:
-    """The wire-cap, coupling and well passes of :func:`extract_cell`.
-
-    ``diffusion`` is left empty: this is the per-module pass of the
-    parasitic-calculation mode, whose device junctions come from the
-    module's own geometry (``ModuleLayout.device_geometry``), so the
-    strip pass would be work nobody reads.  Every other field equals
-    the full extraction's.
-    """
-    return _extract(cell, tech, diffusion=False)
-
-
-def _extract(cell: Cell, tech: Technology, diffusion: bool) -> ExtractedParasitics:
     with telemetry.span("layout.extract", cell=cell.name):
         telemetry.count("layout.extract")
         shapes = list(cell.flattened())
-        ws = ExtractionWorkspace(shapes)
-        return ExtractedParasitics(
-            net_wire_cap=dict(sorted(_wire_capacitance(tech, ws).items())),
-            coupling=dict(sorted(_coupling(tech, ws).items())),
-            diffusion=(
-                dict(sorted(_diffusion_strips(shapes).items()))
-                if diffusion else {}
-            ),
-            well=dict(sorted(_wells(shapes).items())),
+        rows = [(s.layer, s.rect, s.net) for s in shapes]
+        extracted = interconnect_parasitics(
+            tech, ExtractionWorkspace(rows), _wells(rows)
         )
+        extracted.diffusion = dict(sorted(_diffusion_strips(shapes).items()))
+        return extracted
 
 
 def annotate_circuit(

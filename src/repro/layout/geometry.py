@@ -237,23 +237,47 @@ class GridIndex:
     def for_rects(
         rects: Sequence[Rect], margin: float = 0.0
     ) -> "GridIndex":
-        """Build an index sized from the population's typical extent.
+        """:meth:`for_array` over ``Rect`` objects."""
+        return GridIndex.for_array(
+            [(r.x0, r.y0, r.x1, r.y1) for r in rects], margin
+        )
+
+    @staticmethod
+    def for_array(coords: "object", margin: float = 0.0) -> "GridIndex":
+        """Build an index over ``(N, 4)`` rows of ``(x0, y0, x1, y1)``,
+        sized from the population's typical extent.
 
         The bin edge is twice the median larger-side length plus the
         query margin: small enough that long wires don't collapse into
         one bin, large enough that a typical probe touches O(1) bins.
         The median is robust against the odd huge rectangle (an n-well
         ring spanning the whole cell must not dictate the bin size).
+        Bin spans are the IEEE divisions and floors :meth:`insert` takes
+        one rectangle at a time, done as array arithmetic.
         """
-        if rects:
-            sides = sorted(max(r.x1 - r.x0, r.y1 - r.y0) for r in rects)
-            median = sides[len(sides) // 2]
+        import numpy as np
+
+        coords = np.asarray(coords, dtype=float).reshape(-1, 4)
+        if len(coords):
+            sides = np.sort(np.maximum(
+                coords[:, 2] - coords[:, 0], coords[:, 3] - coords[:, 1]
+            ))
+            median = float(sides[len(sides) // 2])
         else:
             median = 0.0
         cell = 2.0 * median + 2.0 * abs(margin)
         index = GridIndex(cell if cell > 0.0 else 1e-6)
-        for rect in rects:
-            index.insert(rect)
+        index._rects = coords.tolist()
+        spans = np.floor(coords / index.cell_size).astype(np.int64).tolist()
+        bins = index._bins
+        for i, (ix0, iy0, ix1, iy1) in enumerate(spans):
+            for ix in range(ix0, ix1 + 1):
+                for iy in range(iy0, iy1 + 1):
+                    members = bins.get((ix, iy))
+                    if members is None:
+                        bins[(ix, iy)] = [i]
+                    else:
+                        members.append(i)
         return index
 
     def __len__(self) -> int:

@@ -25,8 +25,9 @@ injected failures must reach the real computation.
 
 The ``layout`` kind is also kept on disk when the cross-run artifact
 store (:mod:`repro.runtime.artifacts`) is active, so a fresh process
-with ``--cache-dir`` is served the full built layout (report, fold
-config and drawn cell) without a rebuild.
+with ``--cache-dir`` is served the built layout (report, fold config,
+placed module frames and routing record; a ``generate`` call draws the
+cell from them) without placing or routing again.
 
 Counters (:mod:`repro.telemetry`): ``memo.<kind>.hit``,
 ``memo.<kind>.miss`` and ``memo.<kind>.evict``; the disk store keeps its
@@ -93,10 +94,10 @@ class LruStore:
         self.evictions = 0
 
 
-#: Memo kind -> LRU capacity.  Layout results hold full cell geometry,
-#: so that store stays small; an extraction is one per generated layout
-#: it verifies, so it gets the same bound; a sizing round is
-#: (SizingResult, warm-start snapshot).
+#: Memo kind -> LRU capacity.  Layout results hold their placed module
+#: frames and routing record, so that store stays small; an extraction
+#: is one per generated layout it verifies, so it gets the same bound; a
+#: sizing round is (SizingResult, warm-start snapshot).
 CAPACITY: Dict[str, int] = {"extraction": 32, "layout": 32, "sizing": 128}
 
 #: The kind whose values also live in the on-disk artifact store.

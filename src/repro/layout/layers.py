@@ -60,6 +60,10 @@ SVG_STYLE: Dict[Layer, Tuple[str, float]] = {
 ROUTING_LAYERS = (Layer.POLY, Layer.METAL1, Layer.METAL2)
 """Layers the extractor treats as interconnect."""
 
+CUT_LAYERS = (Layer.CONTACT, Layer.VIA1)
+"""Contact and via cuts: no parasitic pass or router obstacle reads them,
+so a frame enumerated for the estimator leaves them out."""
+
 
 def metal_name(layer: Layer) -> str:
     """Technology metal-stack key for a routing layer."""

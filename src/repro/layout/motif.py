@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import DesignRuleError, LayoutError
-from repro.layout.cell import Cell
+from repro.layout.cell import Cell, FrameShape
 from repro.layout.folding import folded_diffusion_geometry, strip_counts
 from repro.layout.geometry import Rect, bounding_box
 from repro.layout.layers import Layer
@@ -95,9 +95,9 @@ def _contact_fit(tech: Technology, height: float, required_cuts: int) -> int:
 
 
 def _contact_column(
-    cell: Cell, tech: Technology, strip: Rect, net: str, count: int
-) -> None:
-    """Fill a diffusion strip with a centred column of ``count`` cuts.
+    tech: Technology, strip: Rect, count: int
+) -> Iterator[Rect]:
+    """A centred column of ``count`` cuts filling a diffusion strip.
 
     Reliability rule: the column is full (more cuts = lower resistance).
     The cuts keep the active enclosure, so they lie inside the strip.
@@ -109,11 +109,7 @@ def _contact_column(
     total_height = count * size + (count - 1) * rules.contact_spacing
     y = strip.center.y - total_height / 2.0
     for _ in range(count):
-        cell.add_shape(
-            Layer.CONTACT,
-            Rect.centered(x_center, y + size / 2.0, size, size),
-            net=net,
-        )
+        yield Rect.centered(x_center, y + size / 2.0, size, size)
         y += pitch
 
 
@@ -324,34 +320,38 @@ class MotifFrame:
             center - half, strip.rect.y0, center + half, self.source_column_y1
         )
 
-    def draw(self) -> MosMotif:
-        """Emit the motif's shapes into a fresh cell."""
-        tech = self.tech
-        cell = Cell(self.name)
-        cell.add_shape(Layer.ACTIVE, self.active)
+    def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
+        """The motif's shapes in drawing order; ``cuts=False`` leaves
+        out the contact cuts."""
+        yield Layer.ACTIVE, self.active, None, False
         implant = Layer.NIMPLANT if self.polarity == "n" else Layer.PIMPLANT
-        cell.add_shape(implant, self.implant)
+        yield implant, self.implant, None, False
         for rect in self.gate_rects:
-            cell.add_shape(Layer.POLY, rect, net=self.net_g)
+            yield Layer.POLY, rect, self.net_g, False
 
         # -- Contacts and vertical metal-1 strip straps -----------------------
         for strip in self.strips:
-            _contact_column(cell, tech, strip.rect, strip.net, strip.contacts)
-            cell.add_shape(Layer.METAL1, self._strap(strip), net=strip.net)
+            if cuts:
+                for cut in _contact_column(self.tech, strip.rect, strip.contacts):
+                    yield Layer.CONTACT, cut, strip.net, False
+            yield Layer.METAL1, self._strap(strip), strip.net, False
 
         # -- Terminal rails, gate strap and tap ---------------------------------
-        cell.add_pin(self.net_d, Layer.METAL1, self.drain_rail)
-        cell.add_pin(self.net_s, Layer.METAL1, self.source_rail)
-        cell.add_shape(Layer.POLY, self.gate_strap, net=self.net_g)
-        cell.add_shape(Layer.POLY, self.tap_pad, net=self.net_g)
-        cell.add_shape(Layer.CONTACT, self.tap_cut, net=self.net_g)
-        cell.add_pin(self.net_g, Layer.METAL1, self.tap_pad)
+        yield Layer.METAL1, self.drain_rail, self.net_d, True
+        yield Layer.METAL1, self.source_rail, self.net_s, True
+        yield Layer.POLY, self.gate_strap, self.net_g, False
+        yield Layer.POLY, self.tap_pad, self.net_g, False
+        if cuts:
+            yield Layer.CONTACT, self.tap_cut, self.net_g, False
+        yield Layer.METAL1, self.tap_pad, self.net_g, True
 
         if self.well_rect is not None:
-            cell.add_shape(Layer.NWELL, self.well_rect, net=self.net_b)
+            yield Layer.NWELL, self.well_rect, self.net_b, False
 
-        rules = tech.rules
-        geometry = folded_diffusion_geometry(
+    def geometry(self) -> DiffusionGeometry:
+        """Exact junction geometry of the motif's diffusion strips."""
+        rules = self.tech.rules
+        return folded_diffusion_geometry(
             self.actual_w,
             self.nf,
             ldif_internal=rules.contacted_diffusion_width,
@@ -359,15 +359,17 @@ class MotifFrame:
             drain_internal=self.drain_internal,
         )
 
+    def draw(self) -> MosMotif:
+        """Emit the motif's shapes into a fresh cell."""
         return MosMotif(
-            cell=cell,
+            cell=Cell.from_shapes(self.name, self.shapes()),
             nf=self.nf,
             finger_width=self.finger,
             actual_w=self.actual_w,
             requested_w=self.requested_w,
             length=self.length,
             drain_internal=self.drain_internal,
-            geometry=geometry,
+            geometry=self.geometry(),
             strips=self.strips,
             well_rect=self.well_rect,
             net_d=self.net_d,

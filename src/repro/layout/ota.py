@@ -18,27 +18,29 @@ constraint picks one — "layout area optimization, based on the given shape
 constraint, results in a given number of folds for each transistor".
 
 Area optimisation reads only each variant's footprint — the exact
-(width, height) its module frame computes without emitting a shape — so
-only the ten placed modules are ever drawn.
+(width, height) its module frame computes without emitting a shape.
 
 Two modes, as in the paper:
 
-* ``estimate`` — parasitic calculation mode; returns only the
-  :class:`~repro.layout.parasitics.ParasiticReport`;
-* ``generate`` — additionally returns the drawn top-level cell.
+* ``estimate`` — parasitic calculation mode: place, route and report
+  through :func:`repro.layout.assembly.assemble`, emitting no geometry;
+  returns the :class:`~repro.layout.parasitics.ParasiticReport`;
+* ``generate`` — additionally draws the ten placed modules and replays
+  the recorded routing into the top-level cell.
 
-Both run one build (placed modules drawn, routed and extracted); the
-modes differ only in what the result exposes.
+Both run one build, memoized per request; a ``generate`` call draws from
+the memoized placement without placing or routing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
 from repro.errors import LayoutError
+from repro.layout.assembly import Assembly, assemble
 from repro.layout.cell import Cell
 from repro.layout.devices import (
     ModuleFrame,
@@ -46,9 +48,9 @@ from repro.layout.devices import (
     differential_pair_frame,
     single_device_frame,
 )
-from repro.layout.parasitics import ParasiticReport, module_report
-from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
-from repro.layout.routing import ChannelRouter, PlacedModule
+from repro.layout.parasitics import ParasiticReport
+from repro.layout.placement import ModuleVariant
+from repro.layout.routing import PlacedModule
 from repro.layout.tap import TapFrame
 from repro.technology.process import Technology
 from repro.units import UM
@@ -126,13 +128,19 @@ class OtaLayoutResult:
 
     report: ParasiticReport
     fold_config: Dict[str, int]
+    assembly: Assembly
+    """The placed module frames and the recorded routing (no geometry)."""
     cell: Optional[Cell] = None
-    placements: Dict[str, PlacedModule] = field(default_factory=dict)
+    """The drawn layout (``generate`` mode only)."""
     mode: str = "estimate"
     key: Optional[str] = None
     """The request's ``layout`` memo key; ``None`` when the call bypassed
     the memo.  Equal keys mean identical drawn cells, so work done on
     the cell can be memoized under it."""
+
+    @property
+    def placements(self) -> Dict[str, PlacedModule]:
+        return self.assembly.placements
 
 
 def _fold_candidates(
@@ -277,11 +285,8 @@ def _candidates(request: OtaLayoutRequest) -> Dict[str, List[Candidate]]:
 def _build_variants(
     request: OtaLayoutRequest,
 ) -> Dict[str, List[ModuleVariant]]:
-    """Feasible fold variants of every module, as footprints.
-
-    Each variant carries its frame's exact footprint and draws itself
-    only if placement picks it.
-    """
+    """Feasible fold variants of every module, as footprints with the
+    frames they came from."""
     variants: Dict[str, List[ModuleVariant]] = {}
     for module, candidates in _candidates(request).items():
         items = []
@@ -290,7 +295,7 @@ def _build_variants(
                 frame = make_frame()
             except LayoutError:
                 continue
-            items.append(ModuleVariant(tag, *frame.footprint, frame.draw))
+            items.append(ModuleVariant(tag, *frame.footprint, frame))
         if not items:
             devices = ", ".join(MODULE_ROWS[module][1])
             raise LayoutError(
@@ -320,31 +325,23 @@ def _request_key(request: OtaLayoutRequest) -> str:
     )
 
 
-def _project(
-    result: OtaLayoutResult, mode: str, key: Optional[str]
-) -> OtaLayoutResult:
-    """The per-mode view of one fully built layout result."""
-    return replace(
-        result, cell=result.cell if mode == "generate" else None, mode=mode,
-        key=key,
-    )
-
-
 def generate_ota_layout(
     request: OtaLayoutRequest, mode: str = "estimate"
 ) -> OtaLayoutResult:
     """Run the OTA layout generator.
 
-    ``mode='estimate'`` is the parasitic calculation mode (no cell in the
-    result); ``mode='generate'`` also returns the drawn layout.
+    ``mode='estimate'`` is the parasitic calculation mode: area
+    optimisation places every module from its fold variants' footprints,
+    and the placed frames' shape enumerations and the recorded routing
+    give the parasitic report; no cell is made.  ``mode='generate'``
+    also returns the drawn layout: each placed frame drawn once, with
+    the recorded routing replayed into the top cell.
 
-    Both modes run the same build: area optimisation places every module
-    from its fold variants' footprints alone, and only the placed modules
-    are drawn, routed and extracted for the parasitic report.  The full
-    result is one ``layout`` memo entry (:mod:`repro.layout.incremental`)
-    keyed on request content — a converged synthesis round's ``generate``
-    pass, and any later call with identical inputs, is served without a
-    rebuild.  The key rides on the result (:attr:`OtaLayoutResult.key`).
+    The placement, routing record and report are one ``layout`` memo
+    entry (:mod:`repro.layout.incremental`) keyed on request content — a
+    converged synthesis round's ``generate`` pass, and any later call
+    with identical inputs, draws from it without placing or routing
+    again.  The key rides on the result (:attr:`OtaLayoutResult.key`).
     """
     from repro.layout import incremental
 
@@ -359,105 +356,35 @@ def generate_ota_layout(
             "layout", lambda: key, lambda: _generate(request)
         )
         span.annotate(source=source)
-    return _project(result, mode, key)
+        cell = result.assembly.draw() if mode == "generate" else None
+    return replace(result, cell=cell, mode=mode, key=key)
 
 
 def _generate(request: OtaLayoutRequest) -> OtaLayoutResult:
     missing = [d for d in _all_devices() if d not in request.sizes]
     if missing:
         raise LayoutError(f"missing sizes for devices: {missing}")
-    return _place_and_route(request, _build_variants(request))
-
-
-def _place_and_route(
-    request: OtaLayoutRequest, variants: Dict[str, List[ModuleVariant]]
-) -> OtaLayoutResult:
-    """Place the modules, draw the placed variants, route and report."""
-    tech = request.technology
-    rules = tech.rules
-    net_currents = _net_currents(request.currents)
-    router = ChannelRouter(tech, net_currents)
-    channel_plan = router.plan_channels(
-        row_count=ROW_COUNT, net_pins=NET_PIN_CHANNELS
-    )
-
-    # Slicing tree: rows of leaves, stacked with the heights of the
-    # channels *between* rows (channels 0 and ROW_COUNT extend the
-    # assembly below and above).
-    module_gap = 4.0 * rules.metal1_spacing
-    leaves = {name: LeafNode(name, items) for name, items in variants.items()}
-    rows: List[SliceNode] = []
-    for row_index in range(ROW_COUNT):
-        members = [
-            name for name, (row, _devs) in MODULE_ROWS.items() if row == row_index
-        ]
-        members.sort()
-        children = [leaves[name] for name in members]
-        spacings = [module_gap] * (len(children) - 1)
-        rows.append(SliceNode("h", children, spacings, align="center"))
-    root = SliceNode(
-        "v", rows, spacings=channel_plan.heights[1:ROW_COUNT], align="center"
-    )
-
-    point, placements_list = optimize(
-        root, aspect=request.aspect, height=request.height, width=request.width
-    )
-
-    placements: Dict[str, PlacedModule] = {}
-    fold_config: Dict[str, int] = {}
-    for placement in placements_list:
-        layout = placement.variant.layout  # drawn here, on placement
-        box = layout.cell.bbox()
-        module = PlacedModule(
-            name=placement.name,
-            layout=layout,
-            dx=placement.dx - box.x0,
-            dy=placement.dy - box.y0,
-        )
-        placements[placement.name] = module
-        fold_config.update(placement.variant.tag)
-
-    # Channel bottom y per channel: channel 0 hangs below the bottom row,
-    # channel i (1..ROW_COUNT-1) starts at the top of row i-1, and the
-    # last channel starts at the top of the top row.
-    def row_members(row_index: int) -> List[PlacedModule]:
-        return [
-            m
-            for name, m in placements.items()
-            if MODULE_ROWS[name][0] == row_index
-        ]
-
-    bottom = min(m.bbox().y0 for m in row_members(0))
-    channel_y: List[float] = [bottom - channel_plan.heights[0]]
-    for row_index in range(ROW_COUNT):
-        channel_y.append(max(m.bbox().y1 for m in row_members(row_index)))
-
-    top = Cell("ota")
-    for module in placements.values():
-        top.add_instance(module.layout.cell, dx=module.dx, dy=module.dy)
-
-    x_extent = (0.0, point.width)
-    row_of_module = {name: MODULE_ROWS[name][0] for name in placements}
-    routing = router.route(
-        top, list(placements.values()), row_of_module, channel_plan, channel_y, x_extent
-    )
-
-    report = module_report(
-        tech, point, placements, routing,
-        {device: width for device, (width, _l) in request.sizes.items()},
-        {
-            device: request.prefer_even_folds
-            for module in placements.values()
-            for device in module.layout.device_geometry
+    rows = [
+        sorted(name for name, (row, _devs) in MODULE_ROWS.items() if row == i)
+        for i in range(ROW_COUNT)
+    ]
+    assembly, report, tags = assemble(
+        request.technology, "ota", rows, partial(_build_variants, request),
+        net_currents=_net_currents(request.currents),
+        requested_widths={
+            device: width for device, (width, _l) in request.sizes.items()
         },
+        drain_internal={
+            device: request.prefer_even_folds for device in _all_devices()
+        },
+        net_pins=NET_PIN_CHANNELS,
+        aspect=request.aspect, height=request.height, width=request.width,
     )
-
+    fold_config: Dict[str, int] = {}
+    for tag in tags:
+        fold_config.update(tag)
     return OtaLayoutResult(
-        report=report,
-        fold_config=fold_config,
-        cell=top,
-        placements=placements,
-        mode="generate",
+        report=report, fold_config=fold_config, assembly=assembly
     )
 
 

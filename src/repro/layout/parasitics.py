@@ -10,22 +10,90 @@ emitting geometry —
 * routing capacitance per net including wire-to-wire coupling,
 * exact well sizes for floating-well capacitance.
 
-:class:`ParasiticReport` is that data structure; the OTA generator fills it
-in both estimate and generate modes, and the sizing tool consumes it.
+:class:`ParasiticReport` is that data structure; the layout generators
+fill it in both estimate and generate modes, and the sizing tool consumes
+it.  Nothing here reads a drawn cell: each placed module's parasitics come
+from its frame's shape enumeration (:class:`ModuleView`), its devices from
+the frame's plan, and the routing's from the router's recorded wires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.layout.extraction import extract_wiring
+import numpy as np
+
+from repro.layout.extraction import (
+    ExtractionWorkspace,
+    _wells,
+    interconnect_parasitics,
+)
+from repro.layout.geometry import Rect
+from repro.layout.layers import Layer
 from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
 
 if TYPE_CHECKING:
+    from repro.layout.cell import FrameShape
+    from repro.layout.devices import ModuleFrame
     from repro.layout.placement import ShapePoint
     from repro.layout.routing import PlacedModule, RoutingResult
+
+#: Farads per square metre of drain-area change in
+#: :meth:`ParasiticReport.distance`: 1 um^2 (1e-12 m^2) counts as 1 fF
+#: (1e-15 F), so junction changes share the capacitance tolerance.
+DRAIN_AREA_WEIGHT = 1e-3
+
+
+class ModuleView:
+    """A frame's shapes as the estimator and the router read them.
+
+    Built from one enumeration, ``frame.shapes(cuts=False)`` — no cell,
+    no :class:`~repro.layout.cell.Shape` — in module coordinates:
+
+    * ``workspace`` — the interconnect arrays and actives of the wiring
+      passes, exactly those :func:`~repro.layout.extraction.extract_cell`
+      builds from the drawn module;
+    * ``wells`` — n-well (area, perimeter) per net;
+    * ``pins`` — per net, the pin ``(rect, layer)`` pairs in declaration
+      order (the drawn cell's ``pins``);
+    * ``metal`` — per metal layer, the ``(N, 4)`` coordinates and nets of
+      every shape the router must clear.
+
+    Views are transient: a layout build makes them for its placed frames
+    and drops them, so the memoized result holds no arrays.
+    """
+
+    __slots__ = ("workspace", "wells", "pins", "metal")
+
+    def __init__(self, shapes: "Iterable[FrameShape]"):
+        rows = []
+        self.pins: Dict[str, List[Tuple[Rect, Layer]]] = {}
+        metal: Dict[Layer, List[Tuple[Rect, Optional[str]]]] = {
+            Layer.METAL1: [], Layer.METAL2: [],
+        }
+        for layer, rect, net, is_pin in shapes:
+            rows.append((layer, rect, net))
+            if is_pin:
+                self.pins.setdefault(net, []).append((rect, layer))
+            if layer is Layer.METAL1 or layer is Layer.METAL2:
+                metal[layer].append((rect, net))
+        self.workspace = ExtractionWorkspace(rows)
+        self.wells = _wells(rows)
+        self.metal: Dict[Layer, Tuple[np.ndarray, List[Optional[str]]]] = {
+            layer: (
+                np.array(
+                    [(r.x0, r.y0, r.x1, r.y1) for r, _net in members]
+                ).reshape(-1, 4),
+                [net for _r, net in members],
+            )
+            for layer, members in metal.items()
+        }
+
+    @classmethod
+    def of(cls, frame: "ModuleFrame") -> "ModuleView":
+        return cls(frame.shapes(cuts=False))
 
 
 @dataclass
@@ -92,66 +160,52 @@ class ParasiticReport:
         for name, device in self.devices.items():
             if name in other.devices:
                 other_geometry = other.devices[name].geometry
-                worst = max(worst, abs(device.geometry.ad - other_geometry.ad) * 1e-3)
+                worst = max(
+                    worst,
+                    abs(device.geometry.ad - other_geometry.ad)
+                    * DRAIN_AREA_WEIGHT,
+                )
         return worst
-
-    def summary(self, technology: Optional[Technology] = None) -> str:
-        """Multi-line human-readable report."""
-        lines = [f"layout {self.width * 1e6:.1f} x {self.height * 1e6:.1f} um"]
-        for name in sorted(self.devices):
-            device = self.devices[name]
-            lines.append(
-                f"  {name}: nf={device.nf} wf={device.finger_width * 1e6:.2f}um "
-                f"ad={device.geometry.ad * 1e12:.2f}pm2 "
-                f"pd={device.geometry.pd * 1e6:.1f}um"
-            )
-        for net in sorted(self.net_capacitance):
-            lines.append(
-                f"  net {net}: {self.net_capacitance[net] * 1e15:.1f} fF routing"
-            )
-        for pair in sorted(self.coupling):
-            lines.append(
-                f"  coupling {pair[0]}-{pair[1]}: {self.coupling[pair] * 1e15:.2f} fF"
-            )
-        return "\n".join(lines)
 
 
 def module_report(
     tech: Technology,
     point: "ShapePoint",
     placements: Mapping[str, "PlacedModule"],
-    routing: "RoutingResult",
+    views: Mapping[str, ModuleView],
     requested_widths: Mapping[str, float],
     drain_internal: Mapping[str, bool],
 ) -> ParasiticReport:
-    """The parasitic report of a placed and routed assembly.
+    """The parasitic report of a placement, before routing.
 
     Devices take their layout style and exact junction geometry from
-    their module's generator; "each module calculates the values of
+    their module's frame; "each module calculates the values of
     parasitic components in a predefined parasitic model" — module
-    wiring, intra-module coupling and wells from the wiring-only
-    extraction of each placed module cell; then "routing parasitics are
-    then calculated": channel tracks, stubs and side columns plus
-    track-to-track coupling.  ``requested_widths`` maps device names to
-    the widths the sizing asked for (a missing device reports its drawn
-    width); ``drain_internal`` maps device names to their declared drain
-    style (a missing device reports drain-internal).
+    wiring, intra-module coupling and wells from the wiring passes over
+    each placed module's :class:`ModuleView` (module coordinates, as an
+    extraction of the drawn module would see them).
+    :func:`add_routing` then adds what "routing parasitics are then
+    calculated" to.  ``requested_widths`` maps device names to the widths
+    the sizing asked for (a missing device reports its drawn width);
+    ``drain_internal`` maps device names to their declared drain style
+    (a missing device reports drain-internal).
     """
     report = ParasiticReport(width=point.width, height=point.height)
     for module in placements.values():
-        layout = module.layout
-        for device, geometry in layout.device_geometry.items():
-            actual = layout.actual_widths[device]
+        frame = module.frame
+        for device, geometry in frame.device_geometry().items():
+            actual = frame.actual_widths[device]
             report.devices[device] = DeviceParasitics(
-                nf=layout.device_nf[device],
-                finger_width=layout.finger_width,
+                nf=frame.device_nf[device],
+                finger_width=frame.finger_width,
                 actual_width=actual,
                 requested_width=requested_widths.get(device, actual),
                 geometry=geometry,
                 drain_internal=drain_internal.get(device, True),
             )
-    for module in placements.values():
-        wiring = extract_wiring(module.layout.cell, tech)
+    for name in placements:
+        view = views[name]
+        wiring = interconnect_parasitics(tech, view.workspace, view.wells)
         for net, value in wiring.net_wire_cap.items():
             report.net_capacitance[net] = (
                 report.net_capacitance.get(net, 0.0) + value
@@ -162,10 +216,17 @@ def module_report(
             report.well_capacitance[net] = report.well_capacitance.get(
                 net, 0.0
             ) + tech.well.capacitance(area, perimeter)
+    return report
+
+
+def add_routing(
+    report: ParasiticReport, routing: "RoutingResult", tech: Technology
+) -> None:
+    """Add the routed nets' ground capacitance (channel tracks, stubs,
+    side columns) and the track-to-track coupling to ``report``."""
     for net, routed in routing.nets.items():
         report.net_capacitance[net] = report.net_capacitance.get(
             net, 0.0
         ) + routed.ground_capacitance(tech)
     for pair, value in routing.coupling_capacitances(tech).items():
         report.coupling[pair] = report.coupling.get(pair, 0.0) + value
-    return report

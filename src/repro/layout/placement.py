@@ -15,11 +15,9 @@ as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import LayoutError
-from repro.layout.devices import ModuleLayout
 from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
 
 
@@ -28,20 +26,16 @@ class ModuleVariant:
     """One realisable implementation of a module.
 
     Area optimisation reads only the footprint (``width``, ``height``);
-    :attr:`layout` calls ``build`` on first access and caches the result,
-    so only the variants placement picks are ever drawn.  ``build`` must
-    produce a layout of exactly the given footprint.
+    ``frame`` is what the caller gets back for the variant placement
+    picks (the layout generators pass the module frame whose footprint
+    this is).
     """
 
     tag: Any
     """Implementation handle, e.g. a fold-count assignment."""
     width: float
     height: float
-    build: Callable[[], ModuleLayout]
-
-    @cached_property
-    def layout(self) -> ModuleLayout:
-        return self.build()
+    frame: Any = None
 
 
 @dataclass

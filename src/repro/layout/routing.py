@@ -19,44 +19,38 @@ what the parasitic estimator reports as coupling capacitance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.errors import LayoutError
 from repro.layout.cell import Cell
-from repro.layout.devices import ModuleLayout
+from repro.layout.devices import ModuleFrame
 from repro.layout.geometry import GridIndex, Rect
 from repro.layout.layers import Layer
 from repro.layout.reliability import wire_width_for_current
 from repro.technology.process import Technology
 
+if TYPE_CHECKING:
+    from repro.layout.parasitics import ModuleView
+
 
 @dataclass
 class PlacedModule:
-    """A module instance at an absolute position."""
+    """A module frame at an absolute position.
+
+    ``dx``/``dy`` translate the frame's module coordinates (the drawn
+    module cell's) into the assembly's.
+    """
 
     name: str
-    layout: ModuleLayout
+    frame: ModuleFrame
     dx: float = 0.0
     dy: float = 0.0
 
-    def pin_rect(self, net: str) -> Optional[Rect]:
-        """Translated pin rectangle for ``net``, or None."""
-        if net not in self.layout.cell.pins:
-            return None
-        rect = self.layout.cell.pin_rect(net)
-        return rect.translated(self.dx, self.dy)
-
-    def pin_shapes(self, net: str) -> List[Tuple[Rect, Layer]]:
-        """All translated pin rectangles of ``net`` with their layers."""
-        shapes = self.layout.cell.pins.get(net, [])
-        return [
-            (shape.rect.translated(self.dx, self.dy), shape.layer)
-            for shape in shapes
-        ]
-
     def bbox(self) -> Rect:
-        return self.layout.cell.bbox().translated(self.dx, self.dy)
+        return self.frame.bbox.translated(self.dx, self.dy)
 
 
 @dataclass
@@ -97,11 +91,18 @@ class RoutedNet:
 
 @dataclass
 class RoutingResult:
-    """Complete routing of an assembly."""
+    """Complete routing of an assembly, recorded rather than drawn."""
 
     nets: Dict[str, RoutedNet]
     channel_tracks: Dict[int, List[Tuple[str, Rect]]]
     """Per channel index: ordered (net, track rect) pairs."""
+    shapes: List[Tuple[Layer, Rect, str]] = field(default_factory=list)
+    """Every routing shape and via, in drawing order."""
+
+    def draw(self, cell: Cell) -> None:
+        """Emit the recorded routing into ``cell``."""
+        for layer, rect, net in self.shapes:
+            cell.add_shape(layer, rect, net=net)
 
     def coupling_capacitances(self, tech: Technology) -> Dict[Tuple[str, str], float]:
         """Track-to-track coupling between adjacent tracks per channel, F."""
@@ -213,18 +214,22 @@ class ChannelRouter:
 
     def route(
         self,
-        cell: Cell,
         modules: Sequence[PlacedModule],
+        views: Mapping[str, "ModuleView"],
         row_of_module: Mapping[str, int],
         plan: ChannelPlan,
         channel_y: Sequence[float],
         x_extent: Tuple[float, float],
     ) -> RoutingResult:
-        """Draw tracks, stubs and side columns into ``cell``.
+        """Plan tracks, stubs and side columns; record them, draw nothing.
 
-        ``channel_y`` gives the bottom y of each channel; ``x_extent`` is
-        the horizontal span of the assembly used for track extents and the
-        side-column x allocation.
+        Pins and metal obstacles come from each module's
+        :class:`~repro.layout.parasitics.ModuleView` (``views`` by module
+        name), moved to the module's position.  ``channel_y`` gives the
+        bottom y of each channel; ``x_extent`` is the horizontal span of
+        the assembly used for track extents and the side-column x
+        allocation.  :meth:`RoutingResult.draw` emits the recorded
+        shapes into a cell.
         """
         rules = self.rules
         x_left, x_right = x_extent
@@ -234,10 +239,10 @@ class ChannelRouter:
         # Net pin rectangles by net (all pins, with their layers).
         pins_by_net: Dict[str, List[Tuple[PlacedModule, Rect, Layer]]] = {}
         for module in modules:
-            for net in module.layout.cell.pins:
-                for rect, layer in module.pin_shapes(net):
+            for net, pins in views[module.name].pins.items():
+                for rect, layer in pins:
                     pins_by_net.setdefault(net, []).append(
-                        (module, rect, layer)
+                        (module, rect.translated(module.dx, module.dy), layer)
                     )
 
         # Side-column x per multi-channel net, allocated left to right just
@@ -279,33 +284,32 @@ class ChannelRouter:
                 track_y_center[(track_net, channel)] = y + width / 2.0
                 y += width + rules.metal2_spacing
 
-        module_obstacles: Dict[Layer, List[Tuple[Optional[str], Rect]]] = {
-            Layer.METAL1: [],
-            Layer.METAL2: [],
-        }
-        for module in modules:
-            for shape in module.layout.cell.flattened():
-                if shape.layer in module_obstacles:
-                    module_obstacles[shape.layer].append(
-                        (shape.net,
-                         shape.rect.translated(module.dx, module.dy))
-                    )
-
         # Clearance queries resolve through per-layer grid indexes: a
-        # static one over the module metal (built once) and an
-        # incremental one that grows as routing shapes are planned.  The
-        # index pre-filters candidates with the same window-overlap test
-        # the old linear scan applied, so clearance answers are
-        # unchanged — only the number of shapes examined shrinks.
+        # static one over the module metal (built once, from the views'
+        # arrays moved by vector adds, bit-equal to ``Rect.translated``)
+        # and an incremental one that grows as routing shapes are
+        # planned.  The index pre-filters candidates with the same
+        # window-overlap test a linear scan would apply, so clearance
+        # answers are unchanged — only the number of shapes examined
+        # shrinks.
         obstacle_index: Dict[Layer, GridIndex] = {}
         obstacle_nets: Dict[Layer, List[Optional[str]]] = {}
         planned_index: Dict[Layer, GridIndex] = {}
         planned_nets: Dict[Layer, List[str]] = {}
-        for layer, entries in module_obstacles.items():
-            obstacle_index[layer] = GridIndex.for_rects(
-                [rect for _net, rect in entries], margin=spacing
+        for layer in (Layer.METAL1, Layer.METAL2):
+            coords = [np.empty((0, 4))]
+            nets_list: List[Optional[str]] = []
+            for module in modules:
+                module_coords, module_nets = views[module.name].metal[layer]
+                coords.append(
+                    module_coords
+                    + np.array([module.dx, module.dy, module.dx, module.dy])
+                )
+                nets_list.extend(module_nets)
+            obstacle_index[layer] = GridIndex.for_array(
+                np.concatenate(coords), margin=spacing
             )
-            obstacle_nets[layer] = [net for net, _rect in entries]
+            obstacle_nets[layer] = nets_list
             planned_index[layer] = GridIndex(obstacle_index[layer].cell_size)
             planned_nets[layer] = []
 
@@ -499,25 +503,25 @@ class ChannelRouter:
                 y += width + rules.metal2_spacing
             channel_tracks[channel] = tracks_here
 
-        # -- Pass 3: draw ---------------------------------------------------
+        # -- Pass 3: record the routing shapes ------------------------------
+        shapes: List[Tuple[Layer, Rect, str]] = []
         for net, channels in plan.net_tracks.items():
             routed = RoutedNet(name=net)
             nets[net] = routed
 
             def draw(layer: Layer, rect: Rect) -> None:
-                cell.add_shape(layer, rect, net=net)
+                shapes.append((layer, rect, net))
                 routed.wires.append(RoutedWire(layer=layer, rect=rect, net=net))
 
             def draw_via(x_center: float, y_center: float) -> None:
-                cell.add_shape(
-                    Layer.VIA1,
-                    Rect.centered(x_center, y_center, via, via),
-                    net=net,
+                shapes.append(
+                    (Layer.VIA1, Rect.centered(x_center, y_center, via, via),
+                     net)
                 )
-                cell.add_shape(
-                    Layer.METAL1,
-                    Rect.centered(x_center, y_center, via_pad, via_pad),
-                    net=net,
+                shapes.append(
+                    (Layer.METAL1,
+                     Rect.centered(x_center, y_center, via_pad, via_pad),
+                     net)
                 )
                 routed.via_count += 1
 
@@ -578,4 +582,6 @@ class ChannelRouter:
             ) + sum(index.queries for index in obstacle_index.values())
             if probes:
                 telemetry.count("grid.queries", probes)
-        return RoutingResult(nets=nets, channel_tracks=channel_tracks)
+        return RoutingResult(
+            nets=nets, channel_tracks=channel_tracks, shapes=shapes
+        )

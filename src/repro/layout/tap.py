@@ -10,9 +10,10 @@ technology's ``well_contact_pitch``.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from repro.errors import LayoutError
-from repro.layout.cell import Cell
+from repro.layout.cell import FrameShape
 from repro.layout.devices import ModuleFrame, ModuleLayout
 from repro.layout.geometry import Rect, bounding_box
 from repro.layout.layers import Layer
@@ -54,6 +55,10 @@ class TapFrame(ModuleFrame):
         self.height = height
         width = rules.contacted_diffusion_width
         self.width = width
+        self.device_nf = {}
+        self.finger_width = width
+        self.length = height
+        self.actual_widths = {name: height}
         self.active = Rect(0.0, 0.0, width, height)
         self.implant = self.active.expanded(rules.contact_active_enclosure)
         self.well_rect = (
@@ -92,46 +97,36 @@ class TapFrame(ModuleFrame):
             + ([self.well_rect] if self.well_rect is not None else [])
         )
 
-    def draw(self) -> ModuleLayout:
-        """Emit the tap's shapes into a fresh cell."""
+    def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
         rules = self.tech.rules
         net = self.net
-        cell = Cell(self.name)
-        cell.add_shape(Layer.ACTIVE, self.active)
+        yield Layer.ACTIVE, self.active, None, False
         # Tap implant is the opposite flavour of the devices it serves:
         # p+ (PIMPLANT) ties the p-substrate, n+ ties the n-well.
         implant = Layer.PIMPLANT if self.kind == "substrate" else Layer.NIMPLANT
-        cell.add_shape(implant, self.implant)
+        yield implant, self.implant, None, False
         if self.well_rect is not None:
-            cell.add_shape(Layer.NWELL, self.well_rect, net=net)
+            yield Layer.NWELL, self.well_rect, net, False
 
-        size = rules.contact_size
-        pitch = size + rules.contact_spacing
-        count = self.contact_count
-        total = count * size + (count - 1) * rules.contact_spacing
-        y = self.height / 2.0 - total / 2.0 + size / 2.0
-        x_center = self.width / 2.0
-        for _ in range(count):
-            cell.add_shape(
-                Layer.CONTACT, Rect.centered(x_center, y, size, size), net=net
-            )
-            y += pitch
+        if cuts:
+            size = rules.contact_size
+            pitch = size + rules.contact_spacing
+            count = self.contact_count
+            total = count * size + (count - 1) * rules.contact_spacing
+            y = self.height / 2.0 - total / 2.0 + size / 2.0
+            x_center = self.width / 2.0
+            for _ in range(count):
+                yield (
+                    Layer.CONTACT, Rect.centered(x_center, y, size, size),
+                    net, False,
+                )
+                y += pitch
 
-        cell.add_shape(Layer.METAL1, self.column, net=net)
-        cell.add_shape(Layer.VIA1, self.via, net=net)
-        cell.add_shape(Layer.METAL1, self.via_pad, net=net)
-        cell.add_pin(net, Layer.METAL2, self.pin)
-
-        return ModuleLayout(
-            cell=cell,
-            device_geometry={},
-            device_nf={},
-            finger_width=self.width,
-            length=self.height,
-            plan=None,
-            well_rect=self.well_rect,
-            actual_widths={self.name: self.height},
-        )
+        yield Layer.METAL1, self.column, net, False
+        if cuts:
+            yield Layer.VIA1, self.via, net, False
+        yield Layer.METAL1, self.via_pad, net, False
+        yield Layer.METAL2, self.pin, net, True
 
 
 def tap_column(*args, **kwargs) -> ModuleLayout:

@@ -9,25 +9,45 @@ grid-index passes (:mod:`repro.layout.extraction`,
 :mod:`repro.layout.drc`) must reproduce these results: extraction within
 summation-order noise, DRC violation for violation, in order.
 
-:func:`eager_ota_layout` is the OTA build that draws every fold variant
-before area optimisation and places them by their drawn sizes; the
-library places by frame footprints and draws only the placed variants,
-and must produce the same layout.
+:func:`eager_ota_layout` is the drawn OTA build: it draws every fold
+variant before area optimisation, places them by their drawn sizes,
+routes against the drawn modules' pins and metal, and reports each
+module's parasitics from the extraction of its drawn cell and its
+devices from the all-pairs strip matching
+(:func:`stack_device_geometry`).  The library places by frame
+footprints, computes parasitics from the placed frames' shape
+enumerations and draws nothing in estimate mode, and must produce the
+same report and, in generate mode, the same layout.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LayoutError
 from repro.layout import ota
 from repro.layout.cell import Cell, Shape
+from repro.layout.devices import DUMMY, CellFrame, ModuleLayout, StackFrame
 from repro.layout.drc import _EPSILON, DrcChecker, DrcViolation, _union_covers
-from repro.layout.extraction import ExtractedParasitics, _wells
+from repro.layout.extraction import (
+    ExtractedParasitics,
+    ExtractionWorkspace,
+    _wells,
+    interconnect_parasitics,
+)
 from repro.layout.geometry import Rect
 from repro.layout.layers import Layer, metal_name
-from repro.layout.placement import ModuleVariant
+from repro.layout.parasitics import (
+    DeviceParasitics,
+    ModuleView,
+    ParasiticReport,
+    add_routing,
+)
+from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
+from repro.layout.routing import ChannelRouter, PlacedModule
+from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
 
 
@@ -168,7 +188,9 @@ def extract_cell(cell: Cell, tech: Technology) -> ExtractedParasitics:
         net_wire_cap=dict(sorted(wire.items())),
         coupling=dict(sorted(lateral.items())),
         diffusion=dict(sorted(diffusion.items())),
-        well=dict(sorted(_wells(shapes).items())),
+        well=dict(sorted(
+            _wells([(s.layer, s.rect, s.net) for s in shapes]).items()
+        )),
     )
 
 
@@ -275,21 +297,178 @@ def drc_check(checker: DrcChecker, cell: Cell) -> List[DrcViolation]:
 # -- OTA build ----------------------------------------------------------------
 
 
-def eager_ota_layout(request: ota.OtaLayoutRequest) -> ota.OtaLayoutResult:
-    """Draw every feasible fold variant, then place by the drawn sizes."""
+def stack_device_geometry(frame: StackFrame) -> Dict[str, DiffusionGeometry]:
+    """A stack's junction geometry by position: every strip is matched
+    against every gate (a finger's left strip ends at the gate's x0, its
+    right strip starts at gate x0 + length), and each strip's area and
+    perimeter are split among the device edges beside it."""
+    adjacency: List[List[Tuple[str, bool]]] = [[] for _ in frame.strips]
+    for finger_index, gate_x in frame.gates:
+        finger = frame.plan.fingers[finger_index]
+        for strip, neighbours in zip(frame.strips, adjacency):
+            if abs(strip.x0 + strip.width - gate_x) < 1e-12:
+                neighbours.append((finger.device, finger.drain_left))
+            elif abs(strip.x0 - (gate_x + frame.length)) < 1e-12:
+                neighbours.append((finger.device, not finger.drain_left))
+    accum = {
+        device: {"ad": 0.0, "pd": 0.0, "as": 0.0, "ps": 0.0}
+        for device in frame.terminals
+    }
+    for strip, adjacent in zip(frame.strips, adjacency):
+        owners = []
+        for device, edge_is_drain in adjacent:
+            if device == DUMMY or device not in frame.terminals:
+                continue
+            drain, _gate, source = frame.terminals[device]
+            if (drain if edge_is_drain else source) == strip.net:
+                owners.append((device, edge_is_drain))
+        if not owners:
+            continue
+        area = strip.width * frame.finger
+        perimeter = 2.0 * strip.width
+        if strip.is_end and len(adjacent) < 2:
+            perimeter += frame.finger
+        share = 1.0 / len(owners)
+        for device, edge_is_drain in owners:
+            keys = ("ad", "pd") if edge_is_drain else ("as", "ps")
+            accum[device][keys[0]] += area * share
+            accum[device][keys[1]] += perimeter * share
+    return {
+        device: DiffusionGeometry(
+            ad=v["ad"], pd=v["pd"], as_=v["as"], ps=v["ps"]
+        )
+        for device, v in accum.items()
+    }
+
+
+def drawn_module(frame) -> ModuleLayout:
+    """A frame's module as the drawn build sees it: the drawn cell, with
+    stack junctions from :func:`stack_device_geometry`."""
+    layout = frame.draw()
+    if isinstance(frame, StackFrame):
+        layout.device_geometry = stack_device_geometry(frame)
+    return layout
+
+
+@dataclass
+class EagerLayout:
+    """The drawn build's result."""
+
+    report: ParasiticReport
+    fold_config: Dict[str, int]
+    placements: Dict[str, Tuple[ModuleLayout, float, float]]
+    """Module name -> (drawn module, dx, dy)."""
+    cell: Cell
+
+
+def eager_ota_layout(request: ota.OtaLayoutRequest) -> EagerLayout:
+    """Draw every feasible fold variant, place by the drawn sizes, route
+    against the drawn modules and extract each one."""
+    tech = request.technology
     variants: Dict[str, List[ModuleVariant]] = {}
     for module, candidates in ota._candidates(request).items():
         items = []
         for tag, make_frame in candidates:
             try:
-                layout = make_frame().draw()
+                layout = drawn_module(make_frame())
             except LayoutError:
                 continue
             items.append(ModuleVariant(
-                tag, layout.cell.width, layout.cell.height,
-                lambda layout=layout: layout,
+                tag, layout.cell.width, layout.cell.height, layout
             ))
         if not items:
             raise LayoutError(f"no feasible fold variant for {module}")
         variants[module] = items
-    return ota._place_and_route(request, variants)
+
+    router = ChannelRouter(tech, ota._net_currents(request.currents))
+    plan = router.plan_channels(ota.ROW_COUNT, ota.NET_PIN_CHANNELS)
+    gap = 4.0 * tech.rules.metal1_spacing
+    rows = []
+    for row_index in range(ota.ROW_COUNT):
+        members = sorted(
+            name for name, (row, _d) in ota.MODULE_ROWS.items()
+            if row == row_index
+        )
+        rows.append(SliceNode(
+            "h", [LeafNode(name, variants[name]) for name in members],
+            [gap] * (len(members) - 1), align="center",
+        ))
+    root = SliceNode(
+        "v", rows, spacings=plan.heights[1:ota.ROW_COUNT], align="center"
+    )
+    point, placed = optimize(
+        root, aspect=request.aspect, height=request.height,
+        width=request.width,
+    )
+
+    layouts: Dict[str, ModuleLayout] = {}
+    modules: Dict[str, PlacedModule] = {}
+    fold_config: Dict[str, int] = {}
+    for placement in placed:
+        layout = placement.variant.frame
+        box = layout.cell.bbox()
+        layouts[placement.name] = layout
+        modules[placement.name] = PlacedModule(
+            placement.name, CellFrame(layout),
+            dx=placement.dx - box.x0, dy=placement.dy - box.y0,
+        )
+        fold_config.update(placement.variant.tag)
+
+    report = ParasiticReport(width=point.width, height=point.height)
+    for name, layout in layouts.items():
+        for device, geometry in layout.device_geometry.items():
+            actual = layout.actual_widths[device]
+            report.devices[device] = DeviceParasitics(
+                nf=layout.device_nf[device],
+                finger_width=layout.finger_width,
+                actual_width=actual,
+                requested_width=request.sizes[device][0],
+                geometry=geometry,
+                drain_internal=request.prefer_even_folds,
+            )
+    for layout in layouts.values():
+        shape_rows = [
+            (s.layer, s.rect, s.net) for s in layout.cell.flattened()
+        ]
+        wiring = interconnect_parasitics(
+            tech, ExtractionWorkspace(shape_rows), _wells(shape_rows)
+        )
+        for net, value in wiring.net_wire_cap.items():
+            report.net_capacitance[net] = (
+                report.net_capacitance.get(net, 0.0) + value
+            )
+        for pair, value in wiring.coupling.items():
+            report.coupling[pair] = report.coupling.get(pair, 0.0) + value
+        for net, (area, perimeter) in wiring.well.items():
+            report.well_capacitance[net] = report.well_capacitance.get(
+                net, 0.0
+            ) + tech.well.capacitance(area, perimeter)
+
+    def row_boxes(row_index):
+        return [
+            m.bbox() for name, m in modules.items()
+            if ota.MODULE_ROWS[name][0] == row_index
+        ]
+
+    channel_y = [min(b.y0 for b in row_boxes(0)) - plan.heights[0]]
+    for row_index in range(ota.ROW_COUNT):
+        channel_y.append(max(b.y1 for b in row_boxes(row_index)))
+    top = Cell("ota")
+    for name, module in modules.items():
+        top.add_instance(layouts[name].cell, dx=module.dx, dy=module.dy)
+    views = {name: ModuleView.of(m.frame) for name, m in modules.items()}
+    routing = router.route(
+        list(modules.values()), views,
+        {name: ota.MODULE_ROWS[name][0] for name in modules}, plan,
+        channel_y, (0.0, point.width),
+    )
+    routing.draw(top)
+    add_routing(report, routing, tech)
+    return EagerLayout(
+        report=report,
+        fold_config=fold_config,
+        placements={
+            name: (layouts[name], m.dx, m.dy) for name, m in modules.items()
+        },
+        cell=top,
+    )

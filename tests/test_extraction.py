@@ -1,26 +1,12 @@
 """Geometric extraction (the independent 'Cadence' role)."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from repro.circuit.net import canonical
 from repro.errors import LayoutError
-from repro.layout.capacitor import plate_capacitor
-from repro.layout.devices import (
-    current_mirror_layout,
-    differential_pair_layout,
-    single_device_layout,
-)
-from repro.layout.extraction import (
-    annotate_circuit,
-    extract_cell,
-    extract_wiring,
-)
+from repro.layout.extraction import annotate_circuit, extract_cell
 from repro.layout.motif import generate_mos_motif
-from repro.layout.resistor import poly_resistor
-from repro.layout.tap import tap_column
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.units import UM
 from tests.conftest import JITTER, PRESETS
@@ -203,68 +189,4 @@ class TestAnnotation:
         ]
         assert not well_caps
 
-
-#: One drawn module per generator, from a preset and a hypothesis draw.
-MODULE_GENERATORS = {
-    "motif": lambda tech, d: generate_mos_motif(
-        tech, d.draw(st.sampled_from(["n", "p"])),
-        d.draw(st.floats(0.5 * UM, 200 * UM)), d.draw(st.floats(0.2 * UM, 6 * UM)),
-        nf=d.draw(st.integers(1, 16)), drain_internal=d.draw(st.booleans()),
-        net_d="d", net_g="g", net_s="s", net_b="b",
-    ).cell,
-    "single": lambda tech, d: single_device_layout(
-        tech, d.draw(st.sampled_from(["n", "p"])),
-        d.draw(st.floats(0.5 * UM, 200 * UM)), d.draw(st.floats(0.2 * UM, 6 * UM)),
-        d.draw(st.integers(1, 16)), ("mir", "vc1", "fold1", "0"), name="mn1c",
-    ).cell,
-    "pair": lambda tech, d: differential_pair_layout(
-        tech, d.draw(st.sampled_from(["n", "p"])),
-        d.draw(st.floats(0.5 * UM, 200 * UM)), d.draw(st.floats(0.2 * UM, 6 * UM)),
-        d.draw(st.integers(1, 8)), ("mp1", "mp2"), ("fold1", "fold2"),
-        ("inp", "inn"), "tail", "vdd!",
-        style=d.draw(st.sampled_from(["common_centroid", "interdigitated"])),
-        name="pair",
-    ).cell,
-    "mirror": lambda tech, d: current_mirror_layout(
-        tech, d.draw(st.sampled_from(["n", "p"])),
-        {"ma": d.draw(st.integers(1, 4)), "mb": d.draw(st.integers(1, 4))},
-        d.draw(st.floats(0.5 * UM, 40 * UM)), d.draw(st.floats(0.2 * UM, 6 * UM)),
-        {"ma": "mir", "mb": "x4"}, "mir", "vdd!", "vdd!", name="mirror",
-    ).cell,
-    "tap": lambda tech, d: tap_column(
-        tech, d.draw(st.sampled_from(["substrate", "well"])), "0",
-        d.draw(st.floats(0.2 * UM, 60 * UM)), name="tap",
-    ).cell,
-    "capacitor": lambda tech, d: plate_capacitor(
-        tech, d.draw(st.floats(0.05e-12, 5e-12)), "d2", "vout",
-        aspect=d.draw(st.floats(0.5, 2.0)),
-    ).cell,
-    "resistor": lambda tech, d: poly_resistor(
-        tech, d.draw(st.floats(1e3, 1e5)), "a", "b",
-    ).cell,
-}
-
-
-class TestWiringPass:
-    """The estimator's per-module pass is the full extraction without
-    its diffusion strips, bit for bit."""
-
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(preset=st.sampled_from(sorted(PRESETS)),
-           generator=st.sampled_from(sorted(MODULE_GENERATORS)),
-           data=st.data())
-    def test_equals_full_extraction_without_diffusion(
-        self, preset, generator, data
-    ):
-        tech = PRESETS[preset]()
-        try:
-            cell = MODULE_GENERATORS[generator](tech, data)
-        except LayoutError:
-            reject()
-        full = extract_cell(cell, tech)
-        wiring = extract_wiring(cell, tech)
-        assert wiring.diffusion == {}
-        assert wiring == replace(full, diffusion={})
-        for field in ("net_wire_cap", "coupling", "well"):
-            assert list(getattr(wiring, field)) == list(getattr(full, field))
 

@@ -6,8 +6,9 @@ per-shape references in :mod:`tests.oracles.layout` — same keys, same
 floats (within 1e-12), same violation order — verified here on both OTA
 topologies, on generated OTA layouts of random sizes and folds, and on
 synthetic cells that hit every violation kind.  The footprint-placed OTA
-build draws only its placed modules and matches the oracle build that
-draws every fold variant first.  Index-combo Stockmeyer
+build draws nothing in estimate mode, only its placed modules in generate
+mode, and matches the oracle build that draws every fold variant first
+and extracts the drawn modules.  Index-combo Stockmeyer
 composition rebuilds exactly the frontier the direct enumeration
 produces.
 """
@@ -18,17 +19,18 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from repro.errors import LayoutError
+from repro.layout import cell as cell_module
 from repro.layout import incremental, ota
 from repro.layout.cell import Cell
-from repro.layout.devices import DeviceFrame, StackFrame
+from repro.layout.devices import ModuleFrame
 from repro.layout.drc import DrcChecker
 from repro.layout.extraction import extract_cell
 from repro.layout.geometry import GridIndex, Rect, interval_pairs
 from repro.layout.layers import Layer
 from repro.layout.ota import OtaLayoutRequest, generate_ota_layout
 from repro.layout.shape import ShapeFunction, ShapePoint, compose_frontier
-from repro.layout.tap import TapFrame
 from repro.units import UM
+from tests.conftest import PRESETS
 from tests.designs import hand_sizes
 from tests.oracles import layout as oracle
 
@@ -182,13 +184,17 @@ class TestGeneratedLayoutsMatchOracle:
 
 
 class TestFootprintPlacementMatchesEager:
-    """Placing by frame footprints and drawing only the placed variants
-    gives exactly the layout of the build that draws every variant first
-    (:func:`tests.oracles.layout.eager_ota_layout`)."""
+    """Placing by frame footprints and computing parasitics from the
+    placed frames' shape enumerations gives exactly the report of the
+    build that draws every variant first and extracts the drawn modules
+    (:func:`tests.oracles.layout.eager_ota_layout`); ``generate`` draws
+    exactly its layout.  On every technology preset."""
 
-    @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(data=st.data(), mode=st.sampled_from(["estimate", "generate"]))
-    def test_matches_eager_build(self, tech, data, mode):
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data(), preset=st.sampled_from(sorted(PRESETS)),
+           mode=st.sampled_from(["estimate", "generate"]))
+    def test_matches_eager_build(self, data, preset, mode):
+        tech = PRESETS[preset]()
         request = data.draw(ota_requests(tech))
         try:
             want = oracle.eager_ota_layout(request)
@@ -200,36 +206,81 @@ class TestFootprintPlacementMatchesEager:
         assert got.fold_config == want.fold_config
         assert list(got.placements) == list(want.placements)
         for name, placed in got.placements.items():
-            reference = want.placements[name]
-            assert (placed.dx, placed.dy) == (reference.dx, reference.dy)
-            assert (list(placed.layout.cell.flattened())
-                    == list(reference.layout.cell.flattened()))
+            drawn, dx, dy = want.placements[name]
+            assert (placed.dx, placed.dy) == (dx, dy)
+            # The placed frame's drawing is the drawn build's module.
+            assert (list(placed.frame.cell().flattened())
+                    == list(drawn.cell.flattened()))
         if mode == "generate":
             assert list(got.cell.flattened()) == list(want.cell.flattened())
         else:
             assert got.cell is None
 
-    def test_draws_only_placed_modules(self, tech, hand_sized, monkeypatch):
-        drawn = []
-        for frame_class in (DeviceFrame, StackFrame, TapFrame):
-            def counting(frame, draw=frame_class.draw):
-                layout = draw(frame)
-                drawn.append(layout)
-                return layout
+    def _count_drawing(self, monkeypatch):
+        """Count module drawings, cell and shape constructions."""
+        counts = {"draw": 0, "cell": 0, "shape": 0}
 
-            monkeypatch.setattr(frame_class, "draw", counting)
+        def counting(frame, cell=ModuleFrame.cell):
+            counts["draw"] += 1
+            return cell(frame)
+
+        monkeypatch.setattr(ModuleFrame, "cell", counting)
+
+        def cell_init(cell, *args, init=Cell.__init__, **kwargs):
+            counts["cell"] += 1
+            init(cell, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "__init__", cell_init)
+
+        def shape(*args, make=cell_module.Shape, **kwargs):
+            counts["shape"] += 1
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(cell_module, "Shape", shape)
+        return counts
+
+    def test_draws_only_placed_modules(self, tech, hand_sized, monkeypatch):
+        """Estimate mode constructs no cell and draws no module;
+        generate mode draws each placed module once."""
         sizes, currents = hand_sized
         request = OtaLayoutRequest(
             technology=tech, sizes=sizes, currents=currents, aspect=1.0
         )
-        variants = ota._build_variants(request)
-        assert not drawn
-        result = ota._generate(request)
-        assert len(drawn) == len(result.placements) == len(ota.MODULE_ROWS)
-        assert sum(map(len, variants.values())) > len(drawn)
-        assert {id(layout) for layout in drawn} == {
-            id(module.layout) for module in result.placements.values()
-        }
+        counts = self._count_drawing(monkeypatch)
+        with incremental.using(False):
+            estimate = generate_ota_layout(request, mode="estimate")
+        assert counts == {"draw": 0, "cell": 0, "shape": 0}
+        assert estimate.cell is None
+        with incremental.using(False):
+            generated = generate_ota_layout(request, mode="generate")
+        assert counts["draw"] == len(generated.placements) == len(
+            ota.MODULE_ROWS
+        )
+        # The ten module cells and the top cell, with every shape drawn.
+        assert counts["cell"] == len(ota.MODULE_ROWS) + 1
+        drawn = counts["shape"]
+        assert drawn == sum(1 for _ in generated.cell.flattened())
+
+    def test_memoized_generate_draws_without_placing(
+        self, tech, hand_sized, monkeypatch
+    ):
+        sizes, currents = hand_sized
+        request = OtaLayoutRequest(
+            technology=tech, sizes=sizes, currents=currents, aspect=0.5
+        )
+        incremental.clear()
+        estimate = generate_ota_layout(request, mode="estimate")
+        monkeypatch.setattr(
+            ota, "_generate",
+            lambda request: pytest.fail("placed and routed again"),
+        )
+        counts = self._count_drawing(monkeypatch)
+        generated = generate_ota_layout(request, mode="generate")
+        assert generated.report is estimate.report
+        assert counts["draw"] == len(ota.MODULE_ROWS)
+        assert list(generated.cell.flattened()) == list(
+            oracle.eager_ota_layout(request).cell.flattened()
+        )
 
 
 class TestGridIndex:

@@ -1,16 +1,19 @@
 """OTA measurement harness (Table-1 rows) on the hand-sized design, and
 the two-stage measurement handle on jittered sized designs."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import metrics as metrics_module
 from repro.analysis.metrics import (
     OtaMeasurement,
+    _loop_gain,
     feedback_dc_solution,
     measure_ota,
     output_node_capacitance,
 )
+from repro.analysis.transfer import TransferFunction
 from repro.errors import AnalysisError
 from repro.units import PF
 from tests.conftest import DESIGN_KEYS, JITTER, jittered_bench
@@ -121,6 +124,31 @@ class TestOtaMeasurement:
         _assert_stages_match_full_suite(
             jittered_bench(sized_designs, key, factors)
         )
+
+    def test_crossing_at_a_chunk_boundary(self, hand_testbench):
+        """The loop gain solves the sweep a decade at a time and stops
+        past the first unity crossing; crossings whose bracketing points
+        fall in two chunks, or whose next point opens the next chunk,
+        still give the full sweep's answer bit for bit."""
+        residues = set()
+        for k in range(24):
+            measurement = OtaMeasurement(
+                hand_testbench, f_start=10.0 ** (k / 24.0)
+            )
+            system = measurement.system
+            solved = system.solve_batch(
+                measurement.frequencies, system.rhs(measurement._dm_drive)
+            )
+            full = TransferFunction(
+                measurement.frequencies.copy(),
+                solved[:, measurement._out_node, 0].copy(),
+            )
+            gains = full.magnitude_db
+            crossing = np.flatnonzero((gains[:-1] >= 0.0) & (gains[1:] < 0.0))
+            residues.add(int(crossing[0] + 1) % measurement.points_per_decade)
+            assert measurement.loop_gain() == _loop_gain(full)
+        # The point after the crossing opens a chunk, and ends one.
+        assert {0, measurement.points_per_decade - 1} <= residues
 
     def test_short_sweep_raises_same_error(self, hand_testbench):
         with pytest.raises(AnalysisError) as full:

@@ -3,23 +3,13 @@
 import pytest
 
 from repro.errors import LayoutError
-from repro.layout.cell import Cell
-from repro.layout.devices import ModuleLayout
-from repro.layout.geometry import Rect
-from repro.layout.layers import Layer
 from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize, realize
 from repro.units import UM
 
 
 def block(name, width, height):
     """A module with one rectangular variant."""
-    cell = Cell(name)
-    cell.add_shape(Layer.METAL1, Rect(0, 0, width, height))
-    layout = ModuleLayout(
-        cell=cell, device_geometry={}, device_nf={},
-        finger_width=0.0, length=0.0,
-    )
-    return ModuleVariant(name, width, height, lambda: layout)
+    return ModuleVariant(name, width, height)
 
 
 def leaf(name, *sizes):
@@ -91,14 +81,14 @@ class TestRealize:
     def test_variant_selection_by_aspect(self):
         node = leaf("a", (1e-6, 16e-6), (4e-6, 4e-6), (16e-6, 1e-6))
         point, placements = optimize(node, aspect=1.0)
-        assert placements[0].variant.layout.cell.width == pytest.approx(4e-6)
+        assert placements[0].variant.width == pytest.approx(4e-6)
 
     def test_fold_choice_responds_to_constraint(self):
         """The paper's point: the shape constraint picks implementations."""
         node = leaf("a", (1e-6, 16e-6), (16e-6, 1e-6))
         _point, tall = optimize(node, aspect=16.0)
         _point, flat = optimize(node, aspect=1.0 / 16.0)
-        assert tall[0].variant.layout.cell.height > flat[0].variant.layout.cell.height
+        assert tall[0].variant.height > flat[0].variant.height
 
     def test_conflicting_constraints_rejected(self):
         node = leaf("a", (1e-6, 1e-6))

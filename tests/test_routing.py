@@ -1,10 +1,11 @@
-"""Channel router: planning, drawing, parasitics."""
+"""Channel router: planning, recording and drawing, parasitics."""
 
 import pytest
 
 from repro.layout.cell import Cell
-from repro.layout.devices import single_device_layout
+from repro.layout.devices import single_device_frame
 from repro.layout.layers import Layer
+from repro.layout.parasitics import ModuleView
 from repro.layout.routing import ChannelRouter, PlacedModule
 from repro.units import UM
 
@@ -58,34 +59,33 @@ class TestPlanning:
 @pytest.fixture(scope="module")
 def routed(tech):
     """Two modules stacked, one shared net routed between them."""
-    bottom = single_device_layout(
+    bottom = single_device_frame(
         tech, "n", 20 * UM, 1 * UM, 2, ("mid", "g1", "0", "0"), name="m1"
     )
-    top = single_device_layout(
+    top = single_device_frame(
         tech, "n", 20 * UM, 1 * UM, 2, ("d2", "g2", "mid", "0"), name="m2"
     )
+    views = {"m1": ModuleView.of(bottom), "m2": ModuleView.of(top)}
     router = ChannelRouter(tech, {"mid": 100e-6})
     net_pins = {}
-    for row, module in enumerate((bottom, top)):
-        box = module.cell.bbox()
-        for net, shapes in module.cell.pins.items():
-            for shape in shapes:
-                channel = row if shape.rect.center.y < box.center.y else row + 1
+    for row, (name, frame) in enumerate((("m1", bottom), ("m2", top))):
+        for net, pins in views[name].pins.items():
+            for rect, _layer in pins:
+                channel = (
+                    row if rect.center.y < frame.bbox.center.y else row + 1
+                )
                 net_pins.setdefault(net, []).append(channel)
     plan = router.plan_channels(2, net_pins)
 
     gap = plan.heights[1]
     placed = [
-        PlacedModule("m1", bottom, dx=0.0, dy=-bottom.cell.bbox().y0),
+        PlacedModule("m1", bottom, dx=0.0, dy=-bottom.bbox.y0),
         PlacedModule(
             "m2", top,
             dx=0.0,
-            dy=-top.cell.bbox().y0 + bottom.cell.bbox().height + gap,
+            dy=-top.bbox.y0 + bottom.bbox.height + gap,
         ),
     ]
-    cell = Cell("assembly")
-    for module in placed:
-        cell.add_instance(module.layout.cell, dx=module.dx, dy=module.dy)
     channel_y = [
         placed[0].bbox().y0 - plan.heights[0],
         placed[0].bbox().y1,
@@ -93,8 +93,12 @@ def routed(tech):
     ]
     width = max(m.bbox().x1 for m in placed)
     result = router.route(
-        cell, placed, {"m1": 0, "m2": 1}, plan, channel_y, (0.0, width)
+        placed, views, {"m1": 0, "m2": 1}, plan, channel_y, (0.0, width)
     )
+    cell = Cell("assembly")
+    for module in placed:
+        cell.add_instance(module.frame.cell(), dx=module.dx, dy=module.dy)
+    result.draw(cell)
     return cell, result, plan
 
 

@@ -91,7 +91,3 @@ class TestParasiticReportMetric:
     def test_net_total_includes_coupling(self, synthesis_outcome):
         report = synthesis_outcome.feedback
         assert report.net_total("fold1") > report.net_capacitance["fold1"]
-
-    def test_summary_readable(self, synthesis_outcome):
-        text = synthesis_outcome.feedback.summary()
-        assert "mp1" in text and "fold1" in text

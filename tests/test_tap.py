@@ -68,8 +68,8 @@ class TestOtaIntegration:
     def test_taps_tie_the_rails(self, ota_layout):
         ntap = ota_layout.placements["ntap"]
         welltap = ota_layout.placements["welltap"]
-        assert "0" in ntap.layout.cell.pins
-        assert "vdd!" in welltap.layout.cell.pins
+        assert "0" in ntap.frame.cell().pins
+        assert "vdd!" in welltap.frame.cell().pins
 
     def test_tap_in_dsl(self, tech):
         from repro.layout.cairo import CairoProgram
