@@ -17,20 +17,19 @@ fixed before any work is scheduled, results are identical for any worker
 count.
 
 Pooled dispatch goes through the persistent executor runtime
-(:mod:`repro.runtime`): the pool is reused across calls, each shard's
-sample rows travel as a pickled slice of the pre-drawn matrices, and
-workers hold the compiled feedback program in a content-keyed resident
-cache so repeated dispatches ship a fingerprint instead of the
-testbench.  A cold pool and a warm one give the same sampled values.
+(:mod:`repro.runtime`): the pool is reused across calls, and each
+shard's job carries the pickled ``(tb, measure)`` recipe plus its slice
+of the pre-drawn matrices, so a worker compiles the feedback program
+per shard exactly as the serial path does.  A cold pool and a warm one
+give the same sampled values.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,13 +179,8 @@ class _CompiledOffset:
     :class:`~repro.resilience.policy.WarmStart` rung, then the cold
     ladder if the seeded stages fail); on the 1000-sample ``yield_mc``
     workload this cut the Newton iterations per sample from 16.7 to 5.8.
-    Compilation and the seed are pure functions of the testbench, and
-    :meth:`measure` is stateless across calls (``set_mismatch`` deltas
-    are overwritten per sample; :meth:`EnsembleProgram.from_mismatch
-    <repro.analysis.ensemble.EnsembleProgram.from_mismatch>` takes
-    explicit rows), so one instance may serve any number of shards —
-    which is exactly what the worker-resident cache in
-    :mod:`repro.runtime.pool` does with it.
+    Compilation and the seed are pure functions of the testbench, so
+    every shard that builds its own instance measures the same values.
     """
 
     __slots__ = ("names", "program", "out_node", "vcm", "permutation",
@@ -237,20 +231,6 @@ class _CompiledOffset:
         ]
 
 
-def _offset_chunk(
-    tb: OtaTestbench,
-    names: Sequence[str],
-    vth_rows: np.ndarray,
-    beta_rows: np.ndarray,
-) -> List[Dict[str, float]]:
-    """Default measurement (input offset) for a chunk of sample rows.
-
-    One compiled feedback program (:class:`_CompiledOffset`) is shared
-    by the whole chunk.
-    """
-    return _CompiledOffset(tb, names).measure(vth_rows, beta_rows)
-
-
 def _measure_chunk(
     tb: OtaTestbench,
     names: Sequence[str],
@@ -275,10 +255,12 @@ def _run_chunk(
     """Dispatch one chunk to the right measurement implementation.
 
     A custom ``measure`` always runs per sample (it takes a whole
-    testbench); only the default offset measurement has a stacked form.
+    testbench); only the default offset measurement has a stacked form,
+    one compiled feedback program (:class:`_CompiledOffset`) shared by
+    the whole chunk.
     """
     if measure is None:
-        return _offset_chunk(tb, names, vth_rows, beta_rows)
+        return _CompiledOffset(tb, names).measure(vth_rows, beta_rows)
     return _measure_chunk(tb, names, vth_rows, beta_rows, measure)
 
 
@@ -289,7 +271,7 @@ def _run_shard(
     ``mc.shard`` span; return the samples.
 
     The one per-shard entry: the single-worker path, the in-process
-    fallback and the pool worker (:func:`_run_shard_job`) all call it,
+    fallback and the pool worker (:func:`_run_shard_payload`) all call it,
     so a shard reports the same span and ``mc.samples_measured`` count
     wherever it ran.  Telemetry never touches the pre-drawn sample rows,
     so results stay bit-identical with tracing on or off.
@@ -300,83 +282,22 @@ def _run_shard(
     return stats
 
 
-class _ResidentChunk:
-    """Worker-resident Monte-Carlo state: the unpickled testbench plus a
-    lazily compiled :class:`_CompiledOffset`.
-
-    Cached per worker process under the parent's payload content hash
-    (:func:`repro.runtime.pool.resident_object`), so repeated dispatches
-    against a persistent pool ship a fingerprint instead of re-shipping
-    the testbench and recompiling the feedback program per shard.
-    """
-
-    __slots__ = ("tb", "measure", "_compiled")
-
-    def __init__(self, tb: OtaTestbench, measure):
-        self.tb = tb
-        self.measure = measure
-        self._compiled: Optional[_CompiledOffset] = None
-
-    def run(
-        self,
-        names: Sequence[str],
-        vth_rows: np.ndarray,
-        beta_rows: np.ndarray,
-    ) -> List[Dict[str, float]]:
-        if self.measure is not None:
-            return _measure_chunk(
-                self.tb, names, vth_rows, beta_rows, self.measure
-            )
-        compiled = self._compiled
-        if compiled is None or compiled.names != tuple(names):
-            compiled = _CompiledOffset(self.tb, names)
-            self._compiled = compiled
-        return compiled.measure(vth_rows, beta_rows)
-
-
-def _build_resident_chunk(payload: bytes) -> _ResidentChunk:
+def _run_shard_payload(
+    payload: bytes,
+    index: int,
+    lo: int,
+    hi: int,
+    names: Tuple[str, ...],
+    vth_rows: np.ndarray,
+    beta_rows: np.ndarray,
+) -> List[Dict[str, float]]:
+    """Pool-side shard entry over the pre-validated pickled
+    ``(tb, measure)`` recipe and the shard's ``[lo, hi)`` row slices."""
     tb, measure = pickle.loads(payload)
-    return _ResidentChunk(tb, measure)
-
-
-@dataclass(frozen=True)
-class _ShardJob:
-    """Everything one pooled shard needs, picklable by construction.
-
-    ``payload`` is the pickled ``(tb, measure)`` recipe — or ``None``
-    when the parent believes this pool generation already holds the
-    resident state under ``key``.  ``vth_rows``/``beta_rows`` are the
-    shard's ``[lo, hi)`` slices of the pre-drawn sample matrices.
-    """
-
-    key: str
-    payload: Optional[bytes]
-    names: Tuple[str, ...]
-    lo: int
-    hi: int
-    index: int
-    vth_rows: np.ndarray
-    beta_rows: np.ndarray
-
-
-def _run_shard_job(job: _ShardJob):
-    """Pool-side shard entry: one shard on the worker-resident state.
-
-    A cold resident cache answers :class:`~repro.runtime.pool.CacheMiss`
-    (the dispatcher resends with the payload and drops this attempt's
-    telemetry, so the resend's span is the only one the parent keeps).
-    """
-
-    def run() -> List[Dict[str, float]]:
-        state = runtime_pool.resident_object(
-            job.key, job.payload, _build_resident_chunk
-        )
-        return state.run(job.names, job.vth_rows, job.beta_rows)
-
-    try:
-        return _run_shard(job.index, job.lo, job.hi, run)
-    except runtime_pool.NeedPayload:
-        return runtime_pool.CacheMiss(job.key)
+    return _run_shard(
+        index, lo, hi,
+        lambda: _run_chunk(tb, names, vth_rows, beta_rows, measure),
+    )
 
 
 def _shard_key(span: Tuple[int, int]) -> str:
@@ -393,7 +314,6 @@ _MC_SITES = runtime_pool.DispatchSites(
     fallback_check="mc.shard-fallback",
     budget_fallback="montecarlo.shard-fallback",
     unit_kw="shard",
-    transport_shutdown_wait=True,
 )
 
 
@@ -402,8 +322,6 @@ class _ShardDispatch:
     .run_dispatch`: how to submit a shard, harvest its result, record a
     failure, and recover in-process.  The engine owns pool lifecycle,
     retry rounds, journal drain and budget checkpoints."""
-
-    transport_exceptions = (pickle.PicklingError, AttributeError, TypeError)
 
     def __init__(
         self,
@@ -416,7 +334,6 @@ class _ShardDispatch:
         chunks: List[Optional[List[Dict[str, float]]]],
         statuses: List[ShardStatus],
         journal: Optional[RunJournal],
-        key: str,
         payload: bytes,
         max_workers: int,
     ):
@@ -429,11 +346,8 @@ class _ShardDispatch:
         self.chunks = chunks
         self.statuses = statuses
         self.journal = journal
-        self.key = key
         self.payload = payload
         self.max_workers = max_workers
-        self._payload_sent: Set[int] = set()
-        self._lease: Optional[runtime_pool.PoolLease] = None
 
     def begin_attempt(self, i: int) -> None:
         self.statuses[i].attempts += 1
@@ -441,23 +355,12 @@ class _ShardDispatch:
     def has_result(self, i: int) -> bool:
         return self.chunks[i] is not None
 
-    def job(self, lease, i: int, resend: bool):
+    def job(self, i: int):
         lo, hi = self.spans[i]
-        self._lease = lease
-        # Ship the (tb, measure) payload until this pool generation has
-        # acknowledged it (or when a worker explicitly asked again); a
-        # warm pool gets the content hash alone.
-        ship = resend or not lease.key_shipped(self.key)
-        if ship:
-            self._payload_sent.add(i)
-        else:
-            self._payload_sent.discard(i)
-        job = _ShardJob(
-            key=self.key, payload=self.payload if ship else None,
-            names=self.names, lo=lo, hi=hi, index=i,
-            vth_rows=self.vth[lo:hi], beta_rows=self.beta[lo:hi],
+        return _run_shard_payload, (
+            self.payload, i, lo, hi, self.names,
+            self.vth[lo:hi], self.beta[lo:hi],
         )
-        return _run_shard_job, (job,)
 
     def accept(self, i: int, outcome) -> None:
         """Accept one completed shard result (and journal it durably)."""
@@ -466,11 +369,6 @@ class _ShardDispatch:
             "ok" if self.statuses[i].attempts == 1 else "resubmitted"
         )
         self._complete(i)
-        if i in self._payload_sent and self._lease is not None:
-            # At least one worker of this generation built the resident
-            # state; later dispatches ship the hash alone (a cold worker
-            # answers CacheMiss and gets the payload resent).
-            self._lease.mark_shipped(self.key)
 
     def _complete(self, i: int) -> None:
         """Journal one shard computed in this run."""
@@ -501,9 +399,9 @@ class _ShardDispatch:
         # < 3.12.)
         return AnalysisError(
             f"Monte-Carlo shard {i} of {len(self.spans)} "
-            f"(workers={self.max_workers}) could not cross the "
-            f"process boundary: {error!r}; a custom measure "
-            f"function must be module-level (picklable)"
+            f"(workers={self.max_workers}) result could not cross the "
+            f"process boundary: {error}; a custom measure must return "
+            f"picklable values"
         )
 
     def fallback(self, i: int) -> None:
@@ -539,8 +437,8 @@ def _run_shards(
     shard_timeout: Optional[float],
     max_shard_retries: int,
     budget: Optional[Budget],
-    journal: Optional[RunJournal] = None,
-    payload: Optional[bytes] = None,
+    journal: Optional[RunJournal],
+    payload: bytes,
 ) -> Tuple[List[Optional[List[Dict[str, float]]]], List[ShardStatus]]:
     """Run every shard through the shared dispatch engine.
 
@@ -556,9 +454,8 @@ def _run_shards(
     signal drains in-flight workers into the journal before raising
     :class:`~repro.errors.RunInterrupted`.
 
-    ``payload`` is the pre-validated pickled ``(tb, measure)`` recipe —
-    its content hash keys the worker-resident compiled state, so a warm
-    persistent pool receives the hash instead of the testbench.
+    ``payload`` is the pre-validated pickled ``(tb, measure)`` recipe
+    that every shard job carries.
     """
     chunks: List[Optional[List[Dict[str, float]]]] = [None] * len(spans)
     statuses = [
@@ -572,11 +469,8 @@ def _run_shards(
             telemetry.count("mc.journaled_shards")
         else:
             pending.append(i)
-    if payload is None:
-        payload = pickle.dumps((tb, measure))
     dispatch = _ShardDispatch(
         tb, names, vth, beta, measure, spans, chunks, statuses, journal,
-        key=hashlib.sha256(payload).hexdigest(),
         payload=payload,
         max_workers=max_workers,
     )
@@ -668,8 +562,7 @@ def run_monte_carlo(
                 # Submitting an unpicklable payload would wedge the pool's
                 # queue feeder (unrecoverable on CPython < 3.12), so refuse
                 # before any worker is spawned.  The validated bytes are
-                # the submission payload itself (and its hash keys the
-                # worker-resident cache) — nothing is pickled twice.
+                # the submission payload itself: nothing is pickled twice.
                 raise AnalysisError(
                     f"Monte-Carlo payload cannot cross the process boundary "
                     f"(workers={workers}): {error!r}; a custom measure "

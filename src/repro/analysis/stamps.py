@@ -28,7 +28,6 @@ in ``tests/oracles/analysis.py`` at rtol 1e-9.
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,28 +211,6 @@ class StampProgram:
     @property
     def circuit_name(self) -> str:
         return self.circuit.name
-
-    def fingerprint(self) -> str:
-        """16-hex content hash of the compiled source circuit.
-
-        Two programs with equal fingerprints compile to identical stamp
-        arrays (compilation is a pure function of the circuit), which is
-        what makes this the worker-resident cache key material in
-        :mod:`repro.runtime.pool`: a worker holding a program under this
-        key can serve any shard whose parent would have compiled an
-        equal circuit.  Mutable solve-time state (``set_mismatch``
-        deltas, swap caches) is deliberately excluded — it is overwritten
-        per call and never changes what the program *is*.
-        """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            import hashlib
-
-            cached = hashlib.sha256(
-                pickle.dumps(self.circuit)
-            ).hexdigest()[:16]
-            self._fingerprint = cached
-        return cached
 
     def initial_guess(self) -> np.ndarray:
         from repro.analysis.dcop import _initial_guess

@@ -65,9 +65,6 @@ class TransferFunction:
     def gain_db_at(self, frequency: float) -> float:
         return self._interp(self.magnitude_db, frequency)
 
-    def gain_at(self, frequency: float) -> float:
-        return 10.0 ** (self.gain_db_at(frequency) / 20.0)
-
     def phase_deg_at(self, frequency: float) -> float:
         return self._interp(self.phase_deg, frequency)
 

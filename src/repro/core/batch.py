@@ -108,48 +108,6 @@ def _build_technology(task: BatchTask) -> Technology:
     return technology
 
 
-def verify_task_corners(
-    task: BatchTask,
-    result: object,
-    corners: Optional[Sequence[str]] = None,
-) -> Dict[str, object]:
-    """Process-corner verification of a completed ``case`` task.
-
-    Rebuilds the task's nominal technology from the preset registry,
-    re-plans it, and re-verifies the task's converged sizing at each
-    corner — all corner replicas share one compiled program (see
-    :meth:`~repro.sizing.verification.VerificationInterface.verify_corners`).
-    Returns ``{corner: VerificationReport}``.
-    """
-    from repro.sizing.plans.folded_cascode import FoldedCascodePlan
-    from repro.sizing.verification import VerificationInterface
-    from repro.technology.corners import CORNERS, corner_set
-
-    if task.kind != "case":
-        raise SynthesisError(
-            f"corner verification needs a 'case' task, got {task.kind!r}"
-        )
-    sizing = getattr(result, "sizing", None)
-    if sizing is None:
-        raise SynthesisError(
-            "corner verification needs a completed CaseResult with a sizing"
-        )
-    nominal = _build_technology(
-        BatchTask(kind=task.kind, technology=task.technology, specs=task.specs)
-    )
-    plan = FoldedCascodePlan(nominal, task.model_level)
-    names = tuple(corners) if corners is not None else CORNERS
-    with telemetry.span(
-        "batch.verify_corners", technology=task.technology, corners=len(names)
-    ):
-        return VerificationInterface().verify_corners(
-            plan,
-            sizing,
-            task.specs,
-            corners=corner_set(nominal, names),
-        )
-
-
 def run_task(task: BatchTask) -> object:
     """Execute one task; the single entry point serial and pooled paths share.
 
@@ -375,8 +333,6 @@ class _BatchDispatch:
     failure, and recover in-process.  The engine owns pool lifecycle,
     retry rounds, journal drain and budget checkpoints."""
 
-    transport_exceptions = (pickle.PicklingError,)
-
     def __init__(
         self,
         tasks: Sequence[BatchTask],
@@ -401,9 +357,7 @@ class _BatchDispatch:
     def has_result(self, i: int) -> bool:
         return self.results[i] is not None
 
-    def job(self, lease, i: int, resend: bool):
-        # Tasks are unique values, so there is no resident state to
-        # fingerprint: the pre-validated payload bytes ship every time.
+    def job(self, i: int):
         return _run_task_payload, (self.payloads[i], i)
 
     def accept(self, i: int, outcome) -> None:
@@ -435,7 +389,7 @@ class _BatchDispatch:
         # fail fast with context.
         return SynthesisError(
             f"batch task {i} ({self.tasks[i].label}) result could "
-            f"not cross the process boundary: {error!r}"
+            f"not cross the process boundary: {error}"
         )
 
     def fallback(self, i: int) -> None:

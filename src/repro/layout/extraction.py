@@ -71,9 +71,6 @@ class ExtractedParasitics:
     well: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     """net -> (area, perimeter) of n-well."""
 
-    def total_wire_cap(self) -> float:
-        return sum(self.net_wire_cap.values())
-
 
 def _wells(rows: Iterable[ShapeRow]) -> Dict[str, Tuple[float, float]]:
     result: Dict[str, Tuple[float, float]] = defaultdict(lambda: (0.0, 0.0))

@@ -84,10 +84,6 @@ class OperatingPoint:
             return math.inf
         return 1.0 / self.gds
 
-    @property
-    def total_gate_capacitance(self) -> float:
-        return self.cgs + self.cgd + self.cgb
-
 
 class MosModel(ABC):
     """Common behaviour of the level-1 and level-3 models."""

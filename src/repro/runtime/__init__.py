@@ -7,7 +7,7 @@ across processes on one machine:
   ``ProcessPoolExecutor`` plus the shared dispatch engine (pickle
   pre-validation, bounded resubmission, in-process fallback, journal
   drain) that ``core/batch.py`` and ``analysis/montecarlo.py`` are thin
-  clients of, and the worker-resident content-keyed object cache.
+  clients of.  Workers hold no state between units.
 - :mod:`repro.runtime.artifacts` — a content-addressed on-disk cache
   for whole layout calls and case results, so a repeated
   ``table1`` run is served warm.

@@ -29,26 +29,23 @@ worker.  This module hoists all of that into one place:
   hook, plus a worker tracer only when the parent traces); the engine
   grafts the worker's trace payload under the parent's span, so clients
   never see tracing, and a unit recovered in-process runs under the
-  parent's own tracer.
+  parent's own tracer.  The wrapper pickles its own result, so a result
+  that cannot cross back raises :class:`UnpicklableResult` and every
+  other unit exception propagates exactly as it would serially.
 
-- :func:`resident_object` is the worker-side content-keyed cache:
-  instead of re-shipping and recompiling a testbench per shard, tasks
-  carry a content hash plus an optional payload.  A worker that already
-  holds the compiled state under that key skips the rebuild; a worker
-  asked to work without a payload it does not hold answers with a
-  :class:`CacheMiss` sentinel and the dispatcher resubmits with the
-  payload attached (an uncounted round: cache misses are not failures).
+Workers hold no state between units: each unit's call carries
+everything it needs.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.resilience import faults
@@ -60,33 +57,19 @@ from repro.resilience.journal import RunJournal, ignore_sigint
 
 
 class PoolLease:
-    """The process-wide executor plus its payload-shipping ledger.
+    """The process-wide executor and its generation.
 
     :func:`acquire` hands the live pool to every dispatch round; a clean
     round simply drops it and the pool stays warm.  :meth:`discard`
     tears it down, which is mandatory after a timeout or worker death.
     """
 
-    __slots__ = ("executor", "max_workers", "generation", "shipped")
+    __slots__ = ("executor", "max_workers", "generation")
 
     def __init__(self, executor: Any, max_workers: int, generation: int):
         self.executor = executor
         self.max_workers = max_workers
         self.generation = generation
-        #: Content keys whose payload at least one worker of this pool
-        #: generation has acknowledged (see :meth:`mark_shipped`).
-        self.shipped: Set[str] = set()
-
-    def key_shipped(self, key: str) -> bool:
-        """Whether this pool's workers have seen ``key``'s payload."""
-        return key in self.shipped
-
-    def mark_shipped(self, key: str) -> None:
-        self.shipped.add(key)
-
-    def unship(self, key: str) -> None:
-        """Forget ``key`` (a worker reported a :class:`CacheMiss`)."""
-        self.shipped.discard(key)
 
     def discard(self, wait: bool) -> None:
         """Tear the pool down (timeout, worker death, or propagating
@@ -182,104 +165,43 @@ atexit.register(shutdown)
 
 
 # --------------------------------------------------------------------------
-# Worker-resident content-keyed object cache
-
-
-class CacheMiss:
-    """Picklable worker answer: "I don't hold ``key``, resend the payload".
-
-    Crossing the pool boundary as a *result* (never an exception) keeps
-    the miss distinct from every failure path the dispatcher recovers
-    from.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def __reduce__(self):
-        return (CacheMiss, (self.key,))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CacheMiss({self.key!r})"
-
-
-class NeedPayload(Exception):
-    """Raised worker-side by :func:`resident_object` on a cold cache.
-
-    Worker entry points convert it into a returned :class:`CacheMiss`;
-    it never crosses the process boundary itself.
-    """
-
-    def __init__(self, key: str):
-        super().__init__(key)
-        self.key = key
-
-
-#: Compiled state cached per worker process, keyed on content hashes.
-#: Bounded: entries are distinct testbench/measure payloads, a handful
-#: per realistic session, but a runaway caller must not grow worker RSS.
-_RESIDENT: "OrderedDict[str, Any]" = OrderedDict()
-_RESIDENT_CAP = 8
-
-
-def resident_object(
-    key: str, payload: Optional[bytes], build: Callable[[bytes], Any]
-) -> Any:
-    """The worker-resident object under ``key``, building it on demand.
-
-    ``payload`` is the serialized construction recipe (or ``None`` when
-    the parent believes this pool already holds the object); ``build``
-    turns the raw bytes into the resident state.  Raises
-    :class:`NeedPayload` when asked to build without a payload.
-    """
-    entry = _RESIDENT.get(key)
-    if entry is not None:
-        _RESIDENT.move_to_end(key)
-        telemetry.count("runtime.resident.hit")
-        return entry
-    if payload is None:
-        raise NeedPayload(key)
-    telemetry.count("runtime.resident.miss")
-    entry = build(payload)
-    _RESIDENT[key] = entry
-    while len(_RESIDENT) > _RESIDENT_CAP:
-        _RESIDENT.popitem(last=False)
-    return entry
-
-
-def resident_cache_size() -> int:
-    return len(_RESIDENT)
-
-
-def clear_resident() -> None:
-    _RESIDENT.clear()
-
-
-# --------------------------------------------------------------------------
 # The shared dispatch engine
+
+
+class UnpicklableResult(Exception):
+    """Raised worker-side when a unit's result cannot be pickled back.
+
+    The one error :func:`run_dispatch` reports through the client's
+    ``transport_error``: a unit's own exceptions propagate unchanged.
+    """
 
 
 def _run_in_worker(
     fn: Callable[..., Any], args: Tuple[Any, ...], traced: bool, crash: bool
-) -> Tuple[Any, Optional[Dict[str, Any]]]:
-    """Pool-side wrapper of every unit: ``(outcome, trace payload)``.
+) -> bytes:
+    """Pool-side wrapper of every unit: pickled ``(outcome, trace payload)``.
 
     ``crash`` is the fault-injection hook: the parent's fault registry
     decided this unit's worker should die, and it obliges with an
     unclean exit so the recovery path sees a genuine broken pool.
     ``fn`` is the same per-unit entry the parent runs in-process; only
     when the parent traces does it run under a fresh worker tracer,
-    whose records the parent grafts under its current span.
+    whose records the parent grafts under its current span.  Pickling
+    here, not in the executor, tells a result that cannot cross back
+    (:class:`UnpicklableResult`) apart from an exception ``fn`` raised.
     """
     if crash:
         os._exit(1)
     if not traced:
-        return fn(*args), None
-    with telemetry.Tracer().activate() as tracer:
-        outcome = fn(*args)
-    return outcome, tracer.trace_payload()
+        outcome, trace = fn(*args), None
+    else:
+        with telemetry.Tracer().activate() as tracer:
+            outcome = fn(*args)
+        trace = tracer.trace_payload()
+    try:
+        return pickle.dumps((outcome, trace))
+    except Exception as error:
+        raise UnpicklableResult(repr(error)) from None
 
 
 @dataclass(frozen=True)
@@ -300,9 +222,6 @@ class DispatchSites:
     """Budget checkpoint before each in-process fallback unit."""
     unit_kw: str
     """Keyword naming the unit index in fallback budget checks."""
-    transport_shutdown_wait: bool = False
-    """Drain the pool before raising a transport (result-pickling)
-    error — Monte-Carlo's historical behavior; batch fails immediately."""
 
 
 def run_dispatch(
@@ -320,21 +239,20 @@ def run_dispatch(
     The client owns unit semantics; the engine owns the lifecycle.  A
     client provides::
 
-        job(lease, i, resend) -> (fn, args)  # picklable worker call
-        accept(i, outcome)                # harvest one result
-        has_result(i) -> bool             # for the journal drain
-        begin_attempt(i)                  # attempts ledger
-        note_timeout(i, timeout)          # status + telemetry
-        note_death(i, error)              # status + telemetry
-        transport_exceptions              # tuple caught as fail-fast
-        transport_error(i, error) -> Exception
-        fallback(i)                       # in-process recovery
+        job(i) -> (fn, args)         # picklable worker call
+        accept(i, outcome)           # harvest one result
+        has_result(i) -> bool        # for the journal drain
+        begin_attempt(i)             # attempts ledger
+        note_timeout(i, timeout)     # status + telemetry
+        note_death(i, error)         # status + telemetry
+        transport_error(i, error) -> Exception  # unpicklable result
+        fallback(i)                  # in-process recovery
 
     A unit whose worker dies or times out is resubmitted on a fresh pool
-    up to ``max_retries`` times and then handed to ``fallback``.  A
-    worker answering :class:`CacheMiss` gets its unit resubmitted with
-    the payload forced — on the same attempt, without consuming a retry
-    round, because a cold cache is not a failure.  With a tracer
+    up to ``max_retries`` times and then handed to ``fallback``.  A unit
+    whose result cannot be pickled fails fast through
+    ``transport_error`` (a retry would fail the same way); any other
+    unit exception propagates as it would serially.  With a tracer
     active, each worker's trace payload is grafted under the current
     span at the unit's submit time before ``accept`` sees the outcome.
     """
@@ -346,22 +264,19 @@ def run_dispatch(
     traced = tracer is not None
     submit_times: Dict[int, float] = {}
 
-    def harvest(i: int, result: Tuple[Any, Any]) -> Any:
+    def harvest(i: int, result: bytes) -> Any:
         """Graft the unit's worker trace; return its outcome."""
-        outcome, trace = result
-        if trace is not None and not isinstance(outcome, CacheMiss):
+        outcome, trace = pickle.loads(result)
+        if trace is not None:
             tracer.absorb(trace, t_offset=submit_times[i])
         return outcome
 
     rounds_used = 0
-    resend: Set[int] = set()
     while pending and rounds_used <= max_retries:
-        if any(i not in resend for i in pending):
-            rounds_used += 1
+        rounds_used += 1
         if budget is not None:
             budget.check(sites.budget_round, pending=len(pending))
         retry: List[int] = []
-        next_resend: Set[int] = set()
         workers = min(jobs, len(pending))
         lease = acquire(workers)
         pool = lease.executor
@@ -375,18 +290,15 @@ def run_dispatch(
                     # The pool broke mid-submission; this unit was
                     # never attempted — carry it to the next round.
                     retry.append(i)
-                    if i in resend:
-                        next_resend.add(i)
                     continue
                 crash = (
                     faults.fire(sites.fault_site, index=i) is not None
                 )
-                if i not in resend:
-                    client.begin_attempt(i)
+                client.begin_attempt(i)
                 if traced:
                     submit_times[i] = tracer.now()
                 try:
-                    fn, args = client.job(lease, i, i in resend)
+                    fn, args = client.job(i)
                     futures[i] = pool.submit(
                         _run_in_worker, fn, args, traced, crash
                     )
@@ -419,26 +331,15 @@ def run_dispatch(
                             and not done.cancelled()
                             and done.exception() is None
                         ):
-                            outcome = harvest(j, done.result())
-                            if not isinstance(outcome, CacheMiss):
-                                client.accept(j, outcome)
+                            client.accept(j, harvest(j, done.result()))
                     journal.check_interrupt(sites.drain_site)
                 try:
-                    outcome = harvest(
-                        i, future.result(timeout=unit_timeout)
+                    client.accept(
+                        i, harvest(i, future.result(timeout=unit_timeout))
                     )
-                    if isinstance(outcome, CacheMiss):
-                        lease.unship(outcome.key)
-                        telemetry.count("runtime.resident.resend")
-                        next_resend.add(i)
-                        retry.append(i)
-                        continue
-                    client.accept(i, outcome)
-                except client.transport_exceptions as error:
+                except UnpicklableResult as error:
                     # A result that cannot cross back can never
                     # succeed on a retry: fail fast with context.
-                    if sites.transport_shutdown_wait:
-                        pool.shutdown(wait=True, cancel_futures=True)
                     raise client.transport_error(i, error) from error
                 except FuturesTimeoutError:
                     had_timeout = True
@@ -462,7 +363,6 @@ def run_dispatch(
         elif had_death:
             lease.discard(wait=True)
         pending = sorted(retry)
-        resend = next_resend
 
     # Bounded retries exhausted: bring the stragglers home in-process.
     for i in pending:

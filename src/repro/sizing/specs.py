@@ -143,6 +143,3 @@ class SizingResult:
         if self.misses:
             text += ": " + ", ".join(str(miss) for miss in self.misses)
         return text
-
-    def total_current(self, branches: Dict[str, float]) -> float:
-        return sum(branches.values())

@@ -10,6 +10,8 @@ batch fingerprints for traced pooled and serial runs.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import telemetry
@@ -91,16 +93,16 @@ class TestTracedWorker:
         """A traced pool unit ships its own records and nothing else: a
         worker reused across units never re-ships earlier work."""
         for name, n in (("first", 4), ("second", 2)):
-            outcome, payload = runtime_pool._run_in_worker(
+            outcome, payload = pickle.loads(runtime_pool._run_in_worker(
                 _count_unit, (name, n), True, False
-            )
+            ))
             assert outcome == name
             assert set(payload) == {"records"}
             summary = telemetry.summarize(payload["records"])
             assert summary.counters == {name: n}
-        assert runtime_pool._run_in_worker(
+        assert pickle.loads(runtime_pool._run_in_worker(
             _count_unit, ("plain", 1), False, False
-        ) == ("plain", None)
+        )) == ("plain", None)
 
     def test_absorb_merges_worker_metrics(self):
         worker = Tracer()

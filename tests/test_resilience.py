@@ -12,6 +12,7 @@ fall-back-to-last-good-round and soft-accept behaviours.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 import warnings
 
@@ -89,6 +90,16 @@ def _starved(tech) -> Circuit:
     circuit.add_mos("m1", d="0", g="g", s="s", b="vdd!",
                     params=tech.pmos, w=50 * UM, l=1 * UM)
     return circuit
+
+
+def _type_error_measure(tb):
+    """Module-level (picklable) measure that fails like a unit bug."""
+    raise TypeError("measure rejects this testbench")
+
+
+def _unpicklable_result_measure(tb):
+    """Module-level measure whose result cannot be pickled back."""
+    return {"offset_voltage": threading.Lock()}
 
 
 def _slow_in_worker_measure(tb):
@@ -348,6 +359,24 @@ class TestMonteCarloRecovery:
             run_monte_carlo(
                 hand_testbench, runs=4, seed=7, workers=2,
                 measure=lambda tb: {"x": 0.0},
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_measure_error_propagates_for_any_worker_count(
+        self, hand_testbench, workers
+    ):
+        """A measure's own exception is raised as is, pooled or not."""
+        with pytest.raises(TypeError, match="measure rejects"):
+            run_monte_carlo(
+                hand_testbench, runs=4, seed=7, workers=workers,
+                measure=_type_error_measure,
+            )
+
+    def test_unpicklable_result_names_the_shard(self, hand_testbench):
+        with pytest.raises(AnalysisError, match=r"shard 0 of 2 \(workers=2\)"):
+            run_monte_carlo(
+                hand_testbench, runs=4, seed=7, workers=2,
+                measure=_unpicklable_result_measure,
             )
 
     def test_budget_checked_before_dispatch(self, hand_testbench):
