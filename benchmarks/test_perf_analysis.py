@@ -187,9 +187,10 @@ def test_synthesis_memo_floor(tech, specs):
 def test_mc_dispatch_overhead_floor(bench_tb):
     """The ``mc_dispatch_overhead`` floor: a 4-worker Monte-Carlo
     dispatch to the warm persistent pool is more than 1.5x faster than
-    to a cold one.  Both ship the testbench payload and build the
-    compiled feedback program in every shard, so the floor measures the
-    cost of the four process spawns alone."""
+    to a cold one.  Both solve the nominal operating point once in the
+    parent, ship the testbench payload and compile the feedback program
+    in every shard, so the floor measures the cost of the four process
+    spawns alone."""
 
     def mc():
         return run_monte_carlo(bench_tb, runs=64, seed=1234, workers=4)

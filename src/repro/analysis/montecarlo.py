@@ -166,6 +166,10 @@ def _testbench_with_mismatch(
     )
 
 
+#: ``nominal`` of a :class:`_CompiledOffset` that must solve its own.
+_UNSOLVED = object()
+
+
 class _CompiledOffset:
     """The default offset measurement, compiled once per testbench.
 
@@ -179,14 +183,17 @@ class _CompiledOffset:
     :class:`~repro.resilience.policy.WarmStart` rung, then the cold
     ladder if the seeded stages fail); on the 1000-sample ``yield_mc``
     workload this cut the Newton iterations per sample from 16.7 to 5.8.
-    Compilation and the seed are pure functions of the testbench, so
-    every shard that builds its own instance measures the same values.
+    Compilation and the seed are pure functions of the testbench, so a
+    pooled run solves ``nominal`` once in the parent and hands it to
+    every shard (``nominal=``), which then only compiles.
     """
 
     __slots__ = ("names", "program", "out_node", "vcm", "permutation",
                  "nominal")
 
-    def __init__(self, tb: OtaTestbench, names: Sequence[str]):
+    def __init__(
+        self, tb: OtaTestbench, names: Sequence[str], nominal=_UNSOLVED
+    ):
         feedback = tb.circuit.clone(tb.circuit.name + "_fb")
         feedback.remove(tb.source_neg)
         feedback.add_vsource("_fb", tb.input_neg_net, tb.output_net, dc=0.0)
@@ -200,6 +207,9 @@ class _CompiledOffset:
         )
         zeros = np.zeros(len(self.permutation))
         self.program.set_mismatch(zeros, zeros)
+        if nominal is not _UNSOLVED:
+            self.nominal = nominal
+            return
         try:
             self.nominal, _report = COMPILED_POLICY.run(self.program)
         except ConvergenceError:
@@ -251,16 +261,19 @@ def _run_chunk(
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
     measure: Optional[Callable[[OtaTestbench], Dict[str, float]]],
+    nominal=_UNSOLVED,
 ) -> List[Dict[str, float]]:
     """Dispatch one chunk to the right measurement implementation.
 
     A custom ``measure`` always runs per sample (it takes a whole
     testbench); only the default offset measurement has a stacked form,
     one compiled feedback program (:class:`_CompiledOffset`) shared by
-    the whole chunk.
+    the whole chunk, seeded from ``nominal`` when the caller solved it.
     """
     if measure is None:
-        return _CompiledOffset(tb, names).measure(vth_rows, beta_rows)
+        return _CompiledOffset(tb, names, nominal).measure(
+            vth_rows, beta_rows
+        )
     return _measure_chunk(tb, names, vth_rows, beta_rows, measure)
 
 
@@ -290,13 +303,15 @@ def _run_shard_payload(
     names: Tuple[str, ...],
     vth_rows: np.ndarray,
     beta_rows: np.ndarray,
+    nominal,
 ) -> List[Dict[str, float]]:
     """Pool-side shard entry over the pre-validated pickled
-    ``(tb, measure)`` recipe and the shard's ``[lo, hi)`` row slices."""
+    ``(tb, measure)`` recipe, the shard's ``[lo, hi)`` row slices and the
+    run's nominal operating point."""
     tb, measure = pickle.loads(payload)
     return _run_shard(
         index, lo, hi,
-        lambda: _run_chunk(tb, names, vth_rows, beta_rows, measure),
+        lambda: _run_chunk(tb, names, vth_rows, beta_rows, measure, nominal),
     )
 
 
@@ -348,6 +363,17 @@ class _ShardDispatch:
         self.journal = journal
         self.payload = payload
         self.max_workers = max_workers
+        self._nominal = _UNSOLVED
+
+    def nominal(self):
+        """The design's nominal operating point, solved once per run on
+        the first shard that needs it (``None`` for a custom measure)."""
+        if self._nominal is _UNSOLVED:
+            self._nominal = (
+                _CompiledOffset(self.tb, self.names).nominal
+                if self.measure is None else None
+            )
+        return self._nominal
 
     def begin_attempt(self, i: int) -> None:
         self.statuses[i].attempts += 1
@@ -359,7 +385,7 @@ class _ShardDispatch:
         lo, hi = self.spans[i]
         return _run_shard_payload, (
             self.payload, i, lo, hi, self.names,
-            self.vth[lo:hi], self.beta[lo:hi],
+            self.vth[lo:hi], self.beta[lo:hi], self.nominal(),
         )
 
     def accept(self, i: int, outcome) -> None:
@@ -414,7 +440,7 @@ class _ShardDispatch:
                     i, lo, hi,
                     lambda: _run_chunk(
                         self.tb, self.names, self.vth[lo:hi],
-                        self.beta[lo:hi], self.measure,
+                        self.beta[lo:hi], self.measure, self.nominal(),
                     ),
                 )
             telemetry.count("mc.shards_in_process")

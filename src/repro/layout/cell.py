@@ -5,16 +5,23 @@ instances.  Net annotation is what makes the geometric extractor possible:
 every interconnect shape knows which electrical net it implements, so
 extraction reduces to geometry arithmetic instead of connectivity tracing.
 
-A cell memoizes only its own derived views (bounding box, flattened
-shapes) under a subtree version stamp.  It has no content identity:
-memos over work done on a drawn cell key on what drew it (the layout
-request), never on hashing its shapes.
+A cell memoizes only its own derived views (bounding box, flat table)
+under a subtree version stamp.  It has no content identity: memos over
+work done on a drawn cell key on what drew it (the layout request),
+never on hashing its shapes.
+
+The one flattening is columnar (:class:`FlatTable`): layer codes, net
+codes with their name table and an ``(N, 4)`` coordinate array.  The
+sign-off passes (DRC, GDS export, extraction) read its arrays;
+:meth:`Cell.flattened` is a :class:`Shape` view of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import LayoutError
 from repro.layout.geometry import Orientation, Rect, bounding_box
@@ -28,6 +35,71 @@ class Shape:
     layer: Layer
     rect: Rect
     net: Optional[str] = None
+
+
+#: Layer codes of a :class:`FlatTable`: a layer's code is its index here.
+LAYERS: Tuple[Layer, ...] = tuple(Layer)
+LAYER_CODE: Dict[Layer, int] = {
+    layer: code for code, layer in enumerate(LAYERS)
+}
+
+#: Per orientation, the source column and sign of each output column of
+#: an ``(x0, y0, x1, y1)`` row: the corner order of :meth:`Rect.transformed`
+#: (negation by a ``-1.0`` factor is exact, as is ``1.0``).
+_ORIENT: Dict[Orientation, Tuple[List[int], np.ndarray]] = {
+    Orientation.R0: ([0, 1, 2, 3], np.array([1.0, 1.0, 1.0, 1.0])),
+    Orientation.R90: ([3, 0, 1, 2], np.array([-1.0, 1.0, -1.0, 1.0])),
+    Orientation.R180: ([2, 3, 0, 1], np.array([-1.0, -1.0, -1.0, -1.0])),
+    Orientation.R270: ([1, 2, 3, 0], np.array([1.0, -1.0, 1.0, -1.0])),
+    Orientation.MX: ([0, 3, 2, 1], np.array([1.0, -1.0, 1.0, -1.0])),
+    Orientation.MY: ([2, 1, 0, 3], np.array([-1.0, 1.0, -1.0, 1.0])),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTable:
+    """A cell's flattened shapes as columns, in :meth:`Cell.flattened`
+    order: local shapes first, then each instance's table in instance
+    order.  Read-only by convention."""
+
+    layers: np.ndarray
+    """``(N,)`` layer codes (indices into :data:`LAYERS`)."""
+    nets: np.ndarray
+    """``(N,)`` net codes into :attr:`names`; ``-1`` for no net."""
+    names: Tuple[str, ...]
+    """Net names in order of first appearance."""
+    coords: np.ndarray
+    """``(N, 4)`` float rows of ``(x0, y0, x1, y1)``."""
+
+    def __len__(self) -> int:
+        return len(self.layers)
+
+    def on(self, layer: Layer) -> np.ndarray:
+        """Row mask of the shapes on ``layer``."""
+        return self.layers == LAYER_CODE[layer]
+
+    def named(self) -> np.ndarray:
+        """Row mask of the shapes whose net is a non-empty name."""
+        # Net code -1 (no net) reads the trailing False.
+        truthy = np.array([bool(name) for name in self.names] + [False])
+        return truthy[self.nets]
+
+    def net_name(self, code: int) -> Optional[str]:
+        return self.names[code] if code >= 0 else None
+
+    def rows(
+        self, mask: Optional[np.ndarray] = None
+    ) -> Iterator[Tuple[Layer, Rect, Optional[str]]]:
+        """``(layer, rect, net)`` of the rows selected by ``mask`` (all
+        rows by default), in table order."""
+        layers, nets, coords = self.layers, self.nets, self.coords
+        if mask is not None:
+            layers, nets, coords = layers[mask], nets[mask], coords[mask]
+        names = self.names + (None,)  # net code -1 reads the last slot
+        for code, net, (x0, y0, x1, y1) in zip(
+            layers.tolist(), nets.tolist(), coords.tolist()
+        ):
+            yield LAYERS[code], Rect(x0, y0, x1, y1), names[net]
 
 
 #: One entry of a module frame's shape enumeration: ``(layer, rect, net,
@@ -60,7 +132,7 @@ class Cell:
         self.instances: List[Instance] = []
         self._version = 0
         self._bbox_cache: Optional[Tuple[object, Rect]] = None
-        self._flat_cache: Optional[Tuple[object, List[Shape]]] = None
+        self._table_cache: Optional[Tuple[object, FlatTable]] = None
 
     @classmethod
     def from_shapes(cls, name: str, shapes: Iterable[FrameShape]) -> "Cell":
@@ -176,33 +248,63 @@ class Cell:
 
     # -- Flattening --------------------------------------------------------------------
 
-    def flattened(self) -> Iterator[Shape]:
-        """Yield every shape with transforms applied and nets remapped.
+    def table(self) -> FlatTable:
+        """The flattened shapes as a :class:`FlatTable`.
 
-        Memoized per subtree with the same version stamp that guards
-        :meth:`bbox` — extraction and DRC both re-flatten the same cell
-        several times per layout call, and shapes are immutable, so the
-        resolved list can be shared.
+        Built on the first read, never at draw time, and memoized per
+        subtree with the same version stamp that guards :meth:`bbox`.
+        Each instance's child table is transformed with the float
+        operations of :meth:`Rect.transformed` then
+        :meth:`Rect.translated`, and its nets are renamed through the
+        instance's ``net_map`` once per name.
         """
-        return iter(self._flattened_list())
-
-    def _flattened_list(self) -> List[Shape]:
         stamp = self._stamp()
-        if self._flat_cache is not None and self._flat_cache[0] == stamp:
-            return self._flat_cache[1]
-        out: List[Shape] = list(self.shapes)
+        if self._table_cache is not None and self._table_cache[0] == stamp:
+            return self._table_cache[1]
+        names: List[str] = []
+        codes: Dict[Optional[str], int] = {None: -1}
+
+        def code(net: Optional[str]) -> int:
+            found = codes.get(net)
+            if found is None:
+                found = codes[net] = len(names)
+                names.append(net)
+            return found
+
+        shapes = self.shapes
+        layers = [np.array([LAYER_CODE[s.layer] for s in shapes], np.intp)]
+        nets = [np.array([code(s.net) for s in shapes], np.intp)]
+        coords = [np.array(
+            [(s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1) for s in shapes]
+        ).reshape(-1, 4)]
         for instance in self.instances:
+            child = instance.cell.table()
             net_map = instance.net_map
-            orientation = instance.orientation
+            remap = np.array(
+                [code(net_map.get(net, net)) for net in child.names] + [-1],
+                np.intp,
+            )
+            columns, signs = _ORIENT[instance.orientation]
             dx, dy = instance.dx, instance.dy
-            for shape in instance.cell._flattened_list():
-                rect = shape.rect.transformed(orientation).translated(dx, dy)
-                net = shape.net
-                if net is not None:
-                    net = net_map.get(net, net)
-                out.append(Shape(layer=shape.layer, rect=rect, net=net))
-        self._flat_cache = (stamp, out)
-        return out
+            layers.append(child.layers)
+            nets.append(remap[child.nets])
+            coords.append(
+                child.coords[:, columns] * signs + np.array([dx, dy, dx, dy])
+            )
+        table = FlatTable(
+            layers=np.concatenate(layers),
+            nets=np.concatenate(nets),
+            names=tuple(names),
+            coords=np.concatenate(coords),
+        )
+        self._table_cache = (stamp, table)
+        return table
+
+    def flattened(self) -> Iterator[Shape]:
+        """Yield every shape with transforms applied and nets remapped:
+        a :class:`Shape` view of :meth:`table`."""
+        for layer, rect, net in self.table().rows():
+            yield Shape(layer=layer, rect=rect, net=net)
 
     def flatten_into(self) -> "Cell":
         """A new single-level cell with all hierarchy resolved."""
@@ -218,11 +320,7 @@ class Cell:
 
     def nets(self) -> List[str]:
         """All nets referenced by (flattened) shapes."""
-        found = {}
-        for shape in self.flattened():
-            if shape.net is not None:
-                found[shape.net] = True
-        return sorted(found)
+        return sorted(self.table().names)
 
     def layer_area(self, layer: Layer, net: Optional[str] = None) -> float:
         """Total drawn area on a layer (ignoring same-net overlap), m^2."""

@@ -135,11 +135,16 @@ class CellFrame(ModuleFrame):
         self.well_rect = layout.well_rect
 
     def shapes(self, cuts: bool = True) -> Iterator[FrameShape]:
-        pins = {id(shape) for shapes in self.layout.cell.pins.values()
+        cell = self.layout.cell
+        pins = {id(shape) for shapes in cell.pins.values()
                 for shape in shapes}
-        for shape in self.layout.cell.flattened():
-            if cuts or shape.layer not in CUT_LAYERS:
-                yield shape.layer, shape.rect, shape.net, id(shape) in pins
+        # Pins are local shapes, and the flattening lists a cell's local
+        # shapes first, in order.
+        pin_rows = {i for i, shape in enumerate(cell.shapes)
+                    if id(shape) in pins}
+        for i, (layer, rect, net) in enumerate(cell.table().rows()):
+            if cuts or layer not in CUT_LAYERS:
+                yield layer, rect, net, i in pin_rows
 
     def device_geometry(self) -> Dict[str, DiffusionGeometry]:
         return dict(self.layout.device_geometry)

@@ -14,26 +14,30 @@ generators must honour:
 The checker is used by the test-suite to keep every generator (motif,
 stacks, mirrors, the full OTA assembly) clean, standing in for the
 "technology design rules" the paper's procedural language guarantees by
-construction.  Pair candidates come from a :class:`GridIndex` and the
-shared interval sweep; the all-pairs scan the tests compare against
-lives in ``tests/oracles/layout.py``.
+construction.  Every pass reads the cell's columnar flattening
+(:meth:`Cell.table`): widths are one array test, a cut whose window one
+same-net landing shape contains is settled by an array pre-pass, and
+spacing candidates come from the shared interval sweep.  The all-pairs
+scan the tests compare against lives in ``tests/oracles/layout.py``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro import telemetry
-from repro.layout.cell import Cell, Shape
-from repro.layout.geometry import GridIndex, Rect, interval_pairs
+from repro.layout.cell import LAYER_CODE, LAYERS, Cell, FlatTable, Shape
+from repro.layout.geometry import Rect, interval_pairs
 from repro.layout.layers import Layer
 from repro.technology.process import Technology
 
 _EPSILON = 1e-12
+
+#: Largest grid-bin coordinate the cut pre-pass bins (far inside int64).
+_MAX_BIN = 2.0 ** 40
 
 
 def _subtract(outer: Rect, hole: Rect) -> List[Rect]:
@@ -93,6 +97,12 @@ class DrcChecker:
     #: Layers whose shapes conduct (participate in spacing/short checks).
     CONDUCTING = (Layer.POLY, Layer.METAL1, Layer.METAL2)
 
+    #: The landing layers that must enclose each cut layer.
+    LANDING = {
+        Layer.CONTACT: (Layer.METAL1,),
+        Layer.VIA1: (Layer.METAL1, Layer.METAL2),
+    }
+
     def __init__(self, technology: Technology):
         technology.validate()
         self.technology = technology
@@ -115,6 +125,10 @@ class DrcChecker:
             Layer.CONTACT: rules.contact_size,
             Layer.VIA1: rules.via_size,
         }
+        self.cut_enclosure: Dict[Layer, float] = {
+            Layer.CONTACT: rules.contact_metal_enclosure,
+            Layer.VIA1: rules.via_metal_enclosure,
+        }
 
     # -- Entry point --------------------------------------------------------
 
@@ -122,18 +136,18 @@ class DrcChecker:
         """Run all checks; returns the (possibly empty) violation list.
 
         Widths, then cuts, then spacing and shorts; within each class the
-        order is that of an all-pairs scan — the index only narrows which
-        pairs are examined.
+        order is that of an all-pairs scan over the flattened shapes —
+        the array passes only narrow which shapes and pairs are examined.
         """
-        shapes = list(cell.flattened())
+        table = cell.table()
         with telemetry.span(
-            "layout.drc", cell=cell.name, shapes=len(shapes)
+            "layout.drc", cell=cell.name, shapes=len(table)
         ):
             telemetry.count("layout.drc")
             violations: List[DrcViolation] = []
-            violations.extend(self._check_widths(shapes))
-            violations.extend(self._check_cuts(shapes))
-            violations.extend(self._check_spacing_and_shorts(shapes))
+            violations.extend(self._check_widths(table))
+            violations.extend(self._check_cuts(table))
+            violations.extend(self._check_spacing_and_shorts(table))
             return violations
 
     def assert_clean(self, cell: Cell, limit: int = 5) -> None:
@@ -148,104 +162,137 @@ class DrcChecker:
 
     # -- Width -----------------------------------------------------------------
 
-    def _check_widths(self, shapes: List[Shape]) -> List[DrcViolation]:
+    def _width_violation(self, shape: Shape) -> Optional[DrcViolation]:
+        """The minimum-width predicate for one shape."""
+        minimum = self.min_width.get(shape.layer)
+        if minimum is None:
+            return None
+        narrow = min(shape.rect.width, shape.rect.height)
+        if narrow < minimum - _EPSILON:
+            return DrcViolation(
+                kind="min_width",
+                layer=shape.layer,
+                rect=shape.rect,
+                message=(
+                    f"width {narrow:.3e} m below minimum "
+                    f"{minimum:.3e} m (net {shape.net})"
+                ),
+            )
+        return None
+
+    def _check_widths(self, table: FlatTable) -> List[DrcViolation]:
+        """One array test over every row; the exact predicate re-runs on
+        the rows it flags."""
+        minimum = np.full(len(LAYERS), -np.inf)
+        for layer, value in self.min_width.items():
+            minimum[LAYER_CODE[layer]] = value
+        coords = table.coords
+        narrow = np.minimum(
+            coords[:, 2] - coords[:, 0], coords[:, 3] - coords[:, 1]
+        )
+        flagged = np.flatnonzero(narrow < minimum[table.layers] - _EPSILON)
         violations = []
-        for shape in shapes:
-            minimum = self.min_width.get(shape.layer)
-            if minimum is None:
-                continue
-            narrow = min(shape.rect.width, shape.rect.height)
-            if narrow < minimum - _EPSILON:
-                violations.append(
-                    DrcViolation(
-                        kind="min_width",
-                        layer=shape.layer,
-                        rect=shape.rect,
-                        message=(
-                            f"width {narrow:.3e} m below minimum "
-                            f"{minimum:.3e} m (net {shape.net})"
-                        ),
-                    )
-                )
+        for layer, rect, net in table.rows(flagged):
+            found = self._width_violation(Shape(layer, rect, net))
+            if found is not None:
+                violations.append(found)
         return violations
 
     # -- Cuts ------------------------------------------------------------------------
 
-    def _check_cuts(self, shapes: List[Shape]) -> List[DrcViolation]:
+    def _check_cuts(self, table: FlatTable) -> List[DrcViolation]:
+        """Cut size, then enclosure on each landing layer, cut by cut.
+
+        A vectorized pre-pass marks a cut enclosed on a landing layer
+        when one landing shape on the cut's net (any net for a cut with
+        none) contains its required window: ``_union_covers``'s first
+        loop.  Only the (cut, layer) pairs it leaves open run
+        ``_union_covers``, over the landing shapes that overlap the
+        window, in table order.
+        """
         violations = []
-        landing = {
-            Layer.CONTACT: (Layer.METAL1,),
-            Layer.VIA1: (Layer.METAL1, Layer.METAL2),
-        }
-        enclosure = {
-            Layer.CONTACT: self.technology.rules.contact_metal_enclosure,
-            Layer.VIA1: self.technology.rules.via_metal_enclosure,
-        }
-        by_layer: Dict[Layer, List[Shape]] = defaultdict(list)
-        for shape in shapes:
-            by_layer[shape.layer].append(shape)
-
-        # One lazily built index per landing layer; query results come
-        # back in insertion (list) order, so the candidate list seen by
-        # the order-sensitive ``_union_covers`` is unchanged.
-        metal_index: Dict[Layer, GridIndex] = {}
-        grid_queries = 0
-
-        def landing_candidates(cut: Shape, metal_layer: Layer, needed: Rect):
-            nonlocal grid_queries
-            members = by_layer.get(metal_layer, [])
-            index = metal_index.get(metal_layer)
-            if index is None:
-                index = GridIndex.for_rects([s.rect for s in members])
-                metal_index[metal_layer] = index
-            grid_queries += 1
-            candidates = []
-            for i in index.query(needed):
-                shape = members[i]
-                if cut.net is None or shape.net == cut.net:
-                    candidates.append(shape.rect)
-            return candidates
-
+        coords, nets, layers = table.coords, table.nets, table.layers
+        probes = 0
         for cut_layer, size in self.cut_size.items():
-            for cut in by_layer.get(cut_layer, []):
-                if (
-                    abs(cut.rect.width - size) > _EPSILON
-                    or abs(cut.rect.height - size) > _EPSILON
-                ):
+            rows = np.flatnonzero(layers == LAYER_CODE[cut_layer])
+            if not rows.size:
+                continue
+            cut = coords[rows]
+            cut_nets = nets[rows]
+            wrong_size = (
+                (np.abs(cut[:, 2] - cut[:, 0] - size) > _EPSILON)
+                | (np.abs(cut[:, 3] - cut[:, 1] - size) > _EPSILON)
+            )
+            margin = self.cut_enclosure[cut_layer]
+            # Back the required window off by a femto-margin so exact
+            # float arithmetic (enclosure == margin) passes.
+            grow = margin - _EPSILON
+            needed = np.concatenate(
+                (cut[:, :2] - grow, cut[:, 2:] + grow), axis=1
+            )
+            degenerate = (
+                (needed[:, 2] - needed[:, 0] < _EPSILON)
+                | (needed[:, 3] - needed[:, 1] < _EPSILON)
+            )
+            landings = []
+            for metal_layer in self.LANDING[cut_layer]:
+                members = np.flatnonzero(
+                    layers == LAYER_CODE[metal_layer]
+                )
+                enclosed = degenerate | _single_container(
+                    needed, cut_nets, coords[members], nets[members]
+                )
+                landings.append((metal_layer, members, enclosed))
+            flagged = wrong_size.copy()
+            for _layer, _members, enclosed in landings:
+                flagged |= ~enclosed
+            for k in np.flatnonzero(flagged).tolist():
+                x0, y0, x1, y1 = cut[k].tolist()
+                rect = Rect(x0, y0, x1, y1)
+                if wrong_size[k]:
                     violations.append(
                         DrcViolation(
                             kind="cut_size",
                             layer=cut_layer,
-                            rect=cut.rect,
+                            rect=rect,
                             message=(
                                 f"cut must be {size:.3e} m square, drawn "
-                                f"{cut.rect.width:.3e} x {cut.rect.height:.3e}"
+                                f"{rect.width:.3e} x {rect.height:.3e}"
                             ),
                         )
                     )
                     continue
-                margin = enclosure[cut_layer]
-                # Back the required window off by a femto-margin so exact
-                # float arithmetic (enclosure == margin) passes.
-                needed = cut.rect.expanded(margin - _EPSILON)
-                for metal_layer in landing[cut_layer]:
-                    candidates = landing_candidates(cut, metal_layer, needed)
-                    covered = _union_covers(needed, candidates)
-                    if not covered:
+                net = int(cut_nets[k])
+                window = Rect(*needed[k].tolist())
+                for metal_layer, members, enclosed in landings:
+                    if enclosed[k]:
+                        continue
+                    probes += 1
+                    land = coords[members]
+                    hits = (
+                        (window.x0 < land[:, 2]) & (land[:, 0] < window.x1)
+                        & (window.y0 < land[:, 3]) & (land[:, 1] < window.y1)
+                    )
+                    if net >= 0:
+                        hits &= nets[members] == net
+                    candidates = [
+                        Rect(*row) for row in land[hits].tolist()
+                    ]
+                    if not _union_covers(window, candidates):
                         violations.append(
                             DrcViolation(
                                 kind="enclosure",
                                 layer=cut_layer,
-                                rect=cut.rect,
+                                rect=rect,
                                 message=(
-                                    f"cut on net {cut.net} lacks "
-                                    f"{margin:.3e} m of "
+                                    f"cut on net {table.net_name(net)} "
+                                    f"lacks {margin:.3e} m of "
                                     f"{metal_layer.value} enclosure"
                                 ),
                             )
                         )
-        if grid_queries:
-            telemetry.count("grid.queries", grid_queries)
+        if probes:
+            telemetry.count("grid.queries", probes)
         return violations
 
     # -- Spacing / shorts --------------------------------------------------------------
@@ -297,48 +344,147 @@ class DrcChecker:
         return None
 
     def _check_spacing_and_shorts(
-        self, shapes: List[Shape]
+        self, table: FlatTable
     ) -> List[DrcViolation]:
         violations: List[DrcViolation] = []
-        by_layer: Dict[Layer, List[Shape]] = defaultdict(list)
-        for shape in shapes:
-            if shape.layer in self.min_spacing:
-                by_layer[shape.layer].append(shape)
-
-        grid_queries = 0
-        for layer, members in by_layer.items():
-            spacing = self.min_spacing[layer]
+        layers, nets, coords = table.layers, table.nets, table.coords
+        # Layers in order of first appearance, as a scan over the
+        # flattened shapes meets them.
+        present, first = np.unique(layers, return_index=True)
+        candidates = 0
+        for code in present[np.argsort(first)].tolist():
+            layer = LAYERS[code]
+            spacing = self.min_spacing.get(layer)
+            if spacing is None:
+                continue
             conducting = layer in self.CONDUCTING
+            members = np.flatnonzero(layers == code)
             if len(members) < 2:
                 continue
-            members = sorted(members, key=lambda s: s.rect.x0)
+            members = members[np.argsort(coords[members, 0], kind="stable")]
             # Vectorized candidate generation through the shared interval
             # sweep: the x-window matches an all-pairs sorted sweep's
             # break bound, then a y-window cut drops pairs that cannot
             # violate (any reportable pair sits within ``spacing`` on
             # both axes).  Pairs come out in the sweep's (i, j) order, so
             # violations match the all-pairs list exactly.
-            coords = np.array(
-                [(s.rect.x0, s.rect.y0, s.rect.x1, s.rect.y1) for s in members]
+            box = coords[members]
+            ii, jj = interval_pairs(box[:, 0], box[:, 2], spacing + _EPSILON)
+            if not ii.size:
+                continue
+            gap_y = (
+                np.maximum(box[ii, 1], box[jj, 1])
+                - np.minimum(box[ii, 3], box[jj, 3])
             )
-            ii, jj = interval_pairs(
-                coords[:, 0], coords[:, 2], spacing + _EPSILON
-            )
-            if ii.size:
-                gap_y = (
-                    np.maximum(coords[ii, 1], coords[jj, 1])
-                    - np.minimum(coords[ii, 3], coords[jj, 3])
-                )
-                near = gap_y < spacing - _EPSILON
-                ii = ii[near]
-                jj = jj[near]
-            grid_queries += int(ii.size)
-            for i, j in zip(ii.tolist(), jj.tolist()):
+            near = gap_y < spacing - _EPSILON
+            ii = members[ii[near]]
+            jj = members[jj[near]]
+            candidates += int(ii.size)
+            # Drop the pairs ``_pair_violation`` clears on nets alone:
+            # same net, or (conducting) an un-netted body.
+            net_a = nets[ii]
+            net_b = nets[jj]
+            keep = (net_a < 0) | (net_a != net_b)
+            if conducting:
+                keep &= (net_a >= 0) & (net_b >= 0)
+            ii = ii[keep]
+            jj = jj[keep]
+            if not ii.size:
+                continue
+            shape_a = [Shape(*row) for row in table.rows(ii)]
+            shape_b = [Shape(*row) for row in table.rows(jj)]
+            for a, b in zip(shape_a, shape_b):
                 found = self._pair_violation(
-                    layer, spacing, conducting, members[i], members[j]
+                    layer, spacing, conducting, a, b
                 )
                 if found is not None:
                     violations.append(found)
-        if grid_queries:
-            telemetry.count("grid.queries", grid_queries)
+        if candidates:
+            telemetry.count("grid.queries", candidates)
         return violations
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray):
+    """``(owner, index)`` over the concatenated ranges ``[starts[k],
+    starts[k] + counts[k])``: the range ``k`` each index came from."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    index = (
+        np.arange(int(counts.sum()))
+        - np.repeat(np.cumsum(counts) - counts, counts)
+        + np.repeat(starts, counts)
+    )
+    return owner, index
+
+
+def _single_container(
+    needed: np.ndarray,
+    cut_nets: np.ndarray,
+    land: np.ndarray,
+    land_nets: np.ndarray,
+) -> np.ndarray:
+    """Per cut window, whether one landing shape on the cut's net (any
+    net for a cut with none, code ``-1``) contains it.
+
+    A container holds the window's lower-left corner, so candidates are
+    the landing shapes registered in that corner's bin of a uniform
+    grid (bin edge as :meth:`GridIndex.for_array` sizes it), on the
+    cut's net: one sorted key per (bin, net) registration, one key range
+    per cut.  Rows with a coordinate too large or not finite to bin are
+    left open for the exact fallback.
+    """
+    enclosed = np.zeros(len(needed), dtype=bool)
+    if not len(land) or not len(needed):
+        return enclosed
+    sides = np.sort(
+        np.maximum(land[:, 2] - land[:, 0], land[:, 3] - land[:, 1])
+    )
+    edge = 2.0 * float(sides[len(sides) // 2])
+    if not edge > 0.0:
+        edge = 1e-6
+    span = np.floor(land / edge)
+    corner = np.floor(needed[:, :2] / edge)
+    land_ok = np.flatnonzero((np.abs(span) < _MAX_BIN).all(axis=1))
+    cut_ok = np.flatnonzero((np.abs(corner) < _MAX_BIN).all(axis=1))
+    if not land_ok.size or not cut_ok.size:
+        return enclosed
+    span = span[land_ok].astype(np.int64)
+    corner = corner[cut_ok].astype(np.int64)
+    gx, gy = span[:, 0].min(), span[:, 1].min()
+    rows_y = int(span[:, 3].max() - gy) + 1
+    nets = int(max(land_nets.max(), cut_nets.max())) + 2
+    # Key of bin (bx, by) on net code n: ((bx - gx) * rows_y + by - gy)
+    # * nets + n + 1, for every bin each landing shape covers.
+    per_y = span[:, 3] - span[:, 1] + 1
+    owner, step = _ranges(
+        np.zeros(len(span), np.int64), (span[:, 2] - span[:, 0] + 1) * per_y
+    )
+    bins = (
+        (span[owner, 0] + step // per_y[owner] - gx) * rows_y
+        + span[owner, 1] + step % per_y[owner] - gy
+    )
+    keys = bins * nets + land_nets[land_ok][owner] + 1
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    owner = land_ok[owner[order]]
+    # Each cut's key range: its corner's bin on its own net, or on any.
+    cx = corner[:, 0] - gx
+    cy = corner[:, 1] - gy
+    base = (cx * rows_y + cy) * nets
+    own = cut_nets[cut_ok]
+    anynet = own < 0
+    lo = np.searchsorted(keys, np.where(anynet, base, base + own + 1), "left")
+    hi = np.searchsorted(
+        keys, np.where(anynet, base + nets - 1, base + own + 1), "right"
+    )
+    inside = (cx >= 0) & (cy >= 0) & (cy < rows_y)
+    cut, at = _ranges(lo, np.where(inside, hi - lo, 0))
+    if not at.size:
+        return enclosed
+    window = needed[cut_ok[cut]]
+    box = land[owner[at]]
+    contains = (
+        (box[:, 0] <= window[:, 0]) & (box[:, 1] <= window[:, 1])
+        & (box[:, 2] >= window[:, 2]) & (box[:, 3] >= window[:, 3])
+    )
+    enclosed[cut_ok[cut[contains]]] = True
+    return enclosed

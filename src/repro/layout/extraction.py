@@ -47,7 +47,7 @@ from repro import telemetry
 from repro.circuit.elements import Mos
 from repro.circuit.net import canonical
 from repro.circuit.netlist import Circuit
-from repro.layout.cell import Cell, Shape
+from repro.layout.cell import LAYER_CODE, LAYERS, Cell, FlatTable
 from repro.layout.geometry import Rect, interval_pairs
 from repro.layout.layers import ROUTING_LAYERS, Layer, metal_name
 from repro.mos.junction import DiffusionGeometry
@@ -56,6 +56,8 @@ from repro.technology.process import Technology
 
 #: One shape as the passes read it: ``(layer, rect, net)``.
 ShapeRow = Tuple[Layer, Rect, Optional[str]]
+
+_ROUTING_CODES = [LAYER_CODE[layer] for layer in ROUTING_LAYERS]
 
 
 @dataclass
@@ -102,8 +104,9 @@ def _rect_array(rects: List[Rect]) -> Optional[np.ndarray]:
 class ExtractionWorkspace:
     """One cell's interconnect as numpy arrays, shared by its passes.
 
-    Built once per extraction from ``(layer, rect, net)`` rows in drawing
-    order — a cell's flattened shapes, or a module frame's enumeration
+    Built once per extraction in drawing order, from a cell's columnar
+    flattening (:meth:`from_table`) or from a module frame's enumeration
+    as ``(layer, rect, net)`` rows
     (:class:`repro.layout.parasitics.ModuleView`): nets become int codes
     in sorted-name order, and each interconnect layer (in order of first
     appearance) one ``(N, 4)`` coordinate array that the wire-cap pass
@@ -132,6 +135,29 @@ class ExtractionWorkspace:
             for layer, members in by_layer.items()
         }
         self.actives = _rect_array(actives)
+
+    @classmethod
+    def from_table(cls, table: FlatTable) -> "ExtractionWorkspace":
+        """The workspace of a cell's columnar flattening: the arrays the
+        constructor builds from the same shapes as ``(layer, rect, net)``
+        rows."""
+        ws = cls.__new__(cls)
+        routing = np.isin(table.layers, _ROUTING_CODES) & table.named()
+        used = np.unique(table.nets[routing]).tolist()
+        used.sort(key=table.names.__getitem__)
+        ws.names = [table.names[code] for code in used]
+        recode = np.full(len(table.names), -1, dtype=np.intp)
+        recode[used] = np.arange(len(used), dtype=np.intp)
+        present, first = np.unique(table.layers[routing], return_index=True)
+        ws.layers = {}
+        for code in present[np.argsort(first)].tolist():
+            rows = routing & (table.layers == code)
+            ws.layers[LAYERS[code]] = (
+                table.coords[rows], recode[table.nets[rows]]
+            )
+        actives = table.coords[table.on(Layer.ACTIVE)]
+        ws.actives = actives if len(actives) else None
+        return ws
 
 
 def _wire_capacitance(
@@ -229,7 +255,7 @@ def _coupling(
 
 
 def _diffusion_strips(
-    shapes: List[Shape],
+    table: FlatTable,
 ) -> Dict[Tuple[str, str], Tuple[float, float]]:
     """Re-derive diffusion strips from active/poly/contact geometry.
 
@@ -237,14 +263,16 @@ def _diffusion_strips(
     hot inner scans — gate finding over all polys and net resolution over
     all contacts — run as array tests.
     """
-    actives = [s.rect for s in shapes if s.layer is Layer.ACTIVE]
-    contacts = [s for s in shapes if s.layer is Layer.CONTACT and s.net]
-    poly_arr = _rect_array([s.rect for s in shapes if s.layer is Layer.POLY])
-    contact_arr = _rect_array([s.rect for s in contacts])
-    contact_nets = [s.net for s in contacts]
-    nimp_arr = _rect_array(
-        [s.rect for s in shapes if s.layer is Layer.NIMPLANT]
-    )
+    def layer_array(mask: np.ndarray) -> Optional[np.ndarray]:
+        coords = table.coords[mask]
+        return coords if len(coords) else None
+
+    actives = [rect for _l, rect, _n in table.rows(table.on(Layer.ACTIVE))]
+    contacts = table.on(Layer.CONTACT) & table.named()
+    poly_arr = layer_array(table.on(Layer.POLY))
+    contact_arr = layer_array(contacts)
+    contact_nets = [table.names[c] for c in table.nets[contacts].tolist()]
+    nimp_arr = layer_array(table.on(Layer.NIMPLANT))
 
     result: Dict[Tuple[str, str], Tuple[float, float]] = defaultdict(
         lambda: (0.0, 0.0)
@@ -334,12 +362,13 @@ def extract_cell(cell: Cell, tech: Technology) -> ExtractedParasitics:
     """
     with telemetry.span("layout.extract", cell=cell.name):
         telemetry.count("layout.extract")
-        shapes = list(cell.flattened())
-        rows = [(s.layer, s.rect, s.net) for s in shapes]
+        table = cell.table()
         extracted = interconnect_parasitics(
-            tech, ExtractionWorkspace(rows), _wells(rows)
+            tech,
+            ExtractionWorkspace.from_table(table),
+            _wells(table.rows(table.on(Layer.NWELL))),
         )
-        extracted.diffusion = dict(sorted(_diffusion_strips(shapes).items()))
+        extracted.diffusion = dict(sorted(_diffusion_strips(table).items()))
         return extracted
 
 

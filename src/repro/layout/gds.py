@@ -3,7 +3,9 @@
 Implements the subset of the GDSII binary format needed to export flat
 rectangle layouts: HEADER/BGNLIB/LIBNAME/UNITS, one structure with BOUNDARY
 elements per rectangle, and the closing records.  Output opens in standard
-tools (KLayout etc.).
+tools (KLayout etc.).  The elements are encoded in one structured array
+over the cell's columnar flattening; the record-at-a-time writer the
+tests compare against lives in ``tests/oracles/layout.py``.
 
 Record framing: 2-byte big-endian length (including the 4-byte header),
 1-byte record type, 1-byte data type.
@@ -13,9 +15,11 @@ from __future__ import annotations
 
 import struct
 from datetime import datetime
-from typing import List
 
-from repro.layout.cell import Cell
+import numpy as np
+
+from repro.errors import LayoutError
+from repro.layout.cell import LAYERS, Cell
 from repro.layout.geometry import Rect
 from repro.layout.layers import GDS_LAYER_NUMBERS
 
@@ -85,38 +89,79 @@ def _timestamp() -> bytes:
     return struct.pack(">6H", *fields) * 2
 
 
+#: One BOUNDARY element: BOUNDARY, LAYER, DATATYPE, XY (a closed
+#: five-point outline) and ENDEL records.  Each record header is two
+#: big-endian words: the record length and ``type << 8 | data type``.
+_ELEMENT = np.dtype([
+    ("boundary", ">u2", (2,)),
+    ("layer_head", ">u2", (2,)),
+    ("layer", ">i2"),
+    ("datatype_head", ">u2", (2,)),
+    ("datatype", ">i2"),
+    ("xy_head", ">u2", (2,)),
+    ("xy", ">i4", (10,)),
+    ("endel", ">u2", (2,)),
+])
+
+#: GDS layer and data type numbers per flat-table layer code.
+_LAYER_NUMBERS = np.array([GDS_LAYER_NUMBERS[layer][0] for layer in LAYERS])
+_DATATYPE_NUMBERS = np.array(
+    [GDS_LAYER_NUMBERS[layer][1] for layer in LAYERS]
+)
+
+#: Outline corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0) as
+#: columns of an ``(x0, y0, x1, y1)`` row.
+_OUTLINE = [0, 1, 2, 1, 2, 3, 0, 3, 0, 1]
+
+_INT4_MIN = -(2 ** 31)
+_INT4_MAX = 2 ** 31 - 1
+
+
+def _elements(cell: Cell) -> bytes:
+    """Every flattened shape of ``cell`` as one BOUNDARY element, in
+    table order, encoded as one structured record array.
+
+    A coordinate that is not finite or does not fit a 4-byte integer in
+    database units raises :class:`~repro.errors.LayoutError` naming the
+    cell, layer and rectangle.
+    """
+    table = cell.table()
+    scaled = np.rint(table.coords / DB_UNIT)
+    fits = (scaled >= _INT4_MIN) & (scaled <= _INT4_MAX)
+    if not fits.all():
+        row = int(np.flatnonzero(~fits.all(axis=1))[0])
+        layer, rect, net = next(table.rows(np.array([row])))
+        raise LayoutError(
+            f"cell {cell.name!r}: {layer.value} rectangle "
+            f"({rect.x0!r}, {rect.y0!r}, {rect.x1!r}, {rect.y1!r}) "
+            f"(net {net}) has a coordinate that is not a finite 4-byte "
+            f"integer in {DB_UNIT:g} m database units"
+        )
+    records = np.empty(len(table), dtype=_ELEMENT)
+    records["boundary"] = (4, _BOUNDARY << 8 | _NO_DATA)
+    records["layer_head"] = (6, _LAYER << 8 | _INT2)
+    records["layer"] = _LAYER_NUMBERS[table.layers]
+    records["datatype_head"] = (6, _DATATYPE << 8 | _INT2)
+    records["datatype"] = _DATATYPE_NUMBERS[table.layers]
+    records["xy_head"] = (44, _XY << 8 | _INT4)
+    records["xy"] = scaled[:, _OUTLINE]
+    records["endel"] = (4, _ENDEL << 8 | _NO_DATA)
+    return records.tobytes()
+
+
 def cell_to_gds(cell: Cell, library: str = "REPRO") -> bytes:
     """Serialise a cell (flattened) into a GDSII byte stream."""
-    chunks: List[bytes] = [
+    return b"".join((
         _record(_HEADER, _INT2, struct.pack(">h", 600)),
         _record(_BGNLIB, _INT2, _timestamp()),
         _record(_LIBNAME, _ASCII, _ascii(library)),
         _record(_UNITS, _REAL8, _real8(DB_UNIT / 1e-6) + _real8(DB_UNIT)),
         _record(_BGNSTR, _INT2, _timestamp()),
         _record(_STRNAME, _ASCII, _ascii(cell.name.upper()[:32] or "TOP")),
-    ]
-    for shape in cell.flattened():
-        layer_number, data_type = GDS_LAYER_NUMBERS[shape.layer]
-        rect = shape.rect
-        x0 = round(rect.x0 / DB_UNIT)
-        y0 = round(rect.y0 / DB_UNIT)
-        x1 = round(rect.x1 / DB_UNIT)
-        y1 = round(rect.y1 / DB_UNIT)
-        coordinates = struct.pack(
-            ">10i", x0, y0, x1, y0, x1, y1, x0, y1, x0, y0
-        )
-        chunks.extend(
-            (
-                _record(_BOUNDARY, _NO_DATA),
-                _record(_LAYER, _INT2, struct.pack(">h", layer_number)),
-                _record(_DATATYPE, _INT2, struct.pack(">h", data_type)),
-                _record(_XY, _INT4, coordinates),
-                _record(_ENDEL, _NO_DATA),
-            )
-        )
-    chunks.append(_record(_ENDSTR, _NO_DATA))
-    chunks.append(_record(_ENDLIB, _NO_DATA))
-    return b"".join(chunks)
+        _elements(cell),
+        _record(_ENDSTR, _NO_DATA),
+        _record(_ENDLIB, _NO_DATA),
+    ))
 
 
 def write_gds(cell: Cell, path: str, library: str = "REPRO") -> None:

@@ -8,8 +8,7 @@ Beyond the primitives, this module hosts the two geometric-query
 accelerators shared by the layout path:
 
 * :class:`GridIndex` — a uniform-bin spatial index over rectangles,
-  used by the DRC pair checks and the router's clearance queries in
-  place of all-pairs scans;
+  used by the router's clearance queries in place of all-pairs scans;
 * :func:`interval_pairs` — a vectorized sorted-sweep candidate-pair
   generator over x-intervals, used by the array-based extraction's
   coupling search.

@@ -1,4 +1,5 @@
-"""Per-shape reference for geometric extraction and DRC.
+"""Per-shape reference for flattening, geometric extraction, DRC and
+GDS export.
 
 Extraction walks the flattened shapes one at a time (every poly shape
 against every active, a sorted sweep over each layer's shapes for
@@ -7,7 +8,10 @@ strips); the DRC scan tests every same-layer pair inside a sorted sweep
 and every cut against every landing shape.  The library's array and
 grid-index passes (:mod:`repro.layout.extraction`,
 :mod:`repro.layout.drc`) must reproduce these results: extraction within
-summation-order noise, DRC violation for violation, in order.
+summation-order noise, DRC violation for violation, in order.  The
+columnar flattening (:meth:`Cell.table`) must hold :func:`flatten`'s
+shapes row for row, and :func:`repro.layout.gds.cell_to_gds` must write
+:func:`gds_stream`'s bytes.
 
 :func:`eager_ota_layout` is the drawn OTA build: it draws every fold
 variant before area optimisation, places them by their drawn sizes,
@@ -22,12 +26,13 @@ same report and, in generate mode, the same layout.
 
 from __future__ import annotations
 
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LayoutError
-from repro.layout import ota
+from repro.layout import gds, ota
 from repro.layout.cell import Cell, Shape
 from repro.layout.devices import DUMMY, CellFrame, ModuleLayout, StackFrame
 from repro.layout.drc import _EPSILON, DrcChecker, DrcViolation, _union_covers
@@ -37,8 +42,8 @@ from repro.layout.extraction import (
     _wells,
     interconnect_parasitics,
 )
-from repro.layout.geometry import Rect
-from repro.layout.layers import Layer, metal_name
+from repro.layout.geometry import GridIndex, Rect
+from repro.layout.layers import GDS_LAYER_NUMBERS, Layer, metal_name
 from repro.layout.parasitics import (
     DeviceParasitics,
     ModuleView,
@@ -49,6 +54,27 @@ from repro.layout.placement import LeafNode, ModuleVariant, SliceNode, optimize
 from repro.layout.routing import ChannelRouter, PlacedModule
 from repro.mos.junction import DiffusionGeometry
 from repro.technology.process import Technology
+
+
+# -- Flattening --------------------------------------------------------------
+
+
+def flatten(cell: Cell) -> List[Shape]:
+    """Reference flattening, shape by shape: local shapes, then each
+    instance's flattening through :meth:`Rect.transformed` and
+    :meth:`Rect.translated`, nets renamed through its ``net_map``.
+    :meth:`Cell.table` must hold exactly these rows."""
+    out: List[Shape] = list(cell.shapes)
+    for instance in cell.instances:
+        for shape in flatten(instance.cell):
+            rect = shape.rect.transformed(instance.orientation).translated(
+                instance.dx, instance.dy
+            )
+            net = shape.net
+            if net is not None:
+                net = instance.net_map.get(net, net)
+            out.append(Shape(layer=shape.layer, rect=rect, net=net))
+    return out
 
 
 # -- Extraction --------------------------------------------------------------
@@ -283,15 +309,129 @@ def _check_spacing_and_shorts(
     return violations
 
 
+def _check_widths(
+    checker: DrcChecker, shapes: List[Shape]
+) -> List[DrcViolation]:
+    """Minimum width, shape by shape."""
+    found = (checker._width_violation(shape) for shape in shapes)
+    return [violation for violation in found if violation is not None]
+
+
 def drc_check(checker: DrcChecker, cell: Cell) -> List[DrcViolation]:
     """Reference DRC: the checker's rules applied by all-pairs scans, in
     the order :meth:`DrcChecker.check` reports them."""
     shapes = list(cell.flattened())
     return (
-        checker._check_widths(shapes)
+        _check_widths(checker, shapes)
         + _check_cuts(checker, shapes)
         + _check_spacing_and_shorts(checker, shapes)
     )
+
+
+def indexed_cuts(
+    checker: DrcChecker, shapes: List[Shape]
+) -> List[DrcViolation]:
+    """Cut size and enclosure with one :class:`GridIndex` probe per cut
+    and landing layer, every probe's candidates through
+    ``_union_covers``: the cut check before the single-container
+    pre-pass.  It must agree with :func:`_check_cuts`."""
+    violations = []
+    by_layer: Dict[Layer, List[Shape]] = defaultdict(list)
+    for shape in shapes:
+        by_layer[shape.layer].append(shape)
+    index: Dict[Layer, GridIndex] = {}
+    for cut_layer, size in checker.cut_size.items():
+        for cut in by_layer.get(cut_layer, []):
+            if (
+                abs(cut.rect.width - size) > _EPSILON
+                or abs(cut.rect.height - size) > _EPSILON
+            ):
+                violations.append(
+                    DrcViolation(
+                        kind="cut_size",
+                        layer=cut_layer,
+                        rect=cut.rect,
+                        message=(
+                            f"cut must be {size:.3e} m square, drawn "
+                            f"{cut.rect.width:.3e} x {cut.rect.height:.3e}"
+                        ),
+                    )
+                )
+                continue
+            margin = checker.cut_enclosure[cut_layer]
+            needed = cut.rect.expanded(margin - _EPSILON)
+            for metal_layer in checker.LANDING[cut_layer]:
+                members = by_layer.get(metal_layer, [])
+                if metal_layer not in index:
+                    index[metal_layer] = GridIndex.for_rects(
+                        [s.rect for s in members]
+                    )
+                candidates = [
+                    members[i].rect
+                    for i in index[metal_layer].query(needed)
+                    if cut.net is None or members[i].net == cut.net
+                ]
+                if not _union_covers(needed, candidates):
+                    violations.append(
+                        DrcViolation(
+                            kind="enclosure",
+                            layer=cut_layer,
+                            rect=cut.rect,
+                            message=(
+                                f"cut on net {cut.net} lacks "
+                                f"{margin:.3e} m of "
+                                f"{metal_layer.value} enclosure"
+                            ),
+                        )
+                    )
+    return violations
+
+
+# -- GDS ---------------------------------------------------------------------
+
+
+def gds_stream(cell: Cell, library: str = "REPRO") -> bytes:
+    """Reference GDSII writer: one ``struct.pack`` per record, shape by
+    shape over the flattened cell; :func:`repro.layout.gds.cell_to_gds`
+    must return the same bytes."""
+    chunks: List[bytes] = [
+        gds._record(gds._HEADER, gds._INT2, struct.pack(">h", 600)),
+        gds._record(gds._BGNLIB, gds._INT2, gds._timestamp()),
+        gds._record(gds._LIBNAME, gds._ASCII, gds._ascii(library)),
+        gds._record(
+            gds._UNITS, gds._REAL8,
+            gds._real8(gds.DB_UNIT / 1e-6) + gds._real8(gds.DB_UNIT),
+        ),
+        gds._record(gds._BGNSTR, gds._INT2, gds._timestamp()),
+        gds._record(
+            gds._STRNAME, gds._ASCII,
+            gds._ascii(cell.name.upper()[:32] or "TOP"),
+        ),
+    ]
+    for shape in cell.flattened():
+        layer_number, data_type = GDS_LAYER_NUMBERS[shape.layer]
+        rect = shape.rect
+        x0 = round(rect.x0 / gds.DB_UNIT)
+        y0 = round(rect.y0 / gds.DB_UNIT)
+        x1 = round(rect.x1 / gds.DB_UNIT)
+        y1 = round(rect.y1 / gds.DB_UNIT)
+        coordinates = struct.pack(
+            ">10i", x0, y0, x1, y0, x1, y1, x0, y1, x0, y0
+        )
+        chunks.extend((
+            gds._record(gds._BOUNDARY, gds._NO_DATA),
+            gds._record(
+                gds._LAYER, gds._INT2, struct.pack(">h", layer_number)
+            ),
+            gds._record(
+                gds._DATATYPE, gds._INT2, struct.pack(">h", data_type)
+            ),
+            gds._record(gds._XY, gds._INT4, coordinates),
+            gds._record(gds._ENDEL, gds._NO_DATA),
+        ))
+    chunks.append(gds._record(gds._ENDSTR, gds._NO_DATA))
+    chunks.append(gds._record(gds._ENDLIB, gds._NO_DATA))
+    return b"".join(chunks)
 
 
 # -- OTA build ----------------------------------------------------------------

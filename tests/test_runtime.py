@@ -214,6 +214,46 @@ class TestShmDeterminism:
         assert (runtime_pool.pool_generation() == generation) == warm_pool
         assert result.samples == baseline.samples
 
+    @pytest.mark.faults
+    def test_nominal_solved_once_per_run(
+        self, hand_testbench, baseline, monkeypatch
+    ):
+        """The serial path compiles and solves once; a pooled run solves
+        the nominal operating point once in the parent and every shard,
+        pooled or recovered in-process, only compiles."""
+        from repro.analysis import montecarlo
+        from repro.resilience import faults
+
+        unsolved = montecarlo._UNSOLVED
+        solves = []
+        build = montecarlo._CompiledOffset.__init__
+
+        def counting(offset, tb, names, nominal=unsolved):
+            solves.append(nominal is unsolved)
+            build(offset, tb, names, nominal)
+
+        monkeypatch.setattr(montecarlo._CompiledOffset, "__init__", counting)
+        serial = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=1)
+        assert solves == [True]
+        assert serial.samples == baseline.samples
+        solves.clear()
+        pooled = run_monte_carlo(hand_testbench, runs=8, seed=7, workers=4)
+        assert solves == [True]  # the shards compiled in the workers
+        assert pooled.samples == baseline.samples
+        solves.clear()
+        with faults.inject("mc.worker", index=0, times=3):
+            recovered = run_monte_carlo(
+                hand_testbench, runs=8, seed=7, workers=2,
+                max_shard_retries=1,
+            )
+        # The other shard recovers in-process too when the crash takes
+        # the pool down before it finished.
+        statuses = [s.status for s in recovered.shards]
+        assert statuses[0] == "in-process"
+        assert solves == [True] + [False] * statuses.count("in-process")
+        assert recovered.samples == baseline.samples
+        runtime_pool.shutdown()
+
     def test_alternating_testbenches_on_one_warm_pool(
         self, hand_testbench, baseline
     ):
